@@ -8,7 +8,9 @@ trivial zero stalk, and joins of compatible pairs.
 
 Joins and meets are always computed by exhaustive bound scans, never by
 formula, so they double as independent oracles for the restriction-formula
-operations (circ, setminus, bullet).
+operations (circ, setminus, bullet).  A Boolean set's joins come from the
+scan that validation runs over every pair; validation keeps its results as
+a join table, so the scan stays their only source.
 """
 
 import random
@@ -195,17 +197,28 @@ def compatible(P, x, y):
 
 
 class BooleanSet(Presheaf):
-    """Presheaf over a Boolean algebra with minimum and compatible joins."""
+    """Presheaf over a Boolean algebra with minimum and compatible joins.
 
-    def __init__(self, base, stalks, cover_maps, rest, zero):
+    ``_join[i][j]`` is the index of the join of elements i and j as found by
+    the exhaustive scan in validate_boolean_set, or -1 when the pair is not
+    compatible; join and compatible_elems read it.  A pair with a common
+    upper bound z is compatible (both are restrictions of z), so -1 also
+    means that no join exists.
+    """
+
+    def __init__(self, base, stalks, cover_maps, rest, zero, join_table):
         super().__init__(base, stalks, cover_maps, rest)
         self.zero = zero
+        self._join = join_table
 
     def join(self, x, y):
-        j = self.join_elem(x, y)
-        if j is None:
+        k = self._join[self.index[x]][self.index[y]]
+        if k < 0:
             raise InternalMissingJoin((x, y))
-        return j
+        return self.elements[k]
+
+    def compatible_elems(self, x, y):
+        return self._join[self.index[x]][self.index[y]] >= 0
 
     def circ(self, x, y):
         return self.restrict(y, self.base.meet(self.p(x), self.p(y)))
@@ -234,7 +247,8 @@ def validate_boolean_set(P):
     Checks global support, the trivial zero stalk, the minimum element, and
     the existence of least upper bounds for all compatible pairs (joins found
     by exhaustive scan); the projection of each join is asserted to be the
-    join of the projections.
+    join of the projections.  The joins found are kept as the Boolean set's
+    join table.
     """
     base = P.base
     if not isinstance(base, balg.FinBooleanAlgebra):
@@ -248,14 +262,17 @@ def validate_boolean_set(P):
     zero = zstalk[0]
     if not all(P.leq_elem(zero, x) for x in P.elements):
         raise NoMinimum((zero,))
-    for x in P.elements:
-        for y in P.elements:
+    n = len(P.elements)
+    join_table = [[-1] * n for _ in range(n)]
+    for x, row in zip(P.elements, join_table):
+        for k, y in enumerate(P.elements):
             if P.compatible_elems(x, y):
                 j = P.join_elem(x, y)
                 if j is None:
                     raise MissingJoin((x, y))
                 assert P.p(j) == base.join(P.p(x), P.p(y)), (x, y, j)
-    return BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero)
+                row[k] = P.index[j]
+    return BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero, join_table)
 
 
 def bs_circ(X, x, y):

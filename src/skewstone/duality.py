@@ -36,70 +36,94 @@ class BSetUltrafilter:
         return f"Ultra({self.ident})"
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _first(mask):
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def bset_ultrafilters(X):
     """All ultrafilters of X, grouped by base ultrafilter.
 
     For each base ultrafilter F, the preimage of F is partitioned into
     conjugacy classes (sharing a lower bound whose projection lies in F);
     the classes are checked to be disjoint prime filters projecting onto F.
+
+    Sets of elements are bitmasks over X.elements, read from the order rows
+    X._below/X._above.  With pre_mask the preimage of F, the conjugacy row of
+    a is the mask of the b in the preimage with below[a] & below[b] & pre_mask
+    nonzero; transitivity is row containment.  For n elements and k
+    ultrafilters this costs O(n^2) mask operations per base ultrafilter (the
+    rows, their equivalence checks and the filter checks) plus one pass over
+    the n x n join table of validate_boolean_set per class for primeness:
+    O(k n^2) in all, against O(n^3) per base ultrafilter for an element-wise
+    conjugacy test.
     """
     try:
         return X._ultra
     except AttributeError:
         pass
+    els, below = X.elements, X._below
     out = []
     for F in X.base.ultrafilters():
-        pre = [x for x in X.elements if X.p(x) in F.members]
+        pre = [i for i, x in enumerate(els) if X.p(x) in F.members]
+        pre_mask = sum(1 << i for i in pre)
         rel = {}
         for a in pre:
-            for b in pre:
-                rel[a, b] = any(
-                    X.leq_elem(c, a) and X.leq_elem(c, b) for c in pre
-                )
+            low = below[a] & pre_mask
+            rel[a] = sum(1 << b for b in pre if low & below[b])
         for a in pre:
-            assert rel[a, a]
-            for b in pre:
-                assert rel[a, b] == rel[b, a]
-                for c in pre:
-                    assert not (rel[a, b] and rel[b, c]) or rel[a, c], (a, b, c)
-        seen = set()
-        classes = []
+            row = rel[a]
+            assert row >> a & 1, ("conjugacy not reflexive", els[a])
+            for b in _bits(row):
+                assert rel[b] >> a & 1, ("conjugacy not symmetric", els[a], els[b])
+                # rel[b] within rel[a] for every b in rel[a]: every triple
+                extra = rel[b] & ~row
+                assert not extra, (
+                    "conjugacy not transitive", els[a], els[b], els[_first(extra)])
+        seen = 0
         for a in pre:
-            if a in seen:
+            if seen >> a & 1:
                 continue
-            cls = frozenset(b for b in pre if rel[a, b])
+            cls = rel[a]
+            assert not cls & seen, ("classes overlap", els[_first(cls & seen)])
             seen |= cls
-            classes.append(cls)
-        for cls in classes:
-            rep = next(x for x in X.elements if x in cls)
-            atom = F.generator
-            u = BSetUltrafilter(X, cls, F, f"[{rep}]@{atom}")
-            _assert_is_ultrafilter(X, u, pre)
+            members = frozenset(els[b] for b in _bits(cls))
+            u = BSetUltrafilter(X, members, F, f"[{els[a]}]@{F.generator}")
+            _assert_is_ultrafilter(X, u)
             out.append(u)
-        for i, c in enumerate(classes):
-            for d in classes[i + 1:]:
-                assert not (c & d)
     X._ultra = tuple(out)
     return X._ultra
 
 
-def _assert_is_ultrafilter(X, u, preimage):
+def _assert_is_ultrafilter(X, u):
+    """Assert that u projects onto its base filter and is an upward closed,
+    pairwise bounded below, prime set of elements (as masks over X)."""
+    els, index, below, above = X.elements, X.index, X._below, X._above
     F = u.base_filter
-    assert {X.p(x) for x in u.members} == F.members
-    for x in u.members:
-        for y in X.elements:
-            if X.leq_elem(x, y):
-                assert y in u.members, (x, y)
-    for x in u.members:
-        for y in u.members:
-            assert any(
-                X.leq_elem(c, x) and X.leq_elem(c, y) for c in u.members
-            ), (x, y)
+    assert {X.p(x) for x in u.members} == F.members, (u.ident, F)
+    idx = sorted(index[x] for x in u.members)
+    umask = sum(1 << i for i in idx)
+    for i in idx:
+        escape = above[i] & ~umask
+        assert not escape, ("not upward closed", els[i], els[_first(escape)])
+        for j in idx:
+            assert below[i] & below[j] & umask, ("no common lower bound", els[i], els[j])
     # primeness: a compatible join lands in u only through one of its parts
-    for x in X.elements:
-        for y in X.elements:
-            if X.compatible_elems(x, y) and X.join(x, y) in u.members:
-                assert x in u.members or y in u.members, (x, y)
+    inside = [umask >> i & 1 for i in range(len(els))]
+    outside = [i for i in range(len(els)) if not inside[i]]
+    for i in outside:
+        row = X._join[i]
+        for j in outside:
+            k = row[j]
+            assert k < 0 or not inside[k], ("not prime", els[i], els[j], els[k])
 
 
 def ultrafilters_containing(X, a):

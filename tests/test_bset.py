@@ -7,6 +7,7 @@ from skewstone import bset, skew
 from conftest import make_prod
 from skewstone.errors import (
     EmptySizes,
+    InternalMissingJoin,
     MissingJoin,
     MissingRestriction,
     NoGlobalSupport,
@@ -87,6 +88,26 @@ def test_missing_join_witness(b4):
     with pytest.raises(MissingJoin) as e:
         bset.validate_boolean_set(P)
     assert e.value.witness == ("a2", "b1")
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (1, 2, 2), (2, 2, 2), (1, 1, 3, 3)])
+def test_join_table_matches_scan(sizes):
+    # the table kept at validation answers as the exhaustive bound scan does
+    X = bset.generate_boolean_set(sizes, seed=5)
+    incompatible = 0
+    for x in X.elements:
+        for y in X.elements:
+            scanned = bset.Presheaf.join_elem(X, x, y)
+            compat = bset.Presheaf.compatible_elems(X, x, y)
+            assert X.compatible_elems(x, y) == compat == (scanned is not None)
+            if compat:
+                assert X.join(x, y) == scanned
+            else:
+                incompatible += 1
+                with pytest.raises(InternalMissingJoin) as e:
+                    X.join(x, y)
+                assert e.value.witness == (x, y)
+    assert incompatible
 
 
 def test_zero_stalk_not_trivial(b2):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import skewstone
 from skewstone import cli
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -161,6 +167,26 @@ def test_ultrafilters_command(capsys):
     code2, out2 = run(capsys, "ultrafilters", PROD, "Prod")
     assert code2 == 0
     assert "[a1]@a" in out2
+
+
+@pytest.mark.parametrize("command", ["ultrafilters", "dualize"])
+def test_same_output_without_asserts(capsys, tmp_path, command):
+    # the ultrafilter classes are built outside every assert, so stripping
+    # the asserts with python -O changes no output
+    code, doc = run(capsys, "gen", "--atoms", "4", "--stalks", "2,2,2,2", "--seed", "3")
+    assert code == 0
+    f = tmp_path / "g.txt"
+    f.write_text(doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(skewstone.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    results = [
+        subprocess.run([sys.executable, *flags, "-m", "skewstone.cli", command, str(f), "G"],
+                       capture_output=True, text=True, env=env)
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in results] == [0, 0]
+    assert results[0].stdout.strip()
+    assert results[0].stdout == results[1].stdout
 
 
 def test_sections_command(capsys):

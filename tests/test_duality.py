@@ -3,7 +3,72 @@ import pytest
 from skewstone import bset, duality, etale
 from skewstone.errors import NotProper
 
-from conftest import make_b2, make_b4
+from conftest import make_b2, make_b4, make_efix, make_prod, make_x3_bset
+
+
+def _cubic_ultrafilters(X):
+    """Reference: the element-wise construction that predates the bitmask
+    rows, with its O(|pre|^3) conjugacy relation, as (ident, members, base
+    filter members) triples."""
+    out = []
+    for F in X.base.ultrafilters():
+        pre = [x for x in X.elements if X.p(x) in F.members]
+        rel = {}
+        for a in pre:
+            for b in pre:
+                rel[a, b] = any(
+                    X.leq_elem(c, a) and X.leq_elem(c, b) for c in pre
+                )
+        seen = set()
+        for a in pre:
+            if a in seen:
+                continue
+            cls = frozenset(b for b in pre if rel[a, b])
+            seen |= cls
+            rep = next(x for x in X.elements if x in cls)
+            out.append((f"[{rep}]@{F.generator}", cls, F.members))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bset.generate_boolean_set((2, 2, 2)),
+    lambda: bset.generate_boolean_set((1, 1, 3, 3), seed=4),
+    lambda: bset.generate_boolean_set((2, 2, 2, 2)),
+    lambda: bset.constant_bset(make_b4()),
+    make_prod,
+    make_x3_bset,
+    lambda: etale.dual_bset(make_efix()),
+], ids=["gen222", "gen1133", "gen2222", "constant_b4", "prod", "x3", "dual_efix"])
+def test_ultrafilters_match_cubic_reference(build):
+    X = build()
+    got = [(u.ident, u.members, u.base_filter.members) for u in duality.bset_ultrafilters(X)]
+    assert got == _cubic_ultrafilters(X)
+
+
+def _fresh_ultrafilters(X):
+    X.__dict__.pop("_ultra", None)
+    return duality.bset_ultrafilters(X)
+
+
+def test_ultrafilter_checks_fire_on_corrupted_tables():
+    X = bset.generate_boolean_set((2, 1, 2))
+    u = _fresh_ultrafilters(X)[0]
+    inside = [X.index[x] for x in u.members]
+    outside = [i for i in range(len(X.elements)) if X.elements[i] not in u]
+
+    # an element above a member but outside u breaks upward closure
+    saved = X._above[inside[0]]
+    X._above[inside[0]] |= 1 << outside[-1]
+    with pytest.raises(AssertionError, match="not upward closed"):
+        _fresh_ultrafilters(X)
+    X._above[inside[0]] = saved
+    assert _fresh_ultrafilters(X)[0] == u
+
+    # zero joined with itself landing in u breaks primeness
+    z = X.index[X.zero]
+    X._join[z][z] = inside[0]
+    with pytest.raises(AssertionError, match="not prime"):
+        _fresh_ultrafilters(X)
 
 
 def test_bset_ultrafilters_x3(x3_bset):
