@@ -146,14 +146,6 @@ class FinMeetSemilattice:
         self._covers = tuple(covers)
         return self._covers
 
-    def comparable_pairs(self):
-        """All (upper, lower) pairs with lower <= upper, including equal ones."""
-        for i, e in enumerate(self.elements):
-            m = self._down[i]
-            for j, f in enumerate(self.elements):
-                if m >> j & 1:
-                    yield e, f
-
 
 def validate_meet_semilattice(elements, leq_pairs):
     elements, index = _index_elements(elements)

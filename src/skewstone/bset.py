@@ -15,7 +15,7 @@ a join table, so the scan stays their only source.
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 from . import balg, skew
 from .errors import (
@@ -370,7 +370,7 @@ def bset_isomorphic(X, Y):
             return dict(emap)
         e = order[k]
         xs = X.stalks[e]
-        for perm in _permutations(Y.stalks[base_iso[e]]):
+        for perm in permutations(Y.stalks[base_iso[e]]):
             trial = dict(emap)
             ok = True
             for x, y in zip(xs, perm):
@@ -393,11 +393,6 @@ def bset_isomorphic(X, Y):
     if emap is None:
         return None
     return base_iso, emap
-
-
-def _permutations(seq):
-    from itertools import permutations as _p
-    return _p(seq)
 
 
 # ----------------------------------------------------------------- morphisms

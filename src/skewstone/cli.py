@@ -258,10 +258,10 @@ def cmd_props(args):
 
 def cmd_gen(args):
     sizes = tuple(int(s) for s in args.stalks.split(",") if s)
-    X = bset.generate_boolean_set(sizes, args.seed)
     if len(sizes) != args.atoms:
         print(f"--atoms {args.atoms} does not match {len(sizes)} stalk sizes")
         return 1
+    X = bset.generate_boolean_set(sizes, args.seed)
     print(textio.print_stanza(textio.balg_stanza(X.base, "B")))
     print(textio.print_stanza(textio.bset_stanza(X, "G", "B")))
     return 0

@@ -311,11 +311,19 @@ def build(document):
     return built
 
 
+def _require(s, *keys):
+    for key in keys:
+        if key not in s.data:
+            raise ParseError(s.line, 1, f"'{key}:' in {s.kind} stanza {s.name}")
+
+
 def _build_one(s, built):
     d = s.data
     if s.kind == "balg":
+        _require(s, "elements", "leq", "bottom")
         return balg.validate_balg(d["elements"], d["leq"], d["bottom"])
     if s.kind == "skew":
+        _require(s, "elements", "circ")
         if d.get("bullet") is None:
             return bset.validate_band(d["elements"], d["circ"])
         if "zero" not in d:
@@ -326,8 +334,10 @@ def _build_one(s, built):
         P = bset.validate_presheaf(base, d.get("stalks", {}), d.get("restrict", {}))
         return bset.validate_boolean_set(P)
     if s.kind == "etale":
+        _require(s, "total", "base", "proj")
         return etale.validate_etale(d["total"], d["base"], dict(d["proj"]))
     if s.kind == "morphism":
+        _require(s, "map")
         src, tgt = built[d["from"]], built[d["to"]]
         mapping = dict(d["map"])
         if isinstance(src, balg.FinBooleanAlgebra):
@@ -337,6 +347,7 @@ def _build_one(s, built):
         basemap = dict(d["basemap"]) if "basemap" in d else None
         return bset.validate_bset_morphism(mapping, basemap, src, tgt)
     if s.kind == "relmor":
+        _require(s, "phi", "phibar")
         src, tgt = built[d["from"]], built[d["to"]]
         phi = {e: set(ts) for e, ts in d["phi"]}
         return etale.validate_relational_morphism(phi, dict(d["phibar"]), src, tgt)
@@ -413,15 +424,6 @@ def skew_stanza(S, name):
         "zero": S.zero,
         "circ": [[S.circ(x, y) for y in els] for x in els],
         "bullet": [[S.bullet(x, y) for y in els] for x in els],
-    }, 0)
-
-
-def band_stanza(S, name):
-    els = list(S.elements)
-    return Stanza("skew", name, None, {
-        "elements": els,
-        "circ": [[S.circ(x, y) for y in els] for x in els],
-        "bullet": None,
     }, 0)
 
 

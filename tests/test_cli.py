@@ -111,6 +111,33 @@ def test_gen_seed_changes_labels_only(capsys):
     assert bset.bset_isomorphic(b1, b2) is not None
 
 
+def test_gen_atoms_mismatch_fails_before_generating(capsys, monkeypatch):
+    from skewstone import bset
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_boolean_set called on an --atoms mismatch")
+
+    monkeypatch.setattr(bset, "generate_boolean_set", refuse)
+    code, out = run(capsys, "gen", "--atoms", "3", "--stalks", "3,3,3,3")
+    assert code == 1
+    assert out.strip() == "--atoms 3 does not match 4 stalk sizes"
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("balg B {\n  elements: 0, 1\n  leq: 0<=1\n}\n", "'bottom:' in balg stanza B"),
+    ("etale E {\n  total: p\n  proj: p->x\n}\n", "'base:' in etale stanza E"),
+    ("skew S {\n  elements: 0\n  zero: 0\n}\n", "'circ:' in skew stanza S"),
+    ("morphism M {\n  from: B2\n  to: B2\n}\n", "'map:' in morphism stanza M"),
+])
+def test_missing_required_key_is_a_located_parse_error(capsys, tmp_path, text, missing):
+    f = tmp_path / "missing.txt"
+    f.write_text("balg B2 {\n  elements: 0, 1\n  leq: 0<=1\n  bottom: 0\n}\n" + text)
+    code, out = run(capsys, "validate", str(f))
+    assert code == 2
+    assert f"parse error: line 6, col 1: expected {missing}" in out
+    assert "skipped" not in out
+
+
 def test_to_skew_and_back(capsys, tmp_path):
     code, out = run(capsys, "to-skew", PROD, "Prod")
     assert code == 0

@@ -1,8 +1,18 @@
+import itertools
+import random
+
 import pytest
 
 from skewstone import balg, bset, skew
-from skewstone.errors import NotAMorphism, SkewAxiomViolation, StructureError
+from skewstone.errors import (
+    NotABand,
+    NotAMorphism,
+    QuotientNotBoolean,
+    SkewAxiomViolation,
+    StructureError,
+)
 
+import mutation_engine as me
 from conftest import X3_CIRC, make_prod
 
 
@@ -186,3 +196,145 @@ def test_enumerate_endomorphisms(x3_skew):
     maps = {tuple(sorted(m.mapping.items())) for m in ms}
     assert tuple(sorted({"0": "0", "x1": "x1", "x2": "x2"}.items())) in maps
     assert tuple(sorted({"0": "0", "x1": "x2", "x2": "x1"}.items())) in maps
+
+
+# ------------------------------------------- band check against the triple scan
+
+def _reference_band_check(elements, table, op):
+    # the exhaustive idempotence and (i, j, k) associativity scan
+    n = len(elements)
+    for i in range(n):
+        if table[i][i] != i:
+            raise NotABand((elements[i],), op, "idempotent")
+    for i in range(n):
+        ti = table[i]
+        for j in range(n):
+            tij = table[ti[j]]
+            tj = table[j]
+            for k in range(n):
+                if tij[k] != ti[tj[k]]:
+                    raise NotABand((elements[i], elements[j], elements[k]), op, "assoc")
+
+
+def _band_outcome(check, elements, table, op):
+    try:
+        check(elements, table, op)
+    except NotABand as e:
+        return e.law, e.witness
+    return None
+
+
+def _assert_band_check_matches_reference(elements, table, op):
+    expected = _band_outcome(_reference_band_check, elements, table, op)
+    assert _band_outcome(skew._band_check, elements, table, op) == expected
+    return expected
+
+
+def _skew_raw(S):
+    els = list(S.elements)
+    return {
+        "kind": "skew", "elements": els, "zero": S.zero,
+        "circ": [[S.circ(x, y) for y in els] for x in els],
+        "bullet": [[S.bullet(x, y) for y in els] for x in els],
+    }
+
+
+@pytest.mark.parametrize("sizes, count", [
+    ((2, 2, 2), 40), ((2, 2, 2, 2), 24), ((3, 3, 3, 3), 6),
+])
+def test_band_check_matches_triple_scan_on_mutants(sizes, count):
+    raw = _skew_raw(bset.to_skew(bset.generate_boolean_set(sizes, seed=5)))
+    elements, index = balg._index_elements(raw["elements"])
+    rng = random.Random(len(elements))
+    ops = set()
+    while len(ops) < 2 or count > 0:
+        mutant = me.mutate_skew(raw, rng)
+        op = "circ" if mutant["circ"] is not raw["circ"] else "bullet"
+        ops.add(op)
+        count -= 1
+        table = skew._as_index_table(elements, index, mutant[op], op)
+        _assert_band_check_matches_reference(elements, table, op)
+
+
+def test_band_check_one_element():
+    assert _assert_band_check_matches_reference(("e",), [[0]], "circ") is None
+    assert bset.validate_band(["e"], [["e"]]).circ("e", "e") == "e"
+
+
+def test_band_check_all_two_and_three_element_idempotent_tables():
+    # every magma on two elements, and every idempotent one on three
+    for n, cells in ((2, range(4)), (3, [1, 2, 3, 5, 6, 7])):
+        els = tuple("abc"[:n])
+        for values in itertools.product(range(n), repeat=len(cells)):
+            flat = [i // n if i % (n + 1) == 0 else 0 for i in range(n * n)]
+            for cell, v in zip(cells, values):
+                flat[cell] = v
+            table = [flat[r * n:(r + 1) * n] for r in range(n)]
+            _assert_band_check_matches_reference(els, table, "circ")
+
+
+def test_band_check_witness_middle_is_not_a_generator():
+    # a, the middle of the first failing triple (b, a, c), is b∘c and has the
+    # smallest row image of the three, so it is produced before it is visited
+    # and never becomes a generator: Light's test fails at c, and the witness
+    # comes from the triple scan.
+    els = ("a", "b", "c", "d")
+    table = [[0, 0, 0, 3], [1, 1, 0, 3], [0, 1, 2, 3], [3, 3, 3, 3]]
+    assert table[1][2] == 0
+    assert len(set(table[0])) < len(set(table[1])) < len(set(table[2]))
+    assert not skew._light_associative([tuple(r) for r in table])
+    assert _assert_band_check_matches_reference(els, table, "circ") == (
+        "band.assoc.circ", ("b", "a", "c")
+    )
+
+
+def test_validate_band_rejects_with_first_triple():
+    els = ["a", "b", "c", "d"]
+    table = [["a", "a", "a", "d"], ["b", "b", "a", "d"], ["a", "b", "c", "d"],
+             ["d", "d", "d", "d"]]
+    with pytest.raises(NotABand) as e:
+        bset.validate_band(els, table)
+    assert (e.value.law, e.value.witness) == ("band.assoc.circ", ("b", "a", "c"))
+
+
+def _reference_gamma_transitivity(S):
+    # the cubic symmetry and transitivity scan over the relation x R y
+    n = len(S.elements)
+    circ = S.circ_t
+    related = [
+        [circ[i][j] == j and circ[j][i] == i for j in range(n)] for i in range(n)
+    ]
+    for i in range(n):
+        for j in range(n):
+            if related[i][j] != related[j][i]:
+                return (S.elements[i], S.elements[j]), "not symmetric"
+            for k in range(n):
+                if related[i][j] and related[j][k] and not related[i][k]:
+                    return (S.elements[i], S.elements[j], S.elements[k]), "not transitive"
+    return None
+
+
+def test_gamma_classes_transitivity_witness_matches_cubic_scan():
+    # unvalidated SkewAlgebra objects on random idempotent, non-band tables
+    rng = random.Random(7)
+    failures = 0
+    for _ in range(300):
+        n = rng.randrange(3, 7)
+        els = tuple(f"e{i}" for i in range(n))
+        circ = [[j if rng.random() < 0.6 else rng.randrange(n) for j in range(n)]
+                for _ in range(n)]
+        for i in range(n):
+            circ[i][i] = i
+        S = skew.SkewAlgebra(els, {e: i for i, e in enumerate(els)}, circ, circ, 0)
+        expected = _reference_gamma_transitivity(S)
+        try:
+            skew.gamma_classes(S)
+            got = None
+        except QuotientNotBoolean as e:
+            scan_details = ("not symmetric", "not transitive")
+            got = (e.witness, e.detail) if e.detail in scan_details else None
+        except StructureError:
+            got = None
+        assert got == expected
+        failures += expected is not None
+    assert failures > 50
