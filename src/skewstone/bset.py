@@ -4,7 +4,10 @@ A presheaf assigns a finite stalk to each base element and a restriction map
 to each Hasse covering pair; composite restrictions along longer chains are
 derived after path-independence validation and cached.  A Boolean set is a
 presheaf over a Boolean algebra with global support, a minimum element, a
-trivial zero stalk, and joins of compatible pairs.
+trivial zero stalk, and joins of compatible pairs.  Path independence is
+checked locally, cover by cover inside each down-set, which is exact by
+induction along chains; the enumeration of every Hasse chain runs only on a
+failure, to name the two chains that disagree.
 
 Joins and meets are always computed by exhaustive bound scans, never by
 formula, so they double as independent oracles for the restriction-formula
@@ -109,15 +112,82 @@ class Presheaf:
         return m is not None and self.p(m) == self.base.meet(self.p(x), self.p(y))
 
 
-def _cover_paths(base, e, f):
+def _lower_covers(base):
+    """The lower covers of each base element, in cover_pairs order."""
+    lower = {e: [] for e in base.elements}
+    for upper, lo in base.cover_pairs:
+        lower[upper].append(lo)
+    return lower
+
+
+def _cover_paths(base, lower, e, f):
     """All descending Hasse chains from e to f, as tuples of ids."""
     if e == f:
         return [(e,)]
     out = []
-    for upper, lower in base.cover_pairs:
-        if upper == e and base.leq(f, lower):
-            out.extend((e,) + rest for rest in _cover_paths(base, lower, f))
+    for lo in lower[e]:
+        if base.leq(f, lo):
+            out.extend((e,) + rest for rest in _cover_paths(base, lower, lo, f))
     return out
+
+
+def _local_restrictions(base, stalk_map, cover_maps, lower):
+    """Composite restrictions from one walk of ↓e per base element e, or None.
+
+    The walk starts at e and reaches each f in ↓e over a lower cover (g, f)
+    from an element g it has already reached; the first such cover fixes the
+    values of the stalk of e at f, and every other cover (g, f) inside ↓e
+    must give the same values.  When all of them do, composing along any
+    descending chain gives those values (by induction along the chain), so
+    they are the path-independent composites.  A mismatch means two chains
+    disagree, and the caller runs the chain scan to name them.
+    """
+    rest = {x: {} for e in base.elements for x in stalk_map[e]}
+    for e in base.elements:
+        xs = stalk_map[e]
+        if not xs:
+            continue
+        vals = {e: xs}
+        reached = [e]
+        for g in reached:  # grows while it is walked
+            vg = vals[g]
+            for f in lower[g]:
+                v = tuple(map(cover_maps[(g, f)].__getitem__, vg))
+                seen = vals.get(f)
+                if seen is None:
+                    vals[f] = v
+                    reached.append(f)
+                elif seen != v:
+                    return None
+        for f in base.down_set(e):
+            for x, y in zip(xs, vals[f]):
+                rest[x][f] = y
+    return rest
+
+
+def _chain_restrictions(base, stalk_map, cover_maps, lower):
+    """Composite restrictions along every descending chain; raises
+    PathDependent at the first element whose chains disagree."""
+    rest = {x: {} for e in base.elements for x in stalk_map[e]}
+    for e in base.elements:
+        for f in base.down_set(e):
+            paths = _cover_paths(base, lower, e, f)
+            for x in stalk_map[e]:
+                values = []
+                for path in paths:
+                    v = x
+                    for up, lo in zip(path, path[1:]):
+                        v = cover_maps[(up, lo)][v]
+                    values.append((v, path))
+                v0, p0 = values[0]
+                for v, pth in values[1:]:
+                    if v != v0:
+                        raise PathDependent(
+                            (x, ">".join(p0), ">".join(pth)),
+                            detail=f"{v0!r} vs {v!r}",
+                        )
+                rest[x][f] = v0
+    return rest
 
 
 def validate_presheaf(base, stalks, restrictions):
@@ -125,8 +195,12 @@ def validate_presheaf(base, stalks, restrictions):
 
     ``stalks`` maps base elements to sequences of ids (missing keys mean
     empty stalks); ``restrictions`` maps Hasse cover pairs (upper, lower) to
-    per-element target maps.  Composite restrictions are computed along every
-    descending chain and checked to be path-independent.
+    per-element target maps.  Composite restrictions are checked to be
+    path-independent locally: one walk of ↓e per base element e, comparing
+    every Hasse cover inside ↓e (see _local_restrictions), at
+    O(|stalk(e)| · covers in ↓e) instead of once per descending chain.  Only
+    when a cover disagrees does the scan over every chain run, so the
+    PathDependent witness (x, chain1, chain2) is the first one it finds.
     """
     stalk_map = {}
     seen = {}
@@ -162,25 +236,10 @@ def validate_presheaf(base, stalks, restrictions):
             m[x] = y
         cover_maps[(e, f)] = m
 
-    rest = {x: {} for e in base.elements for x in stalk_map[e]}
-    for e in base.elements:
-        for f in base.down_set(e):
-            paths = _cover_paths(base, e, f)
-            for x in stalk_map[e]:
-                values = []
-                for path in paths:
-                    v = x
-                    for up, lo in zip(path, path[1:]):
-                        v = cover_maps[(up, lo)][v]
-                    values.append((v, path))
-                v0, p0 = values[0]
-                for v, pth in values[1:]:
-                    if v != v0:
-                        raise PathDependent(
-                            (x, ">".join(p0), ">".join(pth)),
-                            detail=f"{v0!r} vs {v!r}",
-                        )
-                rest[x][f] = v0
+    lower = _lower_covers(base)
+    rest = _local_restrictions(base, stalk_map, cover_maps, lower)
+    if rest is None:
+        rest = _chain_restrictions(base, stalk_map, cover_maps, lower)
     return Presheaf(base, stalk_map, cover_maps, rest)
 
 

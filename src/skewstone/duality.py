@@ -81,19 +81,23 @@ def bset_ultrafilters(X):
             rel[a] = sum(1 << b for b in pre if low & below[b])
         for a in pre:
             row = rel[a]
-            assert row >> a & 1, ("conjugacy not reflexive", els[a])
+            if not row >> a & 1:
+                raise AssertionError(("conjugacy not reflexive", els[a]))
             for b in _bits(row):
-                assert rel[b] >> a & 1, ("conjugacy not symmetric", els[a], els[b])
+                if not rel[b] >> a & 1:
+                    raise AssertionError(("conjugacy not symmetric", els[a], els[b]))
                 # rel[b] within rel[a] for every b in rel[a]: every triple
                 extra = rel[b] & ~row
-                assert not extra, (
-                    "conjugacy not transitive", els[a], els[b], els[_first(extra)])
+                if extra:
+                    raise AssertionError((
+                        "conjugacy not transitive", els[a], els[b], els[_first(extra)]))
         seen = 0
         for a in pre:
             if seen >> a & 1:
                 continue
             cls = rel[a]
-            assert not cls & seen, ("classes overlap", els[_first(cls & seen)])
+            if cls & seen:
+                raise AssertionError(("classes overlap", els[_first(cls & seen)]))
             seen |= cls
             members = frozenset(els[b] for b in _bits(cls))
             u = BSetUltrafilter(X, members, F, f"[{els[a]}]@{F.generator}")
@@ -108,14 +112,17 @@ def _assert_is_ultrafilter(X, u):
     pairwise bounded below, prime set of elements (as masks over X)."""
     els, index, below, above = X.elements, X.index, X._below, X._above
     F = u.base_filter
-    assert {X.p(x) for x in u.members} == F.members, (u.ident, F)
+    if {X.p(x) for x in u.members} != F.members:
+        raise AssertionError((u.ident, F))
     idx = sorted(index[x] for x in u.members)
     umask = sum(1 << i for i in idx)
     for i in idx:
         escape = above[i] & ~umask
-        assert not escape, ("not upward closed", els[i], els[_first(escape)])
+        if escape:
+            raise AssertionError(("not upward closed", els[i], els[_first(escape)]))
         for j in idx:
-            assert below[i] & below[j] & umask, ("no common lower bound", els[i], els[j])
+            if not below[i] & below[j] & umask:
+                raise AssertionError(("no common lower bound", els[i], els[j]))
     # primeness: a compatible join lands in u only through one of its parts
     inside = [umask >> i & 1 for i in range(len(els))]
     outside = [i for i in range(len(els)) if not inside[i]]
@@ -123,7 +130,8 @@ def _assert_is_ultrafilter(X, u):
         row = X._join[i]
         for j in outside:
             k = row[j]
-            assert k < 0 or not inside[k], ("not prime", els[i], els[j], els[k])
+            if k >= 0 and inside[k]:
+                raise AssertionError(("not prime", els[i], els[j], els[k]))
 
 
 def ultrafilters_containing(X, a):

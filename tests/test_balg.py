@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,11 @@ from skewstone.errors import (
     NotDisjoint,
     NotDistinct,
     NotDistributive,
+    StructureError,
     ZeroArgument,
 )
+
+import mutation_engine as me
 
 
 def test_powerset_of_two_atoms_is_valid(b4):
@@ -190,3 +195,199 @@ def test_isomorphism_search(b4):
     assert iso is not None and iso["0"] == "{}"
     b2 = balg.validate_balg(["0", "1"], [("0", "1")], "0")
     assert balg.find_balg_isomorphism(b4, b2) is None
+
+
+# --------------------------------- validate_balg against the cubic reference
+
+def _reference_validate_balg(elements, leq_pairs, bottom):
+    # the exhaustive lattice, bottom, distributivity and relative-complement
+    # scans, as they ran on every input before acceptance by the Stone map
+    elements, index = balg._index_elements(elements)
+    n = len(elements)
+    if bottom not in index:
+        raise ValueError(f"declared bottom {bottom!r} is not an element")
+    up = balg._check_poset(elements, index, leq_pairs)
+    down = balg._down_masks(n, up)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m = balg._greatest(down[i] & down[j], down)
+            if m < 0:
+                raise NotALattice((elements[i], elements[j]), "meet")
+            meet[i][j] = m
+            u = balg._least(up[i] & up[j], up)
+            if u < 0:
+                raise NotALattice((elements[i], elements[j]), "join")
+            join[i][j] = u
+    bot = index[bottom]
+    if up[bot] != (1 << n) - 1:
+        for i in range(n):
+            if not up[bot] >> i & 1:
+                raise NoBottom((bottom, elements[i]))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    raise NotDistributive((elements[a], elements[b], elements[c]))
+    comp_in = {}
+    for b in range(n):
+        for a in range(n):
+            if not down[b] >> a & 1:
+                continue
+            found = [c for c in range(n)
+                     if down[b] >> c & 1 and meet[c][a] == bot and join[c][a] == b]
+            if not found:
+                raise NoRelativeComplement((elements[a], elements[b]))
+            assert len(found) == 1
+            comp_in[b, a] = found[0]
+    return meet, join, list(comp_in.items())
+
+
+def _balg_outcome(validate, elements, leq_pairs, bottom):
+    try:
+        result = validate(elements, leq_pairs, bottom)
+    except StructureError as e:
+        return type(e), e.law, e.witness
+    if isinstance(result, balg.FinBooleanAlgebra):
+        return result._meet, result._join, list(result._comp_in.items())
+    return result
+
+
+def _assert_balg_matches_reference(elements, leq_pairs, bottom):
+    expected = _balg_outcome(_reference_validate_balg, elements, leq_pairs, bottom)
+    assert _balg_outcome(balg.validate_balg, elements, leq_pairs, bottom) == expected
+    return not isinstance(expected[0], type)  # True on acceptance
+
+
+def test_validate_balg_matches_reference_on_every_small_relation():
+    # reflexive pairs are implied by the closure, so the off-diagonal pairs
+    # give every relation on n elements; each element is tried as bottom
+    accepted = rejected = 0
+    for n in range(1, 5):
+        els = [str(i) for i in range(n)]
+        off = [(x, y) for x in els for y in els if x != y]
+        for bits in range(1 << len(off)):
+            pairs = [p for k, p in enumerate(off) if bits >> k & 1]
+            for bottom in els:
+                ok = _assert_balg_matches_reference(els, pairs, bottom)
+                accepted += ok
+                rejected += not ok
+    # one element; two chains of two; twelve labelled squares, each with or
+    # without the implied pair (bottom, top)
+    assert accepted == 1 + 2 + 12 * 2
+    assert rejected > 0
+
+
+def _cube_pairs(leave_out=()):
+    # every pair s ⊆ t of subsets of {a, b, c}, named by their letters
+    names = ["0", "a", "b", "ab", "c", "ac", "bc", "1"]
+    return names, [
+        (names[s], names[t]) for s in range(8) for t in range(8)
+        if s & t == s and (names[s], names[t]) not in leave_out
+    ]
+
+
+@pytest.mark.parametrize("elements, pairs, bottom", [
+    # a chain of four: 2^2 elements but one atom
+    (["0", "x", "y", "1"], [("0", "x"), ("x", "y"), ("y", "1")], "0"),
+    # the 2 x 4 grid: eight elements, not a Boolean lattice
+    ([f"{i}{j}" for i in range(2) for j in range(4)],
+     [(f"{i}{j}", f"{k}{m}") for i in range(2) for j in range(4)
+      for k in range(2) for m in range(4) if i <= k and j <= m], "00"),
+    # the cube without ab <= 1 (a, b <= 1 stay): bijective atom codes,
+    # wrong order
+    (*_cube_pairs(leave_out={("ab", "1")}), "0"),
+    # a declared bottom that is not least
+    (*_cube_pairs(), "a"),
+    (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")], "1"),
+])
+def test_validate_balg_matches_reference_on_non_boolean_orders(elements, pairs, bottom):
+    expected = _balg_outcome(_reference_validate_balg, elements, pairs, bottom)
+    assert isinstance(expected[0], type)  # each of these is rejected
+    assert _balg_outcome(balg.validate_balg, elements, pairs, bottom) == expected
+
+
+@pytest.mark.parametrize("k, count", [(4, 60), (6, 30), (8, 6)])
+def test_validate_balg_matches_reference_on_mutants(k, count):
+    points = tuple(f"p{i}" for i in range(k))
+    B, _, _ = balg.powerset_balg(points, balg.render_braces(points))
+    raw = {"kind": "balg", "elements": list(B.elements), "bottom": B.bottom,
+           "leq": [(lo, hi) for hi, lo in B.cover_pairs]}
+    assert _assert_balg_matches_reference(raw["elements"], raw["leq"], raw["bottom"])
+    rng = random.Random(k)
+    outcomes = set()
+    for _ in range(count):
+        mutant = me.mutate_balg(raw, rng)
+        outcomes.add(_assert_balg_matches_reference(
+            mutant["elements"], mutant["leq"], mutant["bottom"]))
+    assert False in outcomes
+
+
+# ------------------------------- filter predicates against their definitions
+
+def _reference_is_filter(B, members):
+    members = frozenset(members)
+    if not members:
+        return False
+    if any(b not in members for a in members for b in B.up_set(a)):
+        return False
+    return all(any(B.leq(c, a) and B.leq(c, b) for c in members)
+               for a in members for b in members)
+
+
+def _reference_is_ideal(B, members):
+    members = frozenset(members)
+    if not members:
+        return False
+    if any(b not in members for a in members for b in B.down_set(a)):
+        return False
+    return all(B.join(a, b) in members for a in members for b in members)
+
+
+def _reference_is_prime(B, members, closed, op):
+    members = frozenset(members)
+    if not closed(B, members) or len(members) == len(B.elements):
+        return False
+    return not any(op(a, b) in members and a not in members and b not in members
+                   for a in B.elements for b in B.elements)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_filter_predicates_match_definitions_on_every_subset(k):
+    points = tuple(f"p{i}" for i in range(k))
+    B, _, _ = balg.powerset_balg(points, balg.render_braces(points))
+    els = B.elements
+    counts = [0, 0, 0, 0]
+    for bits in range(1 << len(els)):
+        s = frozenset(e for i, e in enumerate(els) if bits >> i & 1)
+        got = (B.is_filter(s), B.is_ideal(s), B.is_prime_filter(s), B.is_prime_ideal(s))
+        assert got == (
+            _reference_is_filter(B, s),
+            _reference_is_ideal(B, s),
+            _reference_is_prime(B, s, _reference_is_filter, B.join),
+            _reference_is_prime(B, s, _reference_is_ideal, B.meet),
+        ), s
+        counts = [c + g for c, g in zip(counts, got)]
+    assert counts == [len(els), len(els), k, k]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 6])
+def test_ultrafilters_match_maximal_proper_principal_filters(k):
+    points = tuple(f"p{i}" for i in range(k))
+    B, _, _ = balg.powerset_balg(points, balg.render_braces(points))
+    everything = frozenset(B.elements)
+    proper = [f for f in B.all_filters() if f.members != everything]
+    expected = [f for f in proper if not any(f.members < g.members for g in proper)]
+    got = B.ultrafilters()
+    assert [f.members for f in got] == [f.members for f in expected]
+    assert [f.generator for f in got] == list(B.atoms)
+
+
+def test_ultrafilter_prime_check_fires_on_a_corrupted_join_table(b8):
+    # {q} ∨ {r} moved into up({p}) makes that ultrafilter not prime; the
+    # check is a raise, so it also fires under python -O
+    i = b8.index
+    b8._join[i["{q}"]][i["{r}"]] = i["{p,q,r}"]
+    with pytest.raises(AssertionError, match=r"Filter\(\['\{p,q,r\}', '\{p,q\}', '\{p,r\}', '\{p\}'\]\)"):
+        b8.ultrafilters()

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewstone import bset, skew
 
+import mutation_engine as me
 from conftest import make_prod
 from skewstone.errors import (
     EmptySizes,
@@ -14,6 +17,7 @@ from skewstone.errors import (
     NotRightNormal,
     PathDependent,
     StalkCollision,
+    StructureError,
     ZeroStalkNotTrivial,
 )
 
@@ -363,3 +367,104 @@ def test_generated_sets_validate_and_convert(sizes, seed):
     X = bset.generate_boolean_set(tuple(sizes), seed)
     S = bset.to_skew(X)
     assert bset.bset_struct_eq(bset.from_skew(S), X)
+
+
+# ------------------------ validate_presheaf against the all-chains reference
+
+def _reference_cover_paths(base, e, f):
+    if e == f:
+        return [(e,)]
+    out = []
+    for upper, lower in base.cover_pairs:
+        if upper == e and base.leq(f, lower):
+            out.extend((e,) + rest for rest in _reference_cover_paths(base, lower, f))
+    return out
+
+
+def _reference_validate_presheaf(base, stalks, restrictions):
+    # composes along every descending Hasse chain, as validation did on
+    # every input before the local check
+    stalk_map = {}
+    seen = {}
+    for e in base.elements:
+        members = tuple(str(x) for x in stalks.get(e, ()))
+        for x in members:
+            if x in seen:
+                raise StalkCollision((x,))
+            seen[x] = e
+        stalk_map[e] = members
+    for e in stalks:
+        if e not in base.index:
+            raise ValueError(f"stalk key {e!r} is not a base element")
+    covers = set(base.cover_pairs)
+    for pair in restrictions:
+        if tuple(pair) not in covers:
+            raise ValueError(f"restriction {pair!r} is not a Hasse covering pair")
+    cover_maps = {}
+    for e, f in base.cover_pairs:
+        given = restrictions.get((e, f))
+        if given is None:
+            if stalk_map[e]:
+                raise MissingRestriction((e, f))
+            given = {}
+        m = {}
+        for x in stalk_map[e]:
+            if x not in given:
+                raise MissingRestriction((e, f, x))
+            y = given[x]
+            if y not in stalk_map[f]:
+                raise MissingRestriction((e, f, x), detail=f"target {y!r} not in stalk {f!r}")
+            m[x] = y
+        cover_maps[(e, f)] = m
+    rest = {x: {} for e in base.elements for x in stalk_map[e]}
+    for e in base.elements:
+        for f in base.down_set(e):
+            paths = _reference_cover_paths(base, e, f)
+            for x in stalk_map[e]:
+                values = []
+                for path in paths:
+                    v = x
+                    for up, lo in zip(path, path[1:]):
+                        v = cover_maps[(up, lo)][v]
+                    values.append((v, path))
+                v0, p0 = values[0]
+                for v, pth in values[1:]:
+                    if v != v0:
+                        raise PathDependent(
+                            (x, ">".join(p0), ">".join(pth)),
+                            detail=f"{v0!r} vs {v!r}",
+                        )
+                rest[x][f] = v0
+    return rest
+
+
+def _presheaf_outcome(validate, base, raw):
+    try:
+        result = validate(base, raw["stalks"], raw["restrict"])
+    except StructureError as e:
+        return type(e), e.law, e.witness, e.detail
+    if isinstance(result, bset.Presheaf):
+        result = result._rest
+    # the table with its key order, at both levels
+    return [(x, list(row.items())) for x, row in result.items()]
+
+
+@pytest.mark.parametrize("sizes, count", [
+    ((2, 2, 2), 60), ((1, 1, 3, 3), 40), ((2, 2, 2, 2), 30), ((1,) * 6, 10),
+])
+def test_validate_presheaf_matches_all_chains_on_mutants(sizes, count):
+    X = bset.generate_boolean_set(sizes, seed=3)
+    raw = {
+        "kind": "bset",
+        "stalks": {e: list(X.stalks[e]) for e in X.base.elements},
+        "restrict": {k: dict(v) for k, v in X.cover_maps.items()},
+    }
+    cases = [raw] + [me.mutate_bset(raw, random.Random(i)) for i in range(count)]
+    laws = []
+    for case in cases:
+        expected = _presheaf_outcome(_reference_validate_presheaf, X.base, case)
+        assert _presheaf_outcome(bset.validate_presheaf, X.base, case) == expected
+        laws.append(expected[0] if isinstance(expected[0], type) else None)
+    assert laws[0] is None
+    if min(sizes) > 1:
+        assert PathDependent in laws  # the walk found a mismatch and fell back

@@ -216,6 +216,36 @@ def test_same_output_without_asserts(capsys, tmp_path, command):
     assert results[0].stdout == results[1].stdout
 
 
+def test_round_trip_same_without_asserts(capsys, tmp_path):
+    # validate, to-skew and the skew round trip give the same output and exit
+    # codes with and without python -O
+    code, doc = run(capsys, "gen", "--atoms", "3", "--stalks", "2,1,2")
+    assert code == 0
+    gen = tmp_path / "g.txt"
+    gen.write_text(doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(skewstone.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+
+    def cli_run(flags, *argv):
+        r = subprocess.run([sys.executable, *flags, "-m", "skewstone.cli", *argv],
+                           capture_output=True, text=True, env=env)
+        return r.returncode, r.stdout, r.stderr
+
+    outcomes = []
+    for flags in ([], ["-O"]):
+        skew_doc = tmp_path / f"s{len(flags)}.txt"
+        to_skew = cli_run(flags, "to-skew", str(gen), "G")
+        skew_doc.write_text(to_skew[1])
+        outcomes.append([
+            cli_run(flags, "validate", str(gen)),
+            to_skew,
+            cli_run(flags, "roundtrip", str(skew_doc), "G_skew"),
+        ])
+    assert [r[0] for r in outcomes[0]] == [0, 0, 0]
+    assert "skew round trip: identity (18 elements)" in outcomes[0][2][1]
+    assert outcomes[0] == outcomes[1]
+
+
 def test_sections_command(capsys):
     code, out = run(capsys, "sections", SHOW, "Efix", "--over", "u,v")
     assert code == 0
