@@ -545,13 +545,6 @@ def is_proper_hom(h):
     )
 
 
-def is_proper_mapping(source, target, mapping):
-    return all(
-        any(target.leq(t, mapping[s]) for s in source.elements)
-        for t in target.elements
-    )
-
-
 # -------------------------------------------------------------------- helpers
 
 def powerset_balg(points, render):
@@ -655,6 +648,11 @@ def classical_properties_report(B):
     return Report(items)
 
 
+def _atom_join_map(A, B, amap):
+    """Each element of A to the join in B of the images of the atoms below it."""
+    return {e: B.join_all(amap[a] for a in A.atoms if A.leq(a, e)) for e in A.elements}
+
+
 def find_balg_isomorphism(A, B):
     """Isomorphism A -> B as an id map, or None.
 
@@ -664,10 +662,7 @@ def find_balg_isomorphism(A, B):
     if len(A.elements) != len(B.elements) or len(A.atoms) != len(B.atoms):
         return None
     for perm in permutations(B.atoms):
-        amap = dict(zip(A.atoms, perm))
-        mapping = {}
-        for e in A.elements:
-            mapping[e] = B.join_all(amap[a] for a in A.atoms if A.leq(a, e))
+        mapping = _atom_join_map(A, B, dict(zip(A.atoms, perm)))
         if len(set(mapping.values())) != len(A.elements):
             continue
         ok = all(

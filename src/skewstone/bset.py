@@ -14,6 +14,11 @@ formula, so they double as independent oracles for the restriction-formula
 operations (circ, setminus, bullet).  A Boolean set's joins come from the
 scan that validation runs over every pair; validation keeps its results as
 a join table, so the scan stays their only source.
+
+Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
+``band_to_bset``) become presheaves the same way: stalks are the R classes
+from :mod:`skewstone.skew`, over their quotient, and restriction is left
+multiplication by a member of the lower class (``_class_presheaf``).
 """
 
 import random
@@ -234,6 +239,9 @@ def validate_presheaf(base, stalks, restrictions):
             if y not in stalk_map[f]:
                 raise MissingRestriction((e, f, x), detail=f"target {y!r} not in stalk {f!r}")
             m[x] = y
+        stray = next((x for x in given if x not in m), None)
+        if stray is not None:
+            raise ValueError(f"restriction {(e, f)!r} maps {stray!r}, not in stalk {e!r}")
         cover_maps[(e, f)] = m
 
     lower = _lower_covers(base)
@@ -365,48 +373,44 @@ def to_skew(X):
 
 
 def from_skew(S):
-    """Boolean set on the gamma quotient: stalks are classes, restriction is
-    left multiplication by any member of the target class (well-definedness
-    asserted)."""
+    """Boolean set on the gamma quotient (skew.gamma_classes): stalks are
+    R classes, restriction is left multiplication by any member of the
+    target class (see _class_presheaf)."""
     gq = skew.gamma_classes(S)
     base = gq.algebra
-    stalks = {c: gq.classes[c] for c in base.elements}
+    cls_idx = [base.index[gq.class_of[x]] for x in S.elements]
+    return validate_boolean_set(_class_presheaf(base, S.elements, S.circ_t, cls_idx))
+
+
+def _class_presheaf(base, elements, table, cls_idx):
+    """The presheaf of R classes over their quotient ``base``.
+
+    ``cls_idx[i]`` is the index in ``base.elements`` of element i's class.
+    The stalk over a class is its members in element order; an x over the
+    upper end of a cover restricts to y∘x for any y in the lower class (∘
+    the index ``table``).  That all such y agree is checked, also under
+    ``python -O``.
+    """
+    members = [[] for _ in base.elements]
+    for i, c in enumerate(cls_idx):
+        members[c].append(i)
+    stalks = {e: tuple(elements[i] for i in ms) for e, ms in zip(base.elements, members)}
     restrictions = {}
     for upper, lower in base.cover_pairs:
+        ys = members[base.index[lower]]
         m = {}
-        for x in stalks[upper]:
-            values = {S.circ(y, x) for y in stalks[lower]}
-            assert len(values) == 1, ("restriction not well-defined", x, lower)
-            m[x] = values.pop()
+        for x in members[base.index[upper]]:
+            values = {table[y][x] for y in ys}
+            if len(values) != 1:
+                raise AssertionError(("restriction not well-defined", elements[x], lower))
+            m[elements[x]] = elements[values.pop()]
         restrictions[(upper, lower)] = m
-    P = validate_presheaf(base, stalks, restrictions)
-    return validate_boolean_set(P)
+    return validate_presheaf(base, stalks, restrictions)
 
 
 def bset_struct_eq(X, Y):
-    """Structural equality: identical carriers and restriction tables, with
-    bases identified along the projection-induced bijection (which must be a
-    Boolean algebra isomorphism)."""
-    if set(X.elements) != set(Y.elements) or X.zero != Y.zero:
-        return False
-    bmap = {}
-    for e in X.base.elements:
-        stalk = X.stalks[e]
-        targets = {Y.p(x) for x in stalk}
-        if len(targets) != 1:
-            return False
-        bmap[e] = targets.pop()
-    if len(set(bmap.values())) != len(Y.base.elements):
-        return False
-    for e in X.base.elements:
-        for f in X.base.elements:
-            if X.base.leq(e, f) != Y.base.leq(bmap[e], bmap[f]):
-                return False
-    for x in X.elements:
-        for f in X.base.down_set(X.p(x)):
-            if X.restrict(x, f) != Y.restrict(x, bmap[f]):
-                return False
-    return True
+    """presheaf_struct_eq with the same zero."""
+    return X.zero == Y.zero and presheaf_struct_eq(X, Y)
 
 
 def bset_isomorphic(X, Y):
@@ -545,7 +549,7 @@ def enumerate_bset_morphisms(X, Y, proper_only=False):
     """
     top = X.base.top
     for phibar in _enumerate_bahoms(X.base, Y.base):
-        if proper_only and not balg.is_proper_mapping(X.base, Y.base, phibar):
+        if proper_only and not balg.is_proper_hom(balg.BAHom(X.base, Y.base, phibar)):
             continue
         target_stalk = Y.stalks[phibar[top]]
         for choice in product(target_stalk, repeat=len(X.stalks[top])):
@@ -571,12 +575,8 @@ def enumerate_bset_morphisms(X, Y, proper_only=False):
 def _enumerate_bahoms(A, B):
     """All Boolean algebra homomorphisms A -> B, brute force with pruning on
     the generating joins of atoms."""
-    atoms = A.atoms
-    for choice in product(B.elements, repeat=len(atoms)):
-        amap = dict(zip(atoms, choice))
-        mapping = {}
-        for e in A.elements:
-            mapping[e] = B.join_all(amap[a] for a in atoms if A.leq(a, e))
+    for choice in product(B.elements, repeat=len(A.atoms)):
+        mapping = balg._atom_join_map(A, B, dict(zip(A.atoms, choice)))
         ok = all(
             mapping[A.meet(x, y)] == B.meet(mapping[x], mapping[y])
             and mapping[A.join(x, y)] == B.join(mapping[x], mapping[y])
@@ -619,49 +619,30 @@ def validate_band(elements, table):
     return RightNormalBand(elements, index, t)
 
 
-def band_gamma(S):
-    """Classes of x R y iff x∘y = y and y∘x = x, with deterministic names."""
-    n = len(S.elements)
-    t = S.table
-    cls_idx = [-1] * n
-    reps = []
-    for i in range(n):
-        if cls_idx[i] < 0:
-            reps.append(i)
-            for j in range(i, n):
-                if t[i][j] == j and t[j][i] == i:
-                    cls_idx[j] = len(reps) - 1
-    names = [f"[{S.elements[r]}]" for r in reps]
-    return cls_idx, reps, names
+def _band_quotient(S):
+    """R classes of a band and their quotient, ordered by c <= d iff c∘d = c:
+    (cls_idx, names, order pairs, the classes below every class)."""
+    cls_idx, reps, names = skew._r_partition(S.elements, S.table)
+    qmeet = skew._class_table(S.table, cls_idx, reps)
+    bottoms = [c for c, row in enumerate(qmeet) if all(m == c for m in row)]
+    return cls_idx, names, skew._order_pairs(qmeet, names), bottoms
 
 
 def band_to_presheaf(S):
-    """Stalks are gamma classes over the quotient meet semilattice."""
-    cls_idx, reps, names = band_gamma(S)
-    t = S.table
-    k = len(reps)
-    pairs = [
-        (names[i], names[j])
-        for i in range(k) for j in range(k)
-        if cls_idx[t[reps[i]][reps[j]]] == i
-    ]
+    """Stalks are R classes over the quotient meet semilattice, whose meet
+    is induced by circ (R is a congruence of a right normal band)."""
+    cls_idx, names, pairs, _ = _band_quotient(S)
     base = balg.validate_meet_semilattice(names, pairs)
-    for i in range(k):
-        for j in range(k):
-            assert base.meet(names[i], names[j]) == names[cls_idx[t[reps[i]][reps[j]]]]
-    stalks = {
-        name: tuple(S.elements[i] for i in range(len(S.elements)) if cls_idx[i] == c)
-        for c, name in enumerate(names)
-    }
-    restrictions = {}
-    for upper, lower in base.cover_pairs:
-        m = {}
-        for x in stalks[upper]:
-            values = {S.circ(y, x) for y in stalks[lower]}
-            assert len(values) == 1, ("restriction not well-defined", x, lower)
-            m[x] = values.pop()
-        restrictions[(upper, lower)] = m
-    return validate_presheaf(base, stalks, restrictions)
+    return _class_presheaf(base, S.elements, S.table, cls_idx)
+
+
+def band_to_bset(S):
+    """The Boolean set of a Boolean band (see is_boolean_band): R classes
+    over the quotient, validated as a Boolean algebra with the least class
+    as bottom."""
+    cls_idx, names, pairs, bottoms = _band_quotient(S)
+    base = balg.validate_balg(names, pairs, names[bottoms[0]])
+    return validate_boolean_set(_class_presheaf(base, S.elements, S.table, cls_idx))
 
 
 def presheaf_to_band(P):
@@ -686,15 +667,14 @@ def band_struct_eq(S, T):
 
 
 def presheaf_struct_eq(P, Q):
-    """Same convention as bset_struct_eq, for bare presheaves."""
+    """Structural equality: identical carriers and restriction tables, with
+    bases identified along the projection-induced bijection (which must be
+    an order isomorphism)."""
     if set(P.elements) != set(Q.elements):
         return False
     bmap = {}
     for e in P.base.elements:
-        stalk = P.stalks[e]
-        if not stalk:
-            return False
-        targets = {Q.p(x) for x in stalk}
+        targets = {Q.p(x) for x in P.stalks[e]}
         if len(targets) != 1:
             return False
         bmap[e] = targets.pop()
@@ -713,24 +693,14 @@ def presheaf_struct_eq(P, Q):
 
 def is_boolean_band(S):
     """Quotient Boolean plus joins of compatible pairs (x ~ y iff x∘y = y∘x)."""
-    cls_idx, reps, names = band_gamma(S)
-    t = S.table
-    k = len(reps)
-    pairs = [
-        (names[i], names[j])
-        for i in range(k) for j in range(k)
-        if cls_idx[t[reps[i]][reps[j]]] == i
-    ]
-    bottoms = [
-        c for c in range(k)
-        if all(cls_idx[t[reps[c]][reps[d]]] == c for d in range(k))
-    ]
+    _, names, pairs, bottoms = _band_quotient(S)
     if len(bottoms) != 1:
         return False
     try:
         balg.validate_balg(names, pairs, names[bottoms[0]])
     except StructureError:
         return False
+    t = S.table
     n = len(S.elements)
     for i in range(n):
         for j in range(n):

@@ -5,6 +5,7 @@ the law and a witness tuple), 2 parse error.
 """
 
 import argparse
+import functools
 import sys
 
 from . import balg, bset, dot, duality, etale, laws, skew, textio
@@ -16,28 +17,31 @@ def _load(path):
         return textio.parse(fh.read())
 
 
-def _get(built, doc, name):
-    if name not in built:
-        print(f"no stanza named {name!r}")
+def _load_named(args):
+    """The validated object named ``args.name``, after building every stanza
+    of ``args.file``."""
+    built = textio.build(_load(args.file))
+    if args.name not in built:
+        print(f"no stanza named {args.name!r}")
         raise SystemExit(2)
-    return built[name]
+    return built[args.name]
 
 
 def cmd_validate(args):
     doc = _load(args.file)
     built = {}
-    status = 0
+    failed = set()
     for s in doc.stanzas:
+        if {s.over, s.data.get("from"), s.data.get("to")} & failed:
+            print(f"{s.kind} {s.name}: skipped (depends on a failed stanza)")
+            failed.add(s.name)
+            continue
         try:
             built[s.name] = textio._build_one(s, built)
         except StructureError as e:
             print(f"{s.kind} {s.name}: FAIL {e.law} witness=({','.join(e.witness)})"
                   + (f" {e.detail}" if e.detail else ""))
-            status = 1
-            continue
-        except KeyError:
-            print(f"{s.kind} {s.name}: skipped (depends on a failed stanza)")
-            status = 1
+            failed.add(s.name)
             continue
         obj = built[s.name]
         extra = ""
@@ -50,13 +54,11 @@ def cmd_validate(args):
         elif isinstance(obj, etale.FinEtaleSpace):
             extra = f"{len(obj.total)} points over {len(obj.base)}"
         print(f"{s.kind} {s.name}: ok" + (f" ({extra})" if extra else ""))
-    return status
+    return 1 if failed else 0
 
 
 def cmd_to_skew(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    X = _get(built, doc, args.name)
+    X = _load_named(args)
     if not isinstance(X, bset.BooleanSet):
         print(f"{args.name!r} is not a bset stanza")
         return 1
@@ -66,54 +68,34 @@ def cmd_to_skew(args):
 
 
 def cmd_to_bset(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    obj = _get(built, doc, args.name)
+    obj = _load_named(args)
     if isinstance(obj, skew.SkewAlgebra):
         X = bset.from_skew(obj)
-        base_name = args.name + "_base"
-        print(textio.print_stanza(textio.balg_stanza(X.base, base_name)))
-        print(textio.print_stanza(textio.bset_stanza(X, args.name + "_bset", base_name)))
-        return 0
-    if isinstance(obj, bset.RightNormalBand):
+    elif isinstance(obj, bset.RightNormalBand):
         if not bset.is_boolean_band(obj):
             print("FAIL skew.quotient witness=(): band is not Boolean")
             return 1
-        P = bset.band_to_presheaf(obj)
-        bottom = next(
-            e for e in P.base.elements
-            if len(P.base.up_set(e)) == len(P.base.elements)
-        )
-        X = bset.validate_boolean_set(bset.validate_presheaf(
-            balg.validate_balg(
-                P.base.elements,
-                [(lo, hi) for hi, lo in P.base.cover_pairs],
-                bottom,
-            ),
-            P.stalks, P.cover_maps,
-        ))
-        base_name = args.name + "_base"
-        print(textio.print_stanza(textio.balg_stanza(X.base, base_name)))
-        print(textio.print_stanza(textio.bset_stanza(X, args.name + "_bset", base_name)))
-        return 0
-    if isinstance(obj, etale.FinEtaleSpace):
+        X = bset.band_to_bset(obj)
+    elif isinstance(obj, etale.FinEtaleSpace):
         return _print_dual_bset(obj, args.name)
-    print(f"{args.name!r} is not a skew, band or etale stanza")
-    return 1
+    else:
+        print(f"{args.name!r} is not a skew, band or etale stanza")
+        return 1
+    return _print_bset(X, args.name + "_bset", args.name + "_base")
 
 
 def _print_dual_bset(sp, name):
-    X = etale.dual_bset(sp)
-    base_name = name + "_dual_base"
+    return _print_bset(etale.dual_bset(sp), name + "_dual", name + "_dual_base")
+
+
+def _print_bset(X, name, base_name):
     print(textio.print_stanza(textio.balg_stanza(X.base, base_name)))
-    print(textio.print_stanza(textio.bset_stanza(X, name + "_dual", base_name)))
+    print(textio.print_stanza(textio.bset_stanza(X, name, base_name)))
     return 0
 
 
 def cmd_dualize(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    obj = _get(built, doc, args.name)
+    obj = _load_named(args)
     if isinstance(obj, bset.BooleanSet):
         sp = duality.bset_to_etale(obj)
         print(textio.print_stanza(textio.etale_stanza(sp, args.name + "_dual")))
@@ -125,9 +107,7 @@ def cmd_dualize(args):
 
 
 def cmd_roundtrip(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    obj = _get(built, doc, args.name)
+    obj = _load_named(args)
     if isinstance(obj, bset.BooleanSet):
         m = duality.bset_double_dual(obj)
         print(f"alpha: isomorphism ({len(m.mapping)} elements)")
@@ -149,9 +129,7 @@ def cmd_roundtrip(args):
 
 
 def cmd_ultrafilters(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    obj = _get(built, doc, args.name)
+    obj = _load_named(args)
     if isinstance(obj, balg.FinBooleanAlgebra):
         for f in obj.ultrafilters():
             members = [e for e in obj.elements if e in f.members]
@@ -167,9 +145,7 @@ def cmd_ultrafilters(args):
 
 
 def cmd_sections(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    sp = _get(built, doc, args.name)
+    sp = _load_named(args)
     if not isinstance(sp, etale.FinEtaleSpace):
         print(f"{args.name!r} is not an etale stanza")
         return 1
@@ -190,9 +166,7 @@ def cmd_sections(args):
 
 
 def cmd_check_morphism(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    m = _get(built, doc, args.name)
+    m = _load_named(args)
     if isinstance(m, bset.BSetMorphism):
         print("BM1: ok")
         print("BM2: ok")
@@ -229,9 +203,7 @@ def _print_report(rep):
 
 
 def cmd_props(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    obj = _get(built, doc, args.name)
+    obj = _load_named(args)
     if isinstance(obj, balg.FinBooleanAlgebra):
         return _print_report(balg.classical_properties_report(obj))
     if isinstance(obj, skew.SkewAlgebra):
@@ -268,9 +240,7 @@ def cmd_gen(args):
 
 
 def cmd_export(args):
-    doc = _load(args.file)
-    built = textio.build(doc)
-    obj = _get(built, doc, args.name)
+    obj = _load_named(args)
     print(dot.export(obj, args.name))
     return 0
 
@@ -289,7 +259,10 @@ def cmd_replay(args):
     return 0
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per import.  It holds no handlers:
+    main runs cmd_x_y for subcommand x-y."""
     p = argparse.ArgumentParser(
         prog="skewstone",
         description="Finite Boolean algebras, skew Boolean algebras, Boolean "
@@ -297,33 +270,31 @@ def make_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_file=True, needs_name=True):
+    def add(name, needs_file=True, needs_name=True):
         sp = sub.add_parser(name)
         if needs_file:
             sp.add_argument("file")
         if needs_name:
             sp.add_argument("name")
-        sp.set_defaults(fn=fn)
         return sp
 
-    add("validate", cmd_validate, needs_name=False)
-    add("to-skew", cmd_to_skew)
-    add("to-bset", cmd_to_bset)
-    add("dualize", cmd_dualize)
-    add("roundtrip", cmd_roundtrip)
-    add("ultrafilters", cmd_ultrafilters)
-    sec = add("sections", cmd_sections)
+    add("validate", needs_name=False)
+    add("to-skew")
+    add("to-bset")
+    add("dualize")
+    add("roundtrip")
+    add("ultrafilters")
+    sec = add("sections")
     sec.add_argument("--over", default=None, help="comma-separated base points")
-    add("check-morphism", cmd_check_morphism)
-    add("props", cmd_props)
-    gen = sub.add_parser("gen")
+    add("check-morphism")
+    add("props")
+    gen = add("gen", needs_file=False, needs_name=False)
     gen.add_argument("--atoms", type=int, required=True)
     gen.add_argument("--stalks", required=True)
     gen.add_argument("--seed", type=int, default=None)
-    gen.set_defaults(fn=cmd_gen)
-    exp = add("export", cmd_export)
+    exp = add("export")
     exp.add_argument("--dot", action="store_true", default=True)
-    rep = add("replay", cmd_replay)
+    rep = add("replay")
     rep.add_argument("--law", required=True)
     rep.add_argument("--witness", required=True)
     return p
@@ -331,8 +302,9 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except DocumentError as e:
         print(f"parse error: {e}")
         return 2

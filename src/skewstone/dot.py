@@ -17,22 +17,30 @@ def balg_dot(B, name):
     return "\n".join(lines)
 
 
-def _order_covers(elements, leq):
-    covers = []
-    for x in elements:
-        for y in elements:
-            if x != y and leq(x, y) and not any(
-                z != x and z != y and leq(x, z) and leq(z, y) for z in elements
-            ):
-                covers.append((x, y))
-    return covers
+def _order_covers(elements, below):
+    """Hasse covers (x, y) of the relation with ``below[j]`` the mask of the
+    i related to j: x below y and nothing else between them, x-major, then
+    y, in element order."""
+    above = balg._down_masks(len(elements), below)
+    return [
+        (x, elements[j])
+        for i, x in enumerate(elements)
+        for j in range(len(elements))
+        if i != j and below[j] >> i & 1 and not above[i] & below[j] & ~(1 << i | 1 << j)
+    ]
+
+
+def _natural_below(S):
+    """Masks of the natural order x <= y iff x∘y = x, of a skew algebra or band."""
+    up = [sum(1 << j for j, y in enumerate(S.elements) if S.leq(x, y)) for x in S.elements]
+    return balg._down_masks(len(up), up)
 
 
 def skew_dot(S, name):
     lines = [f"digraph {_q(name)} {{", "  rankdir=BT;"]
     for e in S.elements:
         lines.append(f"  {_q(e)};")
-    for x, y in _order_covers(S.elements, S.leq):
+    for x, y in _order_covers(S.elements, _natural_below(S)):
         lines.append(f"  {_q(x)} -> {_q(y)};")
     lines.append("}")
     return "\n".join(lines)
@@ -46,7 +54,7 @@ def bset_dot(X, name):
         lines.append(f"  {_q(lower)} -> {_q(upper)};")
     for x in X.elements:
         lines.append(f"  {_q(x)};")
-    for x, y in _order_covers(X.elements, X.leq_elem):
+    for x, y in _order_covers(X.elements, X._below):
         lines.append(f"  {_q(x)} -> {_q(y)};")
     for x in X.elements:
         lines.append(f"  {_q(x)} -> {_q(X.p(x))} [style=dashed];")

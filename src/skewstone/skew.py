@@ -9,6 +9,11 @@ other, zero annihilates circ, and every principal down-set
 Light's test over a generating set, O(g·n^2) for g generators; the O(n^3)
 triple scan runs only on a failure, to name its first witness.  SB1-SB4
 are O(n^2) scans over pairs; intended feasible bound about 512 elements.
+
+The classes of Green's R-relation of ∘ and their quotient order are built
+here (``_r_partition``, ``_class_table``, ``_order_pairs``) for skew
+algebras (``gamma_classes``) and for the right normal bands of
+:mod:`skewstone.bset` alike.
 """
 
 from dataclasses import dataclass
@@ -261,6 +266,56 @@ class GammaQuotient:
         return self.classes[class_id]
 
 
+def _r_partition(elements, circ):
+    """Classes of Green's R-relation of ∘: x R y iff x∘y = y and y∘x = x.
+
+    Returns (cls_idx, reps, names): the class index of each element, the
+    first element of each class, and the class names "[rep]", classes in
+    order of their first element.  Symmetry and transitivity are checked
+    pair by pair in scan order; an associative ∘ satisfies both (so a
+    validated band or skew algebra never fails them).
+    """
+    n = len(elements)
+    # rows[i]: bitmask of the j with i R j
+    rows = [
+        sum(1 << j for j in range(n) if circ[i][j] == j and circ[j][i] == i)
+        for i in range(n)
+    ]
+    for i in range(n):
+        ri = rows[i]
+        for j in range(n):
+            rij = ri >> j & 1
+            if rij != rows[j] >> i & 1:
+                raise QuotientNotBoolean((elements[i], elements[j]), "not symmetric")
+            missing = rows[j] & ~ri if rij else 0
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise QuotientNotBoolean(
+                    (elements[i], elements[j], elements[k]), "not transitive"
+                )
+    cls_idx = [-1] * n
+    reps = []
+    for i in range(n):
+        if cls_idx[i] < 0:
+            reps.append(i)
+            for j in range(i, n):
+                if rows[i] >> j & 1:
+                    cls_idx[j] = len(reps) - 1
+    return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
+
+
+def _class_table(table, cls_idx, reps):
+    """The operation induced on classes: q[c][d] is the class of rep(c)·rep(d)."""
+    return [[cls_idx[table[a][b]] for b in reps] for a in reps]
+
+
+def _order_pairs(qmeet, names):
+    """The quotient order, c <= d iff c∘d = c, as pairs of class names."""
+    return [
+        (names[c], names[d]) for c, row in enumerate(qmeet) for d, m in enumerate(row) if m == c
+    ]
+
+
 def gamma_classes(S):
     """Partition x R y iff x∘y = y and y∘x = x; quotient validated as Boolean.
 
@@ -275,32 +330,7 @@ def gamma_classes(S):
         pass
     n = len(S.elements)
     circ, bullet = S.circ_t, S.bullet_t
-    # rows[i]: bitmask of the j with i R j
-    rows = [
-        sum(1 << j for j in range(n) if circ[i][j] == j and circ[j][i] == i)
-        for i in range(n)
-    ]
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            rij = ri >> j & 1
-            if rij != rows[j] >> i & 1:
-                raise QuotientNotBoolean((S.elements[i], S.elements[j]), "not symmetric")
-            missing = rows[j] & ~ri if rij else 0
-            if missing:
-                k = (missing & -missing).bit_length() - 1
-                raise QuotientNotBoolean(
-                    (S.elements[i], S.elements[j], S.elements[k]), "not transitive"
-                )
-    cls_idx = [-1] * n
-    reps = []
-    for i in range(n):
-        if cls_idx[i] < 0:
-            reps.append(i)
-            for j in range(i, n):
-                if rows[i] >> j & 1:
-                    cls_idx[j] = len(reps) - 1
-    names = [f"[{S.elements[r]}]" for r in reps]
+    cls_idx, reps, names = _r_partition(S.elements, circ)
 
     for i in range(n):
         for j in range(n):
@@ -310,11 +340,11 @@ def gamma_classes(S):
                 raise QuotientNotBoolean((S.elements[i], S.elements[j]), "bullet not a congruence")
 
     k = len(reps)
-    qmeet = [[cls_idx[circ[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    qjoin = [[cls_idx[bullet[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    pairs = [(names[i], names[j]) for i in range(k) for j in range(k) if qmeet[i][j] == i]
+    qmeet = _class_table(circ, cls_idx, reps)
+    qjoin = _class_table(bullet, cls_idx, reps)
     try:
-        alg = balg.validate_balg(names, pairs, names[cls_idx[S.index[S.zero]]])
+        alg = balg.validate_balg(
+            names, _order_pairs(qmeet, names), names[cls_idx[S.index[S.zero]]])
     except StructureError as inner:
         raise QuotientNotBoolean((), f"quotient fails {inner.law}") from inner
     for i in range(k):

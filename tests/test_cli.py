@@ -298,3 +298,83 @@ def test_replay_confirms_reported_witness(capsys, tmp_path):
     code2, out2 = run(capsys, "replay", str(f), "M3",
                       "--law", "order.antisymmetry", "--witness", "a,b")
     assert code2 == 1 and "not confirmed" in out2
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # the parser is built once per import; no option of one call may leak
+    # into the next
+    calls = [
+        ["sections", SHOW, "Efix", "--over", "u"],
+        ["sections", SHOW, "Efix"],
+        ["gen", "--atoms", "2", "--stalks", "2,1", "--seed", "5"],
+        ["validate", PROD],
+        ["sections", SHOW, "Efix", "--over", "v"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(skewstone.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    fresh = []
+    for argv in calls:
+        r = subprocess.run([sys.executable, "-m", "skewstone.cli", *argv],
+                           capture_output=True, text=True, env=env)
+        fresh.append((r.returncode, r.stdout))
+    assert in_process == fresh
+    assert in_process[0][1] != in_process[1][1] != in_process[4][1]
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_main_runs_the_handler_on_the_module(capsys, monkeypatch):
+    # handlers are looked up by subcommand name at each call, so one that is
+    # replaced on the module after import (by a tracer, say) is the one run
+    seen = []
+    original = cli.cmd_validate
+
+    def wrapped(args):
+        seen.append(args.file)
+        return original(args)
+
+    cli.main(["validate", PROD])
+    monkeypatch.setattr(cli, "cmd_validate", wrapped)
+    code, out = run(capsys, "validate", PROD)
+    assert code == 0 and "bset Prod: ok" in out
+    assert seen == [PROD]
+
+
+def test_stray_restriction_id_is_a_document_error(capsys, tmp_path):
+    f = tmp_path / "stray.txt"
+    text = Path(PROD).read_text()
+    assert "restrict b -> 0: b1->0\n" in text
+    f.write_text(text.replace("restrict b -> 0: b1->0\n", "restrict b -> 0: b1->0, zz->0\n"))
+    code, out = run(capsys, "validate", str(f))
+    assert code == 2
+    assert out.splitlines() == [
+        "balg B4: ok (4 elements, 2 ultrafilters)",
+        "document error: restriction ('b', '0') maps 'zz', not in stalk 'b'",
+    ]
+
+
+def test_validate_skips_exactly_the_dependents_of_failed_stanzas(capsys, tmp_path):
+    f = tmp_path / "deps.txt"
+    f.write_text(
+        "balg C {\n  elements: 0, m, 1\n  leq: 0<=m, m<=1\n  bottom: 0\n}\n"
+        "bset P over C {\n  stalk 0: z\n  stalk m: m1\n  stalk 1: t\n"
+        "  restrict 1 -> m: t->m1\n  restrict m -> 0: m1->z\n}\n"
+        "balg B2 {\n  elements: 0, 1\n  leq: 0<=1\n  bottom: 0\n}\n"
+        "bset Q over B2 {\n  stalk 0: q0\n  stalk 1: q1\n  restrict 1 -> 0: q1->q0\n}\n"
+        "morphism f {\n  from: C\n  to: B2\n  map: 0->0, m->1, 1->1\n}\n"
+        "morphism g {\n  from: P\n  to: Q\n  map: z->q0, m1->q1, t->q1\n}\n"
+        "morphism k {\n  from: B2\n  to: C\n  map: 0->0, 1->1\n}\n"
+        "morphism h {\n  from: Q\n  to: Q\n  map: q0->q0, q1->q1\n}\n"
+    )
+    code, out = run(capsys, "validate", str(f))
+    assert code == 1
+    assert out.splitlines() == [
+        "balg C: FAIL lattice.relative_complement witness=(m,1)",
+        "bset P: skipped (depends on a failed stanza)",
+        "balg B2: ok (2 elements, 1 ultrafilters)",
+        "bset Q: ok (2 elements over 2)",
+        "morphism f: skipped (depends on a failed stanza)",
+        "morphism g: skipped (depends on a failed stanza)",
+        "morphism k: skipped (depends on a failed stanza)",
+        "morphism h: ok",
+    ]

@@ -1,0 +1,132 @@
+"""Recorded stdout and exit codes of CLI commands, compared line for line.
+
+``cli_pinned.json`` holds the output of every command listed by
+``commands()``: ``to-bset``, ``export``, ``check-morphism`` and ``props`` on
+every stanza of ``docs/*.txt``, and ``to-bset``/``export`` on generated
+Boolean-set, skew and band documents (seeded band mutants included).  To
+record it again, from the repository root:
+
+    PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
+"""
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from skewstone import bset, cli, textio
+
+import mutation_engine as me
+
+HERE = Path(__file__).resolve().parent
+DOCS = HERE.parent / "docs"
+RECORDED = HERE / "cli_pinned.json"
+BAND_MUTANTS = 6
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def band_text(band, name):
+    els = list(band.elements)
+    return textio.print_stanza(textio.Stanza("skew", name, None, {
+        "elements": els,
+        "circ": [[band.circ(x, y) for y in els] for x in els],
+    }, 0)) + "\n"
+
+
+def write_documents(root):
+    """Generated documents, written under ``root``; name -> stanza names."""
+    root = Path(root)
+    docs = {}
+    _, gen = run(["gen", "--atoms", "3", "--stalks", "2,2,2", "--seed", "7"])
+    (root / "gen.txt").write_text(gen)
+    docs["gen.txt"] = ["B", "G"]
+    _, skew_doc = run(["to-skew", str(root / "gen.txt"), "G"])
+    (root / "skew.txt").write_text(skew_doc)
+    docs["skew.txt"] = ["G_skew"]
+    b4 = bset.generate_boolean_set((1, 1)).base
+    sources = {
+        "band222": bset.generate_boolean_set((2, 2, 2), seed=3),
+        "band1133": bset.generate_boolean_set((1, 1, 3, 3), seed=4),
+        "bandconst": bset.constant_bset(b4),
+    }
+    rng = random.Random(11)
+    (root / "chain3.txt").write_text(band_text(bset.validate_band(
+        ["0", "m", "1"], [["0", "0", "0"], ["0", "m", "m"], ["0", "m", "1"]]), "S"))
+    docs["chain3.txt"] = ["S"]
+    # global support over B4, but t1 and t2 are two least bounds of a1, b1
+    no_join = bset.validate_presheaf(
+        b4, {"0": ["z"], "a": ["a1"], "b": ["b1"], "1": ["t1", "t2"]},
+        {("1", "a"): {"t1": "a1", "t2": "a1"}, ("1", "b"): {"t1": "b1", "t2": "b1"},
+         ("a", "0"): {"a1": "z"}, ("b", "0"): {"b1": "z"}})
+    (root / "nojoin.txt").write_text(band_text(bset.presheaf_to_band(no_join), "S"))
+    docs["nojoin.txt"] = ["S"]
+    for tag, X in sources.items():
+        band = bset.presheaf_to_band(X)
+        (root / f"{tag}.txt").write_text(band_text(band, "S"))
+        docs[f"{tag}.txt"] = ["S"]
+        els = list(band.elements)
+        rows = [[band.circ(x, y) for y in els] for x in els]
+        raw = {"kind": "skew", "elements": els, "zero": None, "circ": rows, "bullet": rows}
+        for m in range(BAND_MUTANTS):
+            mutant = raw
+            while mutant["circ"] == rows:  # an edit of the bullet copy
+                mutant = me.mutate_skew(raw, rng)
+            text = textio.print_stanza(textio.Stanza("skew", "S", None, {
+                "elements": els, "circ": mutant["circ"]}, 0)) + "\n"
+            (root / f"{tag}_m{m}.txt").write_text(text)
+            docs[f"{tag}_m{m}.txt"] = ["S"]
+    return docs
+
+
+def commands(root):
+    """(key, argv) for every pinned command; keys name files relative to
+    the documents directory or to docs/."""
+    out = []
+    for path in sorted(DOCS.glob("*.txt")):
+        names = [s.name for s in textio.parse(path.read_text()).stanzas]
+        for name in names:
+            for cmd in ("to-bset", "export", "check-morphism", "props"):
+                out.append((f"{cmd} docs/{path.name} {name}", [cmd, str(path), name]))
+    for fname, names in write_documents(root).items():
+        for name in names:
+            for cmd in ("to-bset", "export"):
+                out.append((f"{cmd} {fname} {name}", [cmd, str(Path(root) / fname), name]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    return commands(root), json.loads(RECORDED.read_text())
+
+
+def test_recording_covers_every_command(pinned):
+    cmds, recorded = pinned
+    assert [key for key, _ in cmds] == list(recorded)
+
+
+def test_cli_output_matches_recording(pinned):
+    cmds, recorded = pinned
+    for key, argv in cmds:
+        code, out = run(argv)
+        assert [code, out] == recorded[key], key
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:2] != ["--record"] or len(sys.argv) != 3:
+        sys.exit("usage: test_cli_pinned.py --record OUT.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        result = {key: list(run(argv)) for key, argv in commands(tmp)}
+    Path(sys.argv[2]).write_text(json.dumps(result, indent=1) + "\n")
