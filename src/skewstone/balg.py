@@ -580,14 +580,6 @@ def render_braces(points):
     return render
 
 
-def balg_struct_eq(A, B):
-    return (
-        A.elements == B.elements
-        and A._up == B._up
-        and A.bottom == B.bottom
-    )
-
-
 def classical_properties_report(B):
     """The six classical facts about filters and ideals, checked exhaustively:
     nonzero elements lie in ultrafilters, ultrafilters are exactly the prime

@@ -9,11 +9,11 @@ checked locally, cover by cover inside each down-set, which is exact by
 induction along chains; the enumeration of every Hasse chain runs only on a
 failure, to name the two chains that disagree.
 
-Joins and meets are always computed by exhaustive bound scans, never by
-formula, so they double as independent oracles for the restriction-formula
-operations (circ, setminus, bullet).  A Boolean set's joins come from the
-scan that validation runs over every pair; validation keeps its results as
-a join table, so the scan stays their only source.
+A Boolean set is decided by atom coordinates (``_atom_codes``): each stalk
+must map one to one onto the product of the atom stalks below it, and the
+join table is read off the coordinates.  The exhaustive least-upper-bound
+scan over every pair runs only when they fail, to name the first compatible
+pair without a join; meets are found by bound scans.
 
 Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
 ``band_to_bset``) become presheaves the same way: stalks are the R classes
@@ -24,6 +24,7 @@ multiplication by a member of the lower class (``_class_presheaf``).
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import prod
 
 from . import balg, skew
 from .errors import (
@@ -34,7 +35,6 @@ from .errors import (
     MissingJoin,
     MissingRestriction,
     NoGlobalSupport,
-    NoMinimum,
     NotRightNormal,
     PathDependent,
     StalkCollision,
@@ -91,14 +91,6 @@ class Presheaf:
 
     def leq_elem(self, x, y):
         return self._below[self.index[y]] >> self.index[x] & 1 == 1
-
-    def lower_bounds(self, x, y):
-        m = self._below[self.index[x]] & self._below[self.index[y]]
-        return tuple(z for i, z in enumerate(self.elements) if m >> i & 1)
-
-    def upper_bounds(self, x, y):
-        m = self._above[self.index[x]] & self._above[self.index[y]]
-        return tuple(z for i, z in enumerate(self.elements) if m >> i & 1)
 
     def meet_elem(self, x, y):
         """Greatest lower bound by exhaustive scan, or None."""
@@ -266,8 +258,8 @@ def compatible(P, x, y):
 class BooleanSet(Presheaf):
     """Presheaf over a Boolean algebra with minimum and compatible joins.
 
-    ``_join[i][j]`` is the index of the join of elements i and j as found by
-    the exhaustive scan in validate_boolean_set, or -1 when the pair is not
+    ``_join[i][j]`` is the index of the join of elements i and j as read off
+    the atom coordinates in validate_boolean_set, or -1 when the pair is not
     compatible; join and compatible_elems read it.  A pair with a common
     upper bound z is compatible (both are restrictions of z), so -1 also
     means that no join exists.
@@ -308,14 +300,65 @@ class BooleanSet(Presheaf):
             return self._has_meets
 
 
+def _atom_codes(P):
+    """The atom coordinates of a presheaf over a Boolean algebra, or None.
+
+    x is coded by one mixed-radix digit per atom a: 0 if a is not below
+    p(x), else 1 + the position of x|a in X(a).  The codes, in element
+    order, are returned when each X(c) has Π |X(a)| members over the atoms
+    a <= c, with distinct codes: x ↦ (x|a) is then a bijection onto that
+    product, which is the sheaf condition (every covering sieve of c holds
+    the atoms below c; c = 0 asks for one zero).
+    """
+    B = P.base
+    digit, weights, w = {}, [], 1
+    for a in B.atoms:
+        weights.append((a, w))
+        w *= len(P.stalks[a]) + 1
+        digit.update((x, k + 1) for k, x in enumerate(P.stalks[a]))
+    codes = []
+    for c in B.elements:
+        below = [(a, w) for a, w in weights if B.leq(a, c)]
+        if len(P.stalks[c]) != prod(len(P.stalks[a]) for a, _ in below):
+            return None
+        codes += (sum(w * digit[P._rest[x][a]] for a, w in below) for x in P.stalks[c])
+    return codes if len(set(codes)) == len(codes) else None
+
+
+def _coded_join_table(P, codes):
+    """A Boolean set's join table from its atom codes, a permutation of
+    range(n): x and y are compatible iff they agree on m = p(x) ∧ p(y), and
+    then their join is coded code(x) + code(y) − code(x|m)."""
+    n = len(codes)
+    elem_of = [0] * n
+    for i, k in enumerate(codes):
+        elem_of[k] = i
+    groups = {}  # (f, m) -> r -> (index, code) of each y in X(f) with y|m = r
+    for i, (y, cy) in enumerate(zip(P.elements, codes)):
+        for m, r in P._rest[y].items():
+            groups.setdefault((P.stalk_of[y], m), {}).setdefault(r, []).append((i, cy))
+    table = []
+    for x, cx in zip(P.elements, codes):
+        rx, e = P._rest[x], P.stalk_of[x]
+        row = [-1] * n
+        for f in P.base.elements:
+            m = P.base.meet(e, f)
+            r = rx[m]
+            d = cx - codes[P.index[r]]
+            for j, cy in groups[f, m].get(r, ()):
+                row[j] = elem_of[d + cy]
+        table.append(row)
+    return table
+
+
 def validate_boolean_set(P):
     """Upgrade a validated presheaf over a Boolean algebra to a Boolean set.
 
-    Checks global support, the trivial zero stalk, the minimum element, and
-    the existence of least upper bounds for all compatible pairs (joins found
-    by exhaustive scan); the projection of each join is asserted to be the
-    join of the projections.  The joins found are kept as the Boolean set's
-    join table.
+    Checks global support and the trivial zero stalk; the zero is then the
+    minimum, since every x restricts to it.  Every compatible pair then has
+    a join exactly when the atom coordinates are a bijection (_atom_codes),
+    and the join table is read off the codes.  Only when they are not does
+    the exhaustive pair scan run, to name the first pair without a join.
     """
     base = P.base
     if not isinstance(base, balg.FinBooleanAlgebra):
@@ -326,20 +369,19 @@ def validate_boolean_set(P):
     zstalk = P.stalks[base.bottom]
     if len(zstalk) > 1:
         raise ZeroStalkNotTrivial(zstalk[:2])
-    zero = zstalk[0]
-    if not all(P.leq_elem(zero, x) for x in P.elements):
-        raise NoMinimum((zero,))
-    n = len(P.elements)
-    join_table = [[-1] * n for _ in range(n)]
-    for x, row in zip(P.elements, join_table):
-        for k, y in enumerate(P.elements):
-            if P.compatible_elems(x, y):
-                j = P.join_elem(x, y)
-                if j is None:
-                    raise MissingJoin((x, y))
-                assert P.p(j) == base.join(P.p(x), P.p(y)), (x, y, j)
-                row[k] = P.index[j]
-    return BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero, join_table)
+    codes = _atom_codes(P)
+    if codes is None:
+        for x in P.elements:
+            for y in P.elements:
+                if P.compatible_elems(x, y):
+                    j = P.join_elem(x, y)
+                    if j is None:
+                        raise MissingJoin((x, y))
+                    if P.p(j) != base.join(P.p(x), P.p(y)):
+                        raise AssertionError((x, y, j))
+        raise AssertionError("atom coordinates failed, yet every compatible pair has a join")
+    join_table = _coded_join_table(P, codes)
+    return BooleanSet(base, P.stalks, P.cover_maps, P._rest, zstalk[0], join_table)
 
 
 def bs_circ(X, x, y):
@@ -589,7 +631,7 @@ def _enumerate_bahoms(A, B):
 # ------------------------------------------------------- right normal bands
 
 class RightNormalBand:
-    """Band whose circ satisfies x∘y∘x = y∘x."""
+    """Band whose circ satisfies x∘y∘z = y∘x∘z."""
 
     def __init__(self, elements, index, table):
         self.elements = elements
@@ -616,6 +658,13 @@ def validate_band(elements, table):
         for j in range(n):
             if t[t[i][j]][i] != t[j][i]:
                 raise NotRightNormal((elements[i], elements[j]))
+    # right regular so far; right normal (x∘y∘z = y∘x∘z) compares whole rows
+    for i in range(n):
+        for j in range(n):
+            rij, rji = t[t[i][j]], t[t[j][i]]
+            if rij != rji:
+                k = next(k for k in range(n) if rij[k] != rji[k])
+                raise NotRightNormal((elements[i], elements[j], elements[k]))
     return RightNormalBand(elements, index, t)
 
 
@@ -740,45 +789,10 @@ def covering_sieves(B, c):
     return out
 
 
-def _matching_families(P, sieve):
-    """All coherent assignments a -> x_a over the sieve (restriction-closed)."""
-    sieve = sorted(sieve, key=lambda e: -len(P.base.down_set(e)))
-
-    def rec(k, fam):
-        if k == len(sieve):
-            yield dict(fam)
-            return
-        a = sieve[k]
-        for x in P.stalks[a]:
-            ok = True
-            for b, xb in fam.items():
-                if P.base.leq(a, b) and P.restrict(xb, a) != x:
-                    ok = False
-                    break
-                if P.base.leq(b, a) and P.restrict(x, b) != xb:
-                    ok = False
-                    break
-            if ok:
-                fam[a] = x
-                yield from rec(k + 1, fam)
-                del fam[a]
-
-    yield from rec(0, {})
-
-
 def sheaf_condition(P):
-    """Unique amalgamation for every matching family of every covering sieve."""
-    B = P.base
-    for c in B.elements:
-        for sieve in covering_sieves(B, c):
-            for fam in _matching_families(P, sieve):
-                glue = [
-                    z for z in P.stalks[c]
-                    if all(P.restrict(z, a) == fam[a] for a in sieve)
-                ]
-                if len(glue) != 1:
-                    return False
-    return True
+    """Unique amalgamation for every matching family of every covering
+    sieve, decided by atom coordinates (_atom_codes)."""
+    return _atom_codes(P) is not None
 
 
 # ------------------------------------------------------------------ builders

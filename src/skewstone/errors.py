@@ -138,10 +138,6 @@ class NoGlobalSupport(StructureError):
     law = "bset.global_support"
 
 
-class NoMinimum(StructureError):
-    law = "bset.minimum"
-
-
 class ZeroStalkNotTrivial(StructureError):
     law = "bset.zero_stalk"
 

@@ -149,7 +149,7 @@ def sections_compatible(a, b):
 
 
 def join_sections(a, b):
-    """a ∨ b = a ∪ b|_{p(b) \\ p(a)}; checked equal to the least upper bound."""
+    """a ∨ b = a ∪ b|_{p(b) \\ p(a)}, the least upper bound of a and b."""
     sp = a.space
     if not sections_compatible(a, b):
         bad = next(
@@ -157,21 +157,7 @@ def join_sections(a, b):
         )
         raise NotCompatible((a.ident, b.ident, bad))
     tail = frozenset(e for e in b.members if sp.proj[e] not in a.footprint)
-    c = LocalSection(sp, a.members | tail)
-    if __debug__:
-        ubs = [
-            s for s in all_sections(sp)
-            if _section_leq(a, s) and _section_leq(b, s)
-        ]
-        least = [s for s in ubs if all(_section_leq(s, t) for t in ubs)]
-        assert least == [c], (a, b, least)
-    return c
-
-
-def _section_leq(s, t):
-    # s = t restricted to p(s); for sections that is plain containment,
-    # since t holds at most one point per base point
-    return s.members <= t.members
+    return LocalSection(sp, a.members | tail)
 
 
 def dual_bset(sp):

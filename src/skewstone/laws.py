@@ -198,9 +198,13 @@ def skew_sb5(raw, witness):
 
 
 def band_right_normal(raw, witness):
+    """x∘y∘z = y∘x∘z; at a pair (x, y), x∘y∘x = y∘x (right regularity)."""
     c = _table(raw, "circ")
-    x, y = witness
-    return c[c[x, y], x] == c[y, x]
+    if len(witness) == 2:
+        x, y = witness
+        return c[c[x, y], x] == c[y, x]
+    x, y, z = witness
+    return c[c[x, y], z] == c[c[y, x], z]
 
 
 def scan_skew(raw):
@@ -221,6 +225,11 @@ def scan_skew(raw):
             for y in els:
                 if not band_right_normal(raw, (x, y)):
                     return "band.right_normal", (x, y)
+        for x in els:
+            for y in els:
+                for z in els:
+                    if not band_right_normal(raw, (x, y, z)):
+                        return "band.right_normal", (x, y, z)
         return None
     for x in els:
         for y in els:

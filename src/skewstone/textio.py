@@ -270,7 +270,7 @@ def _store(data, kind, key, args, value, line):
     elif key in ("circ", "bullet"):
         if value:
             raise ParseError(line, 1, f"table rows on the lines after '{key}:'")
-        data[key] = None
+        data[key] = line  # the table replaces it in _finish_tables
     else:  # pragma: no cover
         raise ParseError(line, 1, f"supported key, got {key!r}")
 
@@ -280,9 +280,9 @@ def _finish_tables(data, kind):
         return
     for op in ("circ", "bullet"):
         rows = data.pop(f"_{op}_rows", None)
-        if op in data and data[op] is None:
+        if isinstance(data.get(op), int):
             if not rows:
-                raise ParseError(0, 1, f"table rows after '{op}:'")
+                raise ParseError(data[op], 1, f"table rows after '{op}:'")
             header, hline = rows[0]
             elements = data.get("elements", ())
             if sorted(header) != sorted(elements):

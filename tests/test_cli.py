@@ -378,3 +378,44 @@ def test_validate_skips_exactly_the_dependents_of_failed_stanzas(capsys, tmp_pat
         "morphism k: skipped (depends on a failed stanza)",
         "morphism h: ok",
     ]
+
+
+NOT_RIGHT_NORMAL = (
+    "skew S {\n"
+    "  elements: p, q, r\n"
+    "  circ:\n"
+    "    p q r\n"
+    "    p p r\n"
+    "    p q r\n"
+    "    p r r\n"
+    "}\n"
+)
+
+
+def test_band_that_is_not_right_normal(capsys, tmp_path):
+    # right regular (x∘y∘x = y∘x everywhere), but p∘r∘q = r and r∘p∘q = p
+    f = tmp_path / "band.txt"
+    f.write_text(NOT_RIGHT_NORMAL)
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out) == (1, "skew S: FAIL band.right_normal witness=(p,r,q)\n")
+    raw = skewstone.parse(NOT_RIGHT_NORMAL).law_raw("S")
+    assert skewstone.laws.scan(raw) == ("band.right_normal", ("p", "r", "q"))
+    code, out = run(capsys, "replay", str(f), "S",
+                    "--law", "band.right_normal", "--witness", "p,r,q")
+    assert (code, out) == (0, "confirmed: band.right_normal violated at (p,r,q)\n")
+    code, out = run(capsys, "replay", str(f), "S",
+                    "--law", "band.right_normal", "--witness", "p,r")
+    assert code == 1  # the pair form, right regularity, holds
+    code, out = run(capsys, "to-bset", str(f), "S")
+    assert (code, out) == (1, "FAIL band.right_normal witness=(p,r,q)\n")
+
+
+@pytest.mark.parametrize("text, line, op", [
+    ("skew S {\n  elements: p\n  circ:\n}\n", 3, "circ"),
+    ("skew S {\n  elements: p\n  zero: p\n  circ:\n    p\n    p\n  bullet:\n}\n", 7, "bullet"),
+])
+def test_missing_table_rows_name_the_key_line(capsys, tmp_path, text, line, op):
+    f = tmp_path / "rows.txt"
+    f.write_text(text)
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out) == (2, f"parse error: line {line}, col 1: expected table rows after '{op}:'\n")

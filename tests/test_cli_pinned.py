@@ -12,12 +12,15 @@ record it again, from the repository root:
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import skewstone
 from skewstone import bset, cli, textio
 
 import mutation_engine as me
@@ -120,6 +123,17 @@ def test_cli_output_matches_recording(pinned):
     for key, argv in cmds:
         code, out = run(argv)
         assert [code, out] == recorded[key], key
+
+
+def test_cli_output_same_without_asserts(tmp_path):
+    # every pinned command once more, under python -O, in one process
+    out = tmp_path / "optimized.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(skewstone.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    r = subprocess.run([sys.executable, "-O", __file__, "--record", str(out)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(out.read_text()) == json.loads(RECORDED.read_text())
 
 
 if __name__ == "__main__":

@@ -135,3 +135,21 @@ def test_enumerate_covering(efix):
     # per base point of efix: |fiber|^|target fiber| assignments; all are covering
     assert len(found) == (2 ** 2) * (1 ** 2)
     assert all(rm.covering for rm in found)
+
+
+def test_join_is_least_upper_bound(efix):
+    # the section order is containment: s <= t iff s = t restricted to p(s)
+    spaces = [efix, etale.validate_etale(
+        ["e1", "e2", "e3", "e4", "e5"], ["u", "v", "w"],
+        {"e1": "u", "e2": "u", "e3": "v", "e4": "w", "e5": "w"})]
+    joins = 0
+    for sp in spaces:
+        secs = etale.all_sections(sp)
+        for a in secs:
+            for b in secs:
+                if etale.sections_compatible(a, b):
+                    ubs = [s for s in secs if a.members <= s.members >= b.members]
+                    least = [s for s in ubs if all(s.members <= t.members for t in ubs)]
+                    assert least == [etale.join_sections(a, b)], (a, b)
+                    joins += 1
+    assert joins > 100
