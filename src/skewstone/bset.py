@@ -518,7 +518,7 @@ def derive_base_map(X, Y, mapping):
     for e in X.base.elements:
         targets = {Y.p(mapping[x]) for x in X.stalks[e]}
         if len(targets) != 1:
-            a, b = sorted(X.stalks[e], key=X.index.__getitem__)[:2]
+            a = min(X.stalks[e], key=X.index.__getitem__)
             raise BM1Violation((a,), detail=f"stalk {e!r} maps into several stalks")
         out[e] = targets.pop()
     return out
@@ -800,8 +800,39 @@ def sheaf_condition(P):
 ATOM_LETTERS = "abcdefghij"
 
 
+def _product_sections(points, fibers, subset_id, elem_id):
+    """The Boolean set of sections of a product etale space.
+
+    The base is the powerset of ``points``, with ids from ``subset_id``.
+    The stalk over A is the product of the fibers of A's points, in point
+    order, each choice named by ``elem_id`` (called with the chosen tuple);
+    restriction is projection.  Returns the validated set, the base's
+    ``set_of`` (id -> subset) and each element's parts (point -> choice).
+    """
+    base, _, set_of = balg.powerset_balg(points, subset_id)
+    stalks, parts = {}, {}
+    for eid, A in set_of.items():
+        present = [x for x in points if x in A]
+        ids = []
+        for choice in product(*(fibers[x] for x in present)):
+            xid = elem_id(choice)
+            parts[xid] = dict(zip(present, choice))
+            ids.append(xid)
+        stalks[eid] = tuple(ids)
+    restrictions = {}
+    for upper, lower in base.cover_pairs:
+        B = set_of[lower]
+        restrictions[(upper, lower)] = {
+            x: elem_id(tuple(c for pt, c in parts[x].items() if pt in B))
+            for x in stalks[upper]
+        }
+    X = validate_boolean_set(validate_presheaf(base, stalks, restrictions))
+    return X, set_of, parts
+
+
 def generate_boolean_set(atom_stalk_sizes, seed=None):
-    """Canonical Boolean set over the powerset of k atoms.
+    """Canonical Boolean set over the powerset of k atoms: the section set
+    of the product etale space whose fiber over each atom has the given size.
 
     The stalk over a subset is the product of the chosen atom stalks below
     it (singleton over bottom), restrictions are projections.  The seed only
@@ -833,8 +864,6 @@ def generate_boolean_set(atom_stalk_sizes, seed=None):
             return next(iter(s))
         return "".join(a for a in atoms if a in s)
 
-    base, id_of, set_of = balg.powerset_balg(tuple(atoms), subset_id)
-
     def elem_id(parts):
         if not parts:
             return "0"
@@ -842,24 +871,7 @@ def generate_boolean_set(atom_stalk_sizes, seed=None):
             return parts[0]
         return "(" + ",".join(parts) + ")"
 
-    stalks = {}
-    members_of = {}
-    for eid, s in set_of.items():
-        present = [a for a in atoms if a in s]
-        tuples = list(product(*(labels[a] for a in present)))
-        stalks[eid] = tuple(elem_id(list(t)) for t in tuples)
-        members_of[eid] = {elem_id(list(t)): dict(zip(present, t)) for t in tuples}
-
-    restrictions = {}
-    for upper, lower in base.cover_pairs:
-        keep = [a for a in atoms if a in set_of[lower]]
-        m = {}
-        for x, choice in members_of[upper].items():
-            m[x] = elem_id([choice[a] for a in keep])
-        restrictions[(upper, lower)] = m
-
-    P = validate_presheaf(base, stalks, restrictions)
-    return validate_boolean_set(P)
+    return _product_sections(tuple(atoms), labels, subset_id, elem_id)[0]
 
 
 def constant_bset(base):

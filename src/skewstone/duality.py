@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import balg, bset, etale
 from .errors import NoBinaryMeets, NotProper
-from .report import CheckItem, Report
+from .report import CheckItem, Report, _first_witness
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,21 @@ def ultrafilters_containing(X, a):
     return tuple(u for u in bset_ultrafilters(X) if a in u)
 
 
+def _stone_sets(X):
+    """Each element of X -> the idents of the ultrafilters containing it,
+    from one pass over bset_ultrafilters.  Cached per Boolean set."""
+    try:
+        return X._stone
+    except AttributeError:
+        pass
+    through = {a: [] for a in X.elements}
+    for u in bset_ultrafilters(X):
+        for a in u.members:
+            through[a].append(u.ident)
+    X._stone = {a: frozenset(ids) for a, ids in through.items()}
+    return X._stone
+
+
 def bset_to_etale(X):
     """Etale space of ultrafilters over the base's ultrafilters.
 
@@ -172,16 +187,14 @@ def bset_double_dual(X):
     """
     sp = bset_to_etale(X)
     D = etale.dual_bset(sp)
-    phi = {}
-    for a in X.elements:
-        pts = frozenset(u.ident for u in ultrafilters_containing(X, a))
-        phi[a] = "{" + ",".join(e for e in sp.total if e in pts) + "}"
-    phibar = {}
-    for e in X.base.elements:
-        atoms = frozenset(F.generator for F in X.base.stone_map(e))
-        phibar[e] = "{" + ",".join(x for x in sp.base if x in atoms) + "}"
+    points, atoms = balg.render_braces(sp.total), balg.render_braces(sp.base)
+    phi = {a: points(pts) for a, pts in _stone_sets(X).items()}
+    phibar = {
+        e: atoms({F.generator for F in X.base.stone_map(e)}) for e in X.base.elements
+    }
     m = bset.validate_bset_morphism(phi, phibar, X, D)
-    assert len(set(phi.values())) == len(D.elements) == len(X.elements)
+    if not len(set(phi.values())) == len(D.elements) == len(X.elements):
+        raise AssertionError(("double dual not bijective", len(D.elements), len(X.elements)))
     inverse = {v: k for k, v in phi.items()}
     inv_bar = {v: k for k, v in phibar.items()}
     bset.validate_bset_morphism(inverse, inv_bar, D, X)
@@ -208,12 +221,15 @@ class EtaleIso:
 
 def _validate_etale_iso(iso):
     sp, tq = iso.source, iso.target
-    assert sorted(iso.point_map) == sorted(sp.total)
-    assert sorted(iso.point_map.values()) == sorted(tq.total)
-    assert sorted(iso.base_map) == sorted(sp.base)
-    assert sorted(iso.base_map.values()) == sorted(tq.base)
+    if (sorted(iso.point_map) != sorted(sp.total)
+            or sorted(iso.point_map.values()) != sorted(tq.total)):
+        raise AssertionError("point map is not a bijection")
+    if (sorted(iso.base_map) != sorted(sp.base)
+            or sorted(iso.base_map.values()) != sorted(tq.base)):
+        raise AssertionError("base map is not a bijection")
     for e in sp.total:
-        assert tq.proj[iso.point_map[e]] == iso.base_map[sp.proj[e]], e
+        if tq.proj[iso.point_map[e]] != iso.base_map[sp.proj[e]]:
+            raise AssertionError(("projections do not commute", e))
     return iso
 
 
@@ -227,9 +243,11 @@ def etale_double_dual(sp):
     for a in sp.total:
         through = frozenset(sid for sid, mem in D.sections.items() if a in mem)
         matches = [u.ident for u in sp2.points.values() if u.members == through]
-        assert len(matches) == 1, (a, through)
+        if len(matches) != 1:
+            raise AssertionError((a, through))
         point_map[a] = matches[0]
-    base_map = {x: "{" + x + "}" for x in sp.base}
+    render = balg.render_braces(sp.base)
+    base_map = {x: render({x}) for x in sp.base}
     return _validate_etale_iso(EtaleIso(sp, sp2, point_map, base_map))
 
 
@@ -242,16 +260,15 @@ def dual_of_relational(rm):
     etale.require_covering(rm)
     sp, tq = rm.source, rm.target
     DS, DT = etale.dual_bset(sp), etale.dual_bset(tq)
-    phi = {}
-    for sid in DT.elements:
-        x = DT.sections[sid]
-        pre = frozenset(e for e in sp.total if rm.phi[e] & x)
-        phi[sid] = "{" + ",".join(e for e in sp.total if e in pre) + "}"
-    phibar = {}
-    for aid in DT.base.elements:
-        A = DT.base_sets[aid]
-        pre = frozenset(e for e in sp.base if rm.phibar[e] in A)
-        phibar[aid] = "{" + ",".join(x for x in sp.base if x in pre) + "}"
+    points, subset = balg.render_braces(sp.total), balg.render_braces(sp.base)
+    phi = {
+        sid: points({e for e in sp.total if rm.phi[e] & DT.sections[sid]})
+        for sid in DT.elements
+    }
+    phibar = {
+        aid: subset({e for e in sp.base if rm.phibar[e] in DT.base_sets[aid]})
+        for aid in DT.base.elements
+    }
     return bset.validate_bset_morphism(phi, phibar, DT, DS)
 
 
@@ -300,10 +317,6 @@ def dual_of_bset_morphism(m):
 
 # ----------------------------------------------------- correspondence checks
 
-def has_binary_meets(X):
-    return X.has_binary_meets
-
-
 def dual_is_hausdorff(X):
     """Hausdorffness of the ultrafilter space under the topology generated
     by the sets of ultrafilters through each element.
@@ -313,7 +326,7 @@ def dual_is_hausdorff(X):
     basic separation is the honest full check.
     """
     ultras = bset_ultrafilters(X)
-    basic = {a: frozenset(u.ident for u in ultrafilters_containing(X, a)) for a in X.elements}
+    basic = _stone_sets(X)
     for i, g in enumerate(ultras):
         for h in ultras[i + 1:]:
             if not any(
@@ -347,7 +360,7 @@ def check_meets_vs_hausdorff(X):
     has binary meets and every finite dual is discrete), so the report
     records what was computed rather than a vacuous implication.
     """
-    return MeetHausdorffReport(has_binary_meets(X), dual_is_hausdorff(X))
+    return MeetHausdorffReport(X.has_binary_meets, dual_is_hausdorff(X))
 
 
 @dataclass
@@ -437,83 +450,48 @@ def check_topology(X):
     exhaustively: the sets of ultrafilters through elements form a base,
     respect meets/joins/order, are sections, project onto Stone map images,
     are compact (finite guard), and exhaust the local sections of the dual.
+    A failed property names its first witness, scanning elements (and pairs
+    of them) in X.elements order.
     """
     sp = bset_to_etale(X)
-    L = {a: frozenset(u.ident for u in ultrafilters_containing(X, a)) for a in X.elements}
-    items = []
+    L = _stone_sets(X)
+    els = X.elements
 
-    def add(law, ok, witness=()):
-        items.append(CheckItem(law, ok, witness))
+    def is_section(pts):
+        return len({sp.proj[g] for g in pts}) == len(pts)
 
-    ok, wit = True, ()
-    for a in X.elements:
-        for b in X.elements:
-            common = L[a] & L[b]
-            for gid in common:
-                if not any(gid in L[c] and L[c] <= common for c in X.elements):
-                    ok, wit = False, (a, b, gid)
-    add("base_for_topology", ok, wit)
+    def unbased():
+        for a in els:
+            for b in els:
+                common = L[a] & L[b]
+                for gid in common:
+                    if not any(gid in L[c] and L[c] <= common for c in els):
+                        yield a, b, gid
 
-    ok, wit = True, ()
-    for a in X.elements:
-        for b in X.elements:
-            m = X.meet_elem(a, b)
-            if m is not None and L[m] != L[a] & L[b]:
-                ok, wit = False, (a, b)
-    add("meet_is_intersection", ok, wit)
-
-    ok, wit = True, ()
-    for a in X.elements:
-        for b in X.elements:
-            if (L[a] == L[b]) != (a == b):
-                ok, wit = False, (a, b)
-    add("injective_on_elements", ok, wit)
-
-    ok, wit = True, ()
-    for a in X.elements:
-        for b in X.elements:
-            if (L[a] <= L[b]) != X.leq_elem(a, b):
-                ok, wit = False, (a, b)
-    add("order_reflecting", ok, wit)
-
-    ok, wit = True, ()
-    for a in X.elements:
-        if len({sp.proj[g] for g in L[a]}) != len(L[a]):
-            ok, wit = False, (a,)
-    add("is_local_section", ok, wit)
-
-    ok, wit = True, ()
-    for a in X.elements:
-        for b in X.elements:
-            if X.compatible_elems(a, b) and L[X.join(a, b)] != L[a] | L[b]:
-                ok, wit = False, (a, b)
-    add("join_is_union", ok, wit)
-
-    ok, wit = True, ()
-    for a in X.elements:
-        for b in X.elements:
-            union = L[a] | L[b]
-            is_section = len({sp.proj[g] for g in union}) == len(union)
-            if is_section and not X.compatible_elems(a, b):
-                ok, wit = False, (a, b)
-    add("union_section_implies_compatible", ok, wit)
-
-    ok, wit = True, ()
-    for a in X.elements:
-        proj_img = frozenset(sp.proj[g] for g in L[a])
-        stone = frozenset(F.generator for F in X.base.stone_map(X.p(a)))
-        if proj_img != stone:
-            ok, wit = False, (a,)
-    add("projects_onto_stone_image", ok, wit)
-
-    # compactness of each point set: tautological at finite scale, recorded
-    # as the guard that the dual has finitely many points
-    add("compact", isinstance(len(sp.total), int))
-
-    ok, wit = True, ()
     lsets = set(L.values())
-    for s in etale.all_sections(sp):
-        if s.members not in lsets:
-            ok, wit = False, (s.ident,)
-    add("sections_exhausted", ok, wit)
-    return Report(items)
+    return Report([
+        _first_witness("base_for_topology", unbased()),
+        _first_witness("meet_is_intersection", (
+            (a, b) for a in els for b in els
+            if (m := X.meet_elem(a, b)) is not None and L[m] != L[a] & L[b])),
+        _first_witness("injective_on_elements", (
+            (a, b) for a in els for b in els if (L[a] == L[b]) != (a == b))),
+        _first_witness("order_reflecting", (
+            (a, b) for a in els for b in els if (L[a] <= L[b]) != X.leq_elem(a, b))),
+        _first_witness("is_local_section", ((a,) for a in els if not is_section(L[a]))),
+        _first_witness("join_is_union", (
+            (a, b) for a in els for b in els
+            if X.compatible_elems(a, b) and L[X.join(a, b)] != L[a] | L[b])),
+        _first_witness("union_section_implies_compatible", (
+            (a, b) for a in els for b in els
+            if is_section(L[a] | L[b]) and not X.compatible_elems(a, b))),
+        _first_witness("projects_onto_stone_image", (
+            (a,) for a in els
+            if {sp.proj[g] for g in L[a]}
+            != {F.generator for F in X.base.stone_map(X.p(a))})),
+        # compactness of each point set: tautological at finite scale,
+        # recorded as the guard that the dual has finitely many points
+        CheckItem("compact", isinstance(len(sp.total), int)),
+        _first_witness("sections_exhausted", (
+            (s.ident,) for s in etale.all_sections(sp) if s.members not in lsets)),
+    ])

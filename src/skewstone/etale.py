@@ -74,8 +74,7 @@ class LocalSection:
 
     @property
     def ident(self):
-        sp = self.space
-        return "{" + ",".join(e for e in sp.total if e in self.members) + "}"
+        return balg.render_braces(self.space.total)(self.members)
 
     def over(self, x):
         """The unique member over base point x."""
@@ -163,34 +162,23 @@ def join_sections(a, b):
 def dual_bset(sp):
     """The Boolean set of sections over the powerset algebra of the base.
 
-    All subsets of a finite discrete space are compact-open.  The returned
-    Boolean set carries ``sections`` (element id -> member frozenset) and
-    ``space`` attributes for downstream use.  Cached per space so repeated
-    dualizations share one object.
+    All subsets of a finite discrete space are compact-open, so this is the
+    product section set of ``bset._product_sections`` over the base points
+    and their fibers; section ids list their members in ``sp.total`` order.
+    The returned Boolean set carries ``sections`` (element id -> member
+    frozenset), ``space`` and ``base_sets`` (base id -> subset) attributes
+    for downstream use.  Cached per space so repeated dualizations share one
+    object.
     """
     try:
         return sp._dual
     except AttributeError:
         pass
-    base_alg, id_of, set_of = balg.powerset_balg(sp.base, balg.render_braces(sp.base))
-    stalks = {}
-    members = {}
-    for eid, A in set_of.items():
-        secs = sections_over(sp, A)
-        stalks[eid] = tuple(s.ident for s in secs)
-        for s in secs:
-            members[s.ident] = s.members
-    restrictions = {}
-    for upper, lower in base_alg.cover_pairs:
-        B = set_of[lower]
-        m = {}
-        for sid in stalks[upper]:
-            kept = frozenset(e for e in members[sid] if sp.proj[e] in B)
-            m[sid] = "{" + ",".join(e for e in sp.total if e in kept) + "}"
-        restrictions[(upper, lower)] = m
-    P = bset.validate_presheaf(base_alg, stalks, restrictions)
-    X = bset.validate_boolean_set(P)
-    X.sections = members
+    render = balg.render_braces(sp.total)
+    X, set_of, parts = bset._product_sections(
+        sp.base, sp.fibers, balg.render_braces(sp.base),
+        lambda choice: render(frozenset(choice)))
+    X.sections = {sid: frozenset(pts.values()) for sid, pts in parts.items()}
     X.space = sp
     X.base_sets = set_of
     sp._dual = X

@@ -15,6 +15,13 @@ class CheckItem:
         return f"FAIL {self.law} witness=({','.join(map(str, self.witness))})"
 
 
+def _first_witness(law, witnesses):
+    """law failed at the first witness the iterable yields, else passed."""
+    for witness in witnesses:
+        return CheckItem(law, False, witness)
+    return CheckItem(law, True)
+
+
 @dataclass
 class Report:
     items: list

@@ -28,7 +28,7 @@ from .errors import (
     SkewAxiomViolation,
     StructureError,
 )
-from .report import CheckItem, Report
+from .report import Report, _first_witness
 
 
 class SkewAlgebra:
@@ -368,56 +368,37 @@ def gamma_classes(S):
 def check_consequences(S):
     """Exhaustively verify the derived identities of a validated algebra:
     circ distributes over bullet on both sides, gamma classes are flat
-    (right zero for circ, left zero for bullet), (S,∘) is right normal,
-    and zero is the bullet identity.
+    (right zero for circ, left zero for bullet), (S,∘) is right normal
+    (x∘y∘z = y∘x∘z, by comparing the rows of x∘y and y∘x), and zero is the
+    bullet identity.  A failed identity names its first witness, scanning
+    elements in S.elements order.
     """
-    n = len(S.elements)
     circ, bullet = S.circ_t, S.bullet_t
     els = S.elements
-    items = []
-
-    def scan3(law, pred):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not pred(i, j, k):
-                        items.append(CheckItem(law, False, (els[i], els[j], els[k])))
-                        return
-        items.append(CheckItem(law, True))
-
-    scan3("circ_over_bullet_left",
-          lambda i, j, k: circ[i][bullet[j][k]] == bullet[circ[i][j]][circ[i][k]])
-    scan3("circ_over_bullet_right",
-          lambda i, j, k: circ[bullet[j][k]][i] == bullet[circ[j][i]][circ[k][i]])
-
-    gq = gamma_classes(S)
-    flat_c = flat_b = True
-    wit_c = wit_b = ()
-    for i in range(n):
-        for j in range(n):
-            if gq.class_of[els[i]] == gq.class_of[els[j]]:
-                if flat_c and circ[i][j] != j:
-                    flat_c, wit_c = False, (els[i], els[j])
-                if flat_b and bullet[i][j] != i:
-                    flat_b, wit_b = False, (els[i], els[j])
-    items.append(CheckItem("gamma_right_zero_circ", flat_c, wit_c))
-    items.append(CheckItem("gamma_left_zero_bullet", flat_b, wit_b))
-
-    rn = True
-    wit = ()
-    for i in range(n):
-        for j in range(n):
-            if circ[circ[i][j]][i] != circ[j][i]:
-                rn, wit = False, (els[i], els[j])
-                break
-        if not rn:
-            break
-    items.append(CheckItem("right_normal_circ", rn, wit))
-
+    r = range(len(els))
+    class_of = gamma_classes(S).class_of
+    cls = [class_of[x] for x in els]
     z = S.index[S.zero]
-    mid = all(bullet[z][i] == i and bullet[i][z] == i for i in range(n))
-    items.append(CheckItem("bullet_identity_zero", mid))
-    return Report(items)
+    return Report([
+        _first_witness("circ_over_bullet_left", (
+            (els[i], els[j], els[k]) for i in r for j in r for k in r
+            if circ[i][bullet[j][k]] != bullet[circ[i][j]][circ[i][k]])),
+        _first_witness("circ_over_bullet_right", (
+            (els[i], els[j], els[k]) for i in r for j in r for k in r
+            if circ[bullet[j][k]][i] != bullet[circ[j][i]][circ[k][i]])),
+        _first_witness("gamma_right_zero_circ", (
+            (els[i], els[j]) for i in r for j in r
+            if cls[i] == cls[j] and circ[i][j] != j)),
+        _first_witness("gamma_left_zero_bullet", (
+            (els[i], els[j]) for i in r for j in r
+            if cls[i] == cls[j] and bullet[i][j] != i)),
+        _first_witness("right_normal_circ", (
+            (els[i], els[j], els[k]) for i in r for j in r
+            if circ[circ[i][j]] != circ[circ[j][i]]
+            for k in r if circ[circ[i][j]][k] != circ[circ[j][i]][k])),
+        _first_witness("bullet_identity_zero", (
+            (els[i],) for i in r if bullet[z][i] != i or bullet[i][z] != i)),
+    ])
 
 
 # ----------------------------------------------------------------- morphisms

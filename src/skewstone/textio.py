@@ -290,14 +290,13 @@ def _finish_tables(data, kind):
             if len(rows) != len(header) + 1:
                 raise ParseError(hline, 1, f"{len(header)} table rows after the header")
             pos = {e: k for k, e in enumerate(header)}
-            grid = {}
-            for r, (row, rline) in enumerate(rows[1:]):
+            row_of = {}
+            for x, (row, rline) in zip(header, rows[1:]):
                 if len(row) != len(header):
                     raise ParseError(rline, 1, f"{len(header)} entries in the row")
-                for c, v in enumerate(row):
-                    grid[(header[r], header[c])] = v
+                row_of[x] = row
             data[op] = [
-                [grid[(x, y)] for y in elements] for x in elements
+                [row_of[x][pos[y]] for y in elements] for x in elements
             ]
 
 

@@ -2,9 +2,12 @@
 
 ``cli_pinned.json`` holds the output of every command listed by
 ``commands()``: ``to-bset``, ``export``, ``check-morphism`` and ``props`` on
-every stanza of ``docs/*.txt``, and ``to-bset``/``export`` on generated
-Boolean-set, skew and band documents (seeded band mutants included).  To
-record it again, from the repository root:
+every stanza of ``docs/*.txt``, ``to-bset``/``export`` on generated
+Boolean-set, skew, band and etale documents (seeded band mutants included),
+``gen`` for three shapes, the duality commands on the generated Boolean set
+and on an etale space whose total order interleaves its fibers, and
+``props`` on the generated skew algebra.  To record it again, from the
+repository root:
 
     PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import skewstone
-from skewstone import bset, cli, textio
+from skewstone import bset, cli, etale, textio
 
 import mutation_engine as me
 
@@ -29,6 +32,7 @@ HERE = Path(__file__).resolve().parent
 DOCS = HERE.parent / "docs"
 RECORDED = HERE / "cli_pinned.json"
 BAND_MUTANTS = 6
+GEN_SHAPES = [("2", "3,1", None), ("4", "1,1,3,3", "4"), ("3", "2,1,2", "0")]
 
 
 def run(argv):
@@ -44,6 +48,16 @@ def band_text(band, name):
         "elements": els,
         "circ": [[band.circ(x, y) for y in els] for x in els],
     }, 0)) + "\n"
+
+
+def etale_text(fibers, seed, name):
+    """An etale stanza over u0, u1, ... with the given fiber sizes; the
+    seed shuffles the total order, so it interleaves the fibers."""
+    proj = {f"e{i}{k}": f"u{i}" for i, s in enumerate(fibers) for k in range(s)}
+    total = list(proj)
+    random.Random(seed).shuffle(total)
+    sp = etale.validate_etale(total, [f"u{i}" for i in range(len(fibers))], proj)
+    return textio.print_stanza(textio.etale_stanza(sp, name)) + "\n"
 
 
 def write_documents(root):
@@ -88,6 +102,8 @@ def write_documents(root):
                 "elements": els, "circ": mutant["circ"]}, 0)) + "\n"
             (root / f"{tag}_m{m}.txt").write_text(text)
             docs[f"{tag}_m{m}.txt"] = ["S"]
+    (root / "etale.txt").write_text(etale_text((2, 1, 3), 2, "E"))
+    docs["etale.txt"] = ["E"]
     return docs
 
 
@@ -104,6 +120,16 @@ def commands(root):
         for name in names:
             for cmd in ("to-bset", "export"):
                 out.append((f"{cmd} {fname} {name}", [cmd, str(Path(root) / fname), name]))
+    for atoms, stalks, seed in GEN_SHAPES:
+        argv = ["gen", "--atoms", atoms, "--stalks", stalks] + (["--seed", seed] if seed else [])
+        out.append((" ".join(argv), argv))
+    for fname, name, cmds in [
+        ("gen.txt", "G", ("dualize", "ultrafilters", "roundtrip", "props")),
+        ("etale.txt", "E", ("dualize", "roundtrip", "sections")),
+        ("skew.txt", "G_skew", ("props",)),
+    ]:
+        for cmd in cmds:
+            out.append((f"{cmd} {fname} {name}", [cmd, str(Path(root) / fname), name]))
     return out
 
 
