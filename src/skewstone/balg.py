@@ -32,6 +32,7 @@ from .errors import (
     NotDistributive,
     ZeroArgument,
 )
+from ._memo import memo
 from .report import CheckItem, Report
 
 
@@ -136,20 +137,16 @@ class FinMeetSemilattice:
         return tuple(e for i, e in enumerate(self.elements) if m >> i & 1)
 
     @property
+    @memo("_covers")
     def cover_pairs(self):
         """Hasse covers as (upper, lower) pairs, in element order."""
-        try:
-            return self._covers
-        except AttributeError:
-            pass
         covers = []
         for i, e in enumerate(self.elements):
             strict = self._down[i] & ~(1 << i)
             for j in range(len(self.elements)):
                 if strict >> j & 1 and self._up[j] & strict == 1 << j:
                     covers.append((e, self.elements[j]))
-        self._covers = tuple(covers)
-        return self._covers
+        return tuple(covers)
 
 
 def validate_meet_semilattice(elements, leq_pairs):
@@ -213,16 +210,13 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         return self.elements[t]
 
     @property
+    @memo("_atoms")
     def atoms(self):
-        try:
-            return self._atoms
-        except AttributeError:
-            base = 1 << self._bottom_i
-            self._atoms = tuple(
-                e for i, e in enumerate(self.elements)
-                if i != self._bottom_i and self._down[i] == base | 1 << i
-            )
-            return self._atoms
+        base = 1 << self._bottom_i
+        return tuple(
+            e for i, e in enumerate(self.elements)
+            if i != self._bottom_i and self._down[i] == base | 1 << i
+        )
 
     def join(self, x, y):
         return self.elements[self._join[self.index[x]][self.index[y]]]
@@ -304,6 +298,7 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         m = self._mask(members)
         return self._is_ideal_mask(m) and self._is_prime_mask(m, self._meet)
 
+    @memo("_ultra")
     def ultrafilters(self):
         """All maximal proper filters, ordered by generator index.
 
@@ -311,10 +306,6 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         proper ones, then checks the classical properties on them: each
         ultrafilter is prime, and every non-bottom element lies in one.
         """
-        try:
-            return self._ultra
-        except AttributeError:
-            pass
         up = self._up
         full = (1 << len(self.elements)) - 1
         proper = [i for i, row in enumerate(up) if row != full]
@@ -331,7 +322,6 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         missing = full & ~covered & ~(1 << self._bottom_i)
         if missing:
             raise AssertionError(self.elements[(missing & -missing).bit_length() - 1])
-        self._ultra = ultra
         return ultra
 
     def stone_map(self, a):
@@ -459,7 +449,8 @@ def validate_balg(elements, leq_pairs, bottom):
                      if db >> c & 1 and meet[c][a] == bot and join[c][a] == b]
             if not found:
                 raise NoRelativeComplement((elements[a], elements[b]))
-            assert len(found) == 1, (elements[a], elements[b], found)
+            if len(found) != 1:
+                raise AssertionError((elements[a], elements[b], found))
             comp_in[b, a] = found[0]
 
     return FinBooleanAlgebra(elements, index, up, down, meet, join, bot, comp_in)

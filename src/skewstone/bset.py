@@ -27,6 +27,7 @@ from itertools import permutations, product
 from math import prod
 
 from . import balg, skew
+from ._memo import memo
 from .errors import (
     BM1Violation,
     BM2Violation,
@@ -107,6 +108,10 @@ class Presheaf:
     def compatible_elems(self, x, y):
         m = self.meet_elem(x, y)
         return m is not None and self.p(m) == self.base.meet(self.p(x), self.p(y))
+
+    def circ(self, x, y):
+        """x∘y = y restricted to p(x) ∧ p(y)."""
+        return self.restrict(y, self.base.meet(self.p(x), self.p(y)))
 
 
 def _lower_covers(base):
@@ -279,9 +284,6 @@ class BooleanSet(Presheaf):
     def compatible_elems(self, x, y):
         return self._join[self.index[x]][self.index[y]] >= 0
 
-    def circ(self, x, y):
-        return self.restrict(y, self.base.meet(self.p(x), self.p(y)))
-
     def setminus(self, y, x):
         return self.restrict(y, self.base.rel_complement(self.p(y), self.p(x)))
 
@@ -289,15 +291,12 @@ class BooleanSet(Presheaf):
         return self.join(x, self.setminus(y, x))
 
     @property
+    @memo("_has_meets")
     def has_binary_meets(self):
-        try:
-            return self._has_meets
-        except AttributeError:
-            self._has_meets = all(
-                self.meet_elem(x, y) is not None
-                for x in self.elements for y in self.elements
-            )
-            return self._has_meets
+        return all(
+            self.meet_elem(x, y) is not None
+            for x in self.elements for y in self.elements
+        )
 
 
 def _atom_codes(P):
@@ -395,23 +394,19 @@ def bs_setminus(X, y, x):
 
 
 def bs_bullet(X, x, y):
-    """x•y = x ∨ (y\\x); the join is found by least-upper-bound scan."""
+    """x•y = x ∨ (y\\x); the join is read from the join table."""
     return X.bullet(x, y)
 
 
 # ------------------------------------------------------- skew correspondence
 
+@memo("_skew")
 def to_skew(X):
     """Cayley tables from circ/bullet; the output passes full axiom checking."""
-    try:
-        return X._skew
-    except AttributeError:
-        pass
     els = X.elements
     circ = [[X.circ(x, y) for y in els] for x in els]
     bullet = [[X.bullet(x, y) for y in els] for x in els]
-    X._skew = skew.validate_skew(els, circ, bullet, X.zero)
-    return X._skew
+    return skew.validate_skew(els, circ, bullet, X.zero)
 
 
 def from_skew(S):
@@ -553,13 +548,15 @@ def _assert_morphism_consequences(m):
     X, Y, phi = m.source, m.target, m.mapping
     for x in X.elements:
         for y in X.elements:
-            if X.compatible_elems(x, y):
-                assert phi[X.join(x, y)] == Y.join(phi[x], phi[y]), (x, y)
+            if X.compatible_elems(x, y) and phi[X.join(x, y)] != Y.join(phi[x], phi[y]):
+                raise AssertionError((x, y))
     SX, SY = to_skew(X), to_skew(Y)
     for x in X.elements:
         for y in X.elements:
-            assert phi[SX.circ(x, y)] == SY.circ(phi[x], phi[y]), (x, y)
-            assert phi[SX.bullet(x, y)] == SY.bullet(phi[x], phi[y]), (x, y)
+            if phi[SX.circ(x, y)] != SY.circ(phi[x], phi[y]):
+                raise AssertionError((x, y))
+            if phi[SX.bullet(x, y)] != SY.bullet(phi[x], phi[y]):
+                raise AssertionError((x, y))
 
 
 def identity_bset_morphism(X):
@@ -569,7 +566,8 @@ def identity_bset_morphism(X):
 
 
 def compose_bset_morphisms(g, f):
-    assert f.target is g.source
+    if f.target is not g.source:
+        raise AssertionError("f.target is not g.source")
     return validate_bset_morphism(
         {x: g.mapping[f.mapping[x]] for x in f.source.elements},
         {e: g.base_hom.mapping[f.base_hom.mapping[e]] for e in f.source.base.elements},
@@ -658,13 +656,8 @@ def validate_band(elements, table):
         for j in range(n):
             if t[t[i][j]][i] != t[j][i]:
                 raise NotRightNormal((elements[i], elements[j]))
-    # right regular so far; right normal (x∘y∘z = y∘x∘z) compares whole rows
-    for i in range(n):
-        for j in range(n):
-            rij, rji = t[t[i][j]], t[t[j][i]]
-            if rij != rji:
-                k = next(k for k in range(n) if rij[k] != rji[k])
-                raise NotRightNormal((elements[i], elements[j], elements[k]))
+    for witness in skew._right_normal_witnesses(elements, t):  # right regular so far
+        raise NotRightNormal(witness)
     return RightNormalBand(elements, index, t)
 
 
@@ -685,10 +678,11 @@ def band_to_presheaf(S):
     return _class_presheaf(base, S.elements, S.table, cls_idx)
 
 
+@memo("_bset")
 def band_to_bset(S):
-    """The Boolean set of a Boolean band (see is_boolean_band): R classes
-    over the quotient, validated as a Boolean algebra with the least class
-    as bottom."""
+    """The Boolean set of a band: R classes over the quotient, validated as
+    a Boolean algebra with the least class as bottom.  Raises the first
+    failed law when the band is not Boolean."""
     cls_idx, names, pairs, bottoms = _band_quotient(S)
     base = balg.validate_balg(names, pairs, names[bottoms[0]])
     return validate_boolean_set(_class_presheaf(base, S.elements, S.table, cls_idx))
@@ -701,10 +695,7 @@ def presheaf_to_band(P):
         empty = next(e for e in P.base.elements if not P.stalks[e])
         raise NoGlobalSupport((empty,))
     els = P.elements
-    table = [
-        [P.restrict(y, P.base.meet(P.p(x), P.p(y))) for y in els] for x in els
-    ]
-    return validate_band(els, table)
+    return validate_band(els, [[P.circ(x, y) for y in els] for x in els])
 
 
 def band_struct_eq(S, T):
@@ -741,25 +732,12 @@ def presheaf_struct_eq(P, Q):
 
 
 def is_boolean_band(S):
-    """Quotient Boolean plus joins of compatible pairs (x ~ y iff x∘y = y∘x)."""
-    _, names, pairs, bottoms = _band_quotient(S)
-    if len(bottoms) != 1:
-        return False
+    """Whether the R classes of S form a Boolean set (band_to_bset succeeds):
+    a Boolean quotient, a one-element least class, compatible joins."""
     try:
-        balg.validate_balg(names, pairs, names[bottoms[0]])
+        band_to_bset(S)
     except StructureError:
         return False
-    t = S.table
-    n = len(S.elements)
-    for i in range(n):
-        for j in range(n):
-            if t[i][j] == t[j][i]:
-                ubs = [
-                    z for z in range(n)
-                    if t[i][z] == i and t[j][z] == j
-                ]
-                if not any(all(t[z][u] == z for u in ubs) for z in ubs):
-                    return False
     return True
 
 

@@ -30,17 +30,11 @@ def _order_covers(elements, below):
     ]
 
 
-def _natural_below(S):
-    """Masks of the natural order x <= y iff x∘y = x, of a skew algebra or band."""
-    up = [sum(1 << j for j, y in enumerate(S.elements) if S.leq(x, y)) for x in S.elements]
-    return balg._down_masks(len(up), up)
-
-
 def skew_dot(S, name):
     lines = [f"digraph {_q(name)} {{", "  rankdir=BT;"]
     for e in S.elements:
         lines.append(f"  {_q(e)};")
-    for x, y in _order_covers(S.elements, _natural_below(S)):
+    for x, y in _order_covers(S.elements, skew._natural_below(S)):
         lines.append(f"  {_q(x)} -> {_q(y)};")
     lines.append("}")
     return "\n".join(lines)

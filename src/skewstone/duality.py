@@ -16,6 +16,7 @@ the filter-theoretic constructions rather than the atom shortcut.
 from dataclasses import dataclass, field
 
 from . import balg, bset, etale
+from ._memo import memo
 from .errors import NoBinaryMeets, NotProper
 from .report import CheckItem, Report, _first_witness
 
@@ -49,6 +50,7 @@ def _first(mask):
     return (mask & -mask).bit_length() - 1
 
 
+@memo("_ultra")
 def bset_ultrafilters(X):
     """All ultrafilters of X, grouped by base ultrafilter.
 
@@ -66,10 +68,6 @@ def bset_ultrafilters(X):
     O(k n^2) in all, against O(n^3) per base ultrafilter for an element-wise
     conjugacy test.
     """
-    try:
-        return X._ultra
-    except AttributeError:
-        pass
     els, below = X.elements, X._below
     out = []
     for F in X.base.ultrafilters():
@@ -103,8 +101,7 @@ def bset_ultrafilters(X):
             u = BSetUltrafilter(X, members, F, f"[{els[a]}]@{F.generator}")
             _assert_is_ultrafilter(X, u)
             out.append(u)
-    X._ultra = tuple(out)
-    return X._ultra
+    return tuple(out)
 
 
 def _assert_is_ultrafilter(X, u):
@@ -139,21 +136,18 @@ def ultrafilters_containing(X, a):
     return tuple(u for u in bset_ultrafilters(X) if a in u)
 
 
+@memo("_stone")
 def _stone_sets(X):
     """Each element of X -> the idents of the ultrafilters containing it,
     from one pass over bset_ultrafilters.  Cached per Boolean set."""
-    try:
-        return X._stone
-    except AttributeError:
-        pass
     through = {a: [] for a in X.elements}
     for u in bset_ultrafilters(X):
         for a in u.members:
             through[a].append(u.ident)
-    X._stone = {a: frozenset(ids) for a, ids in through.items()}
-    return X._stone
+    return {a: frozenset(ids) for a, ids in through.items()}
 
 
+@memo("_etale")
 def bset_to_etale(X):
     """Etale space of ultrafilters over the base's ultrafilters.
 
@@ -161,10 +155,6 @@ def bset_to_etale(X):
     the returned space carries ``points`` (id -> BSetUltrafilter) and
     ``base_filters`` (id -> FilterSet) indexes.  Cached per Boolean set.
     """
-    try:
-        return X._etale
-    except AttributeError:
-        pass
     ultras = bset_ultrafilters(X)
     base_filters = {F.generator: F for F in X.base.ultrafilters()}
     total = tuple(u.ident for u in ultras)
@@ -172,7 +162,6 @@ def bset_to_etale(X):
     sp = etale.validate_etale(total, tuple(base_filters), proj)
     sp.points = {u.ident: u for u in ultras}
     sp.base_filters = base_filters
-    X._etale = sp
     return sp
 
 
@@ -293,9 +282,11 @@ def dual_of_bset_morphism(m):
         pre = frozenset(
             e for e in X.base.elements if m.base_hom.mapping[e] in F.members
         )
-        assert X.base.is_filter(pre), F
+        if not X.base.is_filter(pre):
+            raise AssertionError(F)
         matches = [G.generator for G in X.base.ultrafilters() if G.members == pre]
-        assert len(matches) == 1, (F, pre)
+        if len(matches) != 1:
+            raise AssertionError((F, pre))
         phibar[F.generator] = matches[0]
     phi = {}
     for u in bset_ultrafilters(Y):
@@ -304,14 +295,16 @@ def dual_of_bset_morphism(m):
         # the preimage is a union of conjugacy classes over the pulled-back
         # base ultrafilter: any class meeting it is contained in it
         for v in bset_ultrafilters(X):
-            if v.base_filter.generator == fprime and v.members & pre:
-                assert v.members <= pre, (u.ident, v.ident)
+            if (v.base_filter.generator == fprime and v.members & pre
+                    and not v.members <= pre):
+                raise AssertionError((u.ident, v.ident))
         images = frozenset(
             v.ident for v in bset_ultrafilters(X) if v.members <= pre
         )
         phi[u.ident] = images
     rm = etale.validate_relational_morphism(phi, phibar, spy, spx)
-    assert rm.covering, "dual of a Boolean-set morphism must be covering"
+    if not rm.covering:
+        raise AssertionError("dual of a Boolean-set morphism must be covering")
     return rm
 
 
@@ -460,10 +453,16 @@ def check_topology(X):
     def is_section(pts):
         return len({sp.proj[g] for g in pts}) == len(pts)
 
+    # a point whose one-point set is basic lies in a basic set inside any
+    # common set through it, so it is never a witness
+    singles = {gid for pts in L.values() if len(pts) == 1 for gid in pts}
+
     def unbased():
         for a in els:
             for b in els:
                 common = L[a] & L[b]
+                if common <= singles:
+                    continue
                 for gid in common:
                     if not any(gid in L[c] and L[c] <= common for c in els):
                         yield a, b, gid

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import balg, bset
+from ._memo import memo
 from .errors import (
     FiberViolation,
     NotCompatible,
@@ -159,6 +160,7 @@ def join_sections(a, b):
     return LocalSection(sp, a.members | tail)
 
 
+@memo("_dual")
 def dual_bset(sp):
     """The Boolean set of sections over the powerset algebra of the base.
 
@@ -170,10 +172,6 @@ def dual_bset(sp):
     for downstream use.  Cached per space so repeated dualizations share one
     object.
     """
-    try:
-        return sp._dual
-    except AttributeError:
-        pass
     render = balg.render_braces(sp.total)
     X, set_of, parts = bset._product_sections(
         sp.base, sp.fibers, balg.render_braces(sp.base),
@@ -181,7 +179,6 @@ def dual_bset(sp):
     X.sections = {sid: frozenset(pts.values()) for sid, pts in parts.items()}
     X.space = sp
     X.base_sets = set_of
-    sp._dual = X
     return X
 
 
@@ -259,7 +256,8 @@ def identity_relational(sp):
 
 def compose_relational(psi, phi):
     """(psi ∘ phi)(x) = union of psi over phi(x)."""
-    assert phi.target is psi.source
+    if phi.target is not psi.source:
+        raise AssertionError("phi.target is not psi.source")
     out = {
         e: frozenset(z for f in phi.phi[e] for z in psi.phi[f])
         for e in phi.source.total

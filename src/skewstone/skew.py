@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from . import balg
+from ._memo import memo
 from .errors import (
     NoBinaryMeets,
     NotABand,
@@ -234,16 +235,22 @@ def skew_rel_complement(S, x, y):
     return S.down_algebra(x).rel_complement(x, S.circ(y, x))
 
 
+@memo("_below")
+def _natural_below(S):
+    """Masks of the natural order x <= y iff x∘y = x, of a skew algebra or
+    band: bit i of row j is set iff i∘j = i."""
+    els, leq = S.elements, S.leq
+    return [sum(1 << i for i, x in enumerate(els) if leq(x, y)) for y in els]
+
+
 def meet(S, x, y):
-    """Greatest lower bound under the natural order, by exhaustive scan.
+    """Greatest lower bound under the natural order, read off its masks.
 
     Returns None when absent; absence is a first-class outcome.
     """
-    lower = [z for z in S.elements if S.leq(z, x) and S.leq(z, y)]
-    for m in lower:
-        if all(S.leq(z, m) for z in lower):
-            return m
-    return None
+    below = _natural_below(S)
+    k = balg._greatest(below[S.index[x]] & below[S.index[y]], below)
+    return S.elements[k] if k >= 0 else None
 
 
 def is_wedge_algebra(S):
@@ -316,6 +323,7 @@ def _order_pairs(qmeet, names):
     ]
 
 
+@memo("_gamma")
 def gamma_classes(S):
     """Partition x R y iff x∘y = y and y∘x = x; quotient validated as Boolean.
 
@@ -324,10 +332,6 @@ def gamma_classes(S):
     meet/join tables induced by circ and bullet are checked to agree with the
     validated lattice structure.
     """
-    try:
-        return S._gamma
-    except AttributeError:
-        pass
     n = len(S.elements)
     circ, bullet = S.circ_t, S.bullet_t
     cls_idx, reps, names = _r_partition(S.elements, circ)
@@ -359,11 +363,23 @@ def gamma_classes(S):
         name: tuple(S.elements[i] for i in range(n) if cls_idx[i] == c)
         for c, name in enumerate(names)
     }
-    S._gamma = GammaQuotient(alg, class_of, classes)
-    return S._gamma
+    return GammaQuotient(alg, class_of, classes)
 
 
 # -------------------------------------------------------------- consequences
+
+def _right_normal_witnesses(elements, t):
+    """Every (x, y, z) with x∘y∘z != y∘x∘z, in scan order, for the ∘ index
+    table t; the rows of x∘y and y∘x are compared whole first."""
+    r = range(len(t))
+    for i in r:
+        for j in r:
+            rij, rji = t[t[i][j]], t[t[j][i]]
+            if rij != rji:
+                for k in r:
+                    if rij[k] != rji[k]:
+                        yield elements[i], elements[j], elements[k]
+
 
 def check_consequences(S):
     """Exhaustively verify the derived identities of a validated algebra:
@@ -392,10 +408,7 @@ def check_consequences(S):
         _first_witness("gamma_left_zero_bullet", (
             (els[i], els[j]) for i in r for j in r
             if cls[i] == cls[j] and bullet[i][j] != i)),
-        _first_witness("right_normal_circ", (
-            (els[i], els[j], els[k]) for i in r for j in r
-            if circ[circ[i][j]] != circ[circ[j][i]]
-            for k in r if circ[circ[i][j]][k] != circ[circ[j][i]][k])),
+        _first_witness("right_normal_circ", _right_normal_witnesses(els, circ)),
         _first_witness("bullet_identity_zero", (
             (els[i],) for i in r if bullet[z][i] != i or bullet[i][z] != i)),
     ])
@@ -432,8 +445,8 @@ def validate_skew_morphism(mapping, S, T):
     for x in S.elements:
         c = gs.class_of[x]
         img = gt.class_of[mapping[x]]
-        prev = qmap.setdefault(c, img)
-        assert prev == img, ("induced map not well-defined", x)
+        if qmap.setdefault(c, img) != img:
+            raise AssertionError(("induced map not well-defined", x))
     induced = balg.validate_bahom(qmap, gs.algebra, gt.algebra)
     return SkewMorphism(S, T, dict(mapping), induced)
 
@@ -451,7 +464,8 @@ def is_wedge_morphism(phi):
 
 
 def compose_skew_morphisms(g, f):
-    assert f.target is g.source
+    if f.target is not g.source:
+        raise AssertionError("f.target is not g.source")
     return validate_skew_morphism(
         {x: g.mapping[f.mapping[x]] for x in f.source.elements}, f.source, g.target
     )

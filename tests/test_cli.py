@@ -410,6 +410,15 @@ def test_band_that_is_not_right_normal(capsys, tmp_path):
     assert (code, out) == (1, "FAIL band.right_normal witness=(p,r,q)\n")
 
 
+def test_band_with_a_two_element_least_class_is_not_boolean(capsys, tmp_path):
+    # p and q form one R class, the least one: a Boolean set's zero stalk
+    # has one member, so the band is not Boolean
+    f = tmp_path / "band.txt"
+    f.write_text("skew S {\n  elements: p, q\n  circ:\n    p q\n    p q\n    p q\n}\n")
+    code, out = run(capsys, "to-bset", str(f), "S")
+    assert (code, out) == (1, "FAIL skew.quotient witness=(): band is not Boolean\n")
+
+
 @pytest.mark.parametrize("text, line, op", [
     ("skew S {\n  elements: p\n  circ:\n}\n", 3, "circ"),
     ("skew S {\n  elements: p\n  zero: p\n  circ:\n    p\n    p\n  bullet:\n}\n", 7, "bullet"),

@@ -5,9 +5,11 @@
 every stanza of ``docs/*.txt``, ``to-bset``/``export`` on generated
 Boolean-set, skew, band and etale documents (seeded band mutants included),
 ``gen`` for three shapes, the duality commands on the generated Boolean set
-and on an etale space whose total order interleaves its fibers, and
-``props`` on the generated skew algebra.  To record it again, from the
-repository root:
+and on an etale space whose total order interleaves its fibers, ``props``
+on the generated skew algebra, and ``check-morphism`` on two skew
+morphisms (the identity of the generated skew algebra, and the skew
+counterpart of ``docs/showcase.txt``'s ``collapse``).  To record it again,
+from the repository root:
 
     PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
 """
@@ -30,6 +32,7 @@ import mutation_engine as me
 
 HERE = Path(__file__).resolve().parent
 DOCS = HERE.parent / "docs"
+SHOWCASE = DOCS / "showcase.txt"
 RECORDED = HERE / "cli_pinned.json"
 BAND_MUTANTS = 6
 GEN_SHAPES = [("2", "3,1", None), ("4", "1,1,3,3", "4"), ("3", "2,1,2", "0")]
@@ -104,7 +107,26 @@ def write_documents(root):
             docs[f"{tag}_m{m}.txt"] = ["S"]
     (root / "etale.txt").write_text(etale_text((2, 1, 3), 2, "E"))
     docs["etale.txt"] = ["E"]
+    (root / "skewmor.txt").write_text(skew_morphisms_text(skew_doc))
     return docs
+
+
+def skew_morphisms_text(skew_doc):
+    """The identity of the skew algebra in ``skew_doc``, and X3s -> the skew
+    algebra of Cst by the map of showcase's ``collapse``.  Only
+    ``check-morphism`` runs on this document."""
+    els = textio.parse(skew_doc).stanzas[0].data["elements"]
+    showcase = textio.build(textio.parse(SHOWCASE.read_text()))
+    stanzas = [
+        textio.Stanza("morphism", "ident", None, {
+            "from": "G_skew", "to": "G_skew", "map": [(x, x) for x in els]}, 0),
+        textio.skew_stanza(showcase["X3s"], "X3s"),
+        textio.skew_stanza(bset.to_skew(showcase["Cst"]), "Cst_skew"),
+        textio.Stanza("morphism", "collapse", None, {
+            "from": "X3s", "to": "Cst_skew",
+            "map": [("0", "c0"), ("x1", "c1"), ("x2", "c1")]}, 0),
+    ]
+    return skew_doc + "".join(textio.print_stanza(s) + "\n" for s in stanzas)
 
 
 def commands(root):
@@ -127,6 +149,8 @@ def commands(root):
         ("gen.txt", "G", ("dualize", "ultrafilters", "roundtrip", "props")),
         ("etale.txt", "E", ("dualize", "roundtrip", "sections")),
         ("skew.txt", "G_skew", ("props",)),
+        ("skewmor.txt", "ident", ("check-morphism",)),
+        ("skewmor.txt", "collapse", ("check-morphism",)),
     ]:
         for cmd in cmds:
             out.append((f"{cmd} {fname} {name}", [cmd, str(Path(root) / fname), name]))

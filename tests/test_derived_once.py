@@ -1,0 +1,242 @@
+"""Derived structures built once: the object caches, the Boolean-band
+decision, the natural order and the right-normality scan, against copies of
+the code they replaced.
+
+The references are the earlier ``skew.meet`` (a list of lower bounds and a
+scan for the greatest), ``is_wedge_algebra``/``is_wedge_morphism`` over it,
+``is_boolean_band`` (its own compatible-join scan after a second quotient),
+the uncached ``band_to_bset`` and the second right-normality loop of
+``validate_band``.  Results must be equal, or the errors equal in type,
+law, witness and detail; the one intended difference is the verdict on bands
+whose least R class has several members.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from skewstone import balg, bset, duality, etale, skew
+from skewstone.errors import NoBinaryMeets, NotRightNormal, StructureError, ZeroStalkNotTrivial
+
+from test_duality_layer import right_normal_bands, seeded_space
+from test_quotients import all_bands, one_element_least_class, outcome, showcase, viewed
+
+
+# ------------------------------------------------------------- references
+
+def old_meet(S, x, y):
+    lower = [z for z in S.elements if S.leq(z, x) and S.leq(z, y)]
+    for m in lower:
+        if all(S.leq(z, m) for z in lower):
+            return m
+    return None
+
+
+def old_is_wedge_algebra(S):
+    return all(old_meet(S, x, y) is not None for x in S.elements for y in S.elements)
+
+
+def old_is_wedge_morphism(phi):
+    S, T = phi.source, phi.target
+    if not old_is_wedge_algebra(S) or not old_is_wedge_algebra(T):
+        raise NoBinaryMeets(())
+    for x in S.elements:
+        for y in S.elements:
+            if phi.mapping[old_meet(S, x, y)] != old_meet(T, phi.mapping[x], phi.mapping[y]):
+                return False
+    return True
+
+
+def old_is_boolean_band(S):
+    _, names, pairs, bottoms = bset._band_quotient(S)
+    if len(bottoms) != 1:
+        return False
+    try:
+        balg.validate_balg(names, pairs, names[bottoms[0]])
+    except StructureError:
+        return False
+    t = S.table
+    n = len(S.elements)
+    for i in range(n):
+        for j in range(n):
+            if t[i][j] == t[j][i]:
+                ubs = [z for z in range(n) if t[i][z] == i and t[j][z] == j]
+                if not any(all(t[z][u] == z for u in ubs) for z in ubs):
+                    return False
+    return True
+
+
+def old_band_to_bset(S):
+    cls_idx, names, pairs, bottoms = bset._band_quotient(S)
+    base = balg.validate_balg(names, pairs, names[bottoms[0]])
+    return bset.validate_boolean_set(bset._class_presheaf(base, S.elements, S.table, cls_idx))
+
+
+def old_validate_band(elements, table):
+    elements, index = balg._index_elements(elements)
+    t = skew._as_index_table(elements, index, table, "circ")
+    skew._band_check(elements, t, "circ")
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            if t[t[i][j]][i] != t[j][i]:
+                raise NotRightNormal((elements[i], elements[j]))
+    for i in range(n):
+        for j in range(n):
+            rij, rji = t[t[i][j]], t[t[j][i]]
+            if rij != rji:
+                k = next(k for k in range(n) if rij[k] != rji[k])
+                raise NotRightNormal((elements[i], elements[j], elements[k]))
+    return bset.RightNormalBand(elements, index, t)
+
+
+# ----------------------------------------------------------------- inputs
+
+def band_of_rows(rows):
+    els = list("pqrs"[:len(rows)])
+    return bset.validate_band(els, [[els[v] for v in row] for row in rows])
+
+
+def enumerated_bands(max_n):
+    """Every right normal band on 1..max_n elements."""
+    return [band_of_rows(rows) for n in range(1, max_n + 1) for rows in right_normal_bands(n)]
+
+
+def skew_of(sizes):
+    return bset.to_skew(bset.generate_boolean_set(sizes))
+
+
+def cst_skew():
+    return bset.to_skew(showcase()["Cst"])
+
+
+# ------------------------------------------------------------------ memo
+
+def test_memoized_builders_store_one_object_under_their_name():
+    X = bset.generate_boolean_set((2, 1))
+    sp = seeded_space(random.Random(5))
+    S = bset.to_skew(X)
+    band = bset.presheaf_to_band(X)
+    cases = [
+        (bset.to_skew, X, "_skew"),
+        (skew.gamma_classes, S, "_gamma"),
+        (skew._natural_below, S, "_below"),
+        (skew._natural_below, band, "_below"),
+        (duality.bset_ultrafilters, X, "_ultra"),
+        (duality._stone_sets, X, "_stone"),
+        (duality.bset_to_etale, X, "_etale"),
+        (etale.dual_bset, sp, "_dual"),
+        (bset.band_to_bset, band, "_bset"),
+        (balg.FinBooleanAlgebra.ultrafilters, X.base, "_ultra"),
+        (lambda B: B.cover_pairs, X.base, "_covers"),
+        (lambda B: B.atoms, X.base, "_atoms"),
+        (lambda X: X.has_binary_meets, X, "_has_meets"),
+    ]
+    for fn, obj, attr in cases:
+        first = fn(obj)
+        assert getattr(obj, attr) is first, attr
+        assert fn(obj) is first, attr
+
+
+def test_memoized_builders_keep_their_public_names():
+    # the benchmark tracer keys spans by module and function name
+    for mod, name in [(bset, "to_skew"), (bset, "band_to_bset"), (skew, "gamma_classes"),
+                      (duality, "bset_ultrafilters"), (duality, "bset_to_etale"),
+                      (etale, "dual_bset")]:
+        fn = getattr(mod, name)
+        assert (fn.__module__, fn.__name__) == (mod.__name__, name)
+
+
+def test_a_failed_build_is_not_cached_and_has_no_context():
+    S = bset.validate_band(["p", "q"], [["p", "q"], ["p", "q"]])
+    for _ in range(2):
+        with pytest.raises(ZeroStalkNotTrivial) as info:
+            bset.band_to_bset(S)
+        assert info.value.__context__ is None
+        assert info.value.witness == ("p", "q")
+        assert not hasattr(S, "_bset")
+
+
+# ------------------------------------------------------------------ meets
+
+def meet_structures():
+    built = showcase()
+    out = [built["X3s"], built["Band3"]]
+    out += [skew_of(s) for s in [(2, 2, 2), (1, 1, 3, 3), (2, 2, 2, 2)]]
+    out += enumerated_bands(3)
+    return out
+
+
+def test_meets_match_reference():
+    structures = meet_structures()
+    assert len(structures) == 28
+    absent = 0
+    for S in structures:
+        for x in S.elements:
+            for y in S.elements:
+                got = skew.meet(S, x, y)
+                assert got == old_meet(S, x, y), (S.elements, x, y)
+                absent += got is None
+        assert skew.is_wedge_algebra(S) == old_is_wedge_algebra(S)
+    assert absent == 32
+
+
+def test_natural_order_masks_match_leq():
+    for S in meet_structures():
+        below = skew._natural_below(S)
+        for i, x in enumerate(S.elements):
+            for j, y in enumerate(S.elements):
+                assert (below[j] >> i & 1 == 1) == S.leq(x, y)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 2, 2)])
+def test_wedge_checks_match_reference(sizes):
+    S = skew_of(sizes)
+    assert len(S.elements) in (27, 81)
+    assert skew.is_wedge_algebra(S) is old_is_wedge_algebra(S) is True
+    ident = skew.validate_skew_morphism({x: x for x in S.elements}, S, S)
+    assert skew.is_wedge_morphism(ident) is old_is_wedge_morphism(ident) is True
+
+
+def test_wedge_morphisms_match_reference_on_small_algebras():
+    built = showcase()
+    algebras = [built["X3s"], cst_skew(), skew_of((1, 1))]
+    seen = set()
+    for S, T in itertools.product(algebras, repeat=2):
+        for phi in skew.enumerate_skew_morphisms(S, T):
+            want = old_is_wedge_morphism(phi)
+            seen.add(want)
+            assert skew.is_wedge_morphism(phi) == want
+    assert seen == {True, False}
+
+
+# ---------------------------------------------------------- Boolean bands
+
+def test_boolean_band_verdicts_against_reference():
+    flipped = 0
+    enumerated = enumerated_bands(4)
+    assert len(enumerated) == 236
+    for k, S in enumerate(enumerated + all_bands()):
+        old = old_is_boolean_band(S)
+        new = bset.is_boolean_band(S)
+        assert new == (old and one_element_least_class(S)), S.elements
+        flipped += k < len(enumerated) and old != new
+        assert viewed(outcome(bset.band_to_bset, S)) == viewed(outcome(old_band_to_bset, S))
+    assert flipped == 45
+
+
+def test_right_normality_witnesses_match_reference():
+    # every table on three elements: the same band or the same first witness
+    els = ["p", "q", "r"]
+    laws = set()
+    for flat in itertools.product(els, repeat=9):
+        rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+        new = outcome(bset.validate_band, els, rows)
+        old = outcome(old_validate_band, els, rows)
+        if new[0] == "ok":
+            assert old[0] == "ok" and new[1].table == old[1].table
+        else:
+            assert new == old
+            laws.add((new[1], len(new[2])))
+    assert ("band.right_normal", 3) in laws and ("band.right_normal", 2) in laws

@@ -478,6 +478,38 @@ def test_right_normal_circ_is_right_normality():
 
 # ------------------------------------------------------------ double duals
 
+def old_unbased(els, L):
+    """The first base_for_topology witness of the scan over every c."""
+    for a in els:
+        for b in els:
+            common = L[a] & L[b]
+            for gid in common:
+                if not any(gid in L[c] and L[c] <= common for c in els):
+                    return a, b, gid
+    return None
+
+
+def test_base_for_topology_first_witness_on_tampered_stone_sets():
+    # points toggled in the element -> ultrafilters map: pairs whose common
+    # set mixes points with and without a one-point basic set are scanned
+    rng = random.Random(6)
+    failed = 0
+    for sizes in [(2, 2), (1, 3), (2, 1, 2)]:
+        for _ in range(40):
+            X = bset.generate_boolean_set(sizes)
+            L = dict(duality._stone_sets(X))
+            points = sorted(set().union(*L.values()))
+            for _ in range(rng.randint(1, 3)):
+                a = rng.choice(X.elements)
+                L[a] = L[a] ^ {rng.choice(points)}
+            X._stone = L
+            item = duality.check_topology(X).items[0]
+            want = old_unbased(X.elements, L)
+            assert item == CheckItem("base_for_topology", want is None, want or ())
+            failed += want is not None
+    assert failed > 10
+
+
 def test_etale_iso_checks_raise_without_asserts():
     sp = seeded_space(random.Random(3))
     iso = duality.etale_double_dual(sp)
@@ -536,7 +568,7 @@ def right_normal_bands(n):
 
 # one letter per band, in enumeration order: is_boolean_band and band_to_bset
 BAND_CODES = {
-    (True, "ok"): "B", (True, "bset.zero_stalk"): "Z",
+    (True, "ok"): "B", (False, "bset.zero_stalk"): "Z",
     (False, "order.join_exists"): "j", (False, "lattice.relative_complement"): "c",
 }
 BAND_VERDICTS = {
@@ -550,8 +582,8 @@ BAND_VERDICTS = {
 
 
 def test_is_boolean_band_against_band_to_bset():
-    # is_boolean_band accepts bands whose bottom R class has several
-    # members; band_to_bset then fails on the zero stalk ("Z")
+    # a band whose bottom R class has several members is not Boolean:
+    # band_to_bset fails on the zero stalk ("Z")
     for n, pinned in BAND_VERDICTS.items():
         els = list("pqrs"[:n])
         codes = ""
@@ -564,5 +596,5 @@ def test_is_boolean_band_against_band_to_bset():
     assert [BAND_VERDICTS[n].count("Z") for n in (2, 3, 4)] == [1, 7, 37]
     assert [len(BAND_VERDICTS[n]) for n in (2, 3, 4)] == [3, 19, 213]
     S = bset.validate_band(["p", "q"], [["p", "q"], ["p", "q"]])
-    assert bset.is_boolean_band(S)
+    assert not bset.is_boolean_band(S)
     assert outcome(bset.band_to_bset, S)[1:3] == ("bset.zero_stalk", ("p", "q"))
