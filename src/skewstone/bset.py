@@ -379,8 +379,14 @@ def validate_boolean_set(P):
                     if P.p(j) != base.join(P.p(x), P.p(y)):
                         raise AssertionError((x, y, j))
         raise AssertionError("atom coordinates failed, yet every compatible pair has a join")
-    join_table = _coded_join_table(P, codes)
-    return BooleanSet(base, P.stalks, P.cover_maps, P._rest, zstalk[0], join_table)
+    return _coded_boolean_set(P, codes)
+
+
+def _coded_boolean_set(P, codes):
+    """The Boolean set on P, whose atom codes ``codes`` are a bijection (so
+    the zero stalk has one element), with its join table read off them."""
+    zero = P.stalks[P.base.bottom][0]
+    return BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, _coded_join_table(P, codes))
 
 
 def bs_circ(X, x, y):
@@ -400,33 +406,57 @@ def bs_bullet(X, x, y):
 
 # ------------------------------------------------------- skew correspondence
 
+def _stalk_rows(P, order):
+    """Per base element c, two rows over the ids ``order``: y|(c ∧ p(y)) and
+    y|(p(y) \\ c).  Every x over c has x∘y and y\\x from these rows, so a
+    skew table is built from one pair of rows per stalk."""
+    B, rest, p = P.base, P._rest, P.stalk_of
+    rows = {}
+    for c in B.elements:
+        meet = {f: B.meet(c, f) for f in B.elements}
+        minus = {f: B.rel_complement(f, c) for f in B.elements}
+        rows[c] = ([rest[y][meet[p[y]]] for y in order],
+                   [rest[y][minus[p[y]]] for y in order])
+    return rows
+
+
 @memo("_skew")
 def to_skew(X):
-    """Cayley tables from circ/bullet; the output passes full axiom checking."""
-    els = X.elements
-    circ = [[X.circ(x, y) for y in els] for x in els]
-    bullet = [[X.bullet(x, y) for y in els] for x in els]
+    """Cayley tables of x∘y = y|(p(x) ∧ p(y)) and x•y = x ∨ (y\\x), from one
+    pair of rows per stalk (_stalk_rows) and the join table; the output
+    passes full axiom checking."""
+    els, index, join = X.elements, X.index, X._join
+    rows = {c: (circ_row, [index[y] for y in minus_row])
+            for c, (circ_row, minus_row) in _stalk_rows(X, els).items()}
+    circ, bullet = [], []
+    for x, jrow in zip(els, join):
+        circ_row, minus_row = rows[X.stalk_of[x]]
+        circ.append(circ_row)
+        bullet.append([els[jrow[k]] for k in minus_row])
     return skew.validate_skew(els, circ, bullet, X.zero)
 
 
+@memo("_bset")
 def from_skew(S):
     """Boolean set on the gamma quotient (skew.gamma_classes): stalks are
     R classes, restriction is left multiplication by any member of the
-    target class (see _class_presheaf)."""
+    target class (see _class_presheaf).  An algebra that validate_skew
+    accepted by reconstruction already holds this set."""
     gq = skew.gamma_classes(S)
     base = gq.algebra
     cls_idx = [base.index[gq.class_of[x]] for x in S.elements]
     return validate_boolean_set(_class_presheaf(base, S.elements, S.circ_t, cls_idx))
 
 
-def _class_presheaf(base, elements, table, cls_idx):
-    """The presheaf of R classes over their quotient ``base``.
+def _class_data(base, elements, table, cls_idx):
+    """Stalks and cover restrictions of the presheaf of R classes over their
+    quotient ``base``, and the first ill-defined restriction or None.
 
     ``cls_idx[i]`` is the index in ``base.elements`` of element i's class.
     The stalk over a class is its members in element order; an x over the
     upper end of a cover restricts to y∘x for any y in the lower class (∘
-    the index ``table``).  That all such y agree is checked, also under
-    ``python -O``.
+    the index ``table``).  When the y disagree, (x, lower) is returned as
+    the third value and the restrictions are incomplete.
     """
     members = [[] for _ in base.elements]
     for i, c in enumerate(cls_idx):
@@ -439,9 +469,18 @@ def _class_presheaf(base, elements, table, cls_idx):
         for x in members[base.index[upper]]:
             values = {table[y][x] for y in ys}
             if len(values) != 1:
-                raise AssertionError(("restriction not well-defined", elements[x], lower))
+                return stalks, restrictions, (elements[x], lower)
             m[elements[x]] = elements[values.pop()]
         restrictions[(upper, lower)] = m
+    return stalks, restrictions, None
+
+
+def _class_presheaf(base, elements, table, cls_idx):
+    """The validated presheaf of R classes (see _class_data).  That every
+    restriction is well defined is checked, also under ``python -O``."""
+    stalks, restrictions, bad = _class_data(base, elements, table, cls_idx)
+    if bad is not None:
+        raise AssertionError(("restriction not well-defined",) + bad)
     return validate_presheaf(base, stalks, restrictions)
 
 

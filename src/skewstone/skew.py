@@ -1,14 +1,23 @@
 """Right-hand skew Boolean algebras as double Cayley tables.
 
-A carrier with two band operations (circ, bullet) and a zero, axiom-checked
-exhaustively: both operations are bands, the absorption identities tie them
-together, commutation in one operation is equivalent to commutation in the
-other, zero annihilates circ, and every principal down-set
-``x↓ = {x∘s∘x : s}`` is a unital Boolean algebra under the natural order
-(validated through :mod:`skewstone.balg`).  Associativity is decided by
-Light's test over a generating set, O(g·n^2) for g generators; the O(n^3)
-triple scan runs only on a failure, to name its first witness.  SB1-SB4
-are O(n^2) scans over pairs; intended feasible bound about 512 elements.
+A carrier with two band operations (circ, bullet) and a zero: both
+operations are bands, the absorption identities tie them together,
+commutation in one operation is equivalent to commutation in the other, zero
+annihilates circ, and every principal down-set ``x↓ = {x∘s∘x : s}`` is a
+unital Boolean algebra under the natural order.
+
+By the paper's theorem these algebras are exactly the skew algebras of
+Boolean sets, so ``validate_skew`` accepts by reconstruction: the classes
+of equal ∘ rows (the R classes of a right normal band) must form a Boolean
+set whose skew tables, rebuilt from its atom coordinates, equal the input.
+That costs O(n^2) plus one ``validate_balg`` of the class quotient, and it
+keeps the Boolean set and the quotient for ``from_skew`` and
+``gamma_classes``.  On any mismatch the axioms are checked exhaustively, to
+name the first failed one: associativity by Light's test over a generating
+set, O(g·n^2) for g generators, after the triples of the first row, with
+the O(n^3) triple scan only to name its witness; SB1-SB4 by O(n^2) scans
+over pairs; SB5 by one ``validate_balg`` per element.  Intended feasible
+bound about 512 elements.
 
 The classes of Green's R-relation of ∘ and their quotient order are built
 here (``_r_partition``, ``_class_table``, ``_order_pairs``) for skew
@@ -19,7 +28,7 @@ algebras (``gamma_classes``) and for the right normal bands of
 from dataclasses import dataclass
 from operator import eq, itemgetter
 
-from . import balg
+from . import balg, bset
 from ._memo import memo
 from .errors import (
     NoBinaryMeets,
@@ -89,8 +98,11 @@ def _band_check(elements, table, op):
     """Idempotence, then associativity, each with its first witness in
     scan order.
 
-    Light's test decides associativity; the (i, j, k) scan runs only when
-    the test fails, to name the first failing triple.
+    The triples (i, j, k) with i the first element are scanned first, then
+    Light's test decides associativity; the rest of the (i, j, k) scan runs
+    only when the test fails, to name the first failing triple.  A failure
+    in the first row (an edited zero row, say) is thus found in O(n^2),
+    where Light's test may meet it only at its last generators.
     """
     n = len(elements)
     for i in range(n):
@@ -99,19 +111,30 @@ def _band_check(elements, table, op):
     if n < 2:
         return  # one idempotent element is associative
     rows = [tuple(r) for r in table]
-    if _light_associative(rows):
-        return
     picks = [itemgetter(*r) for r in table]
-    for i in range(n):
+    witness = _assoc_witness(table, rows, picks, range(1))
+    if witness is None and not _light_associative(rows):
+        witness = _assoc_witness(table, rows, picks, range(1, n))
+    if witness is not None:
+        raise NotABand(tuple(elements[i] for i in witness), op, "assoc")
+
+
+def _assoc_witness(table, rows, picks, firsts):
+    """The first (i, j, k) with (i·j)·k != i·(j·k), i in ``firsts``, or
+    None; a pair (i, j) is skipped when the row of i·j is row j composed
+    through row i."""
+    r = range(len(table))
+    for i in firsts:
         ti = table[i]
-        for j in range(n):
+        for j in r:
             if rows[ti[j]] == picks[j](ti):
                 continue
             tij = table[ti[j]]
             tj = table[j]
-            for k in range(n):
+            for k in r:
                 if tij[k] != ti[tj[k]]:
-                    raise NotABand((elements[i], elements[j], elements[k]), op, "assoc")
+                    return i, j, k
+    return None
 
 
 def _light_associative(rows):
@@ -167,23 +190,104 @@ def _as_index_table(elements, index, rows, what):
 
 
 def validate_skew(elements, circ_table, bullet_table, zero):
-    """Check SB1 through SB5 exhaustively and return the validated algebra.
+    """Check SB1 through SB5 and return the validated algebra.
 
-    Tables are row-major in element order.  On failure the diagnostic names
-    the violated axiom with a witness tuple, the first in scan order; the
-    band check accepts associativity by Light's test and scans triples only
-    to find that witness.  The SB5 check materializes each x↓ and validates
-    it as a unital Boolean algebra under the natural order.
+    Tables are row-major in element order.  Acceptance is decided by the
+    paper's theorem read backwards (_reconstruct): the tables are accepted
+    when they equal the skew tables of the Boolean set that their own R
+    classes form, at O(n^2) plus one validate_balg of the 2^m classes of
+    the quotient; no band, SB1-SB4 or x↓ check runs then.  That Boolean
+    set and its quotient are kept, so from_skew and gamma_classes return
+    them.  Otherwise the exhaustive checks run from the start, and a
+    failure names the violated axiom with a witness tuple, the first in
+    scan order: the band checks (Light's test, with the triple scan only to
+    find the witness; the ∘ check is left out when ∘ alone was rebuilt
+    exactly), SB1-SB4 over pairs, and SB5, which materializes each x↓ and
+    validates it as a unital Boolean algebra under the natural order.
     """
     elements, index = balg._index_elements(elements)
     if zero not in index:
         raise ValueError(f"zero {zero!r} is not an element")
     circ = _as_index_table(elements, index, circ_table, "circ")
     bullet = _as_index_table(elements, index, bullet_table, "bullet")
-    n = len(elements)
-    z = index[zero]
+    S = SkewAlgebra(elements, index, circ, bullet, index[zero])
+    X, gq, circ_ok = _reconstruct(elements, index, circ, bullet, S._zero_i)
+    if X is None:
+        _axiom_scan(S, circ_ok)
+    else:
+        S._bset, S._gamma = X, gq
+    return S
 
-    _band_check(elements, circ, "circ")
+
+def _reconstruct(elements, index, circ, bullet, z):
+    """Whether the tables are to_skew(X) of a Boolean set X: (X, its gamma
+    quotient, True) if so, else (None, None, whether ∘ was rebuilt exactly).
+
+    By the paper's theorem the right-hand skew Boolean algebras are exactly
+    these, and X is then the set of R classes of ∘, which in a right normal
+    band are the classes of equal ∘ rows.  So the rows are grouped into
+    classes, in order of first element and named "[rep]" as _r_partition
+    does; the class order (c <= d iff c∘d = c) must be a Boolean algebra
+    with the zero's class as bottom, and the class presheaf
+    (bset._class_data) a Boolean set by its atom codes.  Its one-element
+    zero stalk is then the declared zero.  Last, x∘y = y|(p(x) ∧ p(y)) is
+    compared row by row, one row per stalk, and x•y = x ∨ (y\\x) by
+    code(x•y) = code(x) + code(y|(p(y) \\ p(x))).  No step raises on a
+    failure, so the caller's scans report it.
+    """
+    n = len(elements)
+    class_of_row, cls_idx, reps = {}, [], []
+    for i, row in enumerate(map(tuple, circ)):
+        c = class_of_row.setdefault(row, len(reps))
+        if c == len(reps):
+            reps.append(i)
+        cls_idx.append(c)
+    k = len(reps)
+    qmeet = _class_table(circ, cls_idx, reps)
+    # a Boolean quotient has 2^m classes for its m atoms (the classes with
+    # just the bottom below them): any other partition is refused here, as
+    # validate_balg's diagnostic scans are cubic in the number of classes
+    atoms = sum(sum(row[c] == d for d, row in enumerate(qmeet)) == 2 for c in range(k))
+    if k != 1 << atoms:
+        return None, None, False
+    names = [f"[{elements[r]}]" for r in reps]
+    try:
+        base = balg.validate_balg(names, _order_pairs(qmeet, names), names[cls_idx[z]])
+    except StructureError:
+        return None, None, False
+    stalks, restrictions, bad = bset._class_data(base, elements, circ, cls_idx)
+    if bad is not None:
+        return None, None, False
+    try:
+        P = bset.validate_presheaf(base, stalks, restrictions)
+    except StructureError:
+        return None, None, False
+    codes = bset._atom_codes(P)
+    if codes is None:
+        return None, None, False
+    rows = bset._stalk_rows(P, elements)
+    meet_rows = [[index[y] for y in rows[name][0]] for name in names]
+    if any(row != meet_rows[c] for row, c in zip(circ, cls_idx)):
+        return None, None, False
+    code, elem_of = [0] * n, [0] * n
+    for x, cx in zip(P.elements, codes):
+        code[index[x]] = cx
+        elem_of[cx] = index[x]
+    minus_rows = [[code[index[y]] for y in rows[name][1]] for name in names]
+    for i, row in enumerate(bullet):
+        cx = code[i]
+        if row != [elem_of[cx + d] for d in minus_rows[cls_idx[i]]]:
+            return None, None, True
+    return bset._coded_boolean_set(P, codes), _quotient(base, elements, cls_idx, names), True
+
+
+def _axiom_scan(S, circ_is_band):
+    """The exhaustive SB1-SB5 checks in scan order, raising the first
+    failure; the ∘ band check is left out when ``circ_is_band``."""
+    elements, circ, bullet, z = S.elements, S.circ_t, S.bullet_t, S._zero_i
+    n = len(elements)
+    if not circ_is_band:
+        _band_check(elements, circ, "circ")
     _band_check(elements, bullet, "bullet")
 
     for i in range(n):
@@ -209,7 +313,6 @@ def validate_skew(elements, circ_table, bullet_table, zero):
         if circ[z][i] != z or circ[i][z] != z:
             raise SkewAxiomViolation("SB4", (elements[i],))
 
-    S = SkewAlgebra(elements, index, circ, bullet, z)
     for x in elements:
         try:
             S.down_algebra(x)
@@ -217,7 +320,6 @@ def validate_skew(elements, circ_table, bullet_table, zero):
             raise SkewAxiomViolation(
                 "SB5", (x,), detail=f"x↓ fails {inner.law} witness=({','.join(inner.witness)})"
             ) from inner
-    return S
 
 
 # ------------------------------------------------------------- derived order
@@ -358,9 +460,14 @@ def gamma_classes(S):
             if alg.join(names[i], names[j]) != names[qjoin[i][j]]:
                 raise QuotientNotBoolean((names[i], names[j]), "bullet does not induce join")
 
-    class_of = {S.elements[i]: names[cls_idx[i]] for i in range(n)}
+    return _quotient(alg, S.elements, cls_idx, names)
+
+
+def _quotient(alg, elements, cls_idx, names):
+    """The GammaQuotient over ``alg`` of the classes ``cls_idx``."""
+    class_of = {x: names[c] for x, c in zip(elements, cls_idx)}
     classes = {
-        name: tuple(S.elements[i] for i in range(n) if cls_idx[i] == c)
+        name: tuple(x for x, d in zip(elements, cls_idx) if d == c)
         for c, name in enumerate(names)
     }
     return GammaQuotient(alg, class_of, classes)
@@ -475,6 +582,8 @@ def skew_struct_eq(S, T):
     """Equality as labeled structures: same ids, same zero, same tables."""
     if set(S.elements) != set(T.elements) or S.zero != T.zero:
         return False
+    if S.elements == T.elements:
+        return S.circ_t == T.circ_t and S.bullet_t == T.bullet_t
     return all(
         S.circ(x, y) == T.circ(x, y) and S.bullet(x, y) == T.bullet(x, y)
         for x in S.elements for y in S.elements

@@ -289,15 +289,18 @@ def _finish_tables(data, kind):
                 raise ParseError(hline, 1, "header row listing every element id")
             if len(rows) != len(header) + 1:
                 raise ParseError(hline, 1, f"{len(header)} table rows after the header")
-            pos = {e: k for k, e in enumerate(header)}
             row_of = {}
             for x, (row, rline) in zip(header, rows[1:]):
                 if len(row) != len(header):
                     raise ParseError(rline, 1, f"{len(header)} entries in the row")
                 row_of[x] = row
-            data[op] = [
-                [row_of[x][pos[y]] for y in elements] for x in elements
-            ]
+            if header == elements and len(row_of) == len(header):
+                data[op] = [row for row, _ in rows[1:]]  # already in element order
+            else:
+                pos = {e: k for k, e in enumerate(header)}
+                data[op] = [
+                    [row_of[x][pos[y]] for y in elements] for x in elements
+                ]
 
 
 # ------------------------------------------------------------------ building
@@ -417,12 +420,12 @@ def balg_stanza(B, name):
 
 
 def skew_stanza(S, name):
-    els = list(S.elements)
+    els = S.elements
     return Stanza("skew", name, None, {
-        "elements": els,
+        "elements": list(els),
         "zero": S.zero,
-        "circ": [[S.circ(x, y) for y in els] for x in els],
-        "bullet": [[S.bullet(x, y) for y in els] for x in els],
+        "circ": [[els[k] for k in row] for row in S.circ_t],
+        "bullet": [[els[k] for k in row] for row in S.bullet_t],
     }, 0)
 
 

@@ -1,0 +1,432 @@
+"""Skew algebras accepted by reconstruction, against a copy of the axiom scan
+that decided them before.
+
+``validate_skew`` accepts a pair of tables when they equal the skew tables
+of the Boolean set that their own ∘ row classes form (the paper's theorem,
+read backwards), and otherwise runs the axiom scan from the start.  The
+reference is the earlier ``validate_skew``: the band checks (Light's test,
+then the triple scan for the witness), SB1-SB4 over pairs and SB5 through
+one ``validate_balg`` per element.  Results must be equal: the same tables,
+or the same error type, law, witness and detail.  The earlier builders of
+skew tables and stanzas (``to_skew``, ``textio.skew_stanza``, the row
+reorder of ``textio``) and ``skew_struct_eq`` are compared the same way.
+"""
+
+import itertools
+import random
+from operator import itemgetter
+from pathlib import Path
+
+import pytest
+
+from skewstone import balg, bset, etale, skew, textio
+from skewstone.errors import NotABand, SkewAxiomViolation, StructureError
+
+import mutation_engine as me
+from conftest import X3_BULLET, X3_CIRC, make_b2
+from test_duality_layer import seeded_space
+from test_quotients import gamma_view, outcome, presheaf_view, raw_skew, unvalidated_skew
+from test_skew import _reference_band_check
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+# ------------------------------------------------------------- references
+
+def old_band_check(elements, table, op):
+    n = len(elements)
+    for i in range(n):
+        if table[i][i] != i:
+            raise NotABand((elements[i],), op, "idempotent")
+    if n < 2:
+        return
+    rows = [tuple(r) for r in table]
+    if skew._light_associative(rows):
+        return
+    picks = [itemgetter(*r) for r in table]
+    for i in range(n):
+        ti = table[i]
+        for j in range(n):
+            if rows[ti[j]] == picks[j](ti):
+                continue
+            tij = table[ti[j]]
+            tj = table[j]
+            for k in range(n):
+                if tij[k] != ti[tj[k]]:
+                    raise NotABand((elements[i], elements[j], elements[k]), op, "assoc")
+
+
+def old_validate_skew(elements, circ_table, bullet_table, zero):
+    elements, index = balg._index_elements(elements)
+    if zero not in index:
+        raise ValueError(f"zero {zero!r} is not an element")
+    circ = skew._as_index_table(elements, index, circ_table, "circ")
+    bullet = skew._as_index_table(elements, index, bullet_table, "bullet")
+    n = len(elements)
+    z = index[zero]
+
+    old_band_check(elements, circ, "circ")
+    old_band_check(elements, bullet, "bullet")
+
+    for i in range(n):
+        for j in range(n):
+            if circ[i][bullet[i][j]] != i or circ[bullet[j][i]][i] != i:
+                raise SkewAxiomViolation("SB1", (elements[i], elements[j]))
+            if bullet[i][circ[i][j]] != i or bullet[circ[j][i]][i] != i:
+                raise SkewAxiomViolation("SB1", (elements[i], elements[j]))
+
+    for i in range(n):
+        for j in range(n):
+            if circ[circ[i][j]][i] != circ[j][i]:
+                raise SkewAxiomViolation("SB2", (elements[i], elements[j]))
+            if bullet[bullet[i][j]][i] != bullet[i][j]:
+                raise SkewAxiomViolation("SB2", (elements[i], elements[j]))
+
+    for i in range(n):
+        for j in range(n):
+            if (bullet[i][j] == bullet[j][i]) != (circ[i][j] == circ[j][i]):
+                raise SkewAxiomViolation("SB3", (elements[i], elements[j]))
+
+    for i in range(n):
+        if circ[z][i] != z or circ[i][z] != z:
+            raise SkewAxiomViolation("SB4", (elements[i],))
+
+    S = skew.SkewAlgebra(elements, index, circ, bullet, z)
+    for x in elements:
+        try:
+            S.down_algebra(x)
+        except StructureError as inner:
+            raise SkewAxiomViolation(
+                "SB5", (x,), detail=f"x↓ fails {inner.law} witness=({','.join(inner.witness)})"
+            ) from inner
+    return S
+
+
+def old_to_skew_tables(X):
+    els = X.elements
+    return ([[X.circ(x, y) for y in els] for x in els],
+            [[X.bullet(x, y) for y in els] for x in els])
+
+
+def old_skew_stanza_data(S):
+    els = list(S.elements)
+    return {
+        "elements": els,
+        "zero": S.zero,
+        "circ": [[S.circ(x, y) for y in els] for x in els],
+        "bullet": [[S.bullet(x, y) for y in els] for x in els],
+    }
+
+
+def old_skew_struct_eq(S, T):
+    if set(S.elements) != set(T.elements) or S.zero != T.zero:
+        return False
+    return all(
+        S.circ(x, y) == T.circ(x, y) and S.bullet(x, y) == T.bullet(x, y)
+        for x in S.elements for y in S.elements
+    )
+
+
+# ----------------------------------------------------------------- helpers
+
+def skew_view(S):
+    return S.elements, S.index, S.circ_t, S.bullet_t, S._zero_i
+
+
+def validated(validate, raw):
+    result = outcome(validate, raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
+    return ("ok", skew_view(result[1])) if result[0] == "ok" else result
+
+
+def assert_same_outcome(raw):
+    """The new and the earlier validate_skew agree on ``raw``; returns the
+    outcome."""
+    new = validated(skew.validate_skew, raw)
+    assert new == validated(old_validate_skew, raw), raw["elements"]
+    return new
+
+
+def generated_raw(sizes, seed=5):
+    return raw_skew(bset.to_skew(bset.generate_boolean_set(sizes, seed=seed)))
+
+
+class Spy:
+    """Records the calls of a module function while patched in."""
+
+    def __init__(self, monkeypatch, module, name):
+        self.calls = []
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            self.calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+
+def band_witness(check, elements, table):
+    try:
+        check(tuple(elements), table, "circ")
+    except NotABand as e:
+        return e.law, e.witness
+    return None
+
+
+def row_classes(rows):
+    """The partition of row positions into classes of equal rows."""
+    out = {}
+    for i, row in enumerate(rows):
+        out.setdefault(tuple(row), []).append(i)
+    return sorted(out.values())
+
+
+def class_preserving_circ_mutant(raw, rng):
+    """One column of ∘ edited in every row of one class of equal rows, so
+    the classes of equal ∘ rows stay the same."""
+    els = raw["elements"]
+    classes = row_classes(raw["circ"])
+    while True:
+        cls = rng.choice(classes)
+        j = rng.randrange(len(els))
+        old = raw["circ"][cls[0]][j]
+        v = rng.choice([e for e in els if e != old])
+        rows = [list(r) for r in raw["circ"]]
+        for i in cls:
+            rows[i][j] = v
+        if row_classes(rows) == classes:
+            return {**raw, "circ": rows}
+
+
+# ------------------------------------------------------------ acceptance
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (2, 1), (2, 2, 2), (1, 1, 3, 3), (2, 2, 2, 2)])
+def test_generated_algebras_are_accepted_by_reconstruction(sizes):
+    raw = generated_raw(sizes)
+    assert assert_same_outcome(raw)[0] == "ok"
+    S = skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
+    assert isinstance(S._bset, bset.BooleanSet) and isinstance(S._gamma, skew.GammaQuotient)
+
+
+def test_docs_skew_stanzas_match_reference():
+    seen = 0
+    for path in sorted(DOCS.glob("*.txt")):
+        for s in textio.parse(path.read_text()).stanzas:
+            if s.kind == "skew" and s.data.get("bullet") is not None:
+                raw = {"elements": s.data["elements"], "zero": s.data["zero"],
+                       "circ": s.data["circ"], "bullet": s.data["bullet"]}
+                assert assert_same_outcome(raw)[0] == "ok"
+                seen += 1
+    assert seen
+
+
+def test_skew_algebras_of_etale_duals_match_reference():
+    # non-product Boolean sets whose element order interleaves the stalks
+    for seed in range(40):
+        X = etale.dual_bset(seeded_space(random.Random(seed)))
+        circ, bullet = old_to_skew_tables(X)
+        S = bset.to_skew(X)
+        assert (S.elements, S.circ_t, S.bullet_t, S.zero) == (
+            X.elements, [[X.index[v] for v in r] for r in circ],
+            [[X.index[v] for v in r] for r in bullet], X.zero)
+        raw = {"elements": list(X.elements), "zero": X.zero, "circ": circ, "bullet": bullet}
+        assert assert_same_outcome(raw) == ("ok", skew_view(S))
+        assert hasattr(S, "_bset"), seed
+
+
+def test_small_tables_match_reference():
+    # arbitrary tables, so that a false accept by reconstruction would show:
+    # every pair of tables on two elements; on three, every idempotent •
+    # beside each labeled ∘ of the one three-element algebra, and random pairs
+    accepted = 0
+    els = ["a", "b"]
+    tables = [[[els[v] for v in flat[:2]], [els[v] for v in flat[2:]]]
+              for flat in itertools.product(range(2), repeat=4)]
+    for circ, bullet, zero in itertools.product(tables, tables, els):
+        raw = {"elements": els, "zero": zero, "circ": circ, "bullet": bullet}
+        accepted += assert_same_outcome(raw)[0] == "ok"
+    assert accepted == 2
+
+    els = ["a", "b", "c"]
+    cells = [(i, j) for i in range(3) for j in range(3) if i != j]
+    idempotent = []
+    for values in itertools.product(els, repeat=len(cells)):
+        table = [[els[i]] * 3 for i in range(3)]
+        for (i, j), v in zip(cells, values):
+            table[i][j] = v
+        idempotent.append(table)
+    x3 = raw_skew(skew.validate_skew(["0", "x1", "x2"], X3_CIRC, X3_BULLET, "0"))
+    accepted = 0
+    for labels in itertools.permutations(els):
+        name = dict(zip(x3["elements"], labels))
+        pos = {labels[k]: k for k in range(3)}
+        circ = [[name[x3["circ"][pos[x]][pos[y]]] for y in els] for x in els]
+        for bullet in idempotent:
+            raw = {"elements": els, "zero": name["0"], "circ": circ, "bullet": bullet}
+            accepted += assert_same_outcome(raw)[0] == "ok"
+    assert accepted == 6
+    rng = random.Random(3)
+    for _ in range(2000):
+        raw = {"elements": els, "zero": rng.choice(els),
+               "circ": rng.choice(idempotent), "bullet": rng.choice(idempotent)}
+        assert_same_outcome(raw)
+
+
+def test_accepting_256_validates_only_the_quotient(monkeypatch):
+    raw = generated_raw((3, 3, 3, 3))
+    balg_calls = Spy(monkeypatch, balg, "validate_balg")
+    down_calls = Spy(monkeypatch, skew.SkewAlgebra, "down_algebra")
+    S = skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
+    assert len(S.elements) == 256
+    assert len(balg_calls.calls) == 1
+    assert down_calls.calls == []
+    monkeypatch.undo()
+
+    X, gq = bset.from_skew(S), skew.gamma_classes(S)
+    assert X is S._bset and gq is S._gamma
+    fresh = unvalidated_skew(raw)  # no cached quotient: built the earlier way
+    Y = bset.from_skew(fresh)
+    assert presheaf_view(X) == presheaf_view(Y)
+    assert (X.zero, X._join) == (Y.zero, Y._join)
+    assert gamma_view(gq) == gamma_view(skew.gamma_classes(fresh))
+
+
+# ------------------------------------------------------------- rejection
+
+@pytest.mark.parametrize("sizes, count", [((2, 2, 2), 80), ((2, 2, 2, 2), 40),
+                                          ((3, 3, 3, 3), 10)])
+def test_seeded_mutants_match_reference(sizes, count):
+    raw = generated_raw(sizes)
+    rng = random.Random(count)
+    ops, laws = set(), set()
+    for _ in range(count):
+        mutant = me.mutate_skew(raw, rng)
+        ops.add("circ" if mutant["circ"] is not raw["circ"] else "bullet")
+        result = assert_same_outcome(mutant)
+        laws.add(result[1])
+    assert ops == {"circ", "bullet"}
+    assert len(laws) > 1
+
+
+@pytest.mark.parametrize("sizes, count", [((2, 2, 2), 40), ((2, 2, 2, 2), 20),
+                                          ((3, 3, 3, 3), 4)])
+def test_mutants_with_intact_row_classes_match_reference(monkeypatch, sizes, count):
+    # the certificate reaches the table comparison (it rebuilds the stalk
+    # rows) and fails there; on a • edit the ∘ band check is left out
+    raw = generated_raw(sizes)
+    rng = random.Random(count)
+    rebuilt = Spy(monkeypatch, bset, "_stalk_rows")
+    bands = Spy(monkeypatch, skew, "_band_check")
+    compared = 0
+    for m in range(count):
+        if m % 2:
+            mutant = class_preserving_circ_mutant(raw, rng)
+        else:
+            mutant = me.mutate_skew(raw, rng)
+            while mutant["circ"] is not raw["circ"]:
+                mutant = me.mutate_skew(raw, rng)
+        rebuilt.calls.clear()
+        bands.calls.clear()
+        assert assert_same_outcome(mutant)[0] != "ok"
+        compared += bool(rebuilt.calls)
+        if mutant["circ"] is raw["circ"]:
+            assert rebuilt.calls
+            assert [args[2] for args in bands.calls] == ["bullet"]
+    assert compared > count // 2
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3, 3)])
+def test_zero_row_circ_edits_match_reference(sizes):
+    raw = generated_raw(sizes)
+    els = raw["elements"]
+    z = els.index(raw["zero"])
+    assert z == 0
+    rng = random.Random(len(els))
+    index = {e: i for i, e in enumerate(els)}
+    for j in rng.sample(range(1, len(els)), 6):
+        rows = [list(r) for r in raw["circ"]]
+        rows[z][j] = rng.choice([e for e in els if e != rows[z][j]])
+        mutant = {**raw, "circ": rows}
+        assert assert_same_outcome(mutant)[0] != "ok"
+        # the failure is in the first row, so the reference stops there too
+        table = [[index[v] for v in row] for row in rows]
+        witness = band_witness(skew._band_check, els, table)
+        assert witness[1][0] == els[0]
+        assert witness == band_witness(_reference_band_check, els, table)
+
+
+# ---------------------------------------------------- class restrictions
+
+def test_ill_defined_class_restriction_is_returned_not_raised():
+    base = make_b2()
+    elements = ("z1", "z2", "x")
+    table = [[0, 1, 0], [0, 1, 1], [0, 1, 2]]  # z1∘x = z1, z2∘x = z2
+    stalks, restrictions, bad = bset._class_data(base, elements, table, [0, 0, 1])
+    assert bad == ("x", "0")
+    assert stalks == {"0": ("z1", "z2"), "1": ("x",)}
+    with pytest.raises(AssertionError) as e:
+        bset._class_presheaf(base, elements, table, [0, 0, 1])
+    assert e.value.args == (("restriction not well-defined", "x", "0"),)
+
+
+# ------------------------------------------------ tables, stanzas, equality
+
+def test_to_skew_and_skew_stanza_match_reference():
+    sets = [bset.generate_boolean_set(s, seed=1) for s in [(1,), (2, 1), (1, 1, 3), (2, 2, 2)]]
+    sets += [etale.dual_bset(seeded_space(random.Random(s))) for s in range(10)]
+    for X in sets:
+        S = bset.to_skew(X)
+        circ, bullet = old_to_skew_tables(X)
+        assert [[S.circ(x, y) for y in S.elements] for x in S.elements] == circ
+        assert [[S.bullet(x, y) for y in S.elements] for x in S.elements] == bullet
+        stanza = textio.skew_stanza(S, "G")
+        assert stanza.data == old_skew_stanza_data(S)
+        old = textio.Stanza("skew", "G", None, old_skew_stanza_data(S), 0)
+        assert textio.print_stanza(stanza) == textio.print_stanza(old)
+
+
+def test_table_rows_parse_the_same_in_and_out_of_element_order():
+    S = bset.to_skew(bset.generate_boolean_set((2, 2), seed=3))
+    text = textio.print_stanza(textio.skew_stanza(S, "G"))
+    in_order = textio.parse(text).stanzas[0].data
+    lines = text.splitlines()
+    # reverse the header and the rows of both tables, entries included
+    for key in ("  circ:", "  bullet:"):
+        at = lines.index(key) + 1
+        n = len(S.elements)
+        block = [line.split() for line in lines[at:at + n + 1]]
+        header = block[0][::-1]
+        rows = [row[::-1] for row in block[1:]][::-1]
+        lines[at:at + n + 1] = ["    " + " ".join(r) for r in [header] + rows]
+    shuffled = textio.parse("\n".join(lines)).stanzas[0].data
+    assert shuffled == in_order
+    assert in_order["circ"] == old_skew_stanza_data(S)["circ"]
+    # a repeated id takes the reorder path, whose rows follow the last copy
+    dup = textio.parse(
+        "skew D {\n  elements: a, a\n  zero: a\n  circ:\n    a a\n    a b\n    c d\n}\n"
+    ).stanzas[0].data
+    assert dup["circ"] == [["d", "d"], ["d", "d"]]
+
+
+def test_skew_struct_eq_matches_reference():
+    algebras = [bset.to_skew(bset.generate_boolean_set(s, seed=seed))
+                for s in [(1, 1), (2, 1), (2, 2)] for seed in (None, 4)]
+    X = etale.dual_bset(seeded_space(random.Random(2)))
+    algebras += [bset.to_skew(X), bset.to_skew(bset.from_skew(bset.to_skew(X)))]
+    rng = random.Random(9)
+    for S in list(algebras):
+        raw = raw_skew(S)
+        algebras.append(unvalidated_skew(me.mutate_skew(raw, rng)))
+        perm = list(raw["elements"])
+        rng.shuffle(perm)
+        pos = {x: raw["elements"].index(x) for x in perm}
+        algebras.append(unvalidated_skew({
+            **raw, "elements": perm,
+            "circ": [[raw["circ"][pos[x]][pos[y]] for y in perm] for x in perm],
+            "bullet": [[raw["bullet"][pos[x]][pos[y]] for y in perm] for x in perm],
+        }))
+    hits = 0
+    for S in algebras:
+        for T in algebras:
+            hits += old_skew_struct_eq(S, T)
+            assert skew.skew_struct_eq(S, T) == old_skew_struct_eq(S, T)
+    assert hits > len(algebras)
