@@ -16,9 +16,12 @@ scan over every pair runs only when they fail, to name the first compatible
 pair without a join; meets are found by bound scans.
 
 Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
-``band_to_bset``) become presheaves the same way: stalks are the R classes
-from :mod:`skewstone.skew`, over their quotient, and restriction is left
-multiplication by a member of the lower class (``_class_presheaf``).
+``band_to_bset``) become presheaves the same way: stalks are the R classes,
+which for a right normal ∘ are the classes of equal ∘ rows
+(``skew._row_classes``), over their quotient, and restriction is left
+multiplication by the first member of the lower class
+(``_class_presheaf``).  A skew algebra's Boolean set is built once, by
+``validate_skew``'s reconstruction, and ``from_skew`` returns it.
 """
 
 import random
@@ -406,57 +409,54 @@ def bs_bullet(X, x, y):
 
 # ------------------------------------------------------- skew correspondence
 
-def _stalk_rows(P, order):
+def _stalk_rows(P, order, index):
     """Per base element c, two rows over the ids ``order``: y|(c ∧ p(y)) and
-    y|(p(y) \\ c).  Every x over c has x∘y and y\\x from these rows, so a
-    skew table is built from one pair of rows per stalk."""
+    y|(p(y) \\ c), as positions in ``index``.  Every x over c has x∘y and
+    y\\x from these rows, so a skew table is built from one pair of rows
+    per stalk."""
     B, rest, p = P.base, P._rest, P.stalk_of
     rows = {}
     for c in B.elements:
         meet = {f: B.meet(c, f) for f in B.elements}
         minus = {f: B.rel_complement(f, c) for f in B.elements}
-        rows[c] = ([rest[y][meet[p[y]]] for y in order],
-                   [rest[y][minus[p[y]]] for y in order])
+        rows[c] = ([index[rest[y][meet[p[y]]]] for y in order],
+                   [index[rest[y][minus[p[y]]]] for y in order])
     return rows
 
 
 @memo("_skew")
 def to_skew(X):
     """Cayley tables of x∘y = y|(p(x) ∧ p(y)) and x•y = x ∨ (y\\x), from one
-    pair of rows per stalk (_stalk_rows) and the join table; the output
-    passes full axiom checking."""
+    pair of rows per stalk (_stalk_rows) and the join table, as index
+    tables (the elements of one stalk share their ∘ row); the output passes
+    validate_skew's index-level check."""
     els, index, join = X.elements, X.index, X._join
-    rows = {c: (circ_row, [index[y] for y in minus_row])
-            for c, (circ_row, minus_row) in _stalk_rows(X, els).items()}
+    rows = _stalk_rows(X, els, index)
     circ, bullet = [], []
     for x, jrow in zip(els, join):
         circ_row, minus_row = rows[X.stalk_of[x]]
         circ.append(circ_row)
-        bullet.append([els[jrow[k]] for k in minus_row])
-    return skew.validate_skew(els, circ, bullet, X.zero)
+        bullet.append([jrow[k] for k in minus_row])
+    return skew._validate_index(els, index, circ, bullet, index[X.zero])
 
 
-@memo("_bset")
 def from_skew(S):
     """Boolean set on the gamma quotient (skew.gamma_classes): stalks are
     R classes, restriction is left multiplication by any member of the
-    target class (see _class_presheaf).  An algebra that validate_skew
-    accepted by reconstruction already holds this set."""
-    gq = skew.gamma_classes(S)
-    base = gq.algebra
-    cls_idx = [base.index[gq.class_of[x]] for x in S.elements]
-    return validate_boolean_set(_class_presheaf(base, S.elements, S.circ_t, cls_idx))
+    target class (see _class_presheaf).  It is the set that validate_skew
+    rebuilt S from, kept on S."""
+    return S._bset
 
 
-def _class_data(base, elements, table, cls_idx):
-    """Stalks and cover restrictions of the presheaf of R classes over their
-    quotient ``base``, and the first ill-defined restriction or None.
+def _class_presheaf(base, elements, table, cls_idx):
+    """The validated presheaf of the classes of equal rows of the ∘ index
+    ``table`` over their quotient ``base``.
 
     ``cls_idx[i]`` is the index in ``base.elements`` of element i's class.
     The stalk over a class is its members in element order; an x over the
-    upper end of a cover restricts to y∘x for any y in the lower class (∘
-    the index ``table``).  When the y disagree, (x, lower) is returned as
-    the third value and the restrictions are incomplete.
+    upper end of a cover restricts to y∘x for y the first member of the
+    lower class.  The members of a class share one row, so every y gives
+    the same restriction.
     """
     members = [[] for _ in base.elements]
     for i, c in enumerate(cls_idx):
@@ -464,23 +464,9 @@ def _class_data(base, elements, table, cls_idx):
     stalks = {e: tuple(elements[i] for i in ms) for e, ms in zip(base.elements, members)}
     restrictions = {}
     for upper, lower in base.cover_pairs:
-        ys = members[base.index[lower]]
-        m = {}
-        for x in members[base.index[upper]]:
-            values = {table[y][x] for y in ys}
-            if len(values) != 1:
-                return stalks, restrictions, (elements[x], lower)
-            m[elements[x]] = elements[values.pop()]
-        restrictions[(upper, lower)] = m
-    return stalks, restrictions, None
-
-
-def _class_presheaf(base, elements, table, cls_idx):
-    """The validated presheaf of R classes (see _class_data).  That every
-    restriction is well defined is checked, also under ``python -O``."""
-    stalks, restrictions, bad = _class_data(base, elements, table, cls_idx)
-    if bad is not None:
-        raise AssertionError(("restriction not well-defined",) + bad)
+        row = table[members[base.index[lower]][0]]
+        restrictions[(upper, lower)] = {
+            elements[x]: elements[row[x]] for x in members[base.index[upper]]}
     return validate_presheaf(base, stalks, restrictions)
 
 
@@ -703,7 +689,7 @@ def validate_band(elements, table):
 def _band_quotient(S):
     """R classes of a band and their quotient, ordered by c <= d iff c∘d = c:
     (cls_idx, names, order pairs, the classes below every class)."""
-    cls_idx, reps, names = skew._r_partition(S.elements, S.table)
+    cls_idx, reps, names = skew._row_classes(S.elements, S.table)
     qmeet = skew._class_table(S.table, cls_idx, reps)
     bottoms = [c for c, row in enumerate(qmeet) if all(m == c for m in row)]
     return cls_idx, names, skew._order_pairs(qmeet, names), bottoms

@@ -208,6 +208,12 @@ def band_right_normal(raw, witness):
 
 
 def scan_skew(raw):
+    """The first violation of a band (no bullet) or skew algebra, in the
+    validators' order: each law runs over all its witnesses before the next
+    one.  The band laws come first, for circ and then bullet; a band ends
+    with right normality over pairs, then triples; a skew algebra with
+    SB1, SB2 and SB3 over pairs, SB4 and SB5 over elements, and right
+    normality of circ over triples."""
     els = raw["elements"]
     ops = ["circ"] + (["bullet"] if raw.get("bullet") is not None else [])
     for op in ops:
@@ -231,20 +237,24 @@ def scan_skew(raw):
                     if not band_right_normal(raw, (x, y, z)):
                         return "band.right_normal", (x, y, z)
         return None
-    for x in els:
-        for y in els:
-            if not skew_sb1(raw, (x, y)):
-                return "skew.SB1", (x, y)
-            if not skew_sb2(raw, (x, y)):
-                return "skew.SB2", (x, y)
-            if not skew_sb3(raw, (x, y)):
-                return "skew.SB3", (x, y)
+    for law, holds_at in (("skew.SB1", skew_sb1), ("skew.SB2", skew_sb2),
+                          ("skew.SB3", skew_sb3)):
+        for x in els:
+            for y in els:
+                if not holds_at(raw, (x, y)):
+                    return law, (x, y)
     for x in els:
         if not skew_sb4(raw, (x,)):
             return "skew.SB4", (x,)
     for x in els:
         if not skew_sb5(raw, (x,)):
             return "skew.SB5", (x,)
+    c = _table(raw, "circ")
+    for x in els:
+        for y in els:
+            for z in els:
+                if c[c[x, y], z] != c[c[y, x], z]:
+                    return "band.right_normal", (x, y, z)
     return None
 
 

@@ -3,26 +3,27 @@
 A carrier with two band operations (circ, bullet) and a zero: both
 operations are bands, the absorption identities tie them together,
 commutation in one operation is equivalent to commutation in the other, zero
-annihilates circ, and every principal down-set ``x↓ = {x∘s∘x : s}`` is a
-unital Boolean algebra under the natural order.
+annihilates circ, every principal down-set ``x↓ = {x∘s∘x : s}`` is a
+unital Boolean algebra under the natural order, and circ is right normal
+(x∘y∘z = y∘x∘z).
 
 By the paper's theorem these algebras are exactly the skew algebras of
-Boolean sets, so ``validate_skew`` accepts by reconstruction: the classes
-of equal ∘ rows (the R classes of a right normal band) must form a Boolean
-set whose skew tables, rebuilt from its atom coordinates, equal the input.
-That costs O(n^2) plus one ``validate_balg`` of the class quotient, and it
-keeps the Boolean set and the quotient for ``from_skew`` and
-``gamma_classes``.  On any mismatch the axioms are checked exhaustively, to
-name the first failed one: associativity by Light's test over a generating
-set, O(g·n^2) for g generators, after the triples of the first row, with
-the O(n^3) triple scan only to name its witness; SB1-SB4 by O(n^2) scans
-over pairs; SB5 by one ``validate_balg`` per element.  Intended feasible
+Boolean sets, so ``validate_skew`` accepts by reconstruction and by nothing
+else: the classes of equal ∘ rows (the R classes of a right normal band)
+must form a Boolean set whose skew tables, rebuilt from its atom
+coordinates, equal the input.  That costs O(n^2) plus one ``validate_balg``
+of the class quotient, and it keeps the Boolean set and the quotient, which
+``from_skew`` and ``gamma_classes`` return.  When the tables are refused the
+axioms are checked exhaustively, only to name the first failed one:
+associativity by Light's test over a generating set, O(g·n^2) for g
+generators, after the triples of the first row, with the O(n^3) triple scan
+only to name its witness; SB1-SB4 by O(n^2) scans over pairs; SB5 by one
+``validate_balg`` per element; right normality of ∘ last.  Intended feasible
 bound about 512 elements.
 
-The classes of Green's R-relation of ∘ and their quotient order are built
-here (``_r_partition``, ``_class_table``, ``_order_pairs``) for skew
-algebras (``gamma_classes``) and for the right normal bands of
-:mod:`skewstone.bset` alike.
+The R classes and their quotient order are built here (``_row_classes``,
+``_class_table``, ``_order_pairs``) for skew algebras and for the right
+normal bands of :mod:`skewstone.bset` alike.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .errors import (
     NoBinaryMeets,
     NotABand,
     NotAMorphism,
-    QuotientNotBoolean,
+    NotRightNormal,
     SkewAxiomViolation,
     StructureError,
 )
@@ -44,9 +45,11 @@ from .report import Report, _first_witness
 class SkewAlgebra:
     """Validated right-hand skew Boolean algebra.
 
-    ``circ`` and ``bullet`` are index matrices in element order.  Immutable
-    after validation; all derived structure (natural order, principal
-    down-set algebras, the gamma quotient) is cached.
+    ``circ`` and ``bullet`` are index matrices in element order.  Built
+    only by ``validate_skew``, which keeps the Boolean set and the gamma
+    quotient it rebuilt the tables from (``_bset``, ``_gamma``).  Immutable
+    after validation; the natural order and principal down-set algebras are
+    cached on first use.
     """
 
     def __init__(self, elements, index, circ, bullet, zero_i):
@@ -190,32 +193,41 @@ def _as_index_table(elements, index, rows, what):
 
 
 def validate_skew(elements, circ_table, bullet_table, zero):
-    """Check SB1 through SB5 and return the validated algebra.
+    """Check SB1 through SB5 and right normality, and return the validated
+    algebra.
 
-    Tables are row-major in element order.  Acceptance is decided by the
-    paper's theorem read backwards (_reconstruct): the tables are accepted
-    when they equal the skew tables of the Boolean set that their own R
-    classes form, at O(n^2) plus one validate_balg of the 2^m classes of
-    the quotient; no band, SB1-SB4 or x↓ check runs then.  That Boolean
-    set and its quotient are kept, so from_skew and gamma_classes return
-    them.  Otherwise the exhaustive checks run from the start, and a
-    failure names the violated axiom with a witness tuple, the first in
-    scan order: the band checks (Light's test, with the triple scan only to
-    find the witness; the ∘ check is left out when ∘ alone was rebuilt
-    exactly), SB1-SB4 over pairs, and SB5, which materializes each x↓ and
-    validates it as a unital Boolean algebra under the natural order.
+    Tables are row-major in element order.  Acceptance is decided only by
+    the paper's theorem read backwards (_reconstruct): the tables are
+    accepted when they equal the skew tables of the Boolean set that their
+    own R classes form, at O(n^2) plus one validate_balg of the 2^m classes
+    of the quotient.  That Boolean set and its quotient are kept, so
+    from_skew and gamma_classes return them.  Refused tables are scanned
+    from the start to name the violated axiom with a witness tuple, the
+    first in scan order: the band checks (Light's test, with the triple
+    scan only to find the witness; the ∘ check is left out when ∘ alone was
+    rebuilt exactly), SB1-SB4 over pairs, SB5, which materializes each x↓
+    and validates it as a unital Boolean algebra under the natural order,
+    and last right normality of ∘.
     """
     elements, index = balg._index_elements(elements)
     if zero not in index:
         raise ValueError(f"zero {zero!r} is not an element")
     circ = _as_index_table(elements, index, circ_table, "circ")
     bullet = _as_index_table(elements, index, bullet_table, "bullet")
-    S = SkewAlgebra(elements, index, circ, bullet, index[zero])
-    X, gq, circ_ok = _reconstruct(elements, index, circ, bullet, S._zero_i)
+    return _validate_index(elements, index, circ, bullet, index[zero])
+
+
+def _validate_index(elements, index, circ, bullet, z):
+    """validate_skew on index tables, the zero at index ``z``.  The one
+    place a SkewAlgebra is built, so every algebra holds its Boolean set and
+    gamma quotient.  A refusal that no axiom explains raises AssertionError,
+    also under ``python -O``."""
+    S = SkewAlgebra(elements, index, circ, bullet, z)
+    X, gq, circ_ok = _reconstruct(elements, index, circ, bullet, z)
     if X is None:
         _axiom_scan(S, circ_ok)
-    else:
-        S._bset, S._gamma = X, gq
+        raise AssertionError("reconstruction failed, yet every axiom holds")
+    S._bset, S._gamma = X, gq
     return S
 
 
@@ -224,24 +236,17 @@ def _reconstruct(elements, index, circ, bullet, z):
     quotient, True) if so, else (None, None, whether ∘ was rebuilt exactly).
 
     By the paper's theorem the right-hand skew Boolean algebras are exactly
-    these, and X is then the set of R classes of ∘, which in a right normal
-    band are the classes of equal ∘ rows.  So the rows are grouped into
-    classes, in order of first element and named "[rep]" as _r_partition
-    does; the class order (c <= d iff c∘d = c) must be a Boolean algebra
-    with the zero's class as bottom, and the class presheaf
-    (bset._class_data) a Boolean set by its atom codes.  Its one-element
+    these, and X is then the set of R classes of ∘, the classes of equal ∘
+    rows (_row_classes).  The class order (c <= d iff c∘d = c) must be a
+    Boolean algebra with the zero's class as bottom, and the class presheaf
+    (bset._class_presheaf) a Boolean set by its atom codes.  Its one-element
     zero stalk is then the declared zero.  Last, x∘y = y|(p(x) ∧ p(y)) is
     compared row by row, one row per stalk, and x•y = x ∨ (y\\x) by
     code(x•y) = code(x) + code(y|(p(y) \\ p(x))).  No step raises on a
     failure, so the caller's scans report it.
     """
     n = len(elements)
-    class_of_row, cls_idx, reps = {}, [], []
-    for i, row in enumerate(map(tuple, circ)):
-        c = class_of_row.setdefault(row, len(reps))
-        if c == len(reps):
-            reps.append(i)
-        cls_idx.append(c)
+    cls_idx, reps, names = _row_classes(elements, circ)
     k = len(reps)
     qmeet = _class_table(circ, cls_idx, reps)
     # a Boolean quotient has 2^m classes for its m atoms (the classes with
@@ -250,30 +255,22 @@ def _reconstruct(elements, index, circ, bullet, z):
     atoms = sum(sum(row[c] == d for d, row in enumerate(qmeet)) == 2 for c in range(k))
     if k != 1 << atoms:
         return None, None, False
-    names = [f"[{elements[r]}]" for r in reps]
     try:
         base = balg.validate_balg(names, _order_pairs(qmeet, names), names[cls_idx[z]])
-    except StructureError:
-        return None, None, False
-    stalks, restrictions, bad = bset._class_data(base, elements, circ, cls_idx)
-    if bad is not None:
-        return None, None, False
-    try:
-        P = bset.validate_presheaf(base, stalks, restrictions)
+        P = bset._class_presheaf(base, elements, circ, cls_idx)
     except StructureError:
         return None, None, False
     codes = bset._atom_codes(P)
     if codes is None:
         return None, None, False
-    rows = bset._stalk_rows(P, elements)
-    meet_rows = [[index[y] for y in rows[name][0]] for name in names]
-    if any(row != meet_rows[c] for row, c in zip(circ, cls_idx)):
+    rows = bset._stalk_rows(P, elements, index)
+    if any(row != rows[names[c]][0] for row, c in zip(circ, cls_idx)):
         return None, None, False
     code, elem_of = [0] * n, [0] * n
     for x, cx in zip(P.elements, codes):
         code[index[x]] = cx
         elem_of[cx] = index[x]
-    minus_rows = [[code[index[y]] for y in rows[name][1]] for name in names]
+    minus_rows = [[code[y] for y in rows[name][1]] for name in names]
     for i, row in enumerate(bullet):
         cx = code[i]
         if row != [elem_of[cx + d] for d in minus_rows[cls_idx[i]]]:
@@ -282,8 +279,10 @@ def _reconstruct(elements, index, circ, bullet, z):
 
 
 def _axiom_scan(S, circ_is_band):
-    """The exhaustive SB1-SB5 checks in scan order, raising the first
-    failure; the ∘ band check is left out when ``circ_is_band``."""
+    """The exhaustive SB1-SB5 and right normality checks in scan order,
+    raising the first failure; the ∘ band check is left out when
+    ``circ_is_band``.  Right normality runs last, so every input that
+    breaks SB1-SB5 keeps its (law, witness)."""
     elements, circ, bullet, z = S.elements, S.circ_t, S.bullet_t, S._zero_i
     n = len(elements)
     if not circ_is_band:
@@ -320,6 +319,9 @@ def _axiom_scan(S, circ_is_band):
             raise SkewAxiomViolation(
                 "SB5", (x,), detail=f"x↓ fails {inner.law} witness=({','.join(inner.witness)})"
             ) from inner
+
+    for witness in _right_normal_witnesses(elements, circ):
+        raise NotRightNormal(witness)
 
 
 # ------------------------------------------------------------- derived order
@@ -375,41 +377,21 @@ class GammaQuotient:
         return self.classes[class_id]
 
 
-def _r_partition(elements, circ):
-    """Classes of Green's R-relation of ∘: x R y iff x∘y = y and y∘x = x.
+def _row_classes(elements, table):
+    """Classes of equal rows of the ∘ index ``table``, which for a right
+    normal ∘ are the classes of Green's R-relation (x R y iff x∘y = y and
+    y∘x = x).
 
     Returns (cls_idx, reps, names): the class index of each element, the
     first element of each class, and the class names "[rep]", classes in
-    order of their first element.  Symmetry and transitivity are checked
-    pair by pair in scan order; an associative ∘ satisfies both (so a
-    validated band or skew algebra never fails them).
+    order of their first element.
     """
-    n = len(elements)
-    # rows[i]: bitmask of the j with i R j
-    rows = [
-        sum(1 << j for j in range(n) if circ[i][j] == j and circ[j][i] == i)
-        for i in range(n)
-    ]
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            rij = ri >> j & 1
-            if rij != rows[j] >> i & 1:
-                raise QuotientNotBoolean((elements[i], elements[j]), "not symmetric")
-            missing = rows[j] & ~ri if rij else 0
-            if missing:
-                k = (missing & -missing).bit_length() - 1
-                raise QuotientNotBoolean(
-                    (elements[i], elements[j], elements[k]), "not transitive"
-                )
-    cls_idx = [-1] * n
-    reps = []
-    for i in range(n):
-        if cls_idx[i] < 0:
+    class_of_row, cls_idx, reps = {}, [], []
+    for i, row in enumerate(map(tuple, table)):
+        c = class_of_row.setdefault(row, len(reps))
+        if c == len(reps):
             reps.append(i)
-            for j in range(i, n):
-                if rows[i] >> j & 1:
-                    cls_idx[j] = len(reps) - 1
+        cls_idx.append(c)
     return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
 
 
@@ -425,42 +407,11 @@ def _order_pairs(qmeet, names):
     ]
 
 
-@memo("_gamma")
 def gamma_classes(S):
-    """Partition x R y iff x∘y = y and y∘x = x; quotient validated as Boolean.
-
-    The relation is computed from the right-normal-band characterization and
-    cross-checked to be a congruence for both operations, and the quotient
-    meet/join tables induced by circ and bullet are checked to agree with the
-    validated lattice structure.
-    """
-    n = len(S.elements)
-    circ, bullet = S.circ_t, S.bullet_t
-    cls_idx, reps, names = _r_partition(S.elements, circ)
-
-    for i in range(n):
-        for j in range(n):
-            if cls_idx[circ[i][j]] != cls_idx[circ[reps[cls_idx[i]]][reps[cls_idx[j]]]]:
-                raise QuotientNotBoolean((S.elements[i], S.elements[j]), "circ not a congruence")
-            if cls_idx[bullet[i][j]] != cls_idx[bullet[reps[cls_idx[i]]][reps[cls_idx[j]]]]:
-                raise QuotientNotBoolean((S.elements[i], S.elements[j]), "bullet not a congruence")
-
-    k = len(reps)
-    qmeet = _class_table(circ, cls_idx, reps)
-    qjoin = _class_table(bullet, cls_idx, reps)
-    try:
-        alg = balg.validate_balg(
-            names, _order_pairs(qmeet, names), names[cls_idx[S.index[S.zero]]])
-    except StructureError as inner:
-        raise QuotientNotBoolean((), f"quotient fails {inner.law}") from inner
-    for i in range(k):
-        for j in range(k):
-            if alg.meet(names[i], names[j]) != names[qmeet[i][j]]:
-                raise QuotientNotBoolean((names[i], names[j]), "circ does not induce meet")
-            if alg.join(names[i], names[j]) != names[qjoin[i][j]]:
-                raise QuotientNotBoolean((names[i], names[j]), "bullet does not induce join")
-
-    return _quotient(alg, S.elements, cls_idx, names)
+    """The partition x R y iff x∘y = y and y∘x = x with its Boolean
+    quotient: the classes of equal ∘ rows that validate_skew rebuilt S
+    from, kept on S."""
+    return S._gamma
 
 
 def _quotient(alg, elements, cls_idx, names):
@@ -490,17 +441,16 @@ def _right_normal_witnesses(elements, t):
 
 def check_consequences(S):
     """Exhaustively verify the derived identities of a validated algebra:
-    circ distributes over bullet on both sides, gamma classes are flat
-    (right zero for circ, left zero for bullet), (S,∘) is right normal
-    (x∘y∘z = y∘x∘z, by comparing the rows of x∘y and y∘x), and zero is the
-    bullet identity.  A failed identity names its first witness, scanning
+    circ distributes over bullet on both sides, gamma classes (the classes
+    of equal ∘ rows) are flat (right zero for circ, left zero for bullet),
+    (S,∘) is right normal (x∘y∘z = y∘x∘z, by comparing the rows of x∘y and
+    y∘x), and zero is the bullet identity.  A failed identity names its first witness, scanning
     elements in S.elements order.
     """
     circ, bullet = S.circ_t, S.bullet_t
     els = S.elements
     r = range(len(els))
-    class_of = gamma_classes(S).class_of
-    cls = [class_of[x] for x in els]
+    cls, _, _ = _row_classes(els, circ)
     z = S.index[S.zero]
     return Report([
         _first_witness("circ_over_bullet_left", (

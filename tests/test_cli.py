@@ -410,6 +410,43 @@ def test_band_that_is_not_right_normal(capsys, tmp_path):
     assert (code, out) == (1, "FAIL band.right_normal witness=(p,r,q)\n")
 
 
+NOT_RIGHT_NORMAL_SKEW = (
+    "skew N {\n"
+    "  elements: 0, a, b, c\n"
+    "  zero: 0\n"
+    "  circ:\n"
+    "    0 a b c\n"
+    "    0 0 0 0\n"
+    "    0 a a c\n"
+    "    0 a b c\n"
+    "    0 a c c\n"
+    "  bullet:\n"
+    "    0 a b c\n"
+    "    0 a b c\n"
+    "    a a b a\n"
+    "    b b b b\n"
+    "    c c b c\n"
+    "}\n"
+)
+
+
+def test_skew_algebra_whose_circ_is_not_right_normal(capsys, tmp_path):
+    # SB1-SB5 hold, but a∘c∘b = c and c∘a∘b = a: rejected at load, so the
+    # commands that use the algebra name the same law
+    f = tmp_path / "skew.txt"
+    f.write_text(NOT_RIGHT_NORMAL_SKEW)
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out) == (1, "skew N: FAIL band.right_normal witness=(a,c,b)\n")
+    for command in ("to-bset", "props", "roundtrip"):
+        code, out = run(capsys, command, str(f), "N")
+        assert (code, out) == (1, "FAIL band.right_normal witness=(a,c,b)\n"), command
+    raw = skewstone.parse(NOT_RIGHT_NORMAL_SKEW).law_raw("N")
+    assert skewstone.laws.scan(raw) == ("band.right_normal", ("a", "c", "b"))
+    code, out = run(capsys, "replay", str(f), "N",
+                    "--law", "band.right_normal", "--witness", "a,c,b")
+    assert (code, out) == (0, "confirmed: band.right_normal violated at (a,c,b)\n")
+
+
 def test_band_with_a_two_element_least_class_is_not_boolean(capsys, tmp_path):
     # p and q form one R class, the least one: a Boolean set's zero stalk
     # has one member, so the band is not Boolean

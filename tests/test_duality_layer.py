@@ -221,12 +221,13 @@ def old_check_consequences(S):
     scan3("circ_over_bullet_right",
           lambda i, j, k: circ[bullet[j][k]][i] == bullet[circ[j][i]][circ[k][i]])
 
-    gq = skew.gamma_classes(S)
+    # the gamma classes, read as the classes of equal ∘ rows, which hand-built
+    # tables without a kept quotient have too
     flat_c = flat_b = True
     wit_c = wit_b = ()
     for i in range(n):
         for j in range(n):
-            if gq.class_of[els[i]] == gq.class_of[els[j]]:
+            if circ[i] == circ[j]:
                 if flat_c and circ[i][j] != j:
                     flat_c, wit_c = False, (els[i], els[j])
                 if flat_b and bullet[i][j] != i:

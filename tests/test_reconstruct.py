@@ -10,8 +10,13 @@ one ``validate_balg`` per element.  Results must be equal: the same tables,
 or the same error type, law, witness and detail.  The earlier builders of
 skew tables and stanzas (``to_skew``, ``textio.skew_stanza``, the row
 reorder of ``textio``) and ``skew_struct_eq`` are compared the same way.
+Every pair of band tables on at most four elements is compared with the
+oracle ``laws.scan``, and an AST scan checks that ``SkewAlgebra`` is built
+only where the certificate decides, as ``from_skew`` and ``gamma_classes``
+return what it kept.
 """
 
+import ast
 import itertools
 import random
 from operator import itemgetter
@@ -19,16 +24,21 @@ from pathlib import Path
 
 import pytest
 
-from skewstone import balg, bset, etale, skew, textio
+import skewstone
+from skewstone import balg, bset, etale, laws, skew, textio
 from skewstone.errors import NotABand, SkewAxiomViolation, StructureError
 
 import mutation_engine as me
-from conftest import X3_BULLET, X3_CIRC, make_b2
+from conftest import X3_BULLET, X3_CIRC
 from test_duality_layer import seeded_space
-from test_quotients import gamma_view, outcome, presheaf_view, raw_skew, unvalidated_skew
+from test_quotients import (
+    gamma_view, old_from_skew, old_gamma_classes, outcome, presheaf_view, raw_skew,
+    unvalidated_skew,
+)
 from test_skew import _reference_band_check
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+SRC = Path(skewstone.__file__).resolve().parent
 
 
 # ------------------------------------------------------------- references
@@ -283,11 +293,111 @@ def test_accepting_256_validates_only_the_quotient(monkeypatch):
 
     X, gq = bset.from_skew(S), skew.gamma_classes(S)
     assert X is S._bset and gq is S._gamma
-    fresh = unvalidated_skew(raw)  # no cached quotient: built the earlier way
-    Y = bset.from_skew(fresh)
+    Y = old_from_skew(S)  # built the earlier way, from the tables
     assert presheaf_view(X) == presheaf_view(Y)
     assert (X.zero, X._join) == (Y.zero, Y._join)
-    assert gamma_view(gq) == gamma_view(skew.gamma_classes(fresh))
+    assert gamma_view(gq) == gamma_view(old_gamma_classes(S))
+
+
+def test_a_refusal_that_no_axiom_explains_is_an_internal_error(monkeypatch):
+    # the axiom scan runs only to name a failure; if it finds none, the
+    # certificate and the axioms disagree, which is raised, also under -O
+    raw = generated_raw((2, 1))
+    monkeypatch.setattr(skew, "_reconstruct", lambda *args: (None, None, False))
+    with pytest.raises(AssertionError):
+        skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
+
+
+def calls_by_function(tree, name):
+    """The enclosing function of every call of ``name`` (a bare name or an
+    attribute) in ``tree``; None at module level."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                out.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_skew_algebras_are_built_only_by_validate_skew():
+    # gamma_classes and from_skew return what validate_skew kept, so no
+    # other code may build a SkewAlgebra; _validate_index is validate_skew's
+    # core on index tables, which to_skew calls directly
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+
+    def callers(name):
+        return {f: fns for f, tree in trees.items() if (fns := calls_by_function(tree, name))}
+
+    assert callers("SkewAlgebra") == {"skew.py": ["_validate_index"]}
+    assert callers("_validate_index") == {"bset.py": ["to_skew"], "skew.py": ["validate_skew"]}
+
+
+def test_the_call_scan_sees_names_attributes_and_module_level():
+    tree = ast.parse(
+        "A()\n"
+        "def f():\n"
+        "    m.A(1)\n"
+        "    def g():\n"
+        "        return [A() for _ in x]\n"
+        "    B()\n"
+    )
+    assert calls_by_function(tree, "A") == [None, "f", "g"]
+
+
+# ------------------------------------------------------ every small table
+
+def zero_fixed_bands(n, z, op):
+    """Every band index table on range(n) in which z absorbs (``op``
+    "circ", as SB4 asks) or is the identity ("bullet", as SB1 and SB4 make
+    it), by every choice of the other off-diagonal entries."""
+    r = range(n)
+    cells = [(i, j) for i in r for j in r if i != j and z not in (i, j)]
+    out = []
+    for values in itertools.product(r, repeat=len(cells)):
+        t = [[i if i == j else None for j in r] for i in r]
+        for k in r:
+            t[z][k], t[k][z] = (z, z) if op == "circ" else (k, k)
+        for (i, j), v in zip(cells, values):
+            t[i][j] = v
+        if all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r):
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("n, bands, accepted", [
+    (1, (1, 1), 1), (2, (1, 1), 1), (3, (5, 4), 1), (4, (51, 35), 4)])
+def test_every_small_band_pair_matches_the_oracle(n, bands, accepted):
+    # with the zero first and with it last: the validator's (law, witness),
+    # or its acceptance, is the oracle's first finding, and every refusal is
+    # explained by an axiom (no AssertionError); at four elements the three
+    # pairs whose ∘ is not right normal are refused too
+    for z in sorted({0, n - 1}):
+        els = list("abc"[:n - 1])
+        els.insert(z, "0")
+        circs, bullets = zero_fixed_bands(n, z, "circ"), zero_fixed_bands(n, z, "bullet")
+        assert (len(circs), len(bullets)) == bands
+        ok = 0
+        for circ, bullet in itertools.product(circs, bullets):
+            raw = {"kind": "skew", "elements": els, "zero": "0",
+                   "circ": [[els[v] for v in row] for row in circ],
+                   "bullet": [[els[v] for v in row] for row in bullet]}
+            try:
+                skew.validate_skew(els, raw["circ"], raw["bullet"], "0")
+                found = None
+            except StructureError as e:
+                found = e.law, e.witness
+            assert found == laws.scan(raw), raw
+            ok += found is None
+        assert ok == accepted, z
 
 
 # ------------------------------------------------------------- rejection
@@ -352,20 +462,6 @@ def test_zero_row_circ_edits_match_reference(sizes):
         witness = band_witness(skew._band_check, els, table)
         assert witness[1][0] == els[0]
         assert witness == band_witness(_reference_band_check, els, table)
-
-
-# ---------------------------------------------------- class restrictions
-
-def test_ill_defined_class_restriction_is_returned_not_raised():
-    base = make_b2()
-    elements = ("z1", "z2", "x")
-    table = [[0, 1, 0], [0, 1, 1], [0, 1, 2]]  # z1∘x = z1, z2∘x = z2
-    stalks, restrictions, bad = bset._class_data(base, elements, table, [0, 0, 1])
-    assert bad == ("x", "0")
-    assert stalks == {"0": ("z1", "z2"), "1": ("x",)}
-    with pytest.raises(AssertionError) as e:
-        bset._class_presheaf(base, elements, table, [0, 0, 1])
-    assert e.value.args == (("restriction not well-defined", "x", "0"),)
 
 
 # ------------------------------------------------ tables, stanzas, equality
