@@ -10,10 +10,12 @@ induction along chains; the enumeration of every Hasse chain runs only on a
 failure, to name the two chains that disagree.
 
 A Boolean set is decided by atom coordinates (``_atom_codes``): each stalk
-must map one to one onto the product of the atom stalks below it, and the
-join table is read off the coordinates.  The exhaustive least-upper-bound
-scan over every pair runs only when they fail, to name the first compatible
-pair without a join; meets are found by bound scans.
+must map one to one onto the product of the atom stalks below it.  The
+Boolean set keeps the coordinates; its join table is read off them on first
+use (``_join_table``), and ``to_skew`` builds • from them directly.  The
+exhaustive least-upper-bound scan over every pair runs only when they fail,
+to name the first compatible pair without a join; meets are found by bound
+scans.
 
 Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
 ``band_to_bset``) become presheaves the same way: stalks are the R classes,
@@ -266,26 +268,25 @@ def compatible(P, x, y):
 class BooleanSet(Presheaf):
     """Presheaf over a Boolean algebra with minimum and compatible joins.
 
-    ``_join[i][j]`` is the index of the join of elements i and j as read off
-    the atom coordinates in validate_boolean_set, or -1 when the pair is not
-    compatible; join and compatible_elems read it.  A pair with a common
-    upper bound z is compatible (both are restrictions of z), so -1 also
-    means that no join exists.
+    ``_codes`` are the atom coordinates of the elements, in element order,
+    as validate_boolean_set found them (_atom_codes): a permutation of
+    range(n).  join and compatible_elems read the join table built from them
+    on first use (_join_table).
     """
 
-    def __init__(self, base, stalks, cover_maps, rest, zero, join_table):
+    def __init__(self, base, stalks, cover_maps, rest, zero, codes):
         super().__init__(base, stalks, cover_maps, rest)
         self.zero = zero
-        self._join = join_table
+        self._codes = codes
 
     def join(self, x, y):
-        k = self._join[self.index[x]][self.index[y]]
+        k = _join_table(self)[self.index[x]][self.index[y]]
         if k < 0:
             raise InternalMissingJoin((x, y))
         return self.elements[k]
 
     def compatible_elems(self, x, y):
-        return self._join[self.index[x]][self.index[y]] >= 0
+        return _join_table(self)[self.index[x]][self.index[y]] >= 0
 
     def setminus(self, y, x):
         return self.restrict(y, self.base.rel_complement(self.p(y), self.p(x)))
@@ -327,6 +328,16 @@ def _atom_codes(P):
     return codes if len(set(codes)) == len(codes) else None
 
 
+@memo("_join")
+def _join_table(X):
+    """``_join_table(X)[i][j]`` is the index of the join of elements i and j
+    of the Boolean set X, or -1 when the pair is not compatible; built from
+    the atom codes on first use.  A pair with a common upper bound z is
+    compatible (both are restrictions of z), so -1 also means that no join
+    exists."""
+    return _coded_join_table(X, X._codes)
+
+
 def _coded_join_table(P, codes):
     """A Boolean set's join table from its atom codes, a permutation of
     range(n): x and y are compatible iff they agree on m = p(x) ∧ p(y), and
@@ -359,8 +370,8 @@ def validate_boolean_set(P):
     Checks global support and the trivial zero stalk; the zero is then the
     minimum, since every x restricts to it.  Every compatible pair then has
     a join exactly when the atom coordinates are a bijection (_atom_codes),
-    and the join table is read off the codes.  Only when they are not does
-    the exhaustive pair scan run, to name the first pair without a join.
+    and the Boolean set keeps the codes.  Only when they are not does the
+    exhaustive pair scan run, to name the first pair without a join.
     """
     base = P.base
     if not isinstance(base, balg.FinBooleanAlgebra):
@@ -387,24 +398,9 @@ def validate_boolean_set(P):
 
 def _coded_boolean_set(P, codes):
     """The Boolean set on P, whose atom codes ``codes`` are a bijection (so
-    the zero stalk has one element), with its join table read off them."""
+    the zero stalk has one element)."""
     zero = P.stalks[P.base.bottom][0]
-    return BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, _coded_join_table(P, codes))
-
-
-def bs_circ(X, x, y):
-    """x∘y = y restricted to p(x) ∧ p(y)."""
-    return X.circ(x, y)
-
-
-def bs_setminus(X, y, x):
-    """y\\x = y restricted to p(y) \\ p(x)."""
-    return X.setminus(y, x)
-
-
-def bs_bullet(X, x, y):
-    """x•y = x ∨ (y\\x); the join is read from the join table."""
-    return X.bullet(x, y)
+    return BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, codes)
 
 
 # ------------------------------------------------------- skew correspondence
@@ -413,30 +409,52 @@ def _stalk_rows(P, order, index):
     """Per base element c, two rows over the ids ``order``: y|(c ∧ p(y)) and
     y|(p(y) \\ c), as positions in ``index``.  Every x over c has x∘y and
     y\\x from these rows, so a skew table is built from one pair of rows
-    per stalk."""
-    B, rest, p = P.base, P._rest, P.stalk_of
+    per stalk.  The rows are read from the base's meet and relative
+    complement index tables and from each y's restrictions listed by base
+    index."""
+    B = P.base
+    meet, comp_in, bi = B._meet, B._comp_in, B.index
+    rests = []
+    for y in order:
+        r = [0] * len(B.elements)
+        for f, x in P._rest[y].items():
+            r[bi[f]] = index[x]
+        rests.append(r)
+    pys = [bi[P.stalk_of[y]] for y in order]
     rows = {}
-    for c in B.elements:
-        meet = {f: B.meet(c, f) for f in B.elements}
-        minus = {f: B.rel_complement(f, c) for f in B.elements}
-        rows[c] = ([index[rest[y][meet[p[y]]]] for y in order],
-                   [index[rest[y][minus[p[y]]]] for y in order])
+    for c, mc in zip(B.elements, meet):
+        minus = [comp_in[f, m] for f, m in enumerate(mc)]  # f \ c
+        rows[c] = ([r[mc[f]] for r, f in zip(rests, pys)],
+                   [r[minus[f]] for r, f in zip(rests, pys)])
     return rows
+
+
+def _bullet_rows(P, codes, order, index, rows):
+    """The • row of each x in ``order``, as positions in ``index``, from the
+    atom codes ``codes`` of P's elements and the stalk rows ``rows``
+    (_stalk_rows): x•y = x ∨ (y\\x), and x and y\\x lie over disjoint base
+    elements, so code(x•y) = code(x) + code(y\\x)."""
+    n = len(order)
+    code, elem_of = [0] * n, [0] * n
+    for x, cx in zip(P.elements, codes):
+        code[index[x]] = cx
+        elem_of[cx] = index[x]
+    minus = {c: [code[k] for k in m] for c, (_, m) in rows.items()}
+    for x in order:
+        cx = code[index[x]]
+        yield [elem_of[cx + d] for d in minus[P.stalk_of[x]]]
 
 
 @memo("_skew")
 def to_skew(X):
-    """Cayley tables of x∘y = y|(p(x) ∧ p(y)) and x•y = x ∨ (y\\x), from one
-    pair of rows per stalk (_stalk_rows) and the join table, as index
-    tables (the elements of one stalk share their ∘ row); the output passes
-    validate_skew's index-level check."""
-    els, index, join = X.elements, X.index, X._join
+    """Cayley tables of x∘y = y|(p(x) ∧ p(y)) and x•y = x ∨ (y\\x), as index
+    tables: ∘ from one pair of rows per stalk (_stalk_rows), shared by the
+    elements of the stalk, and • from the atom codes (_bullet_rows); the
+    output passes validate_skew's index-level check."""
+    els, index = X.elements, X.index
     rows = _stalk_rows(X, els, index)
-    circ, bullet = [], []
-    for x, jrow in zip(els, join):
-        circ_row, minus_row = rows[X.stalk_of[x]]
-        circ.append(circ_row)
-        bullet.append([jrow[k] for k in minus_row])
+    circ = [rows[X.stalk_of[x]][0] for x in els]
+    bullet = list(_bullet_rows(X, X._codes, els, index, rows))
     return skew._validate_index(els, index, circ, bullet, index[X.zero])
 
 

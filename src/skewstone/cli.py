@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import balg, bset, dot, duality, etale, laws, skew, textio
-from .errors import DocumentError, NotProper, StructureError
+from .errors import DocumentError, NotProper, QuotientNotBoolean, StructureError
 
 
 def _load(path):
@@ -73,7 +73,7 @@ def cmd_to_bset(args):
         X = bset.from_skew(obj)
     elif isinstance(obj, bset.RightNormalBand):
         if not bset.is_boolean_band(obj):
-            print("FAIL skew.quotient witness=(): band is not Boolean")
+            print(f"FAIL {QuotientNotBoolean.law} witness=(): band is not Boolean")
             return 1
         X = bset.band_to_bset(obj)
     elif isinstance(obj, etale.FinEtaleSpace):

@@ -64,7 +64,7 @@ def bset_ultrafilters(X):
     nonzero; transitivity is row containment.  For n elements and k
     ultrafilters this costs O(n^2) mask operations per base ultrafilter (the
     rows, their equivalence checks and the filter checks) plus one pass over
-    the n x n join table of validate_boolean_set per class for primeness:
+    the n x n join table (bset._join_table) per class for primeness:
     O(k n^2) in all, against O(n^3) per base ultrafilter for an element-wise
     conjugacy test.
     """
@@ -123,8 +123,9 @@ def _assert_is_ultrafilter(X, u):
     # primeness: a compatible join lands in u only through one of its parts
     inside = [umask >> i & 1 for i in range(len(els))]
     outside = [i for i in range(len(els)) if not inside[i]]
+    join = bset._join_table(X)
     for i in outside:
-        row = X._join[i]
+        row = join[i]
         for j in outside:
             k = row[j]
             if k >= 0 and inside[k]:

@@ -182,11 +182,12 @@ def _as_index_table(elements, index, rows, what):
     if len(rows) != n:
         raise ValueError(f"{what} table needs {n} rows, got {len(rows)}")
     out = []
+    pos = index.__getitem__
     for r, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"{what} row {elements[r]!r} needs {n} entries")
         try:
-            out.append([index[v] for v in row])
+            out.append(list(map(pos, row)))
         except KeyError as k:
             raise ValueError(f"{what} entry {k.args[0]!r} is not an element") from None
     return out
@@ -242,10 +243,10 @@ def _reconstruct(elements, index, circ, bullet, z):
     (bset._class_presheaf) a Boolean set by its atom codes.  Its one-element
     zero stalk is then the declared zero.  Last, x∘y = y|(p(x) ∧ p(y)) is
     compared row by row, one row per stalk, and x•y = x ∨ (y\\x) by
-    code(x•y) = code(x) + code(y|(p(y) \\ p(x))).  No step raises on a
-    failure, so the caller's scans report it.
+    code(x•y) = code(x) + code(y|(p(y) \\ p(x))), the rule to_skew builds •
+    by (bset._bullet_rows).  No step raises on a failure, so the caller's
+    scans report it.
     """
-    n = len(elements)
     cls_idx, reps, names = _row_classes(elements, circ)
     k = len(reps)
     qmeet = _class_table(circ, cls_idx, reps)
@@ -266,15 +267,8 @@ def _reconstruct(elements, index, circ, bullet, z):
     rows = bset._stalk_rows(P, elements, index)
     if any(row != rows[names[c]][0] for row, c in zip(circ, cls_idx)):
         return None, None, False
-    code, elem_of = [0] * n, [0] * n
-    for x, cx in zip(P.elements, codes):
-        code[index[x]] = cx
-        elem_of[cx] = index[x]
-    minus_rows = [[code[y] for y in rows[name][1]] for name in names]
-    for i, row in enumerate(bullet):
-        cx = code[i]
-        if row != [elem_of[cx + d] for d in minus_rows[cls_idx[i]]]:
-            return None, None, True
+    if not all(map(eq, bullet, bset._bullet_rows(P, codes, elements, index, rows))):
+        return None, None, True
     return bset._coded_boolean_set(P, codes), _quotient(base, elements, cls_idx, names), True
 
 
@@ -441,11 +435,12 @@ def _right_normal_witnesses(elements, t):
 
 def check_consequences(S):
     """Exhaustively verify the derived identities of a validated algebra:
-    circ distributes over bullet on both sides, gamma classes (the classes
-    of equal ∘ rows) are flat (right zero for circ, left zero for bullet),
-    (S,∘) is right normal (x∘y∘z = y∘x∘z, by comparing the rows of x∘y and
-    y∘x), and zero is the bullet identity.  A failed identity names its first witness, scanning
-    elements in S.elements order.
+    circ distributes over bullet on both sides, the gamma classes (the
+    classes of equal ∘ rows) are Green's R classes by its definition, x R y
+    iff x∘y = y and y∘x = x (so right zero for circ), and are left zero for
+    bullet, (S,∘) is right normal (x∘y∘z = y∘x∘z, by comparing the rows of
+    x∘y and y∘x), and zero is the bullet identity.  A failed identity names
+    its first witness, scanning elements in S.elements order.
     """
     circ, bullet = S.circ_t, S.bullet_t
     els = S.elements
@@ -461,7 +456,7 @@ def check_consequences(S):
             if circ[bullet[j][k]][i] != bullet[circ[j][i]][circ[k][i]])),
         _first_witness("gamma_right_zero_circ", (
             (els[i], els[j]) for i in r for j in r
-            if cls[i] == cls[j] and circ[i][j] != j)),
+            if (cls[i] == cls[j]) != (circ[i][j] == j and circ[j][i] == i))),
         _first_witness("gamma_left_zero_bullet", (
             (els[i], els[j]) for i in r for j in r
             if cls[i] == cls[j] and bullet[i][j] != i)),

@@ -36,6 +36,7 @@ _KEYS = {
 
 _OPEN = "([{"
 _CLOSE = ")]}"
+_BRACKETS = _OPEN + _CLOSE
 
 
 @dataclass
@@ -80,25 +81,24 @@ class Document:
 
 
 def _split_top(value, sep=","):
-    """Split at separator occurrences outside any bracket nesting."""
-    parts = []
-    depth = 0
-    buf = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch in _OPEN:
-            depth += 1
-        elif ch in _CLOSE:
-            depth -= 1
-        if depth == 0 and value.startswith(sep, i):
-            parts.append("".join(buf).strip())
-            buf = []
-            i += len(sep)
-            continue
-        buf.append(ch)
-        i += 1
-    parts.append("".join(buf).strip())
+    """Split at separator occurrences outside any bracket nesting.
+
+    The pieces of ``value.split(sep)`` are merged with their successors
+    until the bracket depth (opens minus closes) of the merged run is 0.
+    This is exact for the separators used here, none of which holds a
+    bracket or overlaps itself."""
+    pieces = value.split(sep)
+    if not any(ch in value for ch in _BRACKETS):
+        return [p.strip() for p in pieces]
+    parts, run, depth = [], [], 0
+    for piece in pieces:
+        run.append(piece)
+        depth += sum(map(piece.count, _OPEN)) - sum(map(piece.count, _CLOSE))
+        if depth == 0:
+            parts.append(sep.join(run).strip())
+            run = []
+    if run:
+        parts.append(sep.join(run).strip())
     return parts
 
 

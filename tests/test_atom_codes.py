@@ -55,7 +55,9 @@ def old_validate_boolean_set(P):
                 if P.p(j) != base.join(P.p(x), P.p(y)):
                     raise AssertionError((x, y, j))
                 row[k] = P.index[j]
-    return bset.BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero, join_table)
+    X = bset.BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero, bset._atom_codes(P))
+    X._join = join_table  # the table found by the scan, not one built from the codes
+    return X
 
 
 def old_matching_families(P, sieve):
@@ -113,7 +115,7 @@ def bset_outcome(validate, P):
         return type(e), e.law, e.witness, e.detail
     return (
         X.elements, list(X.stalks.items()), list(X.cover_maps.items()),
-        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, X._join,
+        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, bset._join_table(X),
     )
 
 

@@ -125,15 +125,15 @@ def test_zero_stalk_not_trivial(b2):
 
 
 def test_operation_formulas(x3_bset, prod):
-    assert bset.bs_circ(x3_bset, "x1", "x2") == "x2"
-    assert bset.bs_bullet(x3_bset, "x1", "x2") == "x1"
+    assert x3_bset.circ("x1", "x2") == "x2"
+    assert x3_bset.bullet("x1", "x2") == "x1"
     for X in (x3_bset, prod):
         for x in X.elements:
-            assert bset.bs_bullet(X, x, X.zero) == x
-            assert bset.bs_circ(X, X.zero, x) == X.zero
-    assert bset.bs_bullet(prod, "a1", "b1") == "(a1,b1)"
-    assert bset.bs_setminus(prod, "b1", "a1") == "b1"
-    assert bset.bs_setminus(prod, "(a1,b1)", "a1") == "b1"
+            assert X.bullet(x, X.zero) == x
+            assert X.circ(X.zero, x) == X.zero
+    assert prod.bullet("a1", "b1") == "(a1,b1)"
+    assert prod.setminus("b1", "a1") == "b1"
+    assert prod.setminus("(a1,b1)", "a1") == "b1"
 
 
 def _instances_for_properties():
@@ -346,9 +346,9 @@ def test_degenerate_single_point_base():
     b1 = balg.validate_balg(["0"], [], "0")
     X = bset.validate_boolean_set(bset.validate_presheaf(b1, {"0": ["z"]}, {}))
     assert X.zero == "z"
-    assert bset.bs_circ(X, "z", "z") == "z"
-    assert bset.bs_bullet(X, "z", "z") == "z"
-    assert bset.bs_setminus(X, "z", "z") == "z"
+    assert X.circ("z", "z") == "z"
+    assert X.bullet("z", "z") == "z"
+    assert X.setminus("z", "z") == "z"
     assert bset.sheaf_condition(X)
 
 

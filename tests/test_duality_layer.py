@@ -4,8 +4,9 @@ property reports, against copies of the code they replaced.
 The references are the earlier ``generate_boolean_set`` and ``dual_bset``
 (each with its own product/restriction loop), ``check_topology`` (flag loops
 that keep scanning and report the last witness) and ``check_consequences``
-(``scan3``, hand-written flag loops, and a right-regularity check under the
-name ``right_normal_circ``).  Boolean sets must be equal with every table and
+(``scan3``, hand-written flag loops, a right-regularity check under the
+name ``right_normal_circ``, and ``gamma_right_zero_circ`` as x∘y = y within
+classes of equal ∘ rows).  Boolean sets must be equal with every table and
 key order; reports must be equal on valid inputs.  On tampered inputs the
 same laws must fail, and each witness must be the first one a full scan
 finds (the reference records every witness in scan order).
@@ -259,7 +260,7 @@ def bset_view(X):
     return (
         X.base.elements, X.base.cover_pairs, X.elements,
         list(X.stalks.items()), list(X.cover_maps.items()),
-        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, X._join,
+        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, bset._join_table(X),
         list(getattr(X, "sections", {}).items()),
         list(getattr(X, "base_sets", {}).items()),
     )
@@ -417,6 +418,15 @@ def right_normal_witnesses(S):
             if c[c[x][y]][z] != c[c[y][x]][z]]
 
 
+def green_r_witnesses(S):
+    """Every (x, y) on which x R y (x∘y = y and y∘x = x) and equal ∘ rows
+    disagree, in scan order."""
+    c, els = S.circ_t, S.elements
+    r = range(len(els))
+    return [(els[x], els[y]) for x in r for y in r
+            if (c[x][y] == y and c[y][x] == x) != (c[x] == c[y])]
+
+
 def unvalidated_skew(raw):
     els, index = balg._index_elements(raw["elements"])
     circ = [[index[v] for v in row] for row in raw["circ"]]
@@ -432,8 +442,13 @@ def assert_consequences_agree(S):
         return set()
     got, ref = new[1].items, old[1].items
     assert [it.law for it in got] == [it.law for it in ref]
-    # these four laws already reported their first witness
-    assert got[:4] == ref[:4]
+    # these three laws already reported their first witness
+    assert got[:2] == ref[:2] and got[3] == ref[3]
+    # gamma_right_zero_circ now checks Green's R by its definition; it fails
+    # wherever the reference's rule did
+    rr = green_r_witnesses(S)
+    assert got[2] == CheckItem("gamma_right_zero_circ", not rr, rr[0] if rr else ())
+    assert got[2].ok <= ref[2].ok
     rn = right_normal_witnesses(S)
     assert got[4] == CheckItem("right_normal_circ", not rn, rn[0] if rn else ())
     z = S.index[S.zero]

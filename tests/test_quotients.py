@@ -275,7 +275,8 @@ def presheaf_view(P):
         type(P).__name__, P.base.elements, P.base.cover_pairs, P.base._up,
         list(P.stalks.items()), list(P.cover_maps.items()),
         [(x, list(P._rest[x].items())) for x in P.elements],
-        getattr(P, "zero", None), getattr(P, "_join", None),
+        getattr(P, "zero", None),
+        bset._join_table(P) if isinstance(P, bset.BooleanSet) else None,
         getattr(P.base, "bottom", None),
     )
 

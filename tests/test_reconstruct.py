@@ -17,6 +17,7 @@ return what it kept.
 """
 
 import ast
+import hashlib
 import itertools
 import random
 from operator import itemgetter
@@ -30,7 +31,7 @@ from skewstone.errors import NotABand, SkewAxiomViolation, StructureError
 
 import mutation_engine as me
 from conftest import X3_BULLET, X3_CIRC
-from test_duality_layer import seeded_space
+from test_duality_layer import old_check_consequences, seeded_space
 from test_quotients import (
     gamma_view, old_from_skew, old_gamma_classes, outcome, presheaf_view, raw_skew,
     unvalidated_skew,
@@ -295,7 +296,7 @@ def test_accepting_256_validates_only_the_quotient(monkeypatch):
     assert X is S._bset and gq is S._gamma
     Y = old_from_skew(S)  # built the earlier way, from the tables
     assert presheaf_view(X) == presheaf_view(Y)
-    assert (X.zero, X._join) == (Y.zero, Y._join)
+    assert (X.zero, bset._join_table(X)) == (Y.zero, bset._join_table(Y))
     assert gamma_view(gq) == gamma_view(old_gamma_classes(S))
 
 
@@ -442,6 +443,42 @@ def test_mutants_with_intact_row_classes_match_reference(monkeypatch, sizes, cou
             assert rebuilt.calls
             assert [args[2] for args in bands.calls] == ["bullet"]
     assert compared > count // 2
+
+
+def consequence_mutants():
+    """The 300 single-edit mutants of test_consequences_first_witness_on_mutants
+    and 100 class-preserving ∘ mutants each of (2, 2) and (2, 1, 2)."""
+    raw = raw_skew(bset.to_skew(bset.generate_boolean_set((2, 2), seed=1)))
+    out = [me.mutate_skew(raw, random.Random(i)) for i in range(300)]
+    for sizes in ((2, 2), (2, 1, 2)):
+        raw = raw_skew(bset.to_skew(bset.generate_boolean_set(sizes, seed=1)))
+        out += [class_preserving_circ_mutant(raw, random.Random(i)) for i in range(100)]
+    return out
+
+
+def lines_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_consequence_reports_on_mutants_are_pinned():
+    # Pinned while gamma_right_zero_circ read x∘y = y within classes of equal
+    # ∘ rows: every other line of the 500 reports, and that law's lines, which
+    # the reference old_check_consequences still gives.  Checking Green's R by
+    # its definition (x∘y = y and y∘x = x) changes that law's line on 137
+    # mutants and no other line: an edited ∘ row leaves its class of equal
+    # rows while still R-related to it (132 single edits, 5 class-preserving),
+    # or a non-idempotent x is no longer the first witness, (x, x).
+    mutants = [unvalidated_skew(m) for m in consequence_mutants()]
+    reports = [skew.check_consequences(S).items for S in mutants]
+    assert lines_digest([str(it) for items in reports for it in items
+                         if it.law != "gamma_right_zero_circ"]) == "830b369c67bd6b9c"
+    before = [old_check_consequences(S).items[2] for S in mutants]
+    assert lines_digest(map(str, before)) == "ce3604c8d7d18413"
+    now = [items[2] for items in reports]
+    assert lines_digest(map(str, now)) == "1414b0bd905b778f"
+    changed = [k for k, (a, b) in enumerate(zip(before, now)) if a != b]
+    assert len(changed) == 137 and sum(k < 300 for k in changed) == 132
+    assert all(not now[k].ok for k in changed)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3, 3)])

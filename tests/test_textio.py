@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewstone import balg, bset, etale, skew, textio
 from skewstone.errors import DuplicateName, ParseError, UnresolvedReference
@@ -81,6 +83,45 @@ def test_showcase_builds_every_kind():
     assert isinstance(built["spread"], etale.RelationalMorphism)
     printed = textio.print_document(doc)
     assert textio.print_document(textio.parse(printed)) == printed
+
+
+def old_split_top(value, sep=","):
+    """The character loop _split_top replaced."""
+    parts = []
+    depth = 0
+    buf = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        if depth == 0 and value.startswith(sep, i):
+            parts.append("".join(buf).strip())
+            buf = []
+            i += len(sep)
+            continue
+        buf.append(ch)
+        i += 1
+    parts.append("".join(buf).strip())
+    return parts
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="ab,()[]{}-> <=+ ", max_size=40),
+       st.sampled_from([",", "->", "<=", "+"]))
+def test_split_top_matches_character_loop(value, sep):
+    # unbalanced and negative bracket depths included
+    assert textio._split_top(value, sep) == old_split_top(value, sep)
+
+
+@pytest.mark.parametrize("value, sep", [
+    ("(a,b),c", ","), ("a),b,(c", ","), (")(,", ","), ("{a->b}->c", "->"),
+    ("a-->b", "->"), ("a<=<=b", "<="), ("(a+b)+c+", "+"), ("", ","), ("[,]", ","),
+])
+def test_split_top_edge_cases(value, sep):
+    assert textio._split_top(value, sep) == old_split_top(value, sep)
 
 
 def test_bracketed_ids_survive():
