@@ -456,19 +456,7 @@ def validate_balg(elements, leq_pairs, bottom):
     return FinBooleanAlgebra(elements, index, up, down, meet, join, bot, comp_in)
 
 
-# ----------------------------------------------------- free-function forms
-
-def rel_complement(B, e, f):
-    return B.rel_complement(e, f)
-
-
-def ultrafilters(B):
-    return B.ultrafilters()
-
-
-def stone_map(B, a):
-    return B.stone_map(a)
-
+# ------------------------------------------ filters, homomorphisms, powersets
 
 def separating_ultrafilter(B, a, b):
     """First ultrafilter (in generator order) containing exactly one of a, b."""

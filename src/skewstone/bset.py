@@ -11,9 +11,10 @@ failure, to name the two chains that disagree.
 
 A Boolean set is decided by atom coordinates (``_atom_codes``): each stalk
 must map one to one onto the product of the atom stalks below it.  The
-Boolean set keeps the coordinates; its join table is read off them on first
-use (``_join_table``), and ``to_skew`` builds • from them directly.  The
-exhaustive least-upper-bound scan over every pair runs only when they fail,
+Boolean set keeps the coordinates, and its one operation table is the ∘/•
+index rows built from them on first use (``_skew_rows``): x and y are
+compatible iff x∘y = y∘x, and then x ∨ y = x•y.  The exhaustive
+least-upper-bound scan over every pair runs only when the coordinates fail,
 to name the first compatible pair without a join; meets are found by bound
 scans.
 
@@ -255,23 +256,15 @@ def validate_presheaf(base, stalks, restrictions):
 
 # ------------------------------------------------------------ order and ops
 
-def bs_order(P, x, y):
-    """x <= y iff x is the restriction of y to p(x)."""
-    return P.leq_elem(x, y)
-
-
-def compatible(P, x, y):
-    """x ~ y iff the meet exists and projects onto p(x) ∧ p(y)."""
-    return P.compatible_elems(x, y)
-
-
 class BooleanSet(Presheaf):
     """Presheaf over a Boolean algebra with minimum and compatible joins.
 
     ``_codes`` are the atom coordinates of the elements, in element order,
     as validate_boolean_set found them (_atom_codes): a permutation of
-    range(n).  join and compatible_elems read the join table built from them
-    on first use (_join_table).
+    range(n).  join and compatible_elems read the ∘/• rows built from them
+    on first use (_skew_rows): x∘y and y∘x are y and x restricted to
+    p(x) ∧ p(y), so x and y agree there (are compatible) iff x∘y = y∘x, and
+    then x ∨ y = x ∨ (y\\x) = x•y.
     """
 
     def __init__(self, base, stalks, cover_maps, rest, zero, codes):
@@ -280,13 +273,16 @@ class BooleanSet(Presheaf):
         self._codes = codes
 
     def join(self, x, y):
-        k = _join_table(self)[self.index[x]][self.index[y]]
-        if k < 0:
+        i, j = self.index[x], self.index[y]
+        circ, bullet = _skew_rows(self)
+        if circ[i][j] != circ[j][i]:
             raise InternalMissingJoin((x, y))
-        return self.elements[k]
+        return self.elements[bullet[i][j]]
 
     def compatible_elems(self, x, y):
-        return _join_table(self)[self.index[x]][self.index[y]] >= 0
+        i, j = self.index[x], self.index[y]
+        circ = _skew_rows(self)[0]
+        return circ[i][j] == circ[j][i]
 
     def setminus(self, y, x):
         return self.restrict(y, self.base.rel_complement(self.p(y), self.p(x)))
@@ -326,42 +322,6 @@ def _atom_codes(P):
             return None
         codes += (sum(w * digit[P._rest[x][a]] for a, w in below) for x in P.stalks[c])
     return codes if len(set(codes)) == len(codes) else None
-
-
-@memo("_join")
-def _join_table(X):
-    """``_join_table(X)[i][j]`` is the index of the join of elements i and j
-    of the Boolean set X, or -1 when the pair is not compatible; built from
-    the atom codes on first use.  A pair with a common upper bound z is
-    compatible (both are restrictions of z), so -1 also means that no join
-    exists."""
-    return _coded_join_table(X, X._codes)
-
-
-def _coded_join_table(P, codes):
-    """A Boolean set's join table from its atom codes, a permutation of
-    range(n): x and y are compatible iff they agree on m = p(x) ∧ p(y), and
-    then their join is coded code(x) + code(y) − code(x|m)."""
-    n = len(codes)
-    elem_of = [0] * n
-    for i, k in enumerate(codes):
-        elem_of[k] = i
-    groups = {}  # (f, m) -> r -> (index, code) of each y in X(f) with y|m = r
-    for i, (y, cy) in enumerate(zip(P.elements, codes)):
-        for m, r in P._rest[y].items():
-            groups.setdefault((P.stalk_of[y], m), {}).setdefault(r, []).append((i, cy))
-    table = []
-    for x, cx in zip(P.elements, codes):
-        rx, e = P._rest[x], P.stalk_of[x]
-        row = [-1] * n
-        for f in P.base.elements:
-            m = P.base.meet(e, f)
-            r = rx[m]
-            d = cx - codes[P.index[r]]
-            for j, cy in groups[f, m].get(r, ()):
-                row[j] = elem_of[d + cy]
-        table.append(row)
-    return table
 
 
 def validate_boolean_set(P):
@@ -445,17 +405,24 @@ def _bullet_rows(P, codes, order, index, rows):
         yield [elem_of[cx + d] for d in minus[P.stalk_of[x]]]
 
 
-@memo("_skew")
-def to_skew(X):
-    """Cayley tables of x∘y = y|(p(x) ∧ p(y)) and x•y = x ∨ (y\\x), as index
-    tables: ∘ from one pair of rows per stalk (_stalk_rows), shared by the
-    elements of the stalk, and • from the atom codes (_bullet_rows); the
-    output passes validate_skew's index-level check."""
+@memo("_rows")
+def _skew_rows(X):
+    """The ∘ and • index rows of X, its one operation table: x∘y =
+    y|(p(x) ∧ p(y)) from one pair of rows per stalk (_stalk_rows), shared by
+    the elements of the stalk, and x•y = x ∨ (y\\x) from the atom codes
+    (_bullet_rows)."""
     els, index = X.elements, X.index
     rows = _stalk_rows(X, els, index)
     circ = [rows[X.stalk_of[x]][0] for x in els]
-    bullet = list(_bullet_rows(X, X._codes, els, index, rows))
-    return skew._validate_index(els, index, circ, bullet, index[X.zero])
+    return circ, list(_bullet_rows(X, X._codes, els, index, rows))
+
+
+@memo("_skew")
+def to_skew(X):
+    """The skew algebra whose Cayley tables are X's ∘/• rows (_skew_rows);
+    the output passes validate_skew's index-level check."""
+    circ, bullet = _skew_rows(X)
+    return skew._validate_index(X.elements, X.index, circ, bullet, X.index[X.zero])
 
 
 def from_skew(S):
@@ -564,8 +531,10 @@ def derive_base_map(X, Y, mapping):
 
 def validate_bset_morphism(phi, phibar, X, Y):
     """Check the commuting square and restriction compatibility on every
-    element and comparable pair; join preservation and skew-operation
-    preservation are consequences and asserted."""
+    element and comparable pair; preservation of ∘ and • is a consequence
+    and asserted on both sets' operation rows (_skew_rows).  Preserving ∘
+    keeps compatible pairs compatible, whose join is •, so joins are
+    preserved too."""
     for x in X.elements:
         if x not in phi:
             raise ValueError(f"map not total: missing {x!r}")
@@ -588,18 +557,14 @@ def validate_bset_morphism(phi, phibar, X, Y):
 
 
 def _assert_morphism_consequences(m):
-    X, Y, phi = m.source, m.target, m.mapping
-    for x in X.elements:
-        for y in X.elements:
-            if X.compatible_elems(x, y) and phi[X.join(x, y)] != Y.join(phi[x], phi[y]):
-                raise AssertionError((x, y))
-    SX, SY = to_skew(X), to_skew(Y)
-    for x in X.elements:
-        for y in X.elements:
-            if phi[SX.circ(x, y)] != SY.circ(phi[x], phi[y]):
-                raise AssertionError((x, y))
-            if phi[SX.bullet(x, y)] != SY.bullet(phi[x], phi[y]):
-                raise AssertionError((x, y))
+    X, Y = m.source, m.target
+    f = [Y.index[m.mapping[x]] for x in X.elements]
+    (cx, bx), (cy, by) = _skew_rows(X), _skew_rows(Y)
+    for i, fi in enumerate(f):
+        cxi, bxi, cyi, byi = cx[i], bx[i], cy[fi], by[fi]
+        for j, fj in enumerate(f):
+            if f[cxi[j]] != cyi[fj] or f[bxi[j]] != byi[fj]:
+                raise AssertionError((X.elements[i], X.elements[j]))
 
 
 def identity_bset_morphism(X):
@@ -784,31 +749,7 @@ def is_boolean_band(S):
     return True
 
 
-# ------------------------------------------------------------ sieves, sheaves
-
-def is_covering_sieve(B, c, members):
-    """Down-closed family below c whose join is c (the empty join is bottom)."""
-    members = frozenset(members)
-    for a in members:
-        if not B.leq(a, c):
-            return False
-    for a in members:
-        for b in B.down_set(a):
-            if b not in members:
-                return False
-    return B.join_all(members) == c
-
-
-def covering_sieves(B, c):
-    """All covering sieves of c, ordered by the subset bitmask of ↓c."""
-    down = B.down_set(c)
-    out = []
-    for mask in range(1 << len(down)):
-        s = frozenset(down[i] for i in range(len(down)) if mask >> i & 1)
-        if is_covering_sieve(B, c, s):
-            out.append(s)
-    return out
-
+# -------------------------------------------------------------------- sheaves
 
 def sheaf_condition(P):
     """Unique amalgamation for every matching family of every covering

@@ -320,6 +320,15 @@ def _require(s, *keys):
 
 
 def _build_one(s, built):
+    """Validate stanza s; a ValueError or KeyError is raised again as a
+    ValueError that names the stanza and its line."""
+    try:
+        return _build_stanza(s, built)
+    except (ValueError, KeyError) as e:
+        raise ValueError(f"{s.kind} {s.name} (line {s.line}): {e}") from e
+
+
+def _build_stanza(s, built):
     d = s.data
     if s.kind == "balg":
         _require(s, "elements", "leq", "bottom")

@@ -25,6 +25,7 @@ from skewstone.errors import (
 
 import mutation_engine as me
 from conftest import make_b4, make_b8
+from test_duality_layer import join_table
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -56,7 +57,7 @@ def old_validate_boolean_set(P):
                     raise AssertionError((x, y, j))
                 row[k] = P.index[j]
     X = bset.BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero, bset._atom_codes(P))
-    X._join = join_table  # the table found by the scan, not one built from the codes
+    X.scanned_join = join_table  # the table found by the scan, not one built from the codes
     return X
 
 
@@ -85,16 +86,36 @@ def old_matching_families(P, sieve):
     yield from rec(0, {})
 
 
+def is_covering_sieve(B, c, members):
+    """Down-closed family below c whose join is c (the empty join is bottom)."""
+    members = frozenset(members)
+    for a in members:
+        if not B.leq(a, c):
+            return False
+    for a in members:
+        for b in B.down_set(a):
+            if b not in members:
+                return False
+    return B.join_all(members) == c
+
+
 @functools.cache
-def _covering_sieves(B, c):
-    # the sieves depend on the base only, so each base enumerates them once
-    return bset.covering_sieves(B, c)
+def covering_sieves(B, c):
+    """All covering sieves of c, ordered by the subset bitmask of ↓c.  They
+    depend on the base only, so each base enumerates them once."""
+    down = B.down_set(c)
+    out = []
+    for mask in range(1 << len(down)):
+        s = frozenset(down[i] for i in range(len(down)) if mask >> i & 1)
+        if is_covering_sieve(B, c, s):
+            out.append(s)
+    return out
 
 
 def old_sheaf_condition(P):
     B = P.base
     for c in B.elements:
-        for sieve in _covering_sieves(B, c):
+        for sieve in covering_sieves(B, c):
             for fam in old_matching_families(P, sieve):
                 glue = [
                     z for z in P.stalks[c]
@@ -113,9 +134,10 @@ def bset_outcome(validate, P):
         X = validate(P)
     except StructureError as e:
         return type(e), e.law, e.witness, e.detail
+    joins = X.scanned_join if hasattr(X, "scanned_join") else join_table(X)
     return (
         X.elements, list(X.stalks.items()), list(X.cover_maps.items()),
-        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, bset._join_table(X),
+        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, joins,
     )
 
 

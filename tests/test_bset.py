@@ -8,6 +8,7 @@ from skewstone import bset, skew
 
 import mutation_engine as me
 from conftest import make_prod
+from test_atom_codes import covering_sieves, is_covering_sieve
 from skewstone.errors import (
     EmptySizes,
     InternalMissingJoin,
@@ -67,10 +68,10 @@ def test_stalk_collision(b2):
 
 
 def test_order_examples(prod):
-    assert bset.bs_order(prod, "a1", "(a1,b1)")
-    assert not bset.bs_order(prod, "a1", "(a2,b1)")
-    assert bset.compatible(prod, "a1", "b1")
-    assert not bset.compatible(prod, "(a1,b1)", "(a2,b1)")
+    assert prod.leq_elem("a1", "(a1,b1)")
+    assert not prod.leq_elem("a1", "(a2,b1)")
+    assert prod.compatible_elems("a1", "b1")
+    assert not prod.compatible_elems("(a1,b1)", "(a2,b1)")
 
 
 def test_boolean_set_validation(prod, x3_bset):
@@ -96,7 +97,7 @@ def test_missing_join_witness(b4):
 
 @pytest.mark.parametrize("sizes", [(2, 1), (1, 2, 2), (2, 2, 2), (1, 1, 3, 3)])
 def test_join_table_matches_scan(sizes):
-    # the table kept at validation answers as the exhaustive bound scan does
+    # joins read off the ∘/• rows answer as the exhaustive bound scan does
     X = bset.generate_boolean_set(sizes, seed=5)
     incompatible = 0
     for x in X.elements:
@@ -293,13 +294,13 @@ def test_not_right_normal():
 
 
 def test_covering_sieves(b4):
-    assert bset.is_covering_sieve(b4, "1", ["0", "a", "b"])
-    assert not bset.is_covering_sieve(b4, "1", ["0", "a"])
-    assert bset.is_covering_sieve(b4, "1", b4.elements)
-    assert bset.is_covering_sieve(b4, "0", ["0"])
-    assert bset.is_covering_sieve(b4, "0", [])
-    assert not bset.is_covering_sieve(b4, "a", ["0"])
-    sieves = bset.covering_sieves(b4, "1")
+    assert is_covering_sieve(b4, "1", ["0", "a", "b"])
+    assert not is_covering_sieve(b4, "1", ["0", "a"])
+    assert is_covering_sieve(b4, "1", b4.elements)
+    assert is_covering_sieve(b4, "0", ["0"])
+    assert is_covering_sieve(b4, "0", [])
+    assert not is_covering_sieve(b4, "a", ["0"])
+    sieves = covering_sieves(b4, "1")
     assert frozenset({"0", "a", "b"}) in sieves
     assert frozenset(b4.elements) in sieves
     assert len(sieves) == 2

@@ -349,8 +349,20 @@ def test_stray_restriction_id_is_a_document_error(capsys, tmp_path):
     assert code == 2
     assert out.splitlines() == [
         "balg B4: ok (4 elements, 2 ultrafilters)",
-        "document error: restriction ('b', '0') maps 'zz', not in stalk 'b'",
+        "document error: bset Prod (line 7): restriction ('b', '0') maps 'zz', not in stalk 'b'",
     ]
+
+
+def test_a_document_error_names_its_stanza(capsys, tmp_path):
+    f = tmp_path / "bottom.txt"
+    text = Path(PROD).read_text()
+    assert "  bottom: 0\n" in text
+    f.write_text(text.replace("  bottom: 0\n", "  bottom: 2\n"))
+    expected = "document error: balg B4 (line 2): declared bottom '2' is not an element"
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out.splitlines()) == (2, [expected])
+    code, out = run(capsys, "to-skew", str(f), "Prod")
+    assert (code, out.splitlines()) == (2, [expected])
 
 
 def test_validate_skips_exactly_the_dependents_of_failed_stanzas(capsys, tmp_path):

@@ -64,9 +64,11 @@ def test_ultrafilter_checks_fire_on_corrupted_tables():
     X._above[inside[0]] = saved
     assert _fresh_ultrafilters(X)[0] == u
 
-    # zero joined with itself landing in u breaks primeness
-    z = X.index[X.zero]
-    X._join[z][z] = inside[0]
+    # an element outside u restricting on u's atom as u's members do
+    # breaks primeness: u must be every such element
+    a = u.base_filter.generator
+    y = next(X.elements[i] for i in outside if a in X._rest[X.elements[i]])
+    X._rest[y][a] = X._rest[X.elements[inside[0]]][a]
     with pytest.raises(AssertionError, match="not prime"):
         _fresh_ultrafilters(X)
 

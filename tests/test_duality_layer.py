@@ -255,12 +255,20 @@ def old_check_consequences(S):
 
 # ------------------------------------------------------------ comparison
 
+def join_table(X):
+    """The joins of a Boolean set as element indices, -1 for a pair that is
+    not compatible, read through X.compatible_elems and X.join."""
+    els, index = X.elements, X.index
+    return [[index[X.join(x, y)] if X.compatible_elems(x, y) else -1 for y in els]
+            for x in els]
+
+
 def bset_view(X):
     """Everything a Boolean set exposes, with key orders."""
     return (
         X.base.elements, X.base.cover_pairs, X.elements,
         list(X.stalks.items()), list(X.cover_maps.items()),
-        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, bset._join_table(X),
+        [(x, list(X._rest[x].items())) for x in X.elements], X.zero, join_table(X),
         list(getattr(X, "sections", {}).items()),
         list(getattr(X, "base_sets", {}).items()),
     )
@@ -402,11 +410,16 @@ def test_topology_first_witness_with_a_corrupted_join():
     failed = Counter()
     for _ in range(40):
         X = bset.generate_boolean_set((2, 1, 2))
-        duality.bset_to_etale(X)  # the ultrafilters read the join table
+        # joins are read off the ∘/• rows: x, y are compatible iff x∘y = y∘x
+        circ, bullet = ([row[:] for row in t] for t in bset._skew_rows(X))
         n = len(X.elements)
-        i, j = rng.randrange(n), rng.randrange(n)
-        X._join = [row[:] for row in X._join]
-        X._join[i][j] = X._join[j][i] = -1 if X._join[i][j] >= 0 else rng.randrange(n)
+        i, j = rng.sample(range(n), 2)
+        if circ[i][j] == circ[j][i]:
+            circ[i][j] = (circ[j][i] + 1) % n
+        else:
+            circ[i][j] = circ[j][i]
+            bullet[i][j] = bullet[j][i] = rng.randrange(n)
+        X._rows = circ, bullet
         failed.update(assert_first_witnesses(X))
     assert {"join_is_union", "union_section_implies_compatible"} <= set(failed)
 

@@ -1,12 +1,15 @@
-"""A Boolean set keeps its atom codes and builds its join table only when it
-is read; ``to_skew`` builds • from the codes and ``_stalk_rows`` reads the
-base's index tables.
+"""A Boolean set's one operation table is its ∘/• index rows
+(``bset._skew_rows``), built from the atom codes on first use: joins and
+compatibility are read off them, ``to_skew`` validates them, and the
+ultrafilter and morphism checks rebuild no derived table.
 
-The references are the earlier eager ``_coded_boolean_set`` (the join table
-built with the set), the ``to_skew`` that read • through that table, and the
-``_stalk_rows`` that made id-level ``meet``/``rel_complement`` calls.  The
-lazily built table, the codes, the stalk rows and both skew tables must
-equal theirs.
+The references are the earlier join table built from the codes and the eager
+``_coded_boolean_set`` that kept it, the ``to_skew`` that read • through
+that table, the ``_stalk_rows`` that made id-level ``meet``/``rel_complement``
+calls, the morphism consequence check that compared ``to_skew`` of both sets
+through id-level calls, and the ultrafilter primeness pass over the join
+table.  The joins, the stalk rows, both skew tables and both checks'
+verdicts must equal theirs.
 """
 
 import random
@@ -14,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from skewstone import bset, cli, etale, textio
+from skewstone import bset, cli, duality, etale, textio
+from skewstone.errors import InternalMissingJoin, StructureError
 
-from test_duality_layer import seeded_space
+from conftest import make_b2, make_b4, make_prod, make_x3_bset
+from test_duality_layer import join_table, seeded_space
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -76,6 +81,57 @@ def old_skew_tables(X):
     return circ, bullet
 
 
+def old_assert_morphism_consequences(m):
+    """Joins, ∘ and • preserved, compared through id-level calls: joins on
+    the join tables, ∘ and • on to_skew of both sets."""
+    X, Y, phi = m.source, m.target, m.mapping
+    jx, jy = old_coded_join_table(X, X._codes), old_coded_join_table(Y, Y._codes)
+    for x in X.elements:
+        for y in X.elements:
+            k = jx[X.index[x]][X.index[y]]
+            if k < 0:
+                continue
+            k2 = jy[Y.index[phi[x]]][Y.index[phi[y]]]
+            if k2 < 0:
+                raise InternalMissingJoin((phi[x], phi[y]))
+            if phi[X.elements[k]] != Y.elements[k2]:
+                raise AssertionError((x, y))
+    SX, SY = bset.to_skew(X), bset.to_skew(Y)
+    for x in X.elements:
+        for y in X.elements:
+            if phi[SX.circ(x, y)] != SY.circ(phi[x], phi[y]):
+                raise AssertionError((x, y))
+            if phi[SX.bullet(x, y)] != SY.bullet(phi[x], phi[y]):
+                raise AssertionError((x, y))
+
+
+def old_assert_is_ultrafilter(X, u):
+    """The ultrafilter check with primeness by one pass over the join
+    table: no compatible join of two non-members lands in u."""
+    els, index, below, above = X.elements, X.index, X._below, X._above
+    F = u.base_filter
+    if {X.p(x) for x in u.members} != F.members:
+        raise AssertionError((u.ident, F))
+    idx = sorted(index[x] for x in u.members)
+    umask = sum(1 << i for i in idx)
+    for i in idx:
+        escape = above[i] & ~umask
+        if escape:
+            raise AssertionError(("not upward closed", els[i], els[duality._first(escape)]))
+        for j in idx:
+            if not below[i] & below[j] & umask:
+                raise AssertionError(("no common lower bound", els[i], els[j]))
+    inside = [umask >> i & 1 for i in range(len(els))]
+    outside = [i for i in range(len(els)) if not inside[i]]
+    join = old_coded_join_table(X, X._codes)
+    for i in outside:
+        row = join[i]
+        for j in outside:
+            k = row[j]
+            if k >= 0 and inside[k]:
+                raise AssertionError(("not prime", els[i], els[j], els[k]))
+
+
 # ------------------------------------------------------------ comparison
 
 SHAPES = [(2, 1), (2, 2, 2), (3, 3, 3, 3), (2, 2, 2, 5), (1,) * 7]
@@ -85,8 +141,8 @@ def assert_matches_reference(X, rng):
     codes = bset._atom_codes(X)
     assert X._codes == codes
     ref = old_coded_boolean_set(X, codes)
-    assert bset._join_table(X) == ref._join
-    assert bset._join_table(X) is X._join  # built once, then kept
+    assert join_table(X) == ref._join
+    assert bset._skew_rows(X) is bset._skew_rows(X)  # built once, then kept
     assert bset._stalk_rows(X, X.elements, X.index) == old_stalk_rows(X, X.elements, X.index)
     # the order _reconstruct passes: a skew algebra's, not the stalk order
     order = list(X.elements)
@@ -100,9 +156,9 @@ def assert_matches_reference(X, rng):
 @pytest.mark.parametrize("sizes", SHAPES)
 def test_generated_sets_match_reference(sizes):
     X = bset.generate_boolean_set(sizes, seed=2)
-    assert not hasattr(X, "_join")  # validation builds no join table
+    assert not hasattr(X, "_rows")  # validation builds no operation table
     bset.to_skew(X)
-    assert not hasattr(X, "_join")  # nor does to_skew
+    assert X._rows == (X._skew.circ_t, X._skew.bullet_t)  # to_skew builds it
     assert_matches_reference(X, random.Random(1))
 
 
@@ -121,7 +177,7 @@ def test_dual_sets_match_reference():
     rng = random.Random(6)
     for _ in range(40):
         X = etale.dual_bset(seeded_space(rng))
-        assert not hasattr(X, "_join")
+        assert not hasattr(X, "_rows")
         assert_matches_reference(X, rng)
 
 
@@ -130,8 +186,8 @@ def test_skew_validation_keeps_codes_and_builds_no_join_table():
     S = bset.to_skew(X)
     Y = bset.from_skew(S)
     assert Y._codes == bset._atom_codes(Y)
-    assert not hasattr(Y, "_join")
-    assert bset._join_table(Y) == old_coded_join_table(Y, Y._codes)
+    assert not hasattr(Y, "_rows")
+    assert join_table(Y) == old_coded_join_table(Y, Y._codes)
 
 
 # ------------------------------------------------------ acceptance path
@@ -141,10 +197,11 @@ def test_acceptance_path_reads_no_join_table(monkeypatch, capsys, tmp_path):
     gen = tmp_path / "g.txt"
     gen.write_text(capsys.readouterr().out)
 
-    def refuse(P, codes):
-        raise AssertionError("join table built")
+    def refuse(*args):
+        raise AssertionError("a join was read")
 
-    monkeypatch.setattr(bset, "_coded_join_table", refuse)
+    monkeypatch.setattr(bset.BooleanSet, "join", refuse)
+    monkeypatch.setattr(bset.BooleanSet, "compatible_elems", refuse)
     for doc, name in ((DOCS / "prod.txt", "Prod"), (gen, "G")):
         assert cli.main(["validate", str(doc)]) == 0
         assert f"bset {name}: ok" in capsys.readouterr().out
@@ -157,3 +214,128 @@ def test_acceptance_path_reads_no_join_table(monkeypatch, capsys, tmp_path):
         assert f"skew {name}_skew: ok" in out
         assert "skew round trip: identity" in out
     assert "skew round trip: identity (81 elements)" in out
+
+
+def test_duality_paths_read_no_join_and_build_no_skew_algebra(monkeypatch, capsys, tmp_path):
+    assert cli.main(["gen", "--atoms", "4", "--stalks", "2,2,2,2", "--seed", "1"]) == 0
+    gen = tmp_path / "g.txt"
+    gen.write_text(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("a join or a skew algebra was built")
+
+    monkeypatch.setattr(bset, "to_skew", refuse)
+    monkeypatch.setattr(bset.BooleanSet, "join", refuse)
+    monkeypatch.setattr(bset.BooleanSet, "compatible_elems", refuse)
+    for doc, name in ((DOCS / "prod.txt", "Prod"), (gen, "G")):
+        for command in ("ultrafilters", "dualize", "roundtrip"):
+            assert cli.main([command, str(doc), name]) == 0
+    assert "alpha: isomorphism (81 elements)" in capsys.readouterr().out
+    assert cli.main(["validate", str(DOCS / "showcase.txt")]) == 0
+    assert "morphism collapse: ok" in capsys.readouterr().out
+    assert cli.main(["check-morphism", str(DOCS / "showcase.txt"), "collapse"]) == 0
+
+
+# ------------------------------------------------ checks without tables
+
+def verdict(check, *args):
+    """None when the check passes, else the error's type.  The witnesses
+    can differ: the old check scanned every pair for joins before ∘ and •."""
+    try:
+        check(*args)
+    except (AssertionError, StructureError) as e:
+        return type(e).__name__
+    return None
+
+
+def small_sets():
+    return [make_x3_bset(), make_prod(), bset.constant_bset(make_b2()),
+            bset.constant_bset(make_b4()), bset.generate_boolean_set((2,)),
+            bset.generate_boolean_set((1, 2), seed=3)]
+
+
+def swapped(m, rng, count):
+    """``count`` maps equal to m's but for the images of two elements of
+    one stalk, swapped, unvalidated; none when no stalk has two."""
+    X = m.source
+    stalks = [xs for xs in X.stalks.values() if len(xs) > 1]
+    out = []
+    for _ in range(count if stalks else 0):
+        x, y = rng.sample(rng.choice(stalks), 2)
+        phi = dict(m.mapping)
+        phi[x], phi[y] = phi[y], phi[x]
+        out.append(bset.BSetMorphism(X, m.target, phi, m.base_hom))
+    return out
+
+
+def assert_morphism_checks_agree(m, rng, failed):
+    assert verdict(old_assert_morphism_consequences, m) is None
+    for mm in swapped(m, rng, 4):
+        got = verdict(bset._assert_morphism_consequences, mm)
+        assert got == verdict(old_assert_morphism_consequences, mm)
+        failed.append(got)
+
+
+def test_morphism_check_matches_reference_on_enumerated_morphisms():
+    rng, seen, failed = random.Random(3), 0, []
+    sets = small_sets()
+    for X in sets:
+        for Y in sets:
+            for m in bset.enumerate_bset_morphisms(X, Y):
+                seen += 1
+                assert_morphism_checks_agree(m, rng, failed)
+    assert seen > 100
+    assert None in failed and any(failed)
+
+
+def double_duals():
+    rng = random.Random(7)
+    sets = [bset.generate_boolean_set(s, seed=1) for s in [(2, 1), (2, 2, 2), (1, 1, 3)]]
+    return sets + [etale.dual_bset(seeded_space(rng)) for _ in range(40)]
+
+
+def test_morphism_check_matches_reference_on_double_duals():
+    rng, failed = random.Random(8), []
+    for X in double_duals():
+        m = duality.bset_double_dual(X)
+        inverse = {v: k for k, v in m.mapping.items()}
+        assert verdict(old_assert_morphism_consequences,
+                       bset.BSetMorphism(m.target, X, inverse, None)) is None
+        assert_morphism_checks_agree(m, rng, failed)
+    assert any(failed)
+
+
+def test_primeness_matches_reference_on_ultrafilters():
+    for X in small_sets() + double_duals():
+        for u in duality.bset_ultrafilters(X):  # each passed the new check
+            old_assert_is_ultrafilter(X, u)
+
+
+def tag(check, *args):
+    """None when the check passes, else the first entry of its complaint."""
+    try:
+        check(*args)
+    except AssertionError as e:
+        return e.args[0][0]
+    return None
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (2, 2), (1, 1, 2)])
+def test_primeness_matches_reference_on_filter_candidates(sizes):
+    # every subset of the preimage of each base ultrafilter: those that pass
+    # the first three checks are exactly the ultrafilters, so the primeness
+    # check never fires here, in either form
+    X = bset.generate_boolean_set(sizes, seed=2)
+    for F in X.base.ultrafilters():
+        pre = [x for x in X.elements if X.p(x) in F.members]
+        passed = []
+        for mask in range(1 << len(pre)):
+            members = frozenset(x for k, x in enumerate(pre) if mask >> k & 1)
+            u = duality.BSetUltrafilter(X, members, F, f"S{mask}")
+            got = tag(duality._assert_is_ultrafilter, X, u)
+            assert got == tag(old_assert_is_ultrafilter, X, u)
+            if got is None:
+                passed.append(members)
+        assert passed == sorted(
+            (u.members for u in duality.bset_ultrafilters(X) if u.base_filter == F),
+            key=lambda ms: sum(1 << pre.index(x) for x in ms))

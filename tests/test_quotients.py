@@ -19,6 +19,7 @@ from skewstone.errors import QuotientNotBoolean, StructureError
 
 import mutation_engine as me
 from conftest import make_b2, make_b4, make_b8, make_prod, make_x3_bset
+from test_duality_layer import join_table
 
 SHOWCASE = Path(__file__).resolve().parent.parent / "docs" / "showcase.txt"
 
@@ -276,7 +277,7 @@ def presheaf_view(P):
         list(P.stalks.items()), list(P.cover_maps.items()),
         [(x, list(P._rest[x].items())) for x in P.elements],
         getattr(P, "zero", None),
-        bset._join_table(P) if isinstance(P, bset.BooleanSet) else None,
+        join_table(P) if isinstance(P, bset.BooleanSet) else None,
         getattr(P.base, "bottom", None),
     )
 

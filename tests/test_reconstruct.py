@@ -31,7 +31,7 @@ from skewstone.errors import NotABand, SkewAxiomViolation, StructureError
 
 import mutation_engine as me
 from conftest import X3_BULLET, X3_CIRC
-from test_duality_layer import old_check_consequences, seeded_space
+from test_duality_layer import join_table, old_check_consequences, seeded_space
 from test_quotients import (
     gamma_view, old_from_skew, old_gamma_classes, outcome, presheaf_view, raw_skew,
     unvalidated_skew,
@@ -296,7 +296,7 @@ def test_accepting_256_validates_only_the_quotient(monkeypatch):
     assert X is S._bset and gq is S._gamma
     Y = old_from_skew(S)  # built the earlier way, from the tables
     assert presheaf_view(X) == presheaf_view(Y)
-    assert (X.zero, bset._join_table(X)) == (Y.zero, bset._join_table(Y))
+    assert (X.zero, join_table(X)) == (Y.zero, join_table(Y))
     assert gamma_view(gq) == gamma_view(old_gamma_classes(S))
 
 
