@@ -13,8 +13,12 @@ from .errors import DocumentError, NotProper, QuotientNotBoolean, StructureError
 
 
 def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return textio.parse(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e.strerror}") from None
+    return textio.parse(text)
 
 
 def _load_named(args):
@@ -251,7 +255,7 @@ def cmd_replay(args):
         print(f"no stanza named {args.name!r}")
         return 2
     raw = doc.law_raw(args.name)
-    witness = tuple(w for w in textio._split_top(args.witness) if w)
+    witness = tuple(textio._split_top(args.witness)) if args.witness else ()
     if laws.holds(args.law, raw, witness):
         print(f"not confirmed: {args.law} holds at ({args.witness})")
         return 1

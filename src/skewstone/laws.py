@@ -9,10 +9,36 @@ re-scanned, through a second route.
 Raw shapes:
     balg:  {"kind": "balg", "elements": [...], "leq": [(x, y), ...], "bottom": id}
     skew:  {"kind": "skew", "elements": [...], "zero": id,
-            "circ": rows, "bullet": rows}          (rows in element order)
+            "circ": rows, "bullet": rows}          (rows in element order;
+                                                    a band has no bullet)
     bset:  {"kind": "bset", "base": <balg raw>, "stalks": {e: [...]},
             "restrict": {(e, f): {x: y}}}
+
+Each law is written once, as ``law(env, witnesses)``, and returns the
+first witness at which it fails, or None.  ``env`` is what the laws read
+of one structure, built once per ``holds`` or ``scan`` call: for a balg,
+the order closure, with meets and joins kept as they are found; for a
+skew raw, the circ and bullet tables as dicts, each built when a law
+first reads it; for a bset, the base's environment, stalks and covers,
+with the composite restrictions built when first read.  ``holds`` passes
+one witness; each ``scan_*`` passes every witness of each law, law after
+law, in the validators' order.
 """
+
+from collections import Counter, namedtuple
+from functools import cached_property, partial
+from itertools import chain, product
+
+
+def _first(env, plan):
+    """The first (law, witness) of a failing law of ``plan``, a sequence of
+    (law name, witnesses), or None."""
+    for law, witnesses in plan:
+        bad = LAWS[law].check(env, witnesses)
+        if bad is not None:
+            return law, bad
+    return None
+
 
 # ------------------------------------------------------------- naive order
 
@@ -24,187 +50,177 @@ def _closure(elements, pairs):
     while changed:
         changed = False
         for e in elements:
-            new = set(up[e])
-            for f in up[e]:
-                new |= up[f]
+            new = set().union(*(up[f] for f in up[e]))
             if new != up[e]:
-                up[e] = new
-                changed = True
+                up[e], changed = new, True
     return up
 
 
-def _meet(elements, up, x, y):
-    lower = [z for z in elements if x in up[z] and y in up[z]]
-    for m in lower:
-        if all(m in up[z] for z in lower):
-            return m
-    return None
+class _Bounds(dict):
+    """(x, y) -> the first z with le(z, x) and le(z, y) that every such z is
+    le-below, or None: meets for le = ≤, joins for le = ≥.  Each is searched
+    for when first read, and kept."""
+
+    def __init__(self, elements, le):
+        super().__init__()
+        self.elements, self.le = elements, le
+
+    def __missing__(self, key):
+        le, (x, y) = self.le, key
+        bounds = [z for z in self.elements if le(z, x) and le(z, y)]
+        self[key] = found = next((m for m in bounds if all(le(z, m) for z in bounds)), None)
+        return found
 
 
-def _join_simple(elements, up, x, y):
-    upper = [z for z in elements if z in up[x] and z in up[y]]
-    for j in upper:
-        if all(z in up[j] for z in upper):
-            return j
-    return None
+class _Balg:
+    """A raw order with a bottom: ``up[x]`` is the set of elements above x,
+    ``meet[x, y]`` and ``join[x, y]`` are None where there is none."""
+
+    def __init__(self, raw):
+        self.elements, self.bottom = raw["elements"], raw["bottom"]
+        up = self.up = _closure(self.elements, raw["leq"])
+        self.meet = _Bounds(self.elements, lambda a, b: b in up[a])
+        self.join = _Bounds(self.elements, lambda a, b: a in up[b])
 
 
 # --------------------------------------------------------------- balg laws
 
-def order_antisymmetry(raw, witness):
-    up = _closure(raw["elements"], raw["leq"])
-    x, y = witness
-    return not (x != y and y in up[x] and x in up[y])
+def order_antisymmetry(env, witnesses):
+    up = env.up
+    return next(((x, y) for x, y in witnesses if x != y and y in up[x] and x in up[y]), None)
 
 
-def meet_exists(raw, witness):
-    up = _closure(raw["elements"], raw["leq"])
-    x, y = witness
-    return _meet(raw["elements"], up, x, y) is not None
+def meet_exists(env, witnesses):
+    return next(((x, y) for x, y in witnesses if env.meet[x, y] is None), None)
 
 
-def join_exists(raw, witness):
-    up = _closure(raw["elements"], raw["leq"])
-    x, y = witness
-    return _join_simple(raw["elements"], up, x, y) is not None
+def join_exists(env, witnesses):
+    return next(((x, y) for x, y in witnesses if env.join[x, y] is None), None)
 
 
-def lattice_distributivity(raw, witness):
-    els = raw["elements"]
-    up = _closure(els, raw["leq"])
-    a, b, c = witness
-    bc = _join_simple(els, up, b, c)
-    ab = _meet(els, up, a, b)
-    ac = _meet(els, up, a, c)
-    if bc is None or ab is None or ac is None:
-        return False
-    return _meet(els, up, a, bc) == _join_simple(els, up, ab, ac)
+def lattice_distributivity(env, witnesses):
+    """a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), with b ∨ c, a ∧ b and a ∧ c defined."""
+    meet, join = env.meet, env.join
+    for a, b, c in witnesses:
+        bc, ab, ac = join[b, c], meet[a, b], meet[a, c]
+        if bc is None or ab is None or ac is None or meet[a, bc] != join[ab, ac]:
+            return a, b, c
+    return None
 
 
-def lattice_bottom(raw, witness):
-    up = _closure(raw["elements"], raw["leq"])
-    bottom = witness[0]
-    x = witness[1] if len(witness) > 1 else None
-    if x is None:
-        return all(e in up[bottom] for e in raw["elements"])
-    return x in up[bottom]
+def lattice_bottom(env, witnesses):
+    """At (bottom, x): bottom ≤ x."""
+    return next(((b, x) for b, x in witnesses if x not in env.up[b]), None)
 
 
-def lattice_relative_complement(raw, witness):
-    els = raw["elements"]
-    up = _closure(els, raw["leq"])
-    a, b = witness
-    if b not in up[a]:
-        return True
-    bottom = raw["bottom"]
-    for c in els:
-        if b in up[c] and _meet(els, up, c, a) == bottom and _join_simple(els, up, c, a) == b:
-            return True
-    return False
+def lattice_relative_complement(env, witnesses):
+    """At (a, b) with a ≤ b: some c ≤ b has c ∧ a = bottom and c ∨ a = b."""
+    up, meet, join = env.up, env.meet, env.join
+    return next(((a, b) for a, b in witnesses if b in up[a] and not any(
+        b in up[c] and meet[c, a] == env.bottom and join[c, a] == b for c in env.elements
+    )), None)
 
 
 def scan_balg(raw):
     """First violated (law, witness) over the whole structure, or None."""
-    els = raw["elements"]
-    up = _closure(els, raw["leq"])
-    for x in els:
-        for y in els:
-            if x != y and y in up[x] and x in up[y]:
-                return "order.antisymmetry", (x, y)
-    for x in els:
-        for y in els:
-            if _meet(els, up, x, y) is None:
-                return "order.meet_exists", (x, y)
-            if _join_simple(els, up, x, y) is None:
-                return "order.join_exists", (x, y)
-    bottom = raw["bottom"]
-    for x in els:
-        if x not in up[bottom]:
-            return "lattice.bottom", (bottom, x)
-    for a in els:
-        for b in els:
-            for c in els:
-                if not lattice_distributivity(raw, (a, b, c)):
-                    return "lattice.distributivity", (a, b, c)
-    for b in els:
-        for a in els:
-            if b in up[a] and not lattice_relative_complement(raw, (a, b)):
-                return "lattice.relative_complement", (a, b)
-    return None
+    env = _Balg(raw)
+    els = env.elements
+    pairs = [(x, y) for x in els for y in els]
+    found = _first(env, [("order.antisymmetry", pairs)])
+    if found:
+        return found
+    # meet, then join, pair by pair: a missing join is reported only at a
+    # pair before the first missing meet
+    meet = meet_exists(env, pairs)
+    join = join_exists(env, pairs if meet is None else pairs[:pairs.index(meet)])
+    if join is not None:
+        return "order.join_exists", join
+    if meet is not None:
+        return "order.meet_exists", meet
+    return _first(env, [
+        ("lattice.bottom", [(env.bottom, x) for x in els]),
+        ("lattice.distributivity", product(els, repeat=3)),
+        ("lattice.relative_complement", [(a, b) for b in els for a in els]),
+    ])
 
 
 # --------------------------------------------------------------- skew laws
 
-def _table(raw, op):
-    els = raw["elements"]
-    rows = raw[op]
-    return {
-        (els[i], els[j]): rows[i][j]
-        for i in range(len(els)) for j in range(len(els))
-    }
+class _Skew(dict):
+    """A raw band or skew algebra: ``env["circ"][x][y]`` is x∘y and
+    ``env["bullet"][x][y]`` is x•y, each table built when first read."""
+
+    def __init__(self, raw):
+        super().__init__()
+        self.raw, self.elements, self.zero = raw, raw["elements"], raw.get("zero")
+
+    def __missing__(self, op):
+        els = self.elements
+        self[op] = table = {x: dict(zip(els, row)) for x, row in zip(els, self.raw[op])}
+        return table
 
 
-def band_idempotent(raw, witness, op):
-    t = _table(raw, op)
-    (x,) = witness
-    return t[x, x] == x
+def band_idempotent(env, witnesses, op):
+    t = env[op]
+    return next(((x,) for (x,) in witnesses if t[x][x] != x), None)
 
 
-def band_assoc(raw, witness, op):
-    t = _table(raw, op)
-    x, y, z = witness
-    return t[t[x, y], z] == t[x, t[y, z]]
+def band_assoc(env, witnesses, op):
+    t = env[op]
+    return next(((x, y, z) for x, y, z in witnesses if t[t[x][y]][z] != t[x][t[y][z]]), None)
 
 
-def skew_sb1(raw, witness):
-    c, b = _table(raw, "circ"), _table(raw, "bullet")
-    x, y = witness
-    return (
-        c[x, b[x, y]] == x and c[b[y, x], x] == x
-        and b[x, c[x, y]] == x and b[c[y, x], x] == x
-    )
-
-
-def skew_sb2(raw, witness):
-    c, b = _table(raw, "circ"), _table(raw, "bullet")
-    x, y = witness
-    return c[c[x, y], x] == c[y, x] and b[b[x, y], x] == b[x, y]
-
-
-def skew_sb3(raw, witness):
-    c, b = _table(raw, "circ"), _table(raw, "bullet")
-    x, y = witness
-    return (b[x, y] == b[y, x]) == (c[x, y] == c[y, x])
-
-
-def skew_sb4(raw, witness):
-    c = _table(raw, "circ")
-    z = raw["zero"]
-    (x,) = witness
-    return c[z, x] == z and c[x, z] == z
-
-
-def skew_sb5(raw, witness):
-    """x↓ must be a generalized Boolean algebra under the natural order."""
-    c = _table(raw, "circ")
-    (x,) = witness
-    members = sorted({c[c[x, s], x] for s in raw["elements"]},
-                     key=raw["elements"].index)
-    pairs = [(u, v) for u in members for v in members if c[u, v] == u]
-    sub = {"kind": "balg", "elements": members, "leq": pairs, "bottom": raw["zero"]}
-    if raw["zero"] not in members:
-        return False
-    return scan_balg(sub) is None
-
-
-def band_right_normal(raw, witness):
+def band_right_normal(env, witnesses):
     """x∘y∘z = y∘x∘z; at a pair (x, y), x∘y∘x = y∘x (right regularity)."""
-    c = _table(raw, "circ")
-    if len(witness) == 2:
-        x, y = witness
-        return c[c[x, y], x] == c[y, x]
-    x, y, z = witness
-    return c[c[x, y], z] == c[c[y, x], z]
+    c = env["circ"]
+    for w in witnesses:
+        if len(w) == 2:
+            x, y = w
+            bad = c[c[x][y]][x] != c[y][x]
+        else:
+            x, y, z = w
+            bad = c[c[x][y]][z] != c[c[y][x]][z]
+        if bad:
+            return w
+    return None
+
+
+def skew_sb1(env, witnesses):
+    c, b = env["circ"], env["bullet"]
+    return next(((x, y) for x, y in witnesses if not (
+        c[x][b[x][y]] == x and c[b[y][x]][x] == x and b[x][c[x][y]] == x and b[c[y][x]][x] == x
+    )), None)
+
+
+def skew_sb2(env, witnesses):
+    c, b = env["circ"], env["bullet"]
+    return next(((x, y) for x, y in witnesses
+                 if c[c[x][y]][x] != c[y][x] or b[b[x][y]][x] != b[x][y]), None)
+
+
+def skew_sb3(env, witnesses):
+    c, b = env["circ"], env["bullet"]
+    return next(((x, y) for x, y in witnesses
+                 if (b[x][y] == b[y][x]) != (c[x][y] == c[y][x])), None)
+
+
+def skew_sb4(env, witnesses):
+    c, z = env["circ"], env.zero
+    return next(((x,) for (x,) in witnesses if c[z][x] != z or c[x][z] != z), None)
+
+
+def skew_sb5(env, witnesses):
+    """x↓ = {x∘s∘x} must be a generalized Boolean algebra under the natural
+    order, with the zero as its bottom."""
+    c, els = env["circ"], env.elements
+    for (x,) in witnesses:
+        down = {c[c[x][s]][x] for s in els}
+        members = [u for u in els if u in down]
+        sub = {"kind": "balg", "elements": members, "bottom": env.zero,
+               "leq": [(u, v) for u in members for v in members if c[u][v] == u]}
+        if env.zero not in down or scan_balg(sub) is not None:
+            return (x,)
+    return None
 
 
 def scan_skew(raw):
@@ -215,277 +231,248 @@ def scan_skew(raw):
     SB1, SB2 and SB3 over pairs, SB4 and SB5 over elements, and right
     normality of circ over triples."""
     els = raw["elements"]
+    singles = [(x,) for x in els]
+    pairs = [(x, y) for x in els for y in els]
     ops = ["circ"] + (["bullet"] if raw.get("bullet") is not None else [])
+    plan = []
     for op in ops:
-        t = _table(raw, op)
-        for x in els:
-            if t[x, x] != x:
-                return f"band.idempotent.{op}", (x,)
-        for x in els:
-            for y in els:
-                for z in els:
-                    if t[t[x, y], z] != t[x, t[y, z]]:
-                        return f"band.assoc.{op}", (x, y, z)
+        plan += [(f"band.idempotent.{op}", singles),
+                 (f"band.assoc.{op}", product(els, repeat=3))]
     if raw.get("bullet") is None:
-        for x in els:
-            for y in els:
-                if not band_right_normal(raw, (x, y)):
-                    return "band.right_normal", (x, y)
-        for x in els:
-            for y in els:
-                for z in els:
-                    if not band_right_normal(raw, (x, y, z)):
-                        return "band.right_normal", (x, y, z)
-        return None
-    for law, holds_at in (("skew.SB1", skew_sb1), ("skew.SB2", skew_sb2),
-                          ("skew.SB3", skew_sb3)):
-        for x in els:
-            for y in els:
-                if not holds_at(raw, (x, y)):
-                    return law, (x, y)
-    for x in els:
-        if not skew_sb4(raw, (x,)):
-            return "skew.SB4", (x,)
-    for x in els:
-        if not skew_sb5(raw, (x,)):
-            return "skew.SB5", (x,)
-    c = _table(raw, "circ")
-    for x in els:
-        for y in els:
-            for z in els:
-                if c[c[x, y], z] != c[c[y, x], z]:
-                    return "band.right_normal", (x, y, z)
-    return None
+        plan.append(("band.right_normal", chain(pairs, product(els, repeat=3))))
+    else:
+        plan += [("skew.SB1", pairs), ("skew.SB2", pairs), ("skew.SB3", pairs),
+                 ("skew.SB4", singles), ("skew.SB5", singles),
+                 ("band.right_normal", product(els, repeat=3))]
+    return _first(_Skew(raw), plan)
 
 
 # --------------------------------------------------------------- bset laws
 
-def _bset_env(raw):
-    base = raw["base"]
-    els = base["elements"]
-    up = _closure(els, base["leq"])
-    stalks = {e: list(raw["stalks"].get(e, [])) for e in els}
-    covers = []
-    for e in els:
-        for f in els:
-            if f != e and e in up[f] and not any(
-                g != e and g != f and e in up[g] and g in up[f] for g in els
-            ):
-                covers.append((e, f))
-    return els, up, stalks, covers
+class _Bset:
+    """A raw Boolean set over its base's environment ``base``: ``stalks``
+    over the base elements, the carrier in stalk order, the pairs (e, f)
+    with f < e (``below``), the Hasse covers among them and the base
+    element whose stalk holds each element (``stalk_of``)."""
 
+    def __init__(self, raw):
+        self.base = _Balg(raw["base"])
+        els, up = self.base.elements, self.base.up
+        self.raw_stalks, self.restrict = raw["stalks"], raw["restrict"]
+        self.stalks = {e: list(raw["stalks"].get(e, [])) for e in els}
+        self.carrier = [x for e in els for x in self.stalks[e]]
+        self.below = [(e, f) for e in els for f in els if f != e and e in up[f]]
+        self.covers = [(e, f) for e, f in self.below if not any(
+            g != e and g != f and e in up[g] and g in up[f] for g in els)]
+        self.stalk_of = {x: e for e in els for x in self.stalks[e]}
+        self._chains = {}
 
-def _chains(up, covers, e, f):
-    if e == f:
-        return [(e,)]
-    out = []
-    for u, lo in covers:
-        if u == e and lo in up[f]:
-            out.extend((e,) + t for t in _chains(up, covers, lo, f))
-    return out
+    def chains(self, e, f):
+        """Every chain of covers from e down to f, as tuples of base ids."""
+        if (e, f) not in self._chains:
+            self._chains[e, f] = [(e,)] if e == f else [
+                (e,) + rest for u, lo in self.covers
+                if u == e and lo in self.base.up[f] for rest in self.chains(lo, f)]
+        return self._chains[e, f]
 
+    def compose(self, chain, x):
+        """x restricted along a chain of base ids; None where a map is missing."""
+        for u, lo in zip(chain, chain[1:]):
+            m = self.restrict.get((u, lo), {})
+            if x not in m:
+                return None
+            x = m[x]
+        return x
 
-def _compose_chain(raw, chain, x):
-    v = x
-    for u, l in zip(chain, chain[1:]):
-        m = raw["restrict"].get((u, l), {})
-        if v not in m:
+    def _path_witnesses(self):
+        for e, f in self.below:
+            first, *others = self.chains(e, f)
+            for x in self.stalks[e]:
+                for other in others:
+                    yield x, ">".join(first), ">".join(other)
+
+    @cached_property
+    def presheaf_failure(self):
+        """The first violated presheaf (law, witness), or None."""
+        return _first(self, [
+            ("presheaf.stalk_disjoint", [(x,) for x in self.carrier]),
+            ("presheaf.restriction",
+             [(e, f, x) for e, f in self.covers for x in self.stalks[e]]),
+            ("presheaf.path_independence", self._path_witnesses()),
+        ])
+
+    @cached_property
+    def rest(self):
+        """x -> {f: x restricted to f} for p(x) and each f below it; None
+        when a presheaf law fails."""
+        if self.presheaf_failure is not None:
             return None
-        v = m[v]
-    return v
+        rest = {x: {e: x} for e in self.base.elements for x in self.stalks[e]}
+        for e, f in self.below:
+            first = self.chains(e, f)[0]
+            for x in self.stalks[e]:
+                rest[x][f] = self.compose(first, x)
+        return rest
+
+    def leq(self, x, y):
+        """x ≤ y: y restricted to x's stalk is x."""
+        return self.rest.get(y, {}).get(self.stalk_of.get(x)) == x
 
 
-def presheaf_restriction(raw, witness):
-    """Holds when the named cover map exists, is total and lands in the stalk."""
-    els, up, stalks, covers = _bset_env(raw)
-    e, f = witness[0], witness[1]
-    m = raw["restrict"].get((e, f))
-    if m is None:
-        return not stalks[e]
-    if len(witness) > 2:
-        x = witness[2]
-        return x in m and m[x] in stalks[f]
-    return all(x in m and m[x] in stalks[f] for x in stalks[e])
+def presheaf_restriction(env, witnesses):
+    """The map for (e, f) exists, is total on e's stalk and lands in f's
+    stalk; at (e, f, x) only x is checked.  A missing map is allowed only
+    from an empty stalk."""
+    def holds_at(e, f, *xs):
+        m = env.restrict.get((e, f))
+        if m is None:
+            return not env.stalks[e]
+        return all(x in m and m[x] in env.stalks[f] for x in xs or env.stalks[e])
+    return next((w for w in witnesses if not holds_at(*w)), None)
 
 
-def presheaf_path_independence(raw, witness):
-    els, up, stalks, covers = _bset_env(raw)
-    x = witness[0]
-    chains = [tuple(w.split(">")) for w in witness[1:]]
-    values = {_compose_chain(raw, ch, x) for ch in chains}
-    return len(values) == 1 and None not in values
+def presheaf_path_independence(env, witnesses):
+    """At (x, chain, chain), chains of base ids joined by '>': restricting x
+    along each gives one defined value."""
+    def holds_at(x, *chains):
+        values = {env.compose(ch.split(">"), x) for ch in chains}
+        return len(values) == 1 and None not in values
+    return next((w for w in witnesses if not holds_at(*w)), None)
 
 
-def presheaf_stalk_disjoint(raw, witness):
-    (x,) = witness
-    count = 0
-    for e, members in raw["stalks"].items():
-        count += list(members).count(x)
-    return count <= 1
+def presheaf_stalk_disjoint(env, witnesses):
+    count = Counter(x for members in env.raw_stalks.values() for x in members)
+    return next(((x,) for (x,) in witnesses if count[x] > 1), None)
 
 
-def bset_global_support(raw, witness):
-    (e,) = witness
-    return bool(raw["stalks"].get(e))
+def bset_global_support(env, witnesses):
+    return next(((e,) for (e,) in witnesses if not env.raw_stalks.get(e)), None)
 
 
-def bset_zero_stalk(raw, witness):
-    bottom = raw["base"]["bottom"]
-    return len(raw["stalks"].get(bottom, [])) <= 1
+def bset_zero_stalk(env, witnesses):
+    """The stalk over the bottom has at most one member; the witness is not
+    read."""
+    if len(env.raw_stalks.get(env.base.bottom, [])) <= 1:
+        return None
+    return next(iter(witnesses), None)
 
 
-def _bset_full_rest(raw):
-    """Full restriction tables, or a (law, witness) violation."""
-    els, up, stalks, covers = _bset_env(raw)
-    for x in [m for ms in stalks.values() for m in ms]:
-        if not presheaf_stalk_disjoint(raw, (x,)):
-            return None, ("presheaf.stalk_disjoint", (x,))
-    for e, f in covers:
-        if not presheaf_restriction(raw, (e, f)):
-            bad = next(
-                (x for x in stalks[e]
-                 if x not in raw["restrict"].get((e, f), {})
-                 or raw["restrict"][(e, f)][x] not in stalks[f]),
-                None,
-            )
-            wit = (e, f) if bad is None else (e, f, bad)
-            return None, ("presheaf.restriction", wit)
-    rest = {}
-    for e in els:
-        for f in els:
-            if f == e or e not in up[f]:
-                continue
-            chains = _chains(up, covers, e, f)
-            for x in stalks[e]:
-                vals = [(_compose_chain(raw, ch, x), ch) for ch in chains]
-                good = {v for v, _ in vals}
-                if len(good) != 1:
-                    c1 = vals[0][1]
-                    c2 = next(ch for v, ch in vals if v != vals[0][0])
-                    return None, (
-                        "presheaf.path_independence",
-                        (x, ">".join(c1), ">".join(c2)),
-                    )
-                rest.setdefault(x, {})[f] = vals[0][0]
-        for x in stalks[e]:
-            rest.setdefault(x, {})[e] = x
-    return (els, up, stalks, rest), None
+def bset_minimum(env, witnesses):
+    """Some element lies below every element; the witness is not read."""
+    carrier = env.carrier
+    if env.rest is not None and any(all(env.leq(z, x) for x in carrier) for z in carrier):
+        return None
+    return next(iter(witnesses), None)
 
 
-def _bset_leq(env, x, y):
-    els, up, stalks, rest = env
-    return rest.get(y, {}).get(_p(env, x)) == x
-
-
-def _p(env, x):
-    els, up, stalks, rest = env
-    for e, ms in stalks.items():
-        if x in ms:
-            return e
-    raise KeyError(x)
-
-
-def bset_compatible_join(raw, witness):
-    """Holds when the witnessed compatible pair has a least upper bound."""
-    env, bad = _bset_full_rest(raw)
-    if env is None:
-        return False
-    els, up, stalks, rest = env
-    x, y = witness
-    carrier = [m for e in els for m in stalks[e]]
-    lower = [z for z in carrier if _bset_leq(env, z, x) and _bset_leq(env, z, y)]
-    meets = [m for m in lower if all(_bset_leq(env, z, m) for z in lower)]
-    base_meet = _meet(els, up, _p(env, x), _p(env, y))
-    compat = bool(meets) and _p(env, meets[0]) == base_meet
-    if not compat:
-        return True
-    upper = [z for z in carrier if _bset_leq(env, x, z) and _bset_leq(env, y, z)]
-    return any(all(_bset_leq(env, j, z) for z in upper) for j in upper)
-
-
-def bset_minimum(raw, witness):
-    env, bad = _bset_full_rest(raw)
-    if env is None:
-        return False
-    els, up, stalks, rest = env
-    carrier = [m for e in els for m in stalks[e]]
-    return any(all(_bset_leq(env, z, x) for x in carrier) for z in carrier)
+def bset_compatible_join(env, witnesses):
+    """A compatible pair (its meet lies over the meet of their stalks) has a
+    least upper bound."""
+    for x, y in witnesses:
+        if env.rest is None:
+            return x, y
+        leq, carrier, p = env.leq, env.carrier, env.stalk_of.get
+        lower = [z for z in carrier if leq(z, x) and leq(z, y)]
+        meets = [m for m in lower if all(leq(z, m) for z in lower)]
+        if meets and p(meets[0]) == env.base.meet[p(x), p(y)]:
+            upper = [z for z in carrier if leq(x, z) and leq(y, z)]
+            if not any(all(leq(j, z) for z in upper) for j in upper):
+                return x, y
+    return None
 
 
 def scan_bset(raw):
-    env, bad = _bset_full_rest(raw)
-    if bad is not None:
-        return bad
-    els, up, stalks, rest = env
-    for e in els:
-        if not stalks[e]:
-            return "bset.global_support", (e,)
-    bottom = raw["base"]["bottom"]
-    if len(stalks[bottom]) > 1:
-        return "bset.zero_stalk", tuple(stalks[bottom][:2])
-    if not bset_minimum(raw, ()):
-        return "bset.minimum", (stalks[bottom][0],)
-    carrier = [m for e in els for m in stalks[e]]
-    for x in carrier:
-        for y in carrier:
-            if not bset_compatible_join(raw, (x, y)):
-                return "bset.compatible_join", (x, y)
-    return None
+    env = _Bset(raw)
+    zero_stalk = env.stalks[env.base.bottom]
+    return env.presheaf_failure or _first(env, [
+        ("bset.global_support", [(e,) for e in env.base.elements]),
+        ("bset.zero_stalk", [tuple(zero_stalk[:2])]),
+        ("bset.minimum", [tuple(zero_stalk[:1])]),
+        ("bset.compatible_join", [(x, y) for x in env.carrier for y in env.carrier]),
+    ])
 
 
 # ----------------------------------------------------------------- registry
 
-_BALG_LAWS = {
-    "order.antisymmetry": order_antisymmetry,
-    "order.meet_exists": meet_exists,
-    "order.join_exists": join_exists,
-    "lattice.distributivity": lattice_distributivity,
-    "lattice.bottom": lattice_bottom,
-    "lattice.relative_complement": lattice_relative_complement,
+# kinds: the raw structures a law is a law of ("band" is a skew raw with no
+# bullet).  forms: the witnesses its validators and scan give, one letter
+# per entry: x an element (of the carrier, for a bset), e a base element,
+# > a chain of base elements joined by '>'.
+_Law = namedtuple("_Law", "check kinds forms")
+_BALG, _BAND, _SKEW, _BSET = ("balg",), ("band", "skew"), ("skew",), ("bset",)
+_NAMES = {"balg": "Boolean algebra", "band": "band", "skew": "skew algebra",
+          "bset": "Boolean set"}
+
+LAWS = {
+    "order.antisymmetry": _Law(order_antisymmetry, _BALG, ("xx",)),
+    "order.meet_exists": _Law(meet_exists, _BALG, ("xx",)),
+    "order.join_exists": _Law(join_exists, _BALG, ("xx",)),
+    "lattice.distributivity": _Law(lattice_distributivity, _BALG, ("xxx",)),
+    "lattice.bottom": _Law(lattice_bottom, _BALG, ("xx",)),
+    "lattice.relative_complement": _Law(lattice_relative_complement, _BALG, ("xx",)),
+    "band.idempotent.circ": _Law(partial(band_idempotent, op="circ"), _BAND, ("x",)),
+    "band.idempotent.bullet": _Law(partial(band_idempotent, op="bullet"), _SKEW, ("x",)),
+    "band.assoc.circ": _Law(partial(band_assoc, op="circ"), _BAND, ("xxx",)),
+    "band.assoc.bullet": _Law(partial(band_assoc, op="bullet"), _SKEW, ("xxx",)),
+    "band.right_normal": _Law(band_right_normal, _BAND, ("xx", "xxx")),
+    "skew.SB1": _Law(skew_sb1, _SKEW, ("xx",)),
+    "skew.SB2": _Law(skew_sb2, _SKEW, ("xx",)),
+    "skew.SB3": _Law(skew_sb3, _SKEW, ("xx",)),
+    "skew.SB4": _Law(skew_sb4, _SKEW, ("x",)),
+    "skew.SB5": _Law(skew_sb5, _SKEW, ("x",)),
+    "presheaf.restriction": _Law(presheaf_restriction, _BSET, ("ee", "eex")),
+    "presheaf.path_independence": _Law(presheaf_path_independence, _BSET, ("x>>",)),
+    "presheaf.stalk_disjoint": _Law(presheaf_stalk_disjoint, _BSET, ("x",)),
+    "bset.global_support": _Law(bset_global_support, _BSET, ("e",)),
+    "bset.zero_stalk": _Law(bset_zero_stalk, _BSET, ("xx",)),
+    "bset.minimum": _Law(bset_minimum, _BSET, ("x",)),
+    "bset.compatible_join": _Law(bset_compatible_join, _BSET, ("xx",)),
 }
 
-_SKEW_LAWS = {
-    "band.idempotent.circ": lambda raw, w: band_idempotent(raw, w, "circ"),
-    "band.idempotent.bullet": lambda raw, w: band_idempotent(raw, w, "bullet"),
-    "band.assoc.circ": lambda raw, w: band_assoc(raw, w, "circ"),
-    "band.assoc.bullet": lambda raw, w: band_assoc(raw, w, "bullet"),
-    "band.right_normal": band_right_normal,
-    "skew.SB1": skew_sb1,
-    "skew.SB2": skew_sb2,
-    "skew.SB3": skew_sb3,
-    "skew.SB4": skew_sb4,
-    "skew.SB5": skew_sb5,
-}
 
-_BSET_LAWS = {
-    "presheaf.restriction": presheaf_restriction,
-    "presheaf.path_independence": presheaf_path_independence,
-    "presheaf.stalk_disjoint": presheaf_stalk_disjoint,
-    "bset.global_support": bset_global_support,
-    "bset.zero_stalk": lambda raw, w: bset_zero_stalk(raw, w),
-    "bset.minimum": bset_minimum,
-    "bset.compatible_join": bset_compatible_join,
-}
-
-LAWS = {**_BALG_LAWS, **_SKEW_LAWS, **_BSET_LAWS}
+def _check_witness(law, raw, witness):
+    """Raise ValueError unless ``law`` is a law of ``raw`` and ``witness``
+    has one of its forms, with an id of the structure at each entry."""
+    kind = raw["kind"]
+    if kind == "skew" and raw.get("bullet") is None:
+        kind = "band"
+    if kind not in LAWS[law].kinds:
+        raise ValueError(f"{law} is not a law of a {_NAMES.get(kind, kind)}")
+    form = next((f for f in LAWS[law].forms if len(f) == len(witness)), None)
+    if form is None:
+        lengths = " or ".join(str(len(f)) for f in LAWS[law].forms)
+        raise ValueError(f"{law} takes a witness of {lengths} ids, not {len(witness)}")
+    if kind == "bset":
+        base = set(raw["base"]["elements"])
+        ids = {"x": {x for members in raw["stalks"].values() for x in members},
+               "e": base, ">": base}
+    else:
+        ids = {"x": set(raw["elements"])}
+    for slot, entry in zip(form, witness):
+        for part in entry.split(">") if slot == ">" else [entry]:
+            if part not in ids[slot]:
+                of = _NAMES[kind] if slot == "x" else "base"
+                raise ValueError(f"{law}: {part!r} is not an element of the {of}")
 
 
 def holds(law, raw, witness):
-    """Whether the named law holds at the witness; False confirms a violation."""
-    try:
-        fn = LAWS[law]
-    except KeyError:
-        raise ValueError(f"unknown law {law!r}") from None
-    return bool(fn(raw, tuple(witness)))
+    """Whether the named law holds at the witness; False confirms a violation.
+
+    Raises ValueError, before evaluating anything, when the law is unknown
+    or not a law of ``raw``'s kind, or when the witness has no form that
+    the validators and ``scan`` give the law: a length, and an id of the
+    structure at each entry."""
+    if law not in LAWS:
+        raise ValueError(f"unknown law {law!r}")
+    witness = tuple(witness)
+    _check_witness(law, raw, witness)
+    env = {"balg": _Balg, "skew": _Skew, "bset": _Bset}[raw["kind"]](raw)
+    return LAWS[law].check(env, [witness]) is None
 
 
 def scan(raw):
     """Exhaustive scan of all laws for the raw kind; first violation or None."""
-    kind = raw["kind"]
-    if kind == "balg":
-        return scan_balg(raw)
-    if kind == "skew":
-        return scan_skew(raw)
-    if kind == "bset":
-        return scan_bset(raw)
-    raise ValueError(f"no law scan for kind {kind!r}")
+    scans = {"balg": scan_balg, "skew": scan_skew, "bset": scan_bset}
+    if raw["kind"] not in scans:
+        raise ValueError(f"no law scan for kind {raw['kind']!r}")
+    return scans[raw["kind"]](raw)

@@ -300,6 +300,33 @@ def test_replay_confirms_reported_witness(capsys, tmp_path):
     assert code2 == 1 and "not confirmed" in out2
 
 
+@pytest.mark.parametrize("name, law, witness, message", [
+    ("B4", "order.meet_exists", "zz,a", "order.meet_exists: 'zz' is not an element of the"
+                                        " Boolean algebra"),
+    ("B4", "lattice.bottom", "", "lattice.bottom takes a witness of 2 ids, not 0"),
+    ("B4", "order.meet_exists", "a", "order.meet_exists takes a witness of 2 ids, not 1"),
+    ("B4", "order.antisymmetry", "a,,b", "order.antisymmetry takes a witness of 2 ids, not 3"),
+    ("Prod", "bset.compatible_join", "a1,zz",
+     "bset.compatible_join: 'zz' is not an element of the Boolean set"),
+    ("Prod", "skew.SB1", "a1,a2", "skew.SB1 is not a law of a Boolean set"),
+    ("Band3", "skew.SB1", "x1,x2", "skew.SB1 is not a law of a band"),
+])
+def test_replay_refuses_what_the_oracle_cannot_evaluate(capsys, name, law, witness, message):
+    # a law of another kind, a witness of the wrong length or an unknown id
+    # is a document error, never a verdict or a traceback
+    doc = SHOW if name == "Band3" else PROD
+    code, out = run(capsys, "replay", doc, name, "--law", law, "--witness", witness)
+    assert (code, out) == (2, f"document error: {message}\n")
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.txt", "No such file or directory"), ("", "Is a directory")])
+def test_an_unreadable_file_is_a_document_error(capsys, tmp_path, name, reason):
+    path = str(tmp_path / name) if name else str(tmp_path)
+    code, out = run(capsys, "validate", path)
+    assert (code, out) == (2, f"document error: cannot read {path}: {reason}\n")
+
+
 def test_consecutive_calls_match_fresh_processes(capsys):
     # the parser is built once per import; no option of one call may leak
     # into the next
