@@ -15,8 +15,9 @@ Boolean set keeps the coordinates, and its one operation table is the ∘/•
 index rows built from them on first use (``_skew_rows``): x and y are
 compatible iff x∘y = y∘x, and then x ∨ y = x•y.  The exhaustive
 least-upper-bound scan over every pair runs only when the coordinates fail,
-to name the first compatible pair without a join; meets are found by bound
-scans.
+to name the first compatible pair without a join.  The one order is the
+restriction order, x <= y iff x = y|p(x); its bitmask rows (_order_masks)
+are built only for bound searches and filter checks.
 
 Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
 ``band_to_bset``) become presheaves the same way: stalks are the R classes,
@@ -24,7 +25,8 @@ which for a right normal ∘ are the classes of equal ∘ rows
 (``skew._row_classes``), over their quotient, and restriction is left
 multiplication by the first member of the lower class
 (``_class_presheaf``).  A skew algebra's Boolean set is built once, by
-``validate_skew``'s reconstruction, and ``from_skew`` returns it.
+``validate_skew``'s reconstruction, and it is both that presheaf and what
+``from_skew`` returns.
 """
 
 import random
@@ -42,6 +44,7 @@ from .errors import (
     MissingJoin,
     MissingRestriction,
     NoGlobalSupport,
+    NotAHomomorphism,
     NotRightNormal,
     PathDependent,
     StalkCollision,
@@ -63,7 +66,6 @@ class Presheaf:
         )
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.stalk_of = {x: e for e in base.elements for x in stalks[e]}
-        self._order_masks()
 
     def __repr__(self):
         return f"<{type(self).__name__} {len(self.elements)} elements over {len(self.base.elements)}>"
@@ -82,42 +84,51 @@ class Presheaf:
     def has_global_support(self):
         return all(self.stalks[e] for e in self.base.elements)
 
-    def _order_masks(self):
-        # leq per the restriction order: x <= y iff x = y|_{p(x)}
-        n = len(self.elements)
-        below = [0] * n
-        above = [0] * n
-        for j, y in enumerate(self.elements):
-            ry = self._rest[y]
-            for f, x in ry.items():
-                i = self.index[x]
-                below[j] |= 1 << i
-                above[i] |= 1 << j
-        self._below = below
-        self._above = above
-
     def leq_elem(self, x, y):
-        return self._below[self.index[y]] >> self.index[x] & 1 == 1
+        return self._rest[y].get(self.stalk_of[x]) == x
 
     def meet_elem(self, x, y):
-        """Greatest lower bound by exhaustive scan, or None."""
-        m = self._below[self.index[x]] & self._below[self.index[y]]
-        k = balg._greatest(m, self._below)
+        """Greatest lower bound by a bound search, or None."""
+        below = _order_masks(self)[0]
+        k = balg._greatest(below[self.index[x]] & below[self.index[y]], below)
         return self.elements[k] if k >= 0 else None
 
     def join_elem(self, x, y):
-        """Least upper bound by exhaustive scan, or None."""
-        m = self._above[self.index[x]] & self._above[self.index[y]]
-        k = balg._least(m, self._above)
+        """Least upper bound by a bound search, or None."""
+        above = _order_masks(self)[1]
+        k = balg._least(above[self.index[x]] & above[self.index[y]], above)
         return self.elements[k] if k >= 0 else None
 
     def compatible_elems(self, x, y):
-        m = self.meet_elem(x, y)
-        return m is not None and self.p(m) == self.base.meet(self.p(x), self.p(y))
+        """x and y agree on p(x) ∧ p(y), so their restriction there is their meet."""
+        m = self.base.meet(self.p(x), self.p(y))
+        return self._rest[x][m] == self._rest[y][m]
+
+    @property
+    @memo("_has_meets")
+    def has_binary_meets(self):
+        return all(
+            self.meet_elem(x, y) is not None
+            for x in self.elements for y in self.elements
+        )
 
     def circ(self, x, y):
         """x∘y = y restricted to p(x) ∧ p(y)."""
         return self.restrict(y, self.base.meet(self.p(x), self.p(y)))
+
+
+@memo("_order")
+def _order_masks(P):
+    """(below, above): bit i of below[j] and bit j of above[i] are set iff
+    element i <= element j in the restriction order."""
+    n, index = len(P.elements), P.index
+    below, above = [0] * n, [0] * n
+    for j, y in enumerate(P.elements):
+        for x in P._rest[y].values():
+            i = index[x]
+            below[j] |= 1 << i
+            above[i] |= 1 << j
+    return below, above
 
 
 def _lower_covers(base):
@@ -289,14 +300,6 @@ class BooleanSet(Presheaf):
 
     def bullet(self, x, y):
         return self.join(x, self.setminus(y, x))
-
-    @property
-    @memo("_has_meets")
-    def has_binary_meets(self):
-        return all(
-            self.meet_elem(x, y) is not None
-            for x in self.elements for y in self.elements
-        )
 
 
 def _atom_codes(P):
@@ -625,13 +628,11 @@ def _enumerate_bahoms(A, B):
     the generating joins of atoms."""
     for choice in product(B.elements, repeat=len(A.atoms)):
         mapping = balg._atom_join_map(A, B, dict(zip(A.atoms, choice)))
-        ok = all(
-            mapping[A.meet(x, y)] == B.meet(mapping[x], mapping[y])
-            and mapping[A.join(x, y)] == B.join(mapping[x], mapping[y])
-            for x in A.elements for y in A.elements
-        )
-        if ok and mapping[A.bottom] == B.bottom:
-            yield mapping
+        try:
+            balg.validate_bahom(mapping, A, B)
+        except NotAHomomorphism:
+            continue
+        yield mapping
 
 
 # ------------------------------------------------------- right normal bands
@@ -678,9 +679,11 @@ def _band_quotient(S):
     return cls_idx, names, skew._order_pairs(qmeet, names), bottoms
 
 
+@memo("_presheaf")
 def band_to_presheaf(S):
     """Stalks are R classes over the quotient meet semilattice, whose meet
-    is induced by circ (R is a congruence of a right normal band)."""
+    is induced by circ (R is a congruence of a right normal band); its order
+    is the natural order of S.  A skew algebra's is its Boolean set."""
     cls_idx, names, pairs, _ = _band_quotient(S)
     base = balg.validate_meet_semilattice(names, pairs)
     return _class_presheaf(base, S.elements, S.table, cls_idx)

@@ -17,24 +17,19 @@ def balg_dot(B, name):
     return "\n".join(lines)
 
 
-def _order_covers(elements, below):
-    """Hasse covers (x, y) of the relation with ``below[j]`` the mask of the
-    i related to j: x below y and nothing else between them, x-major, then
-    y, in element order."""
-    above = balg._down_masks(len(elements), below)
-    return [
-        (x, elements[j])
-        for i, x in enumerate(elements)
-        for j in range(len(elements))
-        if i != j and below[j] >> i & 1 and not above[i] & below[j] & ~(1 << i | 1 << j)
-    ]
+def _presheaf_covers(P, index):
+    """Hasse covers (x, y) of P's restriction order, x-major, then y, in the
+    order of ``index``: x = y|f for f a lower cover of p(y)."""
+    covers = [(m[y], y) for m in P.cover_maps.values() for y in m]
+    return sorted(covers, key=lambda c: (index[c[0]], index[c[1]]))
 
 
 def skew_dot(S, name):
+    """The natural order, that of the presheaf of R classes."""
     lines = [f"digraph {_q(name)} {{", "  rankdir=BT;"]
     for e in S.elements:
         lines.append(f"  {_q(e)};")
-    for x, y in _order_covers(S.elements, skew._natural_below(S)):
+    for x, y in _presheaf_covers(bset.band_to_presheaf(S), S.index):
         lines.append(f"  {_q(x)} -> {_q(y)};")
     lines.append("}")
     return "\n".join(lines)
@@ -48,7 +43,7 @@ def bset_dot(X, name):
         lines.append(f"  {_q(lower)} -> {_q(upper)};")
     for x in X.elements:
         lines.append(f"  {_q(x)};")
-    for x, y in _order_covers(X.elements, X._below):
+    for x, y in _presheaf_covers(X, X.index):
         lines.append(f"  {_q(x)} -> {_q(y)};")
     for x in X.elements:
         lines.append(f"  {_q(x)} -> {_q(X.p(x))} [style=dashed];")

@@ -59,7 +59,7 @@ def bset_ultrafilters(X):
     the classes are checked to be disjoint prime filters projecting onto F.
 
     Sets of elements are bitmasks over X.elements, read from the order rows
-    X._below/X._above.  With pre_mask the preimage of F, the conjugacy row of
+    bset._order_masks(X).  With pre_mask the preimage of F, the conjugacy row of
     a is the mask of the b in the preimage with below[a] & below[b] & pre_mask
     nonzero; transitivity is row containment.  This costs O(n^2) mask
     operations per base ultrafilter for n elements (the rows, their
@@ -67,7 +67,7 @@ def bset_ultrafilters(X):
     comparison per class, against O(n^3) per base ultrafilter for an
     element-wise conjugacy test.
     """
-    els, below = X.elements, X._below
+    els, below = X.elements, bset._order_masks(X)[0]
     out = []
     for F in X.base.ultrafilters():
         pre = [i for i, x in enumerate(els) if X.p(x) in F.members]
@@ -112,7 +112,7 @@ def _assert_is_ultrafilter(X, u):
     member m.  If it is, a compatible join x ∨ y in u restricts to s on a as
     x or y does, so x or y is in u.  If u is prime, it holds x|a for each
     member x = x|a ∨ x|(p(x) \\ a), and so, upward closed, every z over s."""
-    els, index, below, above = X.elements, X.index, X._below, X._above
+    (els, index), (below, above) = (X.elements, X.index), bset._order_masks(X)
     F = u.base_filter
     if {X.p(x) for x in u.members} != F.members:
         raise AssertionError((u.ident, F))

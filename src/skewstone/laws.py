@@ -123,7 +123,10 @@ def lattice_relative_complement(env, witnesses):
 
 def scan_balg(raw):
     """First violated (law, witness) over the whole structure, or None."""
-    env = _Balg(raw)
+    return _scan_balg_env(_Balg(raw))
+
+
+def _scan_balg_env(env):
     els = env.elements
     pairs = [(x, y) for x in els for y in els]
     found = _first(env, [("order.antisymmetry", pairs)])
@@ -223,13 +226,21 @@ def skew_sb5(env, witnesses):
     return None
 
 
+def _check_zero(raw):
+    if raw.get("zero") not in raw["elements"]:
+        raise ValueError("the skew algebra declares no zero among its elements, "
+                         "which skew.SB4 and skew.SB5 read")
+
+
 def scan_skew(raw):
     """The first violation of a band (no bullet) or skew algebra, in the
     validators' order: each law runs over all its witnesses before the next
     one.  The band laws come first, for circ and then bullet; a band ends
     with right normality over pairs, then triples; a skew algebra with
     SB1, SB2 and SB3 over pairs, SB4 and SB5 over elements, and right
-    normality of circ over triples."""
+    normality of circ over triples.  A skew algebra needs a zero (_check_zero)."""
+    if raw.get("bullet") is not None:
+        _check_zero(raw)
     els = raw["elements"]
     singles = [(x,) for x in els]
     pairs = [(x, y) for x in els for y in els]
@@ -382,9 +393,10 @@ def bset_compatible_join(env, witnesses):
 
 
 def scan_bset(raw):
+    """The base's first finding, then the presheaf's, then the Boolean set's."""
     env = _Bset(raw)
     zero_stalk = env.stalks[env.base.bottom]
-    return env.presheaf_failure or _first(env, [
+    return _scan_balg_env(env.base) or env.presheaf_failure or _first(env, [
         ("bset.global_support", [(e,) for e in env.base.elements]),
         ("bset.zero_stalk", [tuple(zero_stalk[:2])]),
         ("bset.minimum", [tuple(zero_stalk[:1])]),
@@ -458,14 +470,20 @@ def _check_witness(law, raw, witness):
 def holds(law, raw, witness):
     """Whether the named law holds at the witness; False confirms a violation.
 
-    Raises ValueError, before evaluating anything, when the law is unknown
-    or not a law of ``raw``'s kind, or when the witness has no form that
-    the validators and ``scan`` give the law: a length, and an id of the
-    structure at each entry."""
+    A Boolean algebra law of a bset raw is evaluated on its base, as
+    scan_bset reports the base's findings.  Raises ValueError, before
+    evaluating anything, when the law is unknown or not a law of ``raw``'s
+    kind, when the witness has no form that the validators and ``scan``
+    give the law (a length, and an id of the structure at each entry), or
+    when the law reads a zero that the skew raw does not declare."""
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}")
     witness = tuple(witness)
+    if raw["kind"] == "bset" and LAWS[law].kinds == _BALG:
+        raw = raw["base"]
     _check_witness(law, raw, witness)
+    if law in ("skew.SB4", "skew.SB5"):
+        _check_zero(raw)
     env = {"balg": _Balg, "skew": _Skew, "bset": _Bset}[raw["kind"]](raw)
     return LAWS[law].check(env, [witness]) is None
 

@@ -23,14 +23,15 @@ bound about 512 elements.
 
 The R classes and their quotient order are built here (``_row_classes``,
 ``_class_table``, ``_order_pairs``) for skew algebras and for the right
-normal bands of :mod:`skewstone.bset` alike.
+normal bands of :mod:`skewstone.bset` alike.  Their natural order, x <= y
+iff x∘y = x, is the restriction order x = y|p(x) of the presheaf of these
+classes (``bset.band_to_presheaf``), and meets are read there.
 """
 
 from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from . import balg, bset
-from ._memo import memo
 from .errors import (
     NoBinaryMeets,
     NotABand,
@@ -48,8 +49,7 @@ class SkewAlgebra:
     ``circ`` and ``bullet`` are index matrices in element order.  Built
     only by ``validate_skew``, which keeps the Boolean set and the gamma
     quotient it rebuilt the tables from (``_bset``, ``_gamma``).  Immutable
-    after validation; the natural order and principal down-set algebras are
-    cached on first use.
+    after validation.
     """
 
     def __init__(self, elements, index, circ, bullet, zero_i):
@@ -85,16 +85,11 @@ class SkewAlgebra:
         return tuple(self.elements[k] for k in seen)
 
     def down_algebra(self, x):
-        """x↓ as a validated unital Boolean algebra under the natural order."""
-        try:
-            cache = self._down_algs
-        except AttributeError:
-            cache = self._down_algs = {}
-        if x not in cache:
-            members = self.down_closure(x)
-            pairs = [(u, v) for u in members for v in members if self.leq(u, v)]
-            cache[x] = balg.validate_balg(members, pairs, self.zero)
-        return cache[x]
+        """x↓ as a validated unital Boolean algebra under the natural order,
+        for SB5's scan."""
+        members = self.down_closure(x)
+        pairs = [(u, v) for u in members for v in members if self.leq(u, v)]
+        return balg.validate_balg(members, pairs, self.zero)
 
 
 def _band_check(elements, table, op):
@@ -228,7 +223,8 @@ def _validate_index(elements, index, circ, bullet, z):
     if X is None:
         _axiom_scan(S, circ_ok)
         raise AssertionError("reconstruction failed, yet every axiom holds")
-    S._bset, S._gamma = X, gq
+    S._bset = S._presheaf = X
+    S._gamma = gq
     return S
 
 
@@ -329,32 +325,18 @@ def natural_leq(S, x, y):
 
 
 def skew_rel_complement(S, x, y):
-    """x\\y: the complement of y∘x inside the unital Boolean algebra x↓."""
-    return S.down_algebra(x).rel_complement(x, S.circ(y, x))
-
-
-@memo("_below")
-def _natural_below(S):
-    """Masks of the natural order x <= y iff x∘y = x, of a skew algebra or
-    band: bit i of row j is set iff i∘j = i."""
-    els, leq = S.elements, S.leq
-    return [sum(1 << i for i, x in enumerate(els) if leq(x, y)) for y in els]
+    """x\\y = x|(p(x) \\ p(y)), the complement of y∘x inside x↓."""
+    return S._bset.setminus(x, y)
 
 
 def meet(S, x, y):
-    """Greatest lower bound under the natural order, read off its masks.
-
-    Returns None when absent; absence is a first-class outcome.
-    """
-    below = _natural_below(S)
-    k = balg._greatest(below[S.index[x]] & below[S.index[y]], below)
-    return S.elements[k] if k >= 0 else None
+    """Greatest lower bound under the natural order, or None when absent;
+    absence is a first-class outcome."""
+    return bset.band_to_presheaf(S).meet_elem(x, y)
 
 
 def is_wedge_algebra(S):
-    return all(
-        meet(S, x, y) is not None for x in S.elements for y in S.elements
-    )
+    return bset.band_to_presheaf(S).has_binary_meets
 
 
 # ----------------------------------------------------------- gamma quotient
@@ -508,11 +490,8 @@ def is_wedge_morphism(phi):
     S, T = phi.source, phi.target
     if not is_wedge_algebra(S) or not is_wedge_algebra(T):
         raise NoBinaryMeets(())
-    for x in S.elements:
-        for y in S.elements:
-            if phi.mapping[meet(S, x, y)] != meet(T, phi.mapping[x], phi.mapping[y]):
-                return False
-    return True
+    m = phi.mapping
+    return all(m[meet(S, x, y)] == meet(T, m[x], m[y]) for x in S.elements for y in S.elements)
 
 
 def compose_skew_morphisms(g, f):

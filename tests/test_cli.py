@@ -300,6 +300,22 @@ def test_replay_confirms_reported_witness(capsys, tmp_path):
     assert code2 == 1 and "not confirmed" in out2
 
 
+ZEROLESS = (
+    "skew Z {\n"
+    "  elements: 0, a\n"
+    "  circ:\n"
+    "    0 a\n"
+    "    0 0\n"
+    "    0 a\n"
+    "  bullet:\n"
+    "    0 a\n"
+    "    0 a\n"
+    "    a a\n"
+    "}\n"
+)
+NO_ZERO = "the skew algebra declares no zero among its elements, which skew.SB4 and skew.SB5 read"
+
+
 @pytest.mark.parametrize("name, law, witness, message", [
     ("B4", "order.meet_exists", "zz,a", "order.meet_exists: 'zz' is not an element of the"
                                         " Boolean algebra"),
@@ -310,12 +326,19 @@ def test_replay_confirms_reported_witness(capsys, tmp_path):
      "bset.compatible_join: 'zz' is not an element of the Boolean set"),
     ("Prod", "skew.SB1", "a1,a2", "skew.SB1 is not a law of a Boolean set"),
     ("Band3", "skew.SB1", "x1,x2", "skew.SB1 is not a law of a band"),
+    ("Z", "skew.SB4", "a", NO_ZERO),
+    ("Z", "skew.SB5", "a", NO_ZERO),
 ])
-def test_replay_refuses_what_the_oracle_cannot_evaluate(capsys, name, law, witness, message):
-    # a law of another kind, a witness of the wrong length or an unknown id
-    # is a document error, never a verdict or a traceback
+def test_replay_refuses_what_the_oracle_cannot_evaluate(capsys, tmp_path, name, law, witness,
+                                                        message):
+    # a law of another kind, a witness of the wrong length, an unknown id or
+    # a zero that the stanza does not declare (validate refuses it as a
+    # parse error) is a document error, never a verdict or a traceback
     doc = SHOW if name == "Band3" else PROD
-    code, out = run(capsys, "replay", doc, name, "--law", law, "--witness", witness)
+    if name == "Z":
+        doc = tmp_path / "zeroless.txt"
+        doc.write_text(ZEROLESS)
+    code, out = run(capsys, "replay", str(doc), name, "--law", law, "--witness", witness)
     assert (code, out) == (2, f"document error: {message}\n")
 
 

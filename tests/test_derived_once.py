@@ -4,6 +4,7 @@ the code they replaced.
 
 The references are the earlier ``skew.meet`` (a list of lower bounds and a
 scan for the greatest), ``is_wedge_algebra``/``is_wedge_morphism`` over it,
+``skew_rel_complement`` by a complement in the validated algebra x↓,
 ``is_boolean_band`` (its own compatible-join scan after a second quotient),
 the uncached ``band_to_bset`` and the second right-normality loop of
 ``validate_band``.  Results must be equal, or the errors equal in type,
@@ -46,6 +47,11 @@ def old_is_wedge_morphism(phi):
             if phi.mapping[old_meet(S, x, y)] != old_meet(T, phi.mapping[x], phi.mapping[y]):
                 return False
     return True
+
+
+def old_skew_rel_complement(S, x, y, down):
+    """``down`` is S.down_algebra(x)."""
+    return down.rel_complement(x, S.circ(y, x))
 
 
 def old_is_boolean_band(S):
@@ -121,8 +127,9 @@ def test_memoized_builders_store_one_object_under_their_name():
     cases = [
         (bset.to_skew, X, "_skew"),
         (skew.gamma_classes, S, "_gamma"),
-        (skew._natural_below, S, "_below"),
-        (skew._natural_below, band, "_below"),
+        (bset.band_to_presheaf, S, "_presheaf"),
+        (bset.band_to_presheaf, band, "_presheaf"),
+        (bset._order_masks, X, "_order"),
         (duality.bset_ultrafilters, X, "_ultra"),
         (duality._stone_sets, X, "_stone"),
         (duality.bset_to_etale, X, "_etale"),
@@ -184,9 +191,10 @@ def test_meets_match_reference():
 
 def test_natural_order_masks_match_leq():
     for S in meet_structures():
-        below = skew._natural_below(S)
-        for i, x in enumerate(S.elements):
-            for j, y in enumerate(S.elements):
+        P = bset.band_to_presheaf(S)
+        below = bset._order_masks(P)[0]
+        for i, x in enumerate(P.elements):
+            for j, y in enumerate(P.elements):
                 assert (below[j] >> i & 1 == 1) == S.leq(x, y)
 
 
@@ -209,6 +217,15 @@ def test_wedge_morphisms_match_reference_on_small_algebras():
             seen.add(want)
             assert skew.is_wedge_morphism(phi) == want
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (2, 2, 2), (2, 2, 2, 2)])
+def test_relative_complements_match_reference(sizes):
+    S = skew_of(sizes)
+    for x in S.elements:
+        down = S.down_algebra(x)
+        for y in S.elements:
+            assert skew.skew_rel_complement(S, x, y) == old_skew_rel_complement(S, x, y, down)
 
 
 # ---------------------------------------------------------- Boolean bands

@@ -57,11 +57,12 @@ def test_ultrafilter_checks_fire_on_corrupted_tables():
     outside = [i for i in range(len(X.elements)) if X.elements[i] not in u]
 
     # an element above a member but outside u breaks upward closure
-    saved = X._above[inside[0]]
-    X._above[inside[0]] |= 1 << outside[-1]
+    above = bset._order_masks(X)[1]
+    saved = above[inside[0]]
+    above[inside[0]] |= 1 << outside[-1]
     with pytest.raises(AssertionError, match="not upward closed"):
         _fresh_ultrafilters(X)
-    X._above[inside[0]] = saved
+    above[inside[0]] = saved
     assert _fresh_ultrafilters(X)[0] == u
 
     # an element outside u restricting on u's atom as u's members do

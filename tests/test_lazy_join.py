@@ -9,7 +9,8 @@ that table, the ``_stalk_rows`` that made id-level ``meet``/``rel_complement``
 calls, the morphism consequence check that compared ``to_skew`` of both sets
 through id-level calls, and the ultrafilter primeness pass over the join
 table.  The joins, the stalk rows, both skew tables and both checks'
-verdicts must equal theirs.
+verdicts must equal theirs.  The acceptance path reads no join and builds
+no order masks (``bset._order_masks``).
 """
 
 import random
@@ -108,7 +109,8 @@ def old_assert_morphism_consequences(m):
 def old_assert_is_ultrafilter(X, u):
     """The ultrafilter check with primeness by one pass over the join
     table: no compatible join of two non-members lands in u."""
-    els, index, below, above = X.elements, X.index, X._below, X._above
+    els, index = X.elements, X.index
+    below, above = bset._order_masks(X)
     F = u.base_filter
     if {X.p(x) for x in u.members} != F.members:
         raise AssertionError((u.ident, F))
@@ -192,16 +194,12 @@ def test_skew_validation_keeps_codes_and_builds_no_join_table():
 
 # ------------------------------------------------------ acceptance path
 
-def test_acceptance_path_reads_no_join_table(monkeypatch, capsys, tmp_path):
+def run_acceptance_path(capsys, tmp_path):
+    """gen, then validate, to-skew, validate of the skew document and the
+    skew round trip, on docs/prod.txt and on the generated 81-element set."""
     assert cli.main(["gen", "--atoms", "4", "--stalks", "2,2,2,2", "--seed", "1"]) == 0
     gen = tmp_path / "g.txt"
     gen.write_text(capsys.readouterr().out)
-
-    def refuse(*args):
-        raise AssertionError("a join was read")
-
-    monkeypatch.setattr(bset.BooleanSet, "join", refuse)
-    monkeypatch.setattr(bset.BooleanSet, "compatible_elems", refuse)
     for doc, name in ((DOCS / "prod.txt", "Prod"), (gen, "G")):
         assert cli.main(["validate", str(doc)]) == 0
         assert f"bset {name}: ok" in capsys.readouterr().out
@@ -214,6 +212,23 @@ def test_acceptance_path_reads_no_join_table(monkeypatch, capsys, tmp_path):
         assert f"skew {name}_skew: ok" in out
         assert "skew round trip: identity" in out
     assert "skew round trip: identity (81 elements)" in out
+
+
+def test_acceptance_path_reads_no_join_table(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a join was read")
+
+    monkeypatch.setattr(bset.BooleanSet, "join", refuse)
+    monkeypatch.setattr(bset.BooleanSet, "compatible_elems", refuse)
+    run_acceptance_path(capsys, tmp_path)
+
+
+def test_acceptance_path_builds_no_order_masks(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        raise AssertionError("order masks were built")
+
+    monkeypatch.setattr(bset, "_order_masks", refuse)
+    run_acceptance_path(capsys, tmp_path)
 
 
 def test_duality_paths_read_no_join_and_build_no_skew_algebra(monkeypatch, capsys, tmp_path):

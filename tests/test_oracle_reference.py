@@ -148,7 +148,8 @@ BAND = {"kind": "skew", "elements": ["0", "x"], "zero": None,
 
 @pytest.mark.parametrize("law, raw, witness, message", [
     ("band.assoc.bullet", BAND, ("0", "x", "x"), "band.assoc.bullet is not a law of a band"),
-    ("order.meet_exists", PROD, ("a", "b"), "order.meet_exists is not a law of a Boolean set"),
+    ("order.meet_exists", PROD, ("a", "zz"),
+     "order.meet_exists: 'zz' is not an element of the Boolean algebra"),
     ("band.right_normal", BAND, ("0",), "band.right_normal takes a witness of 2 or 3 ids, not 1"),
     ("bset.global_support", PROD, ("a1",), "bset.global_support: 'a1' is not an element of the base"),
     ("presheaf.path_independence", PROD, ("(a1,b1)", "1>a>0", "1>zz>0"),
@@ -159,3 +160,28 @@ def test_holds_refuses_what_it_cannot_evaluate(law, raw, witness, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         laws.holds(law, raw, witness)
 
+
+def test_scan_refuses_a_skew_algebra_without_a_zero():
+    # SB4 and SB5 read the zero; replay's refusal is tested in test_cli.py
+    raw = {"kind": "skew", "elements": ["0", "a"], "zero": None,
+           "circ": [["0", "0"], ["0", "a"]], "bullet": [["0", "a"], ["a", "a"]]}
+    with pytest.raises(ValueError, match="declares no zero"):
+        laws.scan(raw)
+
+
+
+M3 = {"kind": "balg", "elements": ["0", "a", "b", "c", "1"],
+      "leq": [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+      "bottom": "0"}
+M3_SINGLETONS = {"kind": "bset", "base": M3,
+                 "stalks": {e: [f"s{e}"] for e in M3["elements"]},
+                 "restrict": {(hi, lo): {f"s{hi}": f"s{lo}"} for lo, hi in M3["leq"]}}
+
+
+def test_a_bset_scan_reports_its_base_first():
+    # singleton stalks over M3 break no presheaf or Boolean set law, but the
+    # base is not distributive; the finding replays on the bset raw
+    finding = ("lattice.distributivity", ("a", "b", "c"))
+    assert laws.scan_balg(M3) == laws.scan(M3_SINGLETONS) == finding
+    assert not laws.holds(finding[0], M3_SINGLETONS, finding[1])
+    assert laws.holds(finding[0], M3_SINGLETONS, ("a", "a", "b"))

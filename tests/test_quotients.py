@@ -492,19 +492,7 @@ def test_proper_morphism_enumeration_matches_reference():
 
 def test_order_covers_match_reference():
     for X in list(sources().values()):
-        assert dot._order_covers(X.elements, X._below) == \
-            old_order_covers(X.elements, X.leq_elem)
+        assert dot._presheaf_covers(X, X.index) == old_order_covers(X.elements, X.leq_elem)
     for S in skew_inputs() + list(bands().values()) + small_bands():
-        assert dot._order_covers(S.elements, skew._natural_below(S)) == \
+        assert dot._presheaf_covers(bset.band_to_presheaf(S), S.index) == \
             old_order_covers(S.elements, S.leq)
-
-
-def test_order_covers_match_reference_on_any_relation():
-    # the mask test reads the same definition for relations that are not
-    # orders: no third element strictly between, by the given relation
-    rng = random.Random(3)
-    els = tuple("uvwxyz")
-    for _ in range(300):
-        below = [rng.getrandbits(len(els)) for _ in els]
-        leq = lambda x, y: below[els.index(y)] >> els.index(x) & 1 == 1
-        assert dot._order_covers(els, below) == old_order_covers(els, leq)
