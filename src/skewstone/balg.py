@@ -9,13 +9,13 @@ of representational reach here.
 Only the partial order is taken as input.  Meet, join and relative-complement
 tables are derived during validation and cached; element ids are opaque
 strings, all derived tables use dense integer indices in input order, which
-fixes every deterministic choice downstream.  Validation accepts through the
-Stone map: an order is a finite Boolean algebra exactly when it is isomorphic
-to the powerset of its atoms, which is checked, and the tables read off, in
-O(n·k + 3^k + n^2) for k atoms.  The exhaustive lattice, distributivity
-(O(n^3) over triples) and relative-complement scans run only when that check
-fails, to name the first failed law; the intended feasible bound is about
-256 elements.
+fixes every deterministic choice downstream.  Validation accepts only through
+the Stone map: an order is a finite Boolean algebra exactly when it is
+isomorphic to the powerset of its atoms, which is checked, and the tables
+read off, in O(n·k + 3^k + n^2) for k atoms.  The exhaustive lattice,
+distributivity (O(n^3) over triples) and relative-complement scans run only
+when that check fails, only to name the first failed law; the intended
+feasible bound is about 256 elements.
 """
 
 from dataclasses import dataclass, field
@@ -166,23 +166,18 @@ def validate_meet_semilattice(elements, leq_pairs):
 
 @dataclass(frozen=True)
 class FilterSet:
-    """A filter (or, with dual invariants, an ideal) of a finite algebra.
+    """A filter ``↑generator`` (or, with dual invariants, an ideal
+    ``↓generator``) of a finite algebra; every filter and ideal of a finite
+    lattice is principal, and each is built by ``principal_filter`` or
+    ``principal_ideal``.
 
-    Equality and hashing look at the member set only; the algebra reference
-    is context.
+    Equality and hashing look at the member set only; the algebra and the
+    generator are context.
     """
 
     algebra: "FinBooleanAlgebra" = field(compare=False)
     members: frozenset = field()
-
-    @property
-    def generator(self):
-        """The unique minimal member; every filter of a finite poset is ``↑x``."""
-        alg = self.algebra
-        for x in self.members:
-            if all(alg.leq(x, y) for y in self.members):
-                return x
-        raise ValueError("not a principal up-set")
+    generator: str = field(compare=False)
 
     def __contains__(self, x):
         return x in self.members
@@ -236,10 +231,10 @@ class FinBooleanAlgebra(FinMeetSemilattice):
     # -- filters and ideals ------------------------------------------------
 
     def principal_filter(self, x):
-        return FilterSet(self, frozenset(self.up_set(x)))
+        return FilterSet(self, frozenset(self.up_set(x)), x)
 
     def principal_ideal(self, x):
-        return FilterSet(self, frozenset(self.down_set(x)))
+        return FilterSet(self, frozenset(self.down_set(x)), x)
 
     def all_filters(self):
         """Every filter, as a principal up-set per generator, in element order."""
@@ -395,7 +390,9 @@ def validate_balg(elements, leq_pairs, bottom):
     Acceptance is decided by the Stone map (see _stone_tables), which is
     exact both ways, so the lattice, bottom, distributivity and relative
     complement scans run only on an order it rejects, to name the first
-    failed law and its witness.
+    failed law and its witness.  The scans build no algebra: if none of
+    them fails, the Stone map and the laws disagree, which raises
+    AssertionError, also under ``python -O``.
     """
     elements, index = _index_elements(elements)
     n = len(elements)
@@ -438,22 +435,17 @@ def validate_balg(elements, leq_pairs, bottom):
                 if ma[jb[c]] != join[mab][ma[c]]:
                     raise NotDistributive((elements[a], elements[b], elements[c]))
 
-    comp_in = {}
     for b in range(n):
         db = down[b]
         m = db
         while m:
             a = (m & -m).bit_length() - 1
             m &= m - 1
-            found = [c for c in range(n)
-                     if db >> c & 1 and meet[c][a] == bot and join[c][a] == b]
-            if not found:
+            if not any(db >> c & 1 and meet[c][a] == bot and join[c][a] == b
+                       for c in range(n)):
                 raise NoRelativeComplement((elements[a], elements[b]))
-            if len(found) != 1:
-                raise AssertionError((elements[a], elements[b], found))
-            comp_in[b, a] = found[0]
 
-    return FinBooleanAlgebra(elements, index, up, down, meet, join, bot, comp_in)
+    raise AssertionError("the Stone map refused an order that every law accepts")
 
 
 # ------------------------------------------ filters, homomorphisms, powersets

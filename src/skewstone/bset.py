@@ -2,12 +2,13 @@
 
 A presheaf assigns a finite stalk to each base element and a restriction map
 to each Hasse covering pair; composite restrictions along longer chains are
-derived after path-independence validation and cached.  A Boolean set is a
-presheaf over a Boolean algebra with global support, a minimum element, a
-trivial zero stalk, and joins of compatible pairs.  Path independence is
+derived by the walk that checks path independence, and kept.  A Boolean set
+is a presheaf over a Boolean algebra with global support, a minimum element,
+a trivial zero stalk, and joins of compatible pairs.  Path independence is
 checked locally, cover by cover inside each down-set, which is exact by
-induction along chains; the enumeration of every Hasse chain runs only on a
-failure, to name the two chains that disagree.
+induction along chains, and a presheaf is accepted only by that walk; the
+enumeration of every Hasse chain runs only on a failure, and only to name
+the two chains that disagree.
 
 A Boolean set is decided by atom coordinates (``_atom_codes``): each stalk
 must map one to one onto the product of the atom stalks below it.  The
@@ -15,9 +16,10 @@ Boolean set keeps the coordinates, and its one operation table is the ∘/•
 index rows built from them on first use (``_skew_rows``): x and y are
 compatible iff x∘y = y∘x, and then x ∨ y = x•y.  The exhaustive
 least-upper-bound scan over every pair runs only when the coordinates fail,
-to name the first compatible pair without a join.  The one order is the
-restriction order, x <= y iff x = y|p(x); its bitmask rows (_order_masks)
-are built only for bound searches and filter checks.
+to name the first compatible pair without a join.  A refusal that either
+scan cannot explain is an internal error (AssertionError).  The one order
+is the restriction order, x <= y iff x = y|p(x); its bitmask rows
+(_order_masks) are built only for bound searches and filter checks.
 
 Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
 ``band_to_bset``) become presheaves the same way: stalks are the R classes,
@@ -184,10 +186,9 @@ def _local_restrictions(base, stalk_map, cover_maps, lower):
     return rest
 
 
-def _chain_restrictions(base, stalk_map, cover_maps, lower):
-    """Composite restrictions along every descending chain; raises
+def _chain_scan(base, stalk_map, cover_maps, lower):
+    """Composes restrictions along every descending chain and raises
     PathDependent at the first element whose chains disagree."""
-    rest = {x: {} for e in base.elements for x in stalk_map[e]}
     for e in base.elements:
         for f in base.down_set(e):
             paths = _cover_paths(base, lower, e, f)
@@ -205,8 +206,6 @@ def _chain_restrictions(base, stalk_map, cover_maps, lower):
                             (x, ">".join(p0), ">".join(pth)),
                             detail=f"{v0!r} vs {v!r}",
                         )
-                rest[x][f] = v0
-    return rest
 
 
 def validate_presheaf(base, stalks, restrictions):
@@ -219,7 +218,8 @@ def validate_presheaf(base, stalks, restrictions):
     every Hasse cover inside ↓e (see _local_restrictions), at
     O(|stalk(e)| · covers in ↓e) instead of once per descending chain.  Only
     when a cover disagrees does the scan over every chain run, so the
-    PathDependent witness (x, chain1, chain2) is the first one it finds.
+    PathDependent witness (x, chain1, chain2) is the first one it finds;
+    finding none raises AssertionError, also under ``python -O``.
     """
     stalk_map = {}
     seen = {}
@@ -261,7 +261,8 @@ def validate_presheaf(base, stalks, restrictions):
     lower = _lower_covers(base)
     rest = _local_restrictions(base, stalk_map, cover_maps, lower)
     if rest is None:
-        rest = _chain_restrictions(base, stalk_map, cover_maps, lower)
+        _chain_scan(base, stalk_map, cover_maps, lower)
+        raise AssertionError("two covers disagree, yet every chain agrees")
     return Presheaf(base, stalk_map, cover_maps, rest)
 
 

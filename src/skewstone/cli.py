@@ -296,8 +296,7 @@ def make_parser():
     gen.add_argument("--atoms", type=int, required=True)
     gen.add_argument("--stalks", required=True)
     gen.add_argument("--seed", type=int, default=None)
-    exp = add("export")
-    exp.add_argument("--dot", action="store_true", default=True)
+    add("export")
     rep = add("replay")
     rep.add_argument("--law", required=True)
     rep.add_argument("--witness", required=True)

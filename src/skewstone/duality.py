@@ -56,12 +56,14 @@ def bset_ultrafilters(X):
 
     For each base ultrafilter F, the preimage of F is partitioned into
     conjugacy classes (sharing a lower bound whose projection lies in F);
-    the classes are checked to be disjoint prime filters projecting onto F.
+    the classes are checked to be prime filters projecting onto F.
 
     Sets of elements are bitmasks over X.elements, read from the order rows
     bset._order_masks(X).  With pre_mask the preimage of F, the conjugacy row of
     a is the mask of the b in the preimage with below[a] & below[b] & pre_mask
-    nonzero; transitivity is row containment.  This costs O(n^2) mask
+    nonzero, a test symmetric in a and b; reflexivity is checked, and
+    transitivity is row containment.  The classes of this equivalence are
+    its distinct rows, so they are disjoint.  This costs O(n^2) mask
     operations per base ultrafilter for n elements (the rows, their
     equivalence checks and the filter checks) plus one O(n) primeness
     comparison per class, against O(n^3) per base ultrafilter for an
@@ -81,8 +83,6 @@ def bset_ultrafilters(X):
             if not row >> a & 1:
                 raise AssertionError(("conjugacy not reflexive", els[a]))
             for b in _bits(row):
-                if not rel[b] >> a & 1:
-                    raise AssertionError(("conjugacy not symmetric", els[a], els[b]))
                 # rel[b] within rel[a] for every b in rel[a]: every triple
                 extra = rel[b] & ~row
                 if extra:
@@ -93,8 +93,6 @@ def bset_ultrafilters(X):
             if seen >> a & 1:
                 continue
             cls = rel[a]
-            if cls & seen:
-                raise AssertionError(("classes overlap", els[_first(cls & seen)]))
             seen |= cls
             members = frozenset(els[b] for b in _bits(cls))
             u = BSetUltrafilter(X, members, F, f"[{els[a]}]@{F.generator}")

@@ -47,8 +47,12 @@ class FinEtaleSpace:
 def validate_etale(total, base, proj):
     total = tuple(str(e) for e in total)
     base = tuple(str(x) for x in base)
-    if len(set(total)) != len(total) or len(set(base)) != len(base):
+    points = set(total)
+    if len(points) != len(total) or len(set(base)) != len(base):
         raise ValueError("duplicate ids")
+    stray = next((e for e in proj if e not in points), None)
+    if stray is not None:
+        raise ValueError(f"projection entry {stray!r} is not a point of the total space")
     for e in total:
         if e not in proj:
             raise ValueError(f"projection not total: missing {e!r}")

@@ -98,9 +98,10 @@ def _band_check(elements, table, op):
 
     The triples (i, j, k) with i the first element are scanned first, then
     Light's test decides associativity; the rest of the (i, j, k) scan runs
-    only when the test fails, to name the first failing triple.  A failure
-    in the first row (an edited zero row, say) is thus found in O(n^2),
-    where Light's test may meet it only at its last generators.
+    only when the test fails, to name the first failing triple, and finding
+    none raises AssertionError, also under ``python -O``.  A failure in the
+    first row (an edited zero row, say) is thus found in O(n^2), where
+    Light's test may meet it only at its last generators.
     """
     n = len(elements)
     for i in range(n):
@@ -111,10 +112,13 @@ def _band_check(elements, table, op):
     rows = [tuple(r) for r in table]
     picks = [itemgetter(*r) for r in table]
     witness = _assoc_witness(table, rows, picks, range(1))
-    if witness is None and not _light_associative(rows):
+    if witness is None:
+        if _light_associative(rows):
+            return
         witness = _assoc_witness(table, rows, picks, range(1, n))
-    if witness is not None:
-        raise NotABand(tuple(elements[i] for i in witness), op, "assoc")
+        if witness is None:
+            raise AssertionError("Light's test refused, yet every triple associates")
+    raise NotABand(tuple(elements[i] for i in witness), op, "assoc")
 
 
 def _assoc_witness(table, rows, picks, firsts):

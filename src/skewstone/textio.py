@@ -11,6 +11,10 @@ Grammar (normative):
         row of element ids fixing row and column order, then one row per id
     relmor  = "phi: e->f1+f2, ..." (empty image allowed), "phibar: x->y, ..."
     "#" starts a comment; ids are whitespace-free and may not contain ":".
+    A key appears at most once per stanza (stalk and restrict once per
+    argument list), and a map-valued list (proj, map, basemap, phi, phibar,
+    a restrict body) names each left-hand id at most once; leq pairs may
+    repeat.
 
 Separators split only at bracket depth zero, so ids like "(a1,b1)" or
 "{e1,e3}" pass through unharmed.  Morphism and relmor stanzas name their
@@ -138,6 +142,16 @@ def _arrow_sets(value, line):
     return out
 
 
+def _maplets(entries, key, line):
+    """The entries of a map-valued list, each left-hand id at most once."""
+    seen = set()
+    for x, _ in entries:
+        if x in seen:
+            raise ParseError(line, 1, f"one entry for {x!r} in '{key}:'")
+        seen.add(x)
+    return entries
+
+
 def _strip(line):
     return line.split("#", 1)[0].rstrip()
 
@@ -209,6 +223,7 @@ def _check_refs(stanza, names, line):
 
 def _parse_body(lines, i, kind):
     data = {}
+    seen = set()  # keys with their arguments, e.g. ("stalk", "a")
     table_key = None
     while True:
         if i >= len(lines):
@@ -231,6 +246,10 @@ def _parse_body(lines, i, kind):
             if key not in _KEYS[kind]:
                 raise ParseError(i + 1, raw.index(key) + 1,
                                  f"one of {sorted(_KEYS[kind])} in a {kind} stanza")
+            if tuple(head_toks) in seen:
+                raise ParseError(i + 1, raw.index(key) + 1,
+                                 f"one {' '.join(head_toks)!r} line in a {kind} stanza")
+            seen.add(tuple(head_toks))
             _store(data, kind, key, head_toks[1:], value.strip(), i + 1)
             if key in ("circ", "bullet") and not value.strip():
                 table_key = key
@@ -254,9 +273,9 @@ def _store(data, kind, key, args, value, line):
             raise ParseError(line, 1, f"a single id for {key!r}")
         data[key] = toks[0]
     elif key in ("proj", "map", "basemap", "phibar"):
-        data[key] = _pairs(value, "->", line)
+        data[key] = _maplets(_pairs(value, "->", line), key, line)
     elif key == "phi":
-        data[key] = _arrow_sets(value, line)
+        data[key] = _maplets(_arrow_sets(value, line), key, line)
     elif key == "stalk":
         if len(args) != 1:
             raise ParseError(line, 1, "'stalk <base-element>:'")
@@ -265,7 +284,7 @@ def _store(data, kind, key, args, value, line):
         if len(args) != 3 or args[1] != "->":
             raise ParseError(line, 1, "'restrict <e> -> <f>:'")
         data.setdefault("restrict", {})[(args[0], args[2])] = dict(
-            _pairs(value, "->", line)
+            _maplets(_pairs(value, "->", line), " ".join((key, *args)), line)
         )
     elif key in ("circ", "bullet"):
         if value:

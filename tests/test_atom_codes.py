@@ -338,11 +338,3 @@ def test_sheaf_condition_needs_one_zero():
         P = bset.validate_presheaf(b1, {"0": zero}, {})
         assert bset.sheaf_condition(P) == old_sheaf_condition(P) == (len(zero) == 1)
 
-
-def test_failed_coordinates_with_every_join_is_an_error(monkeypatch):
-    # the pair scan runs only after the coordinates fail, and then must find
-    # a pair without a join; if it does not, validation raises, also under -O
-    P = bset.generate_boolean_set((2, 1))
-    monkeypatch.setattr(bset, "_atom_codes", lambda P: None)
-    with pytest.raises(AssertionError):
-        bset.validate_boolean_set(P)

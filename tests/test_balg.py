@@ -384,6 +384,24 @@ def test_ultrafilters_match_maximal_proper_principal_filters(k):
     assert [f.generator for f in got] == list(B.atoms)
 
 
+def old_generator(f):
+    """The search FilterSet.generator was: the member below every member."""
+    for x in f.members:
+        if all(f.algebra.leq(x, y) for y in f.members):
+            return x
+    raise ValueError("not a principal up-set")
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_filter_generator_is_the_least_member(k):
+    points = tuple(f"p{i}" for i in range(k))
+    B, _, _ = balg.powerset_balg(points, balg.render_braces(points))
+    for f in B.all_filters() + B.ultrafilters():
+        assert f.generator == old_generator(f)
+    for i in B.all_ideals():
+        assert i.generator == max(i.members, key=lambda x: len(B.down_set(x)))
+
+
 def test_ultrafilter_prime_check_fires_on_a_corrupted_join_table(b8):
     # {q} ∨ {r} moved into up({p}) makes that ultrafilter not prime; the
     # check is a raise, so it also fires under python -O

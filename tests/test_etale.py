@@ -1,6 +1,6 @@
 import pytest
 
-from skewstone import etale
+from skewstone import etale, textio
 from skewstone.errors import NotCompatible, NotNested, NotSurjective, FiberViolation
 
 
@@ -11,6 +11,14 @@ def test_validate(efix):
     with pytest.raises(NotSurjective) as e:
         etale.validate_etale(["e1"], ["u", "v"], {"e1": "u"})
     assert e.value.witness == ("v",)
+
+
+def test_projection_entries_name_points_of_the_total_space():
+    with pytest.raises(ValueError, match="'zz' is not a point of the total space"):
+        etale.validate_etale(["e1", "e2"], ["u"], {"e1": "u", "e2": "u", "zz": "u"})
+    doc = textio.parse("etale E {\n  total: e1, e2\n  base: u\n  proj: e1->u, e2->u, zz->u\n}\n")
+    with pytest.raises(ValueError, match=r"^etale E \(line 1\): projection entry 'zz'"):
+        textio.build(doc)
 
 
 def test_sections_over(efix):

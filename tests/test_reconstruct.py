@@ -13,7 +13,10 @@ reorder of ``textio``) and ``skew_struct_eq`` are compared the same way.
 Every pair of band tables on at most four elements is compared with the
 oracle ``laws.scan``, and an AST scan checks that ``SkewAlgebra`` is built
 only where the certificate decides, as ``from_skew`` and ``gamma_classes``
-return what it kept.
+return what it kept; the other validated structures are held to one
+builder each the same way.  Every validator's certificate, patched to
+refuse valid input, must make it raise AssertionError, as its scans only
+name failures.
 """
 
 import ast
@@ -300,13 +303,49 @@ def test_accepting_256_validates_only_the_quotient(monkeypatch):
     assert gamma_view(gq) == gamma_view(old_gamma_classes(S))
 
 
-def test_a_refusal_that_no_axiom_explains_is_an_internal_error(monkeypatch):
-    # the axiom scan runs only to name a failure; if it finds none, the
-    # certificate and the axioms disagree, which is raised, also under -O
+def valid_balg():
+    B = bset.generate_boolean_set((2, 1)).base
+    pairs = [(x, y) for x in B.elements for y in B.elements if B.leq(x, y)]
+    return lambda: balg.validate_balg(B.elements, pairs, B.bottom)
+
+
+def valid_presheaf():
+    X = bset.generate_boolean_set((2, 1))
+    return lambda: bset.validate_presheaf(X.base, X.stalks, X.cover_maps)
+
+
+def valid_boolean_set():
+    P = bset.generate_boolean_set((2, 1))
+    return lambda: bset.validate_boolean_set(P)
+
+
+def valid_skew():
     raw = generated_raw((2, 1))
-    monkeypatch.setattr(skew, "_reconstruct", lambda *args: (None, None, False))
+    return lambda: skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
+
+
+def valid_band():
+    raw = generated_raw((2, 1))
+    return lambda: bset.validate_band(raw["elements"], raw["circ"])
+
+
+@pytest.mark.parametrize("module, certificate, refusal, make", [
+    pytest.param(balg, "_stone_tables", None, valid_balg, id="validate_balg"),
+    pytest.param(bset, "_local_restrictions", None, valid_presheaf, id="validate_presheaf"),
+    pytest.param(bset, "_atom_codes", None, valid_boolean_set, id="validate_boolean_set"),
+    pytest.param(skew, "_reconstruct", (None, None, False), valid_skew, id="validate_skew"),
+    pytest.param(skew, "_light_associative", False, valid_band, id="validate_band"),
+])
+def test_a_refusal_that_no_scan_explains_is_an_internal_error(
+        monkeypatch, module, certificate, refusal, make):
+    # each certificate alone accepts, and the scans after a refusal only
+    # name the failure; when they find none, the certificate and the laws
+    # disagree, which is raised, also under -O, and no structure is built
+    validate = make()  # the input is built before the certificate is patched
+    validate()
+    monkeypatch.setattr(module, certificate, lambda *args: refusal)
     with pytest.raises(AssertionError):
-        skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
+        validate()
 
 
 def calls_by_function(tree, name):
@@ -331,7 +370,9 @@ def calls_by_function(tree, name):
 def test_skew_algebras_are_built_only_by_validate_skew():
     # gamma_classes and from_skew return what validate_skew kept, so no
     # other code may build a SkewAlgebra; _validate_index is validate_skew's
-    # core on index tables, which to_skew calls directly
+    # core on index tables, which to_skew calls directly.  Every other
+    # validated structure is built in one place too, after its certificate
+    # accepts.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
 
@@ -340,6 +381,11 @@ def test_skew_algebras_are_built_only_by_validate_skew():
 
     assert callers("SkewAlgebra") == {"skew.py": ["_validate_index"]}
     assert callers("_validate_index") == {"bset.py": ["to_skew"], "skew.py": ["validate_skew"]}
+    assert callers("FinBooleanAlgebra") == {"balg.py": ["validate_balg"]}
+    assert callers("FinMeetSemilattice") == {"balg.py": ["validate_meet_semilattice"]}
+    assert callers("Presheaf") == {"bset.py": ["validate_presheaf"]}
+    assert callers("BooleanSet") == {"bset.py": ["_coded_boolean_set"]}
+    assert callers("RightNormalBand") == {"bset.py": ["validate_band"]}
 
 
 def test_the_call_scan_sees_names_attributes_and_module_level():

@@ -183,3 +183,84 @@ def test_law_raw_view():
     assert raw["kind"] == "bset"
     assert raw["base"]["kind"] == "balg"
     assert raw["stalks"]["a"] == ["a1", "a2"]
+
+
+B2_HEAD = """\
+balg B2 {
+  elements: 0, 1
+  leq: 0<=1
+  bottom: 0
+}
+"""
+
+
+@pytest.mark.parametrize("text, line, col, expected", [
+    # a second stalk line for the same base element
+    (B2_HEAD + "bset P over B2 {\n  stalk 0: z\n  stalk 1: p\n  stalk 1: p, q\n"
+     "  restrict 1 -> 0: p->z, q->z\n}\n", 9, 3, "one 'stalk 1' line in a bset stanza"),
+    (B2_HEAD + "bset P over B2 {\n  stalk 0: z\n  stalk 1: p\n  restrict 1 -> 0: p->z\n"
+     "  restrict 1 -> 0: p->z\n}\n", 10, 3, "one 'restrict 1 -> 0' line in a bset stanza"),
+    ("skew X {\n  elements: 0, x\n  zero: x\n  zero: 0\n}\n", 4, 3,
+     "one 'zero' line in a skew stanza"),
+    ("balg B {\n  elements: 0\n  elements: 0, 1\n  leq: 0<=1\n  bottom: 0\n}\n", 3, 3,
+     "one 'elements' line in a balg stanza"),
+    (B2_HEAD.replace("  bottom: 0\n", "  bottom: 1\n  bottom: 0\n"), 5, 3,
+     "one 'bottom' line in a balg stanza"),
+    (B2_HEAD.replace("  leq: 0<=1\n", "  leq: 0<=1\n  leq: 0<=1\n"), 4, 3,
+     "one 'leq' line in a balg stanza"),
+], ids=["stalk", "restrict", "zero", "elements", "bottom", "leq"])
+def test_a_repeated_key_is_refused_at_its_line(text, line, col, expected):
+    with pytest.raises(ParseError) as e:
+        textio.parse(text)
+    assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
+
+
+X3_MORPHISM = """\
+skew X {
+  elements: 0, x1, x2
+  zero: 0
+  circ:
+    0 x1 x2
+    0 0 0
+    0 x1 x2
+    0 x1 x2
+  bullet:
+    0 x1 x2
+    0 x1 x2
+    x1 x1 x1
+    x2 x2 x2
+}
+morphism m {
+  from: X
+  to: X
+  map: 0->0, x1->x2, x1->x1, x2->x2
+}
+"""
+
+
+@pytest.mark.parametrize("text, line, expected", [
+    (X3_MORPHISM, 18, "one entry for 'x1' in 'map:'"),
+    (B2_HEAD + "morphism h {\n  from: B2\n  to: B2\n  map: 0->0, 1->1, 0->1\n}\n", 9,
+     "one entry for '0' in 'map:'"),
+    (B2_HEAD + "bset P over B2 {\n  stalk 0: z\n  stalk 1: p\n  restrict 1 -> 0: p->z, p->z\n"
+     "}\n", 9, "one entry for 'p' in 'restrict 1 -> 0:'"),
+    ("etale E {\n  total: e1, e2\n  base: u\n  proj: e1->u, e2->u, e1->u\n}\n", 4,
+     "one entry for 'e1' in 'proj:'"),
+    ("etale E {\n  total: e1\n  base: u\n  proj: e1->u\n}\n"
+     "etale F {\n  total: f1\n  base: w\n  proj: f1->w\n}\n"
+     "relmor r {\n  from: E\n  to: F\n  phi: u->f1, u->\n  phibar: w->u\n}\n", 14,
+     "one entry for 'u' in 'phi:'"),
+    ("etale E {\n  total: e1\n  base: u\n  proj: e1->u\n}\n"
+     "etale F {\n  total: f1\n  base: w\n  proj: f1->w\n}\n"
+     "relmor r {\n  from: E\n  to: F\n  phi: u->f1\n  phibar: w->u, w->zz\n}\n", 15,
+     "one entry for 'w' in 'phibar:'"),
+], ids=["skew-map", "balg-map", "restrict", "proj", "phi", "phibar"])
+def test_a_repeated_left_hand_id_is_refused_at_its_line(text, line, expected):
+    with pytest.raises(ParseError) as e:
+        textio.parse(text)
+    assert (e.value.line, e.value.col, e.value.expected) == (line, 1, expected)
+
+
+def test_repeated_leq_pairs_are_one_relation():
+    doc = textio.parse(B2_HEAD.replace("leq: 0<=1", "leq: 0<=1, 0<=1, 0<=0"))
+    assert textio.build(doc)["B2"].cover_pairs == (("1", "0"),)
