@@ -491,7 +491,16 @@ class BAHom:
     mapping: dict
 
 
+def _refuse_stray_keys(mapping, domain, entry, what):
+    """Refuse the first key of ``mapping`` that is not in ``domain``, as a
+    ValueError that names it."""
+    stray = next((x for x in mapping if x not in domain), None)
+    if stray is not None:
+        raise ValueError(f"{entry} entry {stray!r} is not {what}")
+
+
 def validate_bahom(mapping, source, target):
+    _refuse_stray_keys(mapping, source.index, "map", "a source element")
     for x in source.elements:
         if x not in mapping:
             raise ValueError(f"map not total: missing {x!r}")

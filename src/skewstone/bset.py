@@ -33,7 +33,7 @@ multiplication by the first member of the lower class
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import prod
 
 from . import balg, skew
@@ -465,48 +465,41 @@ def bset_struct_eq(X, Y):
 
 
 def bset_isomorphic(X, Y):
-    """Brute-force isomorphism search for small instances.
+    """An isomorphism X -> Y as (base_map, element_map), or None.
 
-    Returns (base_map, element_map) or None; an isomorphism is a base algebra
-    isomorphism plus stalk bijections commuting with all restrictions.
+    By the finite form of the theorem a Boolean set is the product of its
+    atom stalks, so X and Y are isomorphic iff their atom stalk sizes agree
+    as multisets.  Atoms are matched by stalk size (in atom order within a
+    size), the k-th member of a matched X stalk goes to the k-th member of
+    its partner, and each element goes to the element of Y with the same
+    atom coordinates (_codes) under the matching.  The result is validated
+    as a Boolean-set morphism in both directions.
     """
-    base_iso = balg.find_balg_isomorphism(X.base, Y.base)
-    if base_iso is None:
+    xs = sorted(X.base.atoms, key=lambda a: len(X.stalks[a]))
+    ys = sorted(Y.base.atoms, key=lambda b: len(Y.stalks[b]))
+    if [len(X.stalks[a]) for a in xs] != [len(Y.stalks[b]) for b in ys]:
         return None
-    for e in X.base.elements:
-        if len(X.stalks[e]) != len(Y.stalks[base_iso[e]]):
-            return None
+    atom_map = dict(zip(xs, ys))
+    weight, w = {}, 1
+    for b in Y.base.atoms:
+        weight[b] = w
+        w *= len(Y.stalks[b]) + 1
+    digits = [(len(X.stalks[a]) + 1, weight[atom_map[a]]) for a in X.base.atoms]
+    y_of = dict(zip(Y._codes, Y.elements))
 
-    order = sorted(X.base.elements, key=lambda e: -len(X.base.down_set(e)))
+    def image(code):
+        out = 0
+        for radix, w in digits:
+            code, d = divmod(code, radix)
+            out += w * d
+        return y_of[out]
 
-    def rec(k, emap):
-        if k == len(order):
-            return dict(emap)
-        e = order[k]
-        xs = X.stalks[e]
-        for perm in permutations(Y.stalks[base_iso[e]]):
-            trial = dict(emap)
-            ok = True
-            for x, y in zip(xs, perm):
-                trial[x] = y
-            for x in xs:
-                for f in X.base.down_set(e):
-                    xr = X.restrict(x, f)
-                    if xr in trial and trial[xr] != Y.restrict(trial[x], base_iso[f]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                result = rec(k + 1, trial)
-                if result is not None:
-                    return result
-        return None
-
-    emap = rec(0, {})
-    if emap is None:
-        return None
-    return base_iso, emap
+    phi = {x: image(c) for x, c in zip(X.elements, X._codes)}
+    phibar = balg._atom_join_map(X.base, Y.base, atom_map)
+    validate_bset_morphism(phi, phibar, X, Y)
+    validate_bset_morphism({y: x for x, y in phi.items()},
+                           {f: e for e, f in phibar.items()}, Y, X)
+    return phibar, phi
 
 
 # ----------------------------------------------------------------- morphisms
@@ -539,6 +532,9 @@ def validate_bset_morphism(phi, phibar, X, Y):
     and asserted on both sets' operation rows (_skew_rows).  Preserving ∘
     keeps compatible pairs compatible, whose join is •, so joins are
     preserved too."""
+    balg._refuse_stray_keys(phi, X.index, "map", "a source element")
+    if phibar is not None:
+        balg._refuse_stray_keys(phibar, X.base.index, "basemap", "a source base element")
     for x in X.elements:
         if x not in phi:
             raise ValueError(f"map not total: missing {x!r}")

@@ -50,9 +50,7 @@ def validate_etale(total, base, proj):
     points = set(total)
     if len(points) != len(total) or len(set(base)) != len(base):
         raise ValueError("duplicate ids")
-    stray = next((e for e in proj if e not in points), None)
-    if stray is not None:
-        raise ValueError(f"projection entry {stray!r} is not a point of the total space")
+    balg._refuse_stray_keys(proj, points, "projection", "a point of the total space")
     for e in total:
         if e not in proj:
             raise ValueError(f"projection not total: missing {e!r}")
@@ -218,6 +216,8 @@ def validate_relational_morphism(phi, phibar, sp, tq):
     every base point e with q(y) = phibar(e) there is x over e with y in
     phi(x).
     """
+    balg._refuse_stray_keys(phi, sp.proj, "phi", "a source point")
+    balg._refuse_stray_keys(phibar, sp.fibers, "phibar", "a source base point")
     for x in sp.base:
         if x not in phibar or phibar[x] not in tq.base:
             raise ValueError(f"base map not total at {x!r}")

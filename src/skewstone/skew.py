@@ -177,18 +177,25 @@ def _light_associative(rows):
 
 
 def _as_index_table(elements, index, rows, what):
+    """The id table ``rows`` as index rows.  Each distinct row object is
+    translated once, so rows that share an id list (as the parser gives
+    identical table lines) share one index row; the length of every row is
+    checked, and the first bad row raises."""
     n = len(elements)
     if len(rows) != n:
         raise ValueError(f"{what} table needs {n} rows, got {len(rows)}")
-    out = []
+    out, done = [], {}
     pos = index.__getitem__
     for r, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"{what} row {elements[r]!r} needs {n} entries")
-        try:
-            out.append(list(map(pos, row)))
-        except KeyError as k:
-            raise ValueError(f"{what} entry {k.args[0]!r} is not an element") from None
+        t = done.get(id(row))
+        if t is None:
+            try:
+                t = done[id(row)] = list(map(pos, row))
+            except KeyError as k:
+                raise ValueError(f"{what} entry {k.args[0]!r} is not an element") from None
+        out.append(t)
     return out
 
 
@@ -465,6 +472,7 @@ class SkewMorphism:
 
 
 def validate_skew_morphism(mapping, S, T):
+    balg._refuse_stray_keys(mapping, S.index, "map", "a source element")
     for x in S.elements:
         if x not in mapping:
             raise ValueError(f"map not total: missing {x!r}")

@@ -17,11 +17,17 @@ Grammar (normative):
     repeat.
 
 Separators split only at bracket depth zero, so ids like "(a1,b1)" or
-"{e1,e3}" pass through unharmed.  Morphism and relmor stanzas name their
+"{e1,e3}" pass through unharmed; a value whose brackets do not nest is split
+in one pass (_split_top).  Identical table lines of a stanza are split once
+and share one id list, and ``skew.validate_skew`` indexes each distinct row
+once, so equal rows share one index row too.  Parsed and index tables are
+therefore read-only: an edit in place would change every row sharing the
+list.  Morphism and relmor stanzas name their
 endpoints with "from:"/"to:" body keys; every reference must resolve to an
 earlier stanza.  Output ordering is the input order of ids everywhere.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from . import balg, bset, etale, skew
@@ -41,6 +47,17 @@ _KEYS = {
 _OPEN = "([{"
 _CLOSE = ")]}"
 _BRACKETS = _OPEN + _CLOSE
+_OUTSIDE = r"[^()\[\]{}]*"
+# brackets that never nest (each one opened is closed before the next opens),
+# between runs of at most 128 other characters, which bounds the lookahead of
+# _TOP_SEP; a value with a longer run goes to the merge loop, which is linear
+_RUN = r"[^()\[\]{}]{0,128}"
+_FLAT = re.compile(_RUN + r"(?:[(\[{]" + _RUN + r"[)\]}]" + _RUN + ")*")
+# on a flat value, a separator is at depth 0 iff the next bracket opens or there is none
+_TOP_SEP = {
+    sep: re.compile(re.escape(sep) + "(?=" + _OUTSIDE + r"(?:[(\[{]|\Z))")
+    for sep in (",", "->", "<=", "+")
+}
 
 
 @dataclass
@@ -87,15 +104,20 @@ class Document:
 def _split_top(value, sep=","):
     """Split at separator occurrences outside any bracket nesting.
 
-    The pieces of ``value.split(sep)`` are merged with their successors
-    until the bracket depth (opens minus closes) of the merged run is 0.
-    This is exact for the separators used here, none of which holds a
-    bracket or overlaps itself."""
-    pieces = value.split(sep)
+    A value without brackets is split by ``str.split``, and a value whose
+    brackets never nest, with short runs between them (_FLAT), by one
+    ``re.split`` at the separators followed by an opening bracket or by no
+    bracket (_TOP_SEP).
+    Any other value splits into the pieces of ``value.split(sep)``, each
+    merged with its successors until the bracket depth (opens minus closes)
+    of the merged run is 0.  This is exact for the separators used here,
+    none of which holds a bracket or overlaps itself."""
     if not any(ch in value for ch in _BRACKETS):
-        return [p.strip() for p in pieces]
+        return [p.strip() for p in value.split(sep)]
+    if _FLAT.fullmatch(value):
+        return [p.strip() for p in _TOP_SEP[sep].split(value)]
     parts, run, depth = [], [], 0
-    for piece in pieces:
+    for piece in value.split(sep):
         run.append(piece)
         depth += sum(map(piece.count, _OPEN)) - sum(map(piece.count, _CLOSE))
         if depth == 0:
@@ -225,6 +247,7 @@ def _parse_body(lines, i, kind):
     data = {}
     seen = set()  # keys with their arguments, e.g. ("stalk", "a")
     table_key = None
+    split_rows = {}  # stripped table line -> its ids, one list per distinct line
     while True:
         if i >= len(lines):
             raise ParseError(len(lines), 1, "'}' closing the stanza")
@@ -254,7 +277,10 @@ def _parse_body(lines, i, kind):
             if key in ("circ", "bullet") and not value.strip():
                 table_key = key
         elif table_key is not None:
-            data.setdefault(f"_{table_key}_rows", []).append((stripped.split(), i + 1))
+            row = split_rows.get(stripped)
+            if row is None:
+                row = split_rows[stripped] = stripped.split()
+            data.setdefault(f"_{table_key}_rows", []).append((row, i + 1))
         else:
             raise ParseError(i + 1, 1, "'key: value' line or '}'")
         i += 1
@@ -447,13 +473,25 @@ def balg_stanza(B, name):
     }, 0)
 
 
+def _id_rows(els, table):
+    """The index rows of ``table`` as ids, each distinct row object converted
+    once: rows that share an index list share one id list."""
+    out, done = [], {}
+    for row in table:
+        ids = done.get(id(row))
+        if ids is None:
+            ids = done[id(row)] = [els[k] for k in row]
+        out.append(ids)
+    return out
+
+
 def skew_stanza(S, name):
     els = S.elements
     return Stanza("skew", name, None, {
         "elements": list(els),
         "zero": S.zero,
-        "circ": [[els[k] for k in row] for row in S.circ_t],
-        "bullet": [[els[k] for k in row] for row in S.bullet_t],
+        "circ": _id_rows(els, S.circ_t),
+        "bullet": _id_rows(els, S.bullet_t),
     }, 0)
 
 

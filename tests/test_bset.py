@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -339,6 +340,81 @@ def test_generator_seed_relabels_only():
     assert {len(A.stalks[e]) for e in A.base.elements} == {
         len(B.stalks[e]) for e in B.base.elements
     }
+
+
+def reference_isomorphic(X, Y):
+    """Whether X and Y are isomorphic, by brute force: every bijection of the
+    atoms gives a base isomorphism (each element to the element above
+    exactly the image atoms), and over each one the stalks are matched
+    element by element, base elements with smaller down-sets first, each
+    image checked against the restrictions already mapped."""
+    BX, BY = X.base, Y.base
+    if len(BX.atoms) != len(BY.atoms):
+        return False
+    atoms_below = {e: frozenset(a for a in BY.atoms if BY.leq(a, e)) for e in BY.elements}
+    element_above = {s: e for e, s in atoms_below.items()}
+    order = sorted(BX.elements, key=lambda e: len(BX.down_set(e)))
+    cells = [(e, x) for e in order for x in X.stalks[e]]
+    for perm in itertools.permutations(BY.atoms):
+        amap = dict(zip(BX.atoms, perm))
+        base = {e: element_above[frozenset(amap[a] for a in BX.atoms if BX.leq(a, e))]
+                for e in BX.elements}
+        if any(len(X.stalks[e]) != len(Y.stalks[base[e]]) for e in BX.elements):
+            continue
+
+        def extend(k, emap, used):
+            if k == len(cells):
+                return True
+            e, x = cells[k]
+            for y in Y.stalks[base[e]]:
+                if y in used or any(emap[X.restrict(x, f)] != Y.restrict(y, base[f])
+                                    for f in BX.down_set(e) if f != e):
+                    continue
+                emap[x] = y
+                used.add(y)
+                if extend(k + 1, emap, used):
+                    return True
+                del emap[x]
+                used.discard(y)
+            return False
+
+        if extend(0, {}, set()):
+            return True
+    return False
+
+
+def test_isomorphism_across_permuted_atoms():
+    X, Y = bset.generate_boolean_set((1, 2)), bset.generate_boolean_set((2, 1))
+    base_map, emap = bset.bset_isomorphic(X, Y)
+    assert base_map == {"0": "0", "a": "b", "b": "a", "1": "1"}
+    assert sorted(emap.values()) == sorted(Y.elements)
+    A = bset.generate_boolean_set((1, 2, 3))
+    for sizes in itertools.permutations((1, 2, 3)):
+        for seed in (None, 5):
+            assert bset.bset_isomorphic(A, bset.generate_boolean_set(sizes, seed=seed)) is not None
+    assert bset.bset_isomorphic(X, bset.generate_boolean_set((1, 1))) is None
+    assert bset.bset_isomorphic(X, bset.generate_boolean_set((1, 1, 1))) is None
+
+
+ISO_SHAPES = [(2,), (3,), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 1, 1),
+              (1, 1, 2), (2, 1, 1), (1, 2, 2), (2, 1, 2), (2, 3), (3, 2), (1, 1, 3),
+              (1, 1, 1, 1), (2, 2, 2)]
+
+
+def test_isomorphism_matches_brute_force_up_to_27_elements():
+    sets = [bset.generate_boolean_set(s) for s in ISO_SHAPES]
+    relabeled = [bset.generate_boolean_set(s, seed=k) for k, s in enumerate(ISO_SHAPES)]
+    assert max(len(X.elements) for X in sets) == 27
+    outcomes = set()
+    for X in sets:
+        for Y in relabeled:
+            if len(X.elements) != len(Y.elements):
+                assert bset.bset_isomorphic(X, Y) is None
+                continue
+            expected = reference_isomorphic(X, Y)
+            assert (bset.bset_isomorphic(X, Y) is not None) == expected, (X, Y)
+            outcomes.add(expected)
+    assert outcomes == {True, False}  # equal sizes, yet (1, 3) and (1, 1, 1) differ
 
 
 def test_degenerate_single_point_base():

@@ -527,3 +527,37 @@ def test_missing_table_rows_name_the_key_line(capsys, tmp_path, text, line, op):
     f.write_text(text)
     code, out = run(capsys, "validate", str(f))
     assert (code, out) == (2, f"parse error: line {line}, col 1: expected table rows after '{op}:'\n")
+
+
+SKEW_IDENTITY = "morphism ident {\n  from: X3s\n  to: X3s\n  map: 0->0, x1->x1, x2->x2\n}\n"
+BALG_IDENTITY = "morphism h {\n  from: B2\n  to: B2\n  map: 0->0, 1->1\n}\n"
+
+
+@pytest.mark.parametrize("old, new, name, message", [
+    ("  map: 0->0, 1->1\n", "  map: 0->0, 1->1, zz->1\n", "h",
+     "map entry 'zz' is not a source element"),
+    ("  map: 0->c0, x1->c1, x2->c1\n", "  map: 0->c0, x1->c1, x2->c1, zz->c1\n", "collapse",
+     "map entry 'zz' is not a source element"),
+    ("  basemap: 0->0, 1->1\n", "  basemap: 0->0, 1->1, zz->1\n", "collapse",
+     "basemap entry 'zz' is not a source base element"),
+    ("  map: 0->0, x1->x1, x2->x2\n", "  map: 0->0, x1->x1, x2->x2, zz->0\n", "ident",
+     "map entry 'zz' is not a source element"),
+    ("  phi: e1->f1+f2, e2->, e3->f1+f2\n", "  phi: e1->f1+f2, e2->, e3->f1+f2, zz->f1\n",
+     "spread", "phi entry 'zz' is not a source point"),
+    ("  phibar: u->w, v->w\n", "  phibar: u->w, v->w, zz->w\n", "spread",
+     "phibar entry 'zz' is not a source base point"),
+], ids=["balg", "bset-map", "bset-basemap", "skew", "relmor-phi", "relmor-phibar"])
+def test_a_stray_morphism_map_key_is_a_document_error(capsys, tmp_path, old, new, name,
+                                                      message):
+    text = Path(SHOW).read_text() + BALG_IDENTITY + SKEW_IDENTITY
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    f = tmp_path / "stray.txt"
+    f.write_text(text)
+    line = next(k + 1 for k, ln in enumerate(text.splitlines())
+                if ln.split()[:2] in (["morphism", name], ["relmor", name]))
+    kind = "relmor" if name == "spread" else "morphism"
+    expected = f"document error: {kind} {name} (line {line}): {message}"
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out.splitlines()[-1]) == (2, expected)
+    assert run(capsys, "check-morphism", str(f), name) == (2, expected + "\n")

@@ -108,9 +108,36 @@ def old_split_top(value, sep=","):
     return parts
 
 
+SEPS = st.sampled_from([",", "->", "<=", "+"])
+
+
+def nested_ids():
+    """Ids nested 0, 1 and 2 brackets deep: plain ones, and one or two inner ids
+    joined by a separator inside a pair of brackets, of one kind or (as the
+    depth count allows) two; at depth 2 one of the inner ids is plain."""
+    plain = ["", "a", "b1", " a"]
+    seps = [",", "->", "<=", "+"]
+    brackets = ["()", "[]", "{}", "(]"]
+
+    def wrap(pairs):
+        return [br[0] + sep.join(ids) + br[1] for br in brackets for sep in seps for ids in pairs]
+
+    one = wrap([[]] + [[x] for x in plain] + [[x, y] for x in plain for y in plain])
+    two = wrap([[x] for x in one] + [p for x in one for y in plain for p in ([x, y], [y, x])])
+    return plain, one, two
+
+
+def bracketed_lists():
+    """Long lists of ids nested 0 to 2 deep, joined by one separator: random
+    text rarely spells these.  Half the lists nest no bracket in another."""
+    plain, one, two = nested_ids()
+    ids = st.one_of(st.lists(st.sampled_from(plain + one), max_size=12),
+                    st.lists(st.sampled_from(plain + one + two), max_size=12))
+    return st.builds(lambda ids, sep: sep.join(ids), ids, SEPS)
+
+
 @settings(max_examples=2000, deadline=None)
-@given(st.text(alphabet="ab,()[]{}-> <=+ ", max_size=40),
-       st.sampled_from([",", "->", "<=", "+"]))
+@given(st.one_of(st.text(alphabet="ab,()[]{}-> <=+ ", max_size=40), bracketed_lists()), SEPS)
 def test_split_top_matches_character_loop(value, sep):
     # unbalanced and negative bracket depths included
     assert textio._split_top(value, sep) == old_split_top(value, sep)
@@ -119,6 +146,9 @@ def test_split_top_matches_character_loop(value, sep):
 @pytest.mark.parametrize("value, sep", [
     ("(a,b),c", ","), ("a),b,(c", ","), (")(,", ","), ("{a->b}->c", "->"),
     ("a-->b", "->"), ("a<=<=b", "<="), ("(a+b)+c+", "+"), ("", ","), ("[,]", ","),
+    # runs of 127 and 129 characters between brackets: one pass, then the merge loop
+    ("(a,b)" + ",c" * 63 + ",(d,e),f", ","), ("(a,b)" + ",c" * 64 + ",(d,e),f", ","),
+    ("(" + "a+" * 64 + "b)+c", "+"),
 ])
 def test_split_top_edge_cases(value, sep):
     assert textio._split_top(value, sep) == old_split_top(value, sep)

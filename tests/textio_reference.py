@@ -1,0 +1,253 @@
+"""The text parser as it was before identical table lines shared one id list
+and before bracketed values without nesting were split in one pass.
+
+(The reference copy of ``skewstone.textio.parse`` with its ``_split_top``,
+which merges the pieces of ``str.split`` by bracket depth; kept unchanged
+for ``test_parse_reference.py``.  It builds the same ``Stanza`` and
+``Document`` objects as the package.)
+"""
+
+from skewstone.errors import DuplicateName, ParseError, UnresolvedReference
+from skewstone.textio import _KEYS, KEYWORDS, Document, Stanza
+
+_OPEN = "([{"
+_CLOSE = ")]}"
+_BRACKETS = _OPEN + _CLOSE
+
+
+def _split_top(value, sep=","):
+    """Split at separator occurrences outside any bracket nesting.
+
+    The pieces of ``value.split(sep)`` are merged with their successors
+    until the bracket depth (opens minus closes) of the merged run is 0.
+    This is exact for the separators used here, none of which holds a
+    bracket or overlaps itself."""
+    pieces = value.split(sep)
+    if not any(ch in value for ch in _BRACKETS):
+        return [p.strip() for p in pieces]
+    parts, run, depth = [], [], 0
+    for piece in pieces:
+        run.append(piece)
+        depth += sum(map(piece.count, _OPEN)) - sum(map(piece.count, _CLOSE))
+        if depth == 0:
+            parts.append(sep.join(run).strip())
+            run = []
+    if run:
+        parts.append(sep.join(run).strip())
+    return parts
+
+
+def _ids(value, line):
+    if not value.strip():
+        return []
+    out = []
+    for chunk in _split_top(value):
+        if not chunk or " " in chunk:
+            raise ParseError(line, 1, f"an id, got {chunk!r}")
+        out.append(chunk)
+    return out
+
+
+def _pairs(value, sep, line):
+    out = []
+    for chunk in _split_top(value):
+        if not chunk:
+            continue
+        sides = _split_top(chunk, sep)
+        if len(sides) != 2 or not sides[0] or not sides[1]:
+            raise ParseError(line, 1, f"'x{sep}y' pair, got {chunk!r}")
+        out.append((sides[0], sides[1]))
+    return out
+
+
+def _arrow_sets(value, line):
+    out = []
+    for chunk in _split_top(value):
+        if not chunk:
+            continue
+        sides = _split_top(chunk, "->")
+        if len(sides) != 2 or not sides[0]:
+            raise ParseError(line, 1, f"'e->f1+f2' entry, got {chunk!r}")
+        targets = [t for t in _split_top(sides[1], "+") if t]
+        out.append((sides[0], targets))
+    return out
+
+
+def _maplets(entries, key, line):
+    """The entries of a map-valued list, each left-hand id at most once."""
+    seen = set()
+    for x, _ in entries:
+        if x in seen:
+            raise ParseError(line, 1, f"one entry for {x!r} in '{key}:'")
+        seen.add(x)
+    return entries
+
+
+def _strip(line):
+    return line.split("#", 1)[0].rstrip()
+
+
+def parse(text):
+    """Parse a document; the first problem raises with line and column."""
+    lines = text.splitlines()
+    stanzas = []
+    names = {}
+    i = 0
+    while i < len(lines):
+        raw = _strip(lines[i])
+        if not raw.strip():
+            i += 1
+            continue
+        toks = raw.split()
+        if toks[0] not in KEYWORDS:
+            raise ParseError(i + 1, raw.index(toks[0]) + 1,
+                             f"stanza keyword, one of {', '.join(KEYWORDS)}")
+        kind = toks[0]
+        if len(toks) < 2 or toks[1] == "{":
+            raise ParseError(i + 1, len(kind) + 2, "stanza name")
+        name = toks[1]
+        over = None
+        rest = toks[2:]
+        if rest and rest[0] == "over":
+            if len(rest) < 2 or rest[1] == "{":
+                raise ParseError(i + 1, raw.index("over") + 5, "base name after 'over'")
+            over = rest[1]
+            rest = rest[2:]
+        if rest != ["{"]:
+            raise ParseError(i + 1, len(raw), "'{' ending the stanza header")
+        if name in names:
+            raise DuplicateName(name, i + 1)
+        header_line = i + 1
+        i += 1
+        data, i = _parse_body(lines, i, kind)
+        stanza = Stanza(kind, name, over, data, header_line)
+        _check_refs(stanza, names, header_line)
+        names[name] = stanza
+        stanzas.append(stanza)
+    return Document(stanzas)
+
+
+def _check_refs(stanza, names, line):
+    def need(ref, kinds):
+        if ref not in names:
+            raise UnresolvedReference(ref, line)
+        if names[ref].kind not in kinds:
+            raise ParseError(line, 1, f"{'/'.join(kinds)} stanza named {ref!r}")
+
+    if stanza.kind == "bset":
+        if stanza.over is None:
+            raise ParseError(line, 1, "'over <balg>' in a bset header")
+        need(stanza.over, ("balg",))
+    if stanza.kind == "morphism":
+        for key in ("from", "to"):
+            if key not in stanza.data:
+                raise ParseError(line, 1, f"'{key}:' in a morphism stanza")
+            need(stanza.data[key], ("balg", "skew", "bset"))
+        if names[stanza.data["from"]].kind != names[stanza.data["to"]].kind:
+            raise ParseError(line, 1, "morphism endpoints of the same kind")
+    if stanza.kind == "relmor":
+        for key in ("from", "to"):
+            if key not in stanza.data:
+                raise ParseError(line, 1, f"'{key}:' in a relmor stanza")
+            need(stanza.data[key], ("etale",))
+
+
+def _parse_body(lines, i, kind):
+    data = {}
+    seen = set()  # keys with their arguments, e.g. ("stalk", "a")
+    table_key = None
+    while True:
+        if i >= len(lines):
+            raise ParseError(len(lines), 1, "'}' closing the stanza")
+        raw = _strip(lines[i])
+        stripped = raw.strip()
+        if not stripped:
+            i += 1
+            continue
+        if stripped == "}":
+            i += 1
+            break
+        if ":" in raw:
+            table_key = None
+            head, value = raw.split(":", 1)
+            head_toks = head.split()
+            if not head_toks:
+                raise ParseError(i + 1, 1, "a key before ':'")
+            key = head_toks[0]
+            if key not in _KEYS[kind]:
+                raise ParseError(i + 1, raw.index(key) + 1,
+                                 f"one of {sorted(_KEYS[kind])} in a {kind} stanza")
+            if tuple(head_toks) in seen:
+                raise ParseError(i + 1, raw.index(key) + 1,
+                                 f"one {' '.join(head_toks)!r} line in a {kind} stanza")
+            seen.add(tuple(head_toks))
+            _store(data, kind, key, head_toks[1:], value.strip(), i + 1)
+            if key in ("circ", "bullet") and not value.strip():
+                table_key = key
+        elif table_key is not None:
+            data.setdefault(f"_{table_key}_rows", []).append((stripped.split(), i + 1))
+        else:
+            raise ParseError(i + 1, 1, "'key: value' line or '}'")
+        i += 1
+    _finish_tables(data, kind)
+    return data, i
+
+
+def _store(data, kind, key, args, value, line):
+    if key in ("elements", "total", "base"):
+        data[key] = _ids(value, line)
+    elif key == "leq":
+        data["leq"] = _pairs(value, "<=", line)
+    elif key in ("bottom", "zero", "from", "to"):
+        toks = _ids(value, line)
+        if len(toks) != 1:
+            raise ParseError(line, 1, f"a single id for {key!r}")
+        data[key] = toks[0]
+    elif key in ("proj", "map", "basemap", "phibar"):
+        data[key] = _maplets(_pairs(value, "->", line), key, line)
+    elif key == "phi":
+        data[key] = _maplets(_arrow_sets(value, line), key, line)
+    elif key == "stalk":
+        if len(args) != 1:
+            raise ParseError(line, 1, "'stalk <base-element>:'")
+        data.setdefault("stalks", {})[args[0]] = _ids(value, line)
+    elif key == "restrict":
+        if len(args) != 3 or args[1] != "->":
+            raise ParseError(line, 1, "'restrict <e> -> <f>:'")
+        data.setdefault("restrict", {})[(args[0], args[2])] = dict(
+            _maplets(_pairs(value, "->", line), " ".join((key, *args)), line)
+        )
+    elif key in ("circ", "bullet"):
+        if value:
+            raise ParseError(line, 1, f"table rows on the lines after '{key}:'")
+        data[key] = line  # the table replaces it in _finish_tables
+    else:  # pragma: no cover
+        raise ParseError(line, 1, f"supported key, got {key!r}")
+
+
+def _finish_tables(data, kind):
+    if kind != "skew":
+        return
+    for op in ("circ", "bullet"):
+        rows = data.pop(f"_{op}_rows", None)
+        if isinstance(data.get(op), int):
+            if not rows:
+                raise ParseError(data[op], 1, f"table rows after '{op}:'")
+            header, hline = rows[0]
+            elements = data.get("elements", ())
+            if sorted(header) != sorted(elements):
+                raise ParseError(hline, 1, "header row listing every element id")
+            if len(rows) != len(header) + 1:
+                raise ParseError(hline, 1, f"{len(header)} table rows after the header")
+            row_of = {}
+            for x, (row, rline) in zip(header, rows[1:]):
+                if len(row) != len(header):
+                    raise ParseError(rline, 1, f"{len(header)} entries in the row")
+                row_of[x] = row
+            if header == elements and len(row_of) == len(header):
+                data[op] = [row for row, _ in rows[1:]]  # already in element order
+            else:
+                pos = {e: k for k, e in enumerate(header)}
+                data[op] = [
+                    [row_of[x][pos[y]] for y in elements] for x in elements
+                ]
