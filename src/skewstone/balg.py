@@ -19,7 +19,6 @@ feasible bound is about 256 elements.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .errors import (
     NoBottom,
@@ -499,30 +498,58 @@ def _refuse_stray_keys(mapping, domain, entry, what):
         raise ValueError(f"{entry} entry {stray!r} is not {what}")
 
 
-def validate_bahom(mapping, source, target):
-    _refuse_stray_keys(mapping, source.index, "map", "a source element")
+def _index_map(mapping, source, target, entry, what):
+    """The map ``mapping`` from the elements of ``source`` to those of
+    ``target`` as target indices in source element order.  A ValueError
+    names the first stray key (``entry`` names the map and ``what`` its
+    keys), then the first source element without an image, then the first
+    image that is not a target element."""
+    _refuse_stray_keys(mapping, source.index, entry, what)
+    pos = target.index
+    out = []
     for x in source.elements:
         if x not in mapping:
-            raise ValueError(f"map not total: missing {x!r}")
-        if mapping[x] not in target.index:
-            raise ValueError(f"image {mapping[x]!r} not in target")
-    if mapping[source.bottom] != target.bottom:
+            raise ValueError(f"{entry} not total: missing {x!r}")
+        y = mapping[x]
+        if y not in pos:
+            raise ValueError(f"image {y!r} not in target")
+        out.append(pos[y])
+    return out
+
+
+def _unpreserved(f, s1, t1, s2, t2):
+    """The first (i, j, k), i and j in source order and k = 0 before 1 at
+    each pair, where the index map ``f`` does not carry the source table
+    s_k to the target table t_k: f[s_k[i][j]] != t_k[f[i]][f[j]]; None if
+    f preserves both."""
+    for i, fi in enumerate(f):
+        s1i, t1i, s2i, t2i = s1[i], t1[fi], s2[i], t2[fi]
+        for j, fj in enumerate(f):
+            if f[s1i[j]] != t1i[fj]:
+                return i, j, 0
+            if f[s2i[j]] != t2i[fj]:
+                return i, j, 1
+    return None
+
+
+def validate_bahom(mapping, source, target):
+    """Check that ``mapping`` is a total map of source elements to target
+    elements (_index_map) that preserves the bottom, then meets and joins
+    pair by pair (_unpreserved)."""
+    f = _index_map(mapping, source, target, "map", "a source element")
+    if f[source._bottom_i] != target._bottom_i:
         raise NotAHomomorphism((source.bottom,), "bottom")
-    for x in source.elements:
-        for y in source.elements:
-            if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
-                raise NotAHomomorphism((x, y), "meet")
-            if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
-                raise NotAHomomorphism((x, y), "join")
+    bad = _unpreserved(f, source._meet, target._meet, source._join, target._join)
+    if bad is not None:
+        i, j, k = bad
+        raise NotAHomomorphism((source.elements[i], source.elements[j]), ("meet", "join")[k])
     return BAHom(source, target, dict(mapping))
 
 
 def is_proper_hom(h):
-    """True iff every target element lies below some image element."""
-    image = set(h.mapping.values())
-    return all(
-        any(h.target.leq(t, v) for v in image) for t in h.target.elements
-    )
+    """True iff every target element lies below some image element: a
+    homomorphism is monotone, so iff it maps the top to the top."""
+    return h.mapping[h.source.top] == h.target.top
 
 
 # -------------------------------------------------------------------- helpers
@@ -628,19 +655,15 @@ def _atom_join_map(A, B, amap):
 def find_balg_isomorphism(A, B):
     """Isomorphism A -> B as an id map, or None.
 
-    Brute force over atom matchings; an element maps to the join of the
-    images of the atoms below it.
+    Finite Boolean algebras are the powersets of their atoms, so they are
+    isomorphic iff they have as many atoms, and then any bijection of the
+    atoms extends to an isomorphism: the k-th atom of A goes to the k-th
+    atom of B, and an element to the join of the images of the atoms below
+    it.  The map is validated as a homomorphism in both directions.
     """
-    if len(A.elements) != len(B.elements) or len(A.atoms) != len(B.atoms):
+    if len(A.atoms) != len(B.atoms):
         return None
-    for perm in permutations(B.atoms):
-        mapping = _atom_join_map(A, B, dict(zip(A.atoms, perm)))
-        if len(set(mapping.values())) != len(A.elements):
-            continue
-        ok = all(
-            A.leq(x, y) == B.leq(mapping[x], mapping[y])
-            for x in A.elements for y in A.elements
-        )
-        if ok:
-            return mapping
-    return None
+    mapping = _atom_join_map(A, B, dict(zip(A.atoms, B.atoms)))
+    validate_bahom(mapping, A, B)
+    validate_bahom({y: x for x, y in mapping.items()}, B, A)
+    return mapping

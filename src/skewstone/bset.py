@@ -46,7 +46,6 @@ from .errors import (
     MissingJoin,
     MissingRestriction,
     NoGlobalSupport,
-    NotAHomomorphism,
     NotRightNormal,
     PathDependent,
     StalkCollision,
@@ -314,11 +313,8 @@ def _atom_codes(P):
     the atoms below c; c = 0 asks for one zero).
     """
     B = P.base
-    digit, weights, w = {}, [], 1
-    for a in B.atoms:
-        weights.append((a, w))
-        w *= len(P.stalks[a]) + 1
-        digit.update((x, k + 1) for k, x in enumerate(P.stalks[a]))
+    weights = _weights(P)
+    digit = {x: k + 1 for a in B.atoms for k, x in enumerate(P.stalks[a])}
     codes = []
     for c in B.elements:
         below = [(a, w) for a, w in weights if B.leq(a, c)]
@@ -326,6 +322,32 @@ def _atom_codes(P):
             return None
         codes += (sum(w * digit[P._rest[x][a]] for a, w in below) for x in P.stalks[c])
     return codes if len(set(codes)) == len(codes) else None
+
+
+def _weights(P):
+    """(atom, weight) of each atom's digit in the atom codes, in atom order:
+    the radix of atom a's digit is |X(a)| + 1."""
+    out, w = [], 1
+    for a in P.base.atoms:
+        out.append((a, w))
+        w *= len(P.stalks[a]) + 1
+    return out
+
+
+def _coded_map(X, Y, parts):
+    """The element map X -> Y that reads each image's atom code off x's.
+
+    ``parts`` holds one (c, a, h) per atom c of Y that the base map takes
+    to an atom a of X, with h[k] the position in Y(c) of the image of the
+    k-th member of X(a).  The image of x has, at such a c, the digit of
+    h(x|a) when a is below p(x), and at every other atom of Y the digit 0.
+    """
+    wx, wy = dict(_weights(X)), dict(_weights(Y))
+    digits = [(wx[a], len(X.stalks[a]) + 1, (0, *(wy[c] * (1 + k) for k in h)))
+              for c, a, h in parts]
+    y_of = dict(zip(Y._codes, Y.elements))
+    return {x: y_of[sum(v[cx // w % radix] for w, radix, v in digits)]
+            for x, cx in zip(X.elements, X._codes)}
 
 
 def validate_boolean_set(P):
@@ -480,21 +502,7 @@ def bset_isomorphic(X, Y):
     if [len(X.stalks[a]) for a in xs] != [len(Y.stalks[b]) for b in ys]:
         return None
     atom_map = dict(zip(xs, ys))
-    weight, w = {}, 1
-    for b in Y.base.atoms:
-        weight[b] = w
-        w *= len(Y.stalks[b]) + 1
-    digits = [(len(X.stalks[a]) + 1, weight[atom_map[a]]) for a in X.base.atoms]
-    y_of = dict(zip(Y._codes, Y.elements))
-
-    def image(code):
-        out = 0
-        for radix, w in digits:
-            code, d = divmod(code, radix)
-            out += w * d
-        return y_of[out]
-
-    phi = {x: image(c) for x, c in zip(X.elements, X._codes)}
+    phi = _coded_map(X, Y, [(b, a, range(len(X.stalks[a]))) for a, b in atom_map.items()])
     phibar = balg._atom_join_map(X.base, Y.base, atom_map)
     validate_bset_morphism(phi, phibar, X, Y)
     validate_bset_morphism({y: x for x, y in phi.items()},
@@ -531,17 +539,13 @@ def validate_bset_morphism(phi, phibar, X, Y):
     element and comparable pair; preservation of ∘ and • is a consequence
     and asserted on both sets' operation rows (_skew_rows).  Preserving ∘
     keeps compatible pairs compatible, whose join is •, so joins are
-    preserved too."""
-    balg._refuse_stray_keys(phi, X.index, "map", "a source element")
-    if phibar is not None:
-        balg._refuse_stray_keys(phibar, X.base.index, "basemap", "a source base element")
-    for x in X.elements:
-        if x not in phi:
-            raise ValueError(f"map not total: missing {x!r}")
-        if phi[x] not in Y.index:
-            raise ValueError(f"image {phi[x]!r} not in target")
+    preserved too.  Both maps are checked total first (balg._index_map),
+    the element map before the base map."""
+    balg._index_map(phi, X, Y, "map", "a source element")
     if phibar is None:
         phibar = derive_base_map(X, Y, phi)
+    else:
+        balg._index_map(phibar, X.base, Y.base, "basemap", "a source base element")
     base_hom = balg.validate_bahom(phibar, X.base, Y.base)
     for x in X.elements:
         if phibar[X.p(x)] != Y.p(phi[x]):
@@ -557,14 +561,14 @@ def validate_bset_morphism(phi, phibar, X, Y):
 
 
 def _assert_morphism_consequences(m):
+    """Raise AssertionError at the first pair whose ∘ or • the element map
+    does not preserve (balg._unpreserved)."""
     X, Y = m.source, m.target
     f = [Y.index[m.mapping[x]] for x in X.elements]
     (cx, bx), (cy, by) = _skew_rows(X), _skew_rows(Y)
-    for i, fi in enumerate(f):
-        cxi, bxi, cyi, byi = cx[i], bx[i], cy[fi], by[fi]
-        for j, fj in enumerate(f):
-            if f[cxi[j]] != cyi[fj] or f[bxi[j]] != byi[fj]:
-                raise AssertionError((X.elements[i], X.elements[j]))
+    bad = balg._unpreserved(f, cx, cy, bx, by)
+    if bad is not None:
+        raise AssertionError((X.elements[bad[0]], X.elements[bad[1]]))
 
 
 def identity_bset_morphism(X):
@@ -589,47 +593,42 @@ def bset_morphism_eq(f, g):
 
 
 def enumerate_bset_morphisms(X, Y, proper_only=False):
-    """All morphisms X -> Y: brute force over base homs, then over maps on the
-    top stalk, propagating along restrictions and validating each candidate.
+    """All morphisms X -> Y, each validated (validate_bset_morphism).
 
-    Every element of a Boolean set over a finite (hence unital) base is the
-    restriction of a top-stalk element, so the top choices determine the map.
+    By the finite form of the theorem a Boolean set is the product of its
+    atom stalks, so a morphism is a base homomorphism, given by a partial
+    map g from the atoms of Y's base to those of X's (_enumerate_bahoms),
+    with one map h_c: X(g(c)) -> Y(c) per atom c where g is defined; the
+    element map reads each image's atom code off x's (_coded_map).  Every
+    pair (g, h) is a morphism, so a refusal is an internal error and is
+    raised.  The base hom is proper iff g is total.  Morphisms come in the
+    order of g, then of the h_c by target atom, each h_c as a tuple of
+    positions in Y(c) in lexicographic order.
     """
-    top = X.base.top
-    for phibar in _enumerate_bahoms(X.base, Y.base):
-        if proper_only and not balg.is_proper_hom(balg.BAHom(X.base, Y.base, phibar)):
+    for g, phibar in _enumerate_bahoms(X.base, Y.base):
+        if proper_only and None in g:
             continue
-        target_stalk = Y.stalks[phibar[top]]
-        for choice in product(target_stalk, repeat=len(X.stalks[top])):
-            phi = {}
-            ok = True
-            for t, img in zip(X.stalks[top], choice):
-                for f in X.base.down_set(top):
-                    x = X.restrict(t, f)
-                    y = Y.restrict(img, phibar[f])
-                    if phi.setdefault(x, y) != y:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok or len(phi) != len(X.elements):
-                continue
-            try:
-                yield validate_bset_morphism(phi, dict(phibar), X, Y)
-            except StructureError:
-                continue
+        pairs = [(c, a) for c, a in zip(Y.base.atoms, g) if a is not None]
+        choices = [product(range(len(Y.stalks[c])), repeat=len(X.stalks[a])) for c, a in pairs]
+        for hs in product(*choices):
+            phi = _coded_map(X, Y, [(c, a, h) for (c, a), h in zip(pairs, hs)])
+            yield validate_bset_morphism(phi, phibar, X, Y)
 
 
 def _enumerate_bahoms(A, B):
-    """All Boolean algebra homomorphisms A -> B, brute force with pruning on
-    the generating joins of atoms."""
-    for choice in product(B.elements, repeat=len(A.atoms)):
-        mapping = balg._atom_join_map(A, B, dict(zip(A.atoms, choice)))
-        try:
-            balg.validate_bahom(mapping, A, B)
-        except NotAHomomorphism:
-            continue
-        yield mapping
+    """All Boolean algebra homomorphisms A -> B, as (g, map) pairs.
+
+    A homomorphism of finite Boolean algebras is a partial map g from the
+    atoms of B to those of A, given as a tuple in B's atom order with None
+    where g is undefined: an atom a of A goes to the join of the atoms c
+    with g(c) = a, and an element to the join of the images of its atoms
+    (balg._atom_join_map).  That is (|A's atoms| + 1)^|B's atoms| maps,
+    each a homomorphism by construction, in lexicographic order of g over
+    (None, *A.atoms).
+    """
+    for g in product((None, *A.atoms), repeat=len(B.atoms)):
+        amap = {a: B.join_all(c for c, ga in zip(B.atoms, g) if ga == a) for a in A.atoms}
+        yield g, balg._atom_join_map(A, B, amap)
 
 
 # ------------------------------------------------------- right normal bands

@@ -269,10 +269,8 @@ def dual_of_bset_morphism(m):
     of base ultrafilters, which needs the base hom to be proper.
     """
     if not balg.is_proper_hom(m.base_hom):
-        wit = next(
-            t for t in m.target.base.elements
-            if not any(m.target.base.leq(t, v) for v in m.base_hom.mapping.values())
-        )
+        top, B = m.base_hom.mapping[m.source.base.top], m.target.base
+        wit = next(t for t in B.elements if not B.leq(t, top))
         raise NotProper((wit,))
     X, Y = m.source, m.target
     spx, spy = bset_to_etale(X), bset_to_etale(Y)

@@ -371,13 +371,16 @@ def _row_classes(elements, table):
 
     Returns (cls_idx, reps, names): the class index of each element, the
     first element of each class, and the class names "[rep]", classes in
-    order of their first element.
+    order of their first element.  Each distinct row object is converted
+    to a tuple once, as parsed and rebuilt ∘ rows are shared per class.
     """
-    class_of_row, cls_idx, reps = {}, [], []
-    for i, row in enumerate(map(tuple, table)):
-        c = class_of_row.setdefault(row, len(reps))
-        if c == len(reps):
-            reps.append(i)
+    class_of_row, class_of_id, cls_idx, reps = {}, {}, [], []
+    for i, row in enumerate(table):
+        c = class_of_id.get(id(row))
+        if c is None:
+            c = class_of_id[id(row)] = class_of_row.setdefault(tuple(row), len(reps))
+            if c == len(reps):
+                reps.append(i)
         cls_idx.append(c)
     return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
 
@@ -472,20 +475,16 @@ class SkewMorphism:
 
 
 def validate_skew_morphism(mapping, S, T):
-    balg._refuse_stray_keys(mapping, S.index, "map", "a source element")
-    for x in S.elements:
-        if x not in mapping:
-            raise ValueError(f"map not total: missing {x!r}")
-        if mapping[x] not in T.index:
-            raise ValueError(f"image {mapping[x]!r} not in target")
-    if mapping[S.zero] != T.zero:
+    """Check that ``mapping`` is a total map of S's elements to T's
+    (balg._index_map) that preserves the zero, then ∘ and • pair by pair
+    (balg._unpreserved), and derive the induced map of gamma quotients."""
+    f = balg._index_map(mapping, S, T, "map", "a source element")
+    if f[S._zero_i] != T._zero_i:
         raise NotAMorphism((S.zero,), "zero")
-    for x in S.elements:
-        for y in S.elements:
-            if mapping[S.circ(x, y)] != T.circ(mapping[x], mapping[y]):
-                raise NotAMorphism((x, y), "circ")
-            if mapping[S.bullet(x, y)] != T.bullet(mapping[x], mapping[y]):
-                raise NotAMorphism((x, y), "bullet")
+    bad = balg._unpreserved(f, S.circ_t, T.circ_t, S.bullet_t, T.bullet_t)
+    if bad is not None:
+        i, j, k = bad
+        raise NotAMorphism((S.elements[i], S.elements[j]), ("circ", "bullet")[k])
     gs, gt = gamma_classes(S), gamma_classes(T)
     qmap = {}
     for x in S.elements:
@@ -527,37 +526,8 @@ def skew_struct_eq(S, T):
 
 
 def enumerate_skew_morphisms(S, T):
-    """All morphisms S -> T, by backtracking with partial closure pruning."""
-    els = S.elements
-    n = len(els)
-    assign = {}
-
-    def consistent(k):
-        xk = els[k]
-        for i in range(k + 1):
-            xi = els[i]
-            for a, b in ((xi, xk), (xk, xi)):
-                c = S.circ(a, b)
-                if c in assign and assign[c] != T.circ(assign[a], assign[b]):
-                    return False
-                d = S.bullet(a, b)
-                if d in assign and assign[d] != T.bullet(assign[a], assign[b]):
-                    return False
-        return True
-
-    def rec(k):
-        if k == n:
-            try:
-                yield validate_skew_morphism(dict(assign), S, T)
-            except (NotAMorphism, AssertionError):
-                pass
-            return
-        x = els[k]
-        choices = (T.zero,) if x == S.zero else T.elements
-        for img in choices:
-            assign[x] = img
-            if consistent(k):
-                yield from rec(k + 1)
-            del assign[x]
-
-    yield from rec(0)
+    """All morphisms S -> T, each validated (validate_skew_morphism): by the
+    paper's theorem they are the morphisms of the Boolean sets that S and T
+    were rebuilt from (bset.enumerate_bset_morphisms), in that order."""
+    for m in bset.enumerate_bset_morphisms(S._bset, T._bset):
+        yield validate_skew_morphism(m.mapping, S, T)

@@ -15,6 +15,7 @@ from functools import lru_cache
 from skewstone import balg, bset, cli, duality, etale, skew, textio
 from skewstone.errors import StructureError
 
+import morphism_reference
 import mutation_engine as me
 
 
@@ -92,7 +93,9 @@ def test_criterion_2_category_isomorphism_round_trips():
             assert skew.skew_struct_eq(bset.to_skew(bset.from_skew(S)), S)
 
         # morphism translation: between small instances the skew morphisms and
-        # the Boolean-set morphisms are literally the same maps
+        # the Boolean-set morphisms are literally the same maps; the skew side
+        # is the backtracking search over the tables (morphism_reference), as
+        # skew.enumerate_skew_morphisms itself goes through the Boolean sets
         total = 0
         for p1 in SMALL_PROFILES:
             for p2 in SMALL_PROFILES:
@@ -100,7 +103,7 @@ def test_criterion_2_category_isomorphism_round_trips():
                 Y1, Y2 = bset.from_skew(S1), bset.from_skew(S2)
                 skew_maps = {
                     frozenset(m.mapping.items())
-                    for m in skew.enumerate_skew_morphisms(S1, S2)
+                    for m in morphism_reference.enumerate_skew_morphisms(S1, S2)
                 }
                 bset_maps = {
                     frozenset(m.mapping.items())

@@ -561,3 +561,17 @@ def test_a_stray_morphism_map_key_is_a_document_error(capsys, tmp_path, old, new
     code, out = run(capsys, "validate", str(f))
     assert (code, out.splitlines()[-1]) == (2, expected)
     assert run(capsys, "check-morphism", str(f), name) == (2, expected + "\n")
+
+
+def test_a_missing_basemap_entry_names_the_basemap(capsys, tmp_path):
+    text = Path(SHOW).read_text()
+    assert text.count("  basemap: 0->0, 1->1\n") == 1
+    text = text.replace("  basemap: 0->0, 1->1\n", "  basemap: 0->0\n")
+    f = tmp_path / "partial.txt"
+    f.write_text(text)
+    line = next(k + 1 for k, ln in enumerate(text.splitlines())
+                if ln.split()[:2] == ["morphism", "collapse"])
+    expected = f"document error: morphism collapse (line {line}): basemap not total: missing '1'"
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out.splitlines()[-1]) == (2, expected)
+    assert run(capsys, "check-morphism", str(f), "collapse") == (2, expected + "\n")

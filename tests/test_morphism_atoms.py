@@ -1,0 +1,254 @@
+"""Morphisms through atoms: a homomorphism 2^A -> 2^C is a partial map g
+from C to A (``bset._enumerate_bahoms``), and a Boolean-set morphism is g
+plus one map X(g(c)) -> Y(c) per atom c where g is defined
+(``bset.enumerate_bset_morphisms`` through ``bset._coded_map``).
+
+The references in ``morphism_reference.py`` are the earlier code: the
+enumeration over every image of the atoms, top-stalk propagation, the
+permutation search for base isomorphisms, and the three id-level validators.
+The enumerations must yield exactly their sets, the isomorphism searches the
+same maps, and every validator the same (law, witness) or message on seeded
+single-entry edits of valid maps; the one message that changed is a missing
+``basemap`` entry, which now names the basemap.
+"""
+
+import random
+from functools import lru_cache
+from math import prod
+
+import pytest
+
+from skewstone import balg, bset, skew
+from skewstone.errors import StructureError
+
+import morphism_reference as ref
+from conftest import make_b2, make_b4, make_prod, make_x3_bset, make_x3_skew
+
+
+def bases():
+    out = []
+    for k in range(4):
+        points = tuple("pqr"[:k])
+        out.append(balg.powerset_balg(points, balg.render_braces(points))[0])
+    # the same algebras with their elements, and so their atoms, in other orders
+    out.append(balg.validate_balg(["0", "b", "a", "1"],
+                                  [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")], "0"))
+    out.append(bset.generate_boolean_set((2, 1, 3), seed=5).base)
+    return out
+
+
+PROFILES = [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2),
+            (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
+
+
+@lru_cache(maxsize=None)
+def sets():
+    named = {sizes: bset.generate_boolean_set(sizes) for sizes in PROFILES}
+    named["Cst"] = bset.constant_bset(make_b4())
+    named["X3"] = make_x3_bset()
+    named["Prod"] = make_prod()
+    return named
+
+
+@lru_cache(maxsize=None)
+def morphisms(a, b):
+    X, Y = sets()[a], sets()[b]
+    return tuple(bset.enumerate_bset_morphisms(X, Y))
+
+
+def keyed(ms):
+    return [(frozenset(m.mapping.items()), frozenset(m.base_hom.mapping.items())) for m in ms]
+
+
+# ------------------------------------------------------------ enumerations
+
+def test_bahoms_are_the_partial_atom_maps_of_the_reference():
+    for A in bases():
+        for B in bases():
+            got = list(bset._enumerate_bahoms(A, B))
+            maps = {frozenset(h.items()) for _, h in got}
+            assert maps == {frozenset(h.items()) for h in ref.enumerate_bahoms(A, B)}
+            assert len(got) == len(maps) == (len(A.atoms) + 1) ** len(B.atoms)
+            for g, h in got:  # g(c) is the atom of A whose image holds c
+                assert g == tuple(next((a for a in A.atoms if B.leq(c, h[a])), None)
+                                  for c in B.atoms)
+
+
+def test_bset_morphisms_match_the_propagation_reference():
+    # a source with the (2, 2, 2) profile has 8 top-stalk elements, so the
+    # reference tries up to 8^8 top choices per base hom; its counts are
+    # checked by the formula below instead
+    pairs = 0
+    for a in sets():
+        if a == (2, 2, 2):
+            continue
+        for b in sets():
+            got = keyed(morphisms(a, b))
+            want = keyed(ref.enumerate_bset_morphisms(sets()[a], sets()[b]))
+            assert len(set(got)) == len(got) and set(got) == set(want), (a, b)
+            pairs += 1
+    assert pairs == 12 * 13
+
+
+def test_bset_morphism_count_is_the_product_formula():
+    total = 0
+    for a, X in sets().items():
+        for b, Y in sets().items():
+            want = sum(
+                prod(len(Y.stalks[c]) ** len(X.stalks[ga])
+                     for c, ga in zip(Y.base.atoms, g) if ga is not None)
+                for g, _ in bset._enumerate_bahoms(X.base, Y.base))
+            assert len(set(keyed(morphisms(a, b)))) == want, (a, b)
+            total += want
+    assert total > 10000
+
+
+def test_proper_only_is_the_filtered_enumeration():
+    for a in ["X3", "Cst", "Prod", (2, 1), (1, 1, 2)]:
+        for b in ["X3", "Cst", "Prod", (2, 1), (1, 2)]:
+            X, Y = sets()[a], sets()[b]
+            got = keyed(bset.enumerate_bset_morphisms(X, Y, proper_only=True))
+            assert got == keyed(m for m in morphisms(a, b) if ref.is_proper_hom(m.base_hom))
+            assert set(got) == set(keyed(ref.enumerate_bset_morphisms(X, Y, proper_only=True)))
+
+
+def test_skew_morphisms_are_the_morphisms_of_their_boolean_sets():
+    algebras = [make_x3_skew()] + [bset.to_skew(sets()[s]) for s in [(1,), (2,), (1, 1), (2, 1)]]
+    for S in algebras:
+        for T in algebras:
+            got = [frozenset(m.mapping.items()) for m in skew.enumerate_skew_morphisms(S, T)]
+            want = {frozenset(m.mapping.items()) for m in ref.enumerate_skew_morphisms(S, T)}
+            assert len(set(got)) == len(got) and set(got) == want
+
+
+# ------------------------------------------------------------ isomorphisms
+
+def test_find_balg_isomorphism_matches_the_permutation_search():
+    algebras = bases() + [skew.gamma_classes(bset.to_skew(sets()[s])).algebra
+                          for s in [(2, 1), (1, 2, 2)]]
+    found = 0
+    for A in algebras:
+        for B in algebras:
+            got = balg.find_balg_isomorphism(A, B)
+            assert got == ref.find_balg_isomorphism(A, B)
+            found += got is not None
+    assert found > len(algebras)
+
+
+def test_bset_isomorphic_matches_the_inline_decoding():
+    candidates = list(sets().values()) + [
+        bset.generate_boolean_set(p, seed=s)
+        for p in [(1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 1), (1, 3)] for s in (None, 4)]
+    found = 0
+    for X in candidates:
+        for Y in candidates:
+            got = bset.bset_isomorphic(X, Y)
+            assert got == ref.bset_isomorphic(X, Y)
+            found += got is not None
+    assert found > len(candidates)
+
+
+# -------------------------------------------------------------- validators
+
+def outcome(validate, *args):
+    try:
+        m = validate(*args)
+    except StructureError as e:
+        return type(e).__name__, e.law, e.witness
+    except ValueError as e:
+        return "ValueError", str(e)
+    base = m.base_hom.mapping if isinstance(m, bset.BSetMorphism) else None
+    return "ok", m.mapping, base
+
+
+def kind(got):
+    """An outcome without the maps of an accepted morphism."""
+    return got[:1] if got[0] == "ok" else got[:2]
+
+
+def edits(mapping, images, rng, count):
+    """``count`` seeded single-entry edits of ``mapping``: one image moved
+    to another image or to a foreign id, one entry dropped, or a stray
+    entry added."""
+    keys = list(mapping)
+    for _ in range(count):
+        out = dict(mapping)
+        kind = rng.randrange(4)
+        if kind == 0:
+            out[rng.choice(keys)] = rng.choice(images)
+        elif kind == 1:
+            out[rng.choice(keys)] = "zz"
+        elif kind == 2:
+            del out[rng.choice(keys)]
+        else:
+            out["zz"] = rng.choice(images)
+        yield out
+
+
+def test_validate_bahom_matches_the_reference_on_single_edits():
+    rng, failures = random.Random(17), set()
+    for A in bases():
+        for B in bases():
+            for _, h in bset._enumerate_bahoms(A, B):
+                for mm in edits(h, list(B.elements), rng, 3):
+                    got = outcome(balg.validate_bahom, mm, A, B)
+                    assert got == outcome(ref.validate_bahom, mm, A, B)
+                    failures.add(kind(got))
+    assert {f for f in failures if f[0] == "NotAHomomorphism"} >= {
+        ("NotAHomomorphism", "hom.bottom"), ("NotAHomomorphism", "hom.meet"),
+        ("NotAHomomorphism", "hom.join")}
+
+
+def test_validate_skew_morphism_matches_the_reference_on_single_edits():
+    rng, laws = random.Random(18), set()
+    algebras = [make_x3_skew()] + [bset.to_skew(sets()[s]) for s in [(2,), (1, 1), (2, 1), (1, 2, 2)]]
+    for S in algebras:
+        for T in algebras:
+            for m in skew.enumerate_skew_morphisms(S, T):
+                for mm in edits(m.mapping, list(T.elements), rng, 2):
+                    got = outcome(skew.validate_skew_morphism, mm, S, T)
+                    assert got == outcome(ref.validate_skew_morphism, mm, S, T)
+                    laws.add(kind(got))
+    assert {("NotAMorphism", f"morphism.{op}") for op in ("zero", "circ", "bullet")} <= laws
+
+
+def basemap_message(got):
+    """The reference names a missing basemap entry as a missing map entry."""
+    if got[0] == "ValueError" and got[1].startswith("map not total"):
+        return got[0], "base" + got[1]
+    return got
+
+
+def test_validate_bset_morphism_matches_the_reference_on_single_edits():
+    rng, laws = random.Random(19), set()
+    names = ["X3", "Cst", "Prod", (2, 1), (1, 2, 2)]
+    for a in names:
+        for b in names:
+            X, Y = sets()[a], sets()[b]
+            for m in rng.sample(morphisms(a, b), min(20, len(morphisms(a, b)))):
+                phi, phibar = m.mapping, m.base_hom.mapping
+                for mm in edits(phi, list(Y.elements), rng, 2):
+                    for base in (phibar, None):
+                        got = outcome(bset.validate_bset_morphism, mm, base, X, Y)
+                        assert got == outcome(ref.validate_bset_morphism, mm, base, X, Y)
+                        laws.add(kind(got))
+                for bb in edits(phibar, list(Y.base.elements), rng, 2):
+                    got = outcome(bset.validate_bset_morphism, phi, bb, X, Y)
+                    want = outcome(ref.validate_bset_morphism, phi, bb, X, Y)
+                    if len(bb) < len(phibar):
+                        want = basemap_message(want)
+                    assert got == want
+                    laws.add(kind(got))
+    assert {"BM1Violation", "BM2Violation", "NotAHomomorphism", "ValueError"} <= {
+        law[0] for law in laws}
+
+
+def test_the_element_map_is_checked_whole_before_the_basemap():
+    # the reference refused stray keys of both maps before either map's
+    # totality, so it names the basemap's stray key here
+    X, Y = make_x3_bset(), bset.constant_bset(make_b2())
+    phi, phibar = {"0": "c0", "x1": "c1"}, {"0": "0", "1": "1", "zz": "1"}
+    with pytest.raises(ValueError, match="^map not total: missing 'x2'$"):
+        bset.validate_bset_morphism(phi, phibar, X, Y)
+    with pytest.raises(ValueError, match="^basemap entry 'zz' is not a source base element$"):
+        ref.validate_bset_morphism(phi, phibar, X, Y)

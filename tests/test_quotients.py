@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from skewstone import balg, bset, dot, skew, textio
-from skewstone.errors import QuotientNotBoolean, StructureError
+from skewstone import balg, bset, dot, duality, skew, textio
+from skewstone.errors import NotProper, QuotientNotBoolean, StructureError
 
+import morphism_reference
 import mutation_engine as me
 from conftest import make_b2, make_b4, make_b8, make_prod, make_x3_bset
 from test_duality_layer import join_table
@@ -470,7 +471,7 @@ def test_is_proper_hom_matches_is_proper_mapping():
     seen = set()
     for A in algebras:
         for B in algebras:
-            for phibar in bset._enumerate_bahoms(A, B):
+            for _, phibar in bset._enumerate_bahoms(A, B):
                 want = old_is_proper_mapping(A, B, phibar)
                 seen.add(want)
                 assert balg.is_proper_hom(balg.BAHom(A, B, phibar)) == want
@@ -486,6 +487,23 @@ def test_proper_morphism_enumeration_matches_reference():
                     if old_is_proper_mapping(X.base, Y.base, m.base_hom.mapping)]
             got = [m.mapping for m in bset.enumerate_bset_morphisms(X, Y, proper_only=True)]
             assert got == want
+
+
+def test_not_proper_witness_matches_the_image_search():
+    # dual_of_bset_morphism names the first target base element not below
+    # h(top); the reference searches every image element for each
+    sets = [make_x3_bset(), bset.constant_bset(make_b2()), make_prod()]
+    refused = 0
+    for X in sets:
+        for Y in sets:
+            for m in bset.enumerate_bset_morphisms(X, Y):
+                if balg.is_proper_hom(m.base_hom):
+                    continue
+                with pytest.raises(NotProper) as e:
+                    duality.dual_of_bset_morphism(m)
+                assert e.value.witness == (morphism_reference.not_proper_witness(m),)
+                refused += 1
+    assert refused > 10
 
 
 # -------------------------------------------------------------- dot covers

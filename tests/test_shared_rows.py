@@ -13,13 +13,15 @@ refuses, anywhere in the package:
   a name bound by a ``for`` loop over a table, or to ``table[i]``, and
   every name ``row``.
 
-Tests copy a row before they edit it.
+Tests copy a row before they edit it.  ``skew._row_classes`` converts each
+shared row object once; its classes must not depend on the sharing.
 """
 
 import ast
 from pathlib import Path
 
 import skewstone
+from skewstone import bset, skew
 
 PACKAGE = Path(skewstone.__file__).resolve().parent
 TABLES = {"circ", "bullet", "circ_t", "bullet_t", "circ_table", "bullet_table", "table",
@@ -118,3 +120,27 @@ def test_the_scan_sees_every_kind_of_row_edit():
         "    other[j] = v\n"
     )
     assert [line for line, _ in row_edits(tree)] == [2, 3, 4, 6, 8, 10, 11, 12]
+
+
+# ------------------------------------------------- classes of shared rows
+
+def old_row_classes(elements, table):
+    class_of_row, cls_idx, reps = {}, [], []
+    for i, row in enumerate(map(tuple, table)):
+        c = class_of_row.setdefault(row, len(reps))
+        if c == len(reps):
+            reps.append(i)
+        cls_idx.append(c)
+    return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
+
+
+def test_row_classes_are_the_same_for_shared_and_distinct_equal_rows():
+    for sizes in [(1,), (2, 3), (3, 1, 2), (2, 2, 2)]:
+        S = bset.to_skew(bset.generate_boolean_set(sizes, seed=2))
+        shared = S.circ_t
+        assert len({id(r) for r in shared}) == len(set(map(tuple, shared)))  # one per R class
+        distinct = [list(r) for r in shared]  # equal contents, distinct lists
+        mixed = [list(r) if i % 2 else r for i, r in enumerate(shared)]
+        want = old_row_classes(S.elements, shared)
+        for table in (shared, distinct, mixed):
+            assert skew._row_classes(S.elements, table) == want
