@@ -68,22 +68,14 @@ def _down_masks(n, up):
     return down
 
 
-def _greatest(mask, down):
-    """Maximum of the elements in ``mask``, or -1 if none dominates them all."""
+def _bound(mask, rel):
+    """The element i of ``mask`` with ``mask`` inside ``rel[i]``, or -1 if
+    there is none: with the down-set masks as ``rel`` the maximum of
+    ``mask``, with the up-set masks its minimum."""
     m = mask
     while m:
         i = (m & -m).bit_length() - 1
-        if mask & ~down[i] == 0:
-            return i
-        m &= m - 1
-    return -1
-
-
-def _least(mask, up):
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if mask & ~up[i] == 0:
+        if mask & ~rel[i] == 0:
             return i
         m &= m - 1
     return -1
@@ -156,7 +148,7 @@ def validate_meet_semilattice(elements, leq_pairs):
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            m = _greatest(down[i] & down[j], down)
+            m = _bound(down[i] & down[j], down)
             if m < 0:
                 raise NotALattice((elements[i], elements[j]), "meet")
             meet[i][j] = m
@@ -200,7 +192,7 @@ class FinBooleanAlgebra(FinMeetSemilattice):
 
     @property
     def top(self):
-        t = _greatest((1 << len(self.elements)) - 1, self._down)
+        t = _bound((1 << len(self.elements)) - 1, self._down)
         return self.elements[t]
 
     @property
@@ -255,11 +247,11 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         return m
 
     def _is_filter_mask(self, m):
-        g = _least(m, self._up)
+        g = _bound(m, self._up)
         return g >= 0 and self._up[g] == m
 
     def _is_ideal_mask(self, m):
-        g = _greatest(m, self._down)
+        g = _bound(m, self._down)
         return g >= 0 and self._down[g] == m
 
     def _is_prime_mask(self, m, table):
@@ -410,11 +402,11 @@ def validate_balg(elements, leq_pairs, bottom):
     join = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            m = _greatest(down[i] & down[j], down)
+            m = _bound(down[i] & down[j], down)
             if m < 0:
                 raise NotALattice((elements[i], elements[j]), "meet")
             meet[i][j] = m
-            u = _least(up[i] & up[j], up)
+            u = _bound(up[i] & up[j], up)
             if u < 0:
                 raise NotALattice((elements[i], elements[j]), "join")
             join[i][j] = u
@@ -534,16 +526,21 @@ def _unpreserved(f, s1, t1, s2, t2):
 
 def validate_bahom(mapping, source, target):
     """Check that ``mapping`` is a total map of source elements to target
-    elements (_index_map) that preserves the bottom, then meets and joins
-    pair by pair (_unpreserved)."""
-    f = _index_map(mapping, source, target, "map", "a source element")
+    elements (_index_map) and a homomorphism (_check_bahom)."""
+    _check_bahom(_index_map(mapping, source, target, "map", "a source element"), source, target)
+    return BAHom(source, target, dict(mapping))
+
+
+def _check_bahom(f, source, target):
+    """Raise NotAHomomorphism unless the checked index map ``f``
+    (_index_map) preserves the bottom, then meets and joins pair by pair
+    (_unpreserved)."""
     if f[source._bottom_i] != target._bottom_i:
         raise NotAHomomorphism((source.bottom,), "bottom")
     bad = _unpreserved(f, source._meet, target._meet, source._join, target._join)
     if bad is not None:
         i, j, k = bad
         raise NotAHomomorphism((source.elements[i], source.elements[j]), ("meet", "join")[k])
-    return BAHom(source, target, dict(mapping))
 
 
 def is_proper_hom(h):

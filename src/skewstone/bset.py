@@ -91,13 +91,13 @@ class Presheaf:
     def meet_elem(self, x, y):
         """Greatest lower bound by a bound search, or None."""
         below = _order_masks(self)[0]
-        k = balg._greatest(below[self.index[x]] & below[self.index[y]], below)
+        k = balg._bound(below[self.index[x]] & below[self.index[y]], below)
         return self.elements[k] if k >= 0 else None
 
     def join_elem(self, x, y):
         """Least upper bound by a bound search, or None."""
         above = _order_masks(self)[1]
-        k = balg._least(above[self.index[x]] & above[self.index[y]], above)
+        k = balg._bound(above[self.index[x]] & above[self.index[y]], above)
         return self.elements[k] if k >= 0 else None
 
     def compatible_elems(self, x, y):
@@ -535,40 +535,38 @@ def derive_base_map(X, Y, mapping):
 
 
 def validate_bset_morphism(phi, phibar, X, Y):
-    """Check the commuting square and restriction compatibility on every
-    element and comparable pair; preservation of ∘ and • is a consequence
-    and asserted on both sets' operation rows (_skew_rows).  Preserving ∘
-    keeps compatible pairs compatible, whose join is •, so joins are
-    preserved too.  Both maps are checked total first (balg._index_map),
-    the element map before the base map."""
-    balg._index_map(phi, X, Y, "map", "a source element")
+    """Check that both maps are total (balg._index_map, the element map
+    before the base map, which the commuting square derives when not
+    given), that the base map is a homomorphism, that the square commutes
+    on every element (BM1) and that restrictions are compatible (BM2).
+
+    Given the first three, BM2 holds iff the element map preserves ∘ (the
+    theorem, for morphisms), since x∘y = y|(p(x) ∧ p(y)), and x|b = z∘x
+    for b <= p(x) and any z over b.  It then preserves • too, and so the
+    joins of compatible pairs.  So one preservation scan of both sets' ∘/•
+    rows (_skew_rows, balg._unpreserved) accepts, and the id-level BM2 scan
+    of every element and base element below its stalk runs only on a
+    refusal, to name the first (x, p(x), b).  If that scan finds nothing,
+    the two disagree, which raises AssertionError, also under
+    ``python -O``.
+    """
+    f = balg._index_map(phi, X, Y, "map", "a source element")
     if phibar is None:
         phibar = derive_base_map(X, Y, phi)
-    else:
-        balg._index_map(phibar, X.base, Y.base, "basemap", "a source base element")
-    base_hom = balg.validate_bahom(phibar, X.base, Y.base)
+    balg._check_bahom(balg._index_map(phibar, X.base, Y.base, "basemap", "a source base element"),
+                      X.base, Y.base)
     for x in X.elements:
         if phibar[X.p(x)] != Y.p(phi[x]):
             raise BM1Violation((x,))
-    for x in X.elements:
-        a = X.p(x)
-        for b in X.base.down_set(a):
-            if phi[X.restrict(x, b)] != Y.restrict(phi[x], phibar[b]):
-                raise BM2Violation((x, a, b))
-    m = BSetMorphism(X, Y, dict(phi), base_hom)
-    _assert_morphism_consequences(m)
-    return m
-
-
-def _assert_morphism_consequences(m):
-    """Raise AssertionError at the first pair whose ∘ or • the element map
-    does not preserve (balg._unpreserved)."""
-    X, Y = m.source, m.target
-    f = [Y.index[m.mapping[x]] for x in X.elements]
     (cx, bx), (cy, by) = _skew_rows(X), _skew_rows(Y)
-    bad = balg._unpreserved(f, cx, cy, bx, by)
-    if bad is not None:
-        raise AssertionError((X.elements[bad[0]], X.elements[bad[1]]))
+    if balg._unpreserved(f, cx, cy, bx, by) is not None:
+        for x in X.elements:
+            a = X.p(x)
+            for b in X.base.down_set(a):
+                if phi[X.restrict(x, b)] != Y.restrict(phi[x], phibar[b]):
+                    raise BM2Violation((x, a, b))
+        raise AssertionError("the ∘/• scan refused a map that BM2 accepts")
+    return BSetMorphism(X, Y, dict(phi), balg.BAHom(X.base, Y.base, dict(phibar)))
 
 
 def identity_bset_morphism(X):

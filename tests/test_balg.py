@@ -212,11 +212,11 @@ def _reference_validate_balg(elements, leq_pairs, bottom):
     join = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            m = balg._greatest(down[i] & down[j], down)
+            m = balg._bound(down[i] & down[j], down)
             if m < 0:
                 raise NotALattice((elements[i], elements[j]), "meet")
             meet[i][j] = m
-            u = balg._least(up[i] & up[j], up)
+            u = balg._bound(up[i] & up[j], up)
             if u < 0:
                 raise NotALattice((elements[i], elements[j]), "join")
             join[i][j] = u

@@ -8,9 +8,12 @@ The references are the earlier join table built from the codes and the eager
 that table, the ``_stalk_rows`` that made id-level ``meet``/``rel_complement``
 calls, the morphism consequence check that compared ``to_skew`` of both sets
 through id-level calls, and the ultrafilter primeness pass over the join
-table.  The joins, the stalk rows, both skew tables and both checks'
-verdicts must equal theirs.  The acceptance path reads no join and builds
-no order masks (``bset._order_masks``).
+table.  The joins, the stalk rows, both skew tables and the ultrafilter
+check's verdicts must equal theirs, and the morphism validator must refuse
+a map with swapped images exactly when the old consequence check does.  The
+acceptance path reads no join and builds no order masks
+(``bset._order_masks``), and accepting a morphism runs no id-level
+restriction scan.
 """
 
 import random
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from skewstone import bset, cli, duality, etale, textio
+from skewstone import balg, bset, cli, duality, etale, textio
 from skewstone.errors import InternalMissingJoin, StructureError
 
 from conftest import make_b2, make_b4, make_prod, make_x3_bset
@@ -231,6 +234,27 @@ def test_acceptance_path_builds_no_order_masks(monkeypatch, capsys, tmp_path):
     run_acceptance_path(capsys, tmp_path)
 
 
+def test_morphism_acceptance_runs_no_restriction_scan(monkeypatch):
+    # the ∘/• scan accepts; the id-level BM2 scan runs only on a refusal
+    sets = small_sets()
+    inputs = [(m.mapping, base, m.source, m.target)
+              for X in sets for Y in sets for m in bset.enumerate_bset_morphisms(X, Y)
+              for base in (m.base_hom.mapping, None)]
+    for X in [bset.generate_boolean_set(s, seed=1) for s in [(2, 1), (1, 2, 2)]]:
+        m = duality.bset_double_dual(X)
+        inverse = {v: k for k, v in m.mapping.items()}
+        inputs += [(m.mapping, m.base_hom.mapping, X, m.target), (inverse, None, m.target, X)]
+
+    def refuse(*args):
+        raise AssertionError("an id-level restriction scan ran")
+
+    monkeypatch.setattr(bset.BooleanSet, "restrict", refuse)
+    monkeypatch.setattr(balg.FinMeetSemilattice, "down_set", refuse)
+    for phi, phibar, X, Y in inputs:
+        assert bset.validate_bset_morphism(phi, phibar, X, Y).mapping == phi
+    assert len(inputs) > 200
+
+
 def test_duality_paths_read_no_join_and_build_no_skew_algebra(monkeypatch, capsys, tmp_path):
     assert cli.main(["gen", "--atoms", "4", "--stalks", "2,2,2,2", "--seed", "1"]) == 0
     gen = tmp_path / "g.txt"
@@ -284,10 +308,13 @@ def swapped(m, rng, count):
 
 
 def assert_morphism_checks_agree(m, rng, failed):
+    # a swap within one stalk keeps the base hom and BM1, so the validator
+    # refuses it (by BM2) exactly when the old consequence check does
     assert verdict(old_assert_morphism_consequences, m) is None
     for mm in swapped(m, rng, 4):
-        got = verdict(bset._assert_morphism_consequences, mm)
-        assert got == verdict(old_assert_morphism_consequences, mm)
+        got = verdict(bset.validate_bset_morphism, mm.mapping, m.base_hom.mapping, mm.source, mm.target)
+        assert got in (None, "BM2Violation")
+        assert (got is None) == (verdict(old_assert_morphism_consequences, mm) is None)
         failed.append(got)
 
 

@@ -9,7 +9,11 @@ permutation search for base isomorphisms, and the three id-level validators.
 The enumerations must yield exactly their sets, the isomorphism searches the
 same maps, and every validator the same (law, witness) or message on seeded
 single-entry edits of valid maps; the one message that changed is a missing
-``basemap`` entry, which now names the basemap.
+``basemap`` entry, which now names the basemap.  The edits include moves of
+one image within its target stalk, which keep BM1 and mostly break BM2.
+The lemma that lets the ∘/• scan accept a Boolean-set morphism (given the
+base homomorphism and BM1, BM2 holds iff ∘ and • are preserved) is checked
+on seeded maps that commute with a base homomorphism.
 """
 
 import random
@@ -219,14 +223,33 @@ def basemap_message(got):
     return got
 
 
+def stalk_moves(phi, Y, rng, count):
+    """``count`` seeded edits of ``phi`` that move one image to another
+    element of its stalk in Y, so the square still commutes (BM1); none
+    when every image's stalk has one element."""
+    keys = [x for x in phi if len(Y.stalks[Y.p(phi[x])]) > 1]
+    for _ in range(count if keys else 0):
+        x = rng.choice(keys)
+        out = dict(phi)
+        out[x] = rng.choice([y for y in Y.stalks[Y.p(phi[x])] if y != phi[x]])
+        yield out
+
+
 def test_validate_bset_morphism_matches_the_reference_on_single_edits():
-    rng, laws = random.Random(19), set()
+    # stalk moves draw from their own generator, so the other edits stay as
+    # they were drawn before moves were added
+    rng, moves, laws, moved = random.Random(19), random.Random(20), set(), set()
     names = ["X3", "Cst", "Prod", (2, 1), (1, 2, 2)]
     for a in names:
         for b in names:
             X, Y = sets()[a], sets()[b]
             for m in rng.sample(morphisms(a, b), min(20, len(morphisms(a, b)))):
                 phi, phibar = m.mapping, m.base_hom.mapping
+                for mm in stalk_moves(phi, Y, moves, 2):
+                    for base in (phibar, None):
+                        got = outcome(bset.validate_bset_morphism, mm, base, X, Y)
+                        assert got == outcome(ref.validate_bset_morphism, mm, base, X, Y)
+                        moved.add(kind(got))
                 for mm in edits(phi, list(Y.elements), rng, 2):
                     for base in (phibar, None):
                         got = outcome(bset.validate_bset_morphism, mm, base, X, Y)
@@ -241,6 +264,34 @@ def test_validate_bset_morphism_matches_the_reference_on_single_edits():
                     laws.add(kind(got))
     assert {"BM1Violation", "BM2Violation", "NotAHomomorphism", "ValueError"} <= {
         law[0] for law in laws}
+    assert moved == {("ok",), ("BM2Violation", "bsetmor.BM2")}
+
+
+def bm2_holds(phi, phibar, X, Y):
+    """The id-level BM2 scan: restriction commutes with the maps on every
+    element and base element below its stalk."""
+    return all(phi[X.restrict(x, b)] == Y.restrict(phi[x], phibar[b])
+               for x in X.elements for b in X.base.down_set(X.p(x)))
+
+
+def test_bm2_holds_iff_the_element_map_preserves_circ_and_bullet():
+    # the lemma the validator's acceptance rests on: given a base
+    # homomorphism and an element map that commutes with it (BM1), BM2
+    # holds iff the ∘/• rows of both sets are preserved
+    rng, seen = random.Random(21), {True: 0, False: 0}
+    for a in PROFILES:
+        for b in PROFILES:
+            X, Y = sets()[a], sets()[b]
+            (cx, bx), (cy, by) = bset._skew_rows(X), bset._skew_rows(Y)
+            homs = list(bset._enumerate_bahoms(X.base, Y.base))
+            for _, phibar in rng.sample(homs, min(6, len(homs))):
+                for _ in range(10):
+                    phi = {x: rng.choice(Y.stalks[phibar[X.p(x)]]) for x in X.elements}
+                    f = [Y.index[phi[x]] for x in X.elements]
+                    holds = bm2_holds(phi, phibar, X, Y)
+                    assert holds == (balg._unpreserved(f, cx, cy, bx, by) is None), (a, b, phi)
+                    seen[holds] += 1
+    assert min(seen.values()) > 1000
 
 
 def test_the_element_map_is_checked_whole_before_the_basemap():

@@ -329,21 +329,32 @@ def valid_band():
     return lambda: bset.validate_band(raw["elements"], raw["circ"])
 
 
-@pytest.mark.parametrize("module, certificate, refusal, make", [
-    pytest.param(balg, "_stone_tables", None, valid_balg, id="validate_balg"),
-    pytest.param(bset, "_local_restrictions", None, valid_presheaf, id="validate_presheaf"),
-    pytest.param(bset, "_atom_codes", None, valid_boolean_set, id="validate_boolean_set"),
-    pytest.param(skew, "_reconstruct", (None, None, False), valid_skew, id="validate_skew"),
-    pytest.param(skew, "_light_associative", False, valid_band, id="validate_band"),
+def valid_bset_morphism():
+    X = bset.generate_boolean_set((2, 1))
+    m = bset.identity_bset_morphism(X)
+    return lambda: bset.validate_bset_morphism(m.mapping, m.base_hom.mapping, X, X)
+
+
+@pytest.mark.parametrize("stand_ins, make", [
+    pytest.param({(balg, "_stone_tables"): None}, valid_balg, id="validate_balg"),
+    pytest.param({(bset, "_local_restrictions"): None}, valid_presheaf, id="validate_presheaf"),
+    pytest.param({(bset, "_atom_codes"): None}, valid_boolean_set, id="validate_boolean_set"),
+    pytest.param({(skew, "_reconstruct"): (None, None, False)}, valid_skew, id="validate_skew"),
+    pytest.param({(skew, "_light_associative"): False}, valid_band, id="validate_band"),
+    # balg._unpreserved is also the base homomorphism's meet/join scan,
+    # which runs first; the base map is a homomorphism, so that check is
+    # stood in for by one that accepts, and only the ∘/• scan refuses
+    pytest.param({(balg, "_check_bahom"): None, (balg, "_unpreserved"): (0, 0, 0)},
+                 valid_bset_morphism, id="validate_bset_morphism"),
 ])
-def test_a_refusal_that_no_scan_explains_is_an_internal_error(
-        monkeypatch, module, certificate, refusal, make):
+def test_a_refusal_that_no_scan_explains_is_an_internal_error(monkeypatch, stand_ins, make):
     # each certificate alone accepts, and the scans after a refusal only
     # name the failure; when they find none, the certificate and the laws
     # disagree, which is raised, also under -O, and no structure is built
     validate = make()  # the input is built before the certificate is patched
     validate()
-    monkeypatch.setattr(module, certificate, lambda *args: refusal)
+    for (module, name), value in stand_ins.items():
+        monkeypatch.setattr(module, name, lambda *args, value=value: value)
     with pytest.raises(AssertionError):
         validate()
 
