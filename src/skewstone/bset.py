@@ -21,20 +21,25 @@ scan cannot explain is an internal error (AssertionError).  The one order
 is the restriction order, x <= y iff x = y|p(x); its bitmask rows
 (_order_masks) are built only for bound searches and filter checks.
 
-Skew algebras (``from_skew``) and right normal bands (``band_to_presheaf``,
-``band_to_bset``) become presheaves the same way: stalks are the R classes,
-which for a right normal ∘ are the classes of equal ∘ rows
-(``skew._row_classes``), over their quotient, and restriction is left
+This module holds both halves of the paper's theorem.  Forward, a Boolean
+set's skew tables are its ∘/• rows (``_skew_rows``, from ``_stalk_rows``
+and ``_bullet_rows``).  Backward, skew algebras (``from_skew``) and right
+normal bands (``band_to_presheaf``, ``band_to_bset``) become presheaves the
+same way: stalks are the R classes, which for a right normal ∘ are the
+classes of equal ∘ rows (``_row_classes``), over their quotient
+(``_band_quotient``, the one quotient builder), and restriction is left
 multiplication by the first member of the lower class
 (``_class_presheaf``).  A skew algebra's Boolean set is built once, by
-``validate_skew``'s reconstruction, and it is both that presheaf and what
-``from_skew`` returns.
+``validate_skew``'s reconstruction (``_reconstruct``), and it is both that
+presheaf and what ``from_skew`` returns.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import eq
 
 from . import balg, skew
 from ._memo import memo
@@ -272,10 +277,10 @@ class BooleanSet(Presheaf):
 
     ``_codes`` are the atom coordinates of the elements, in element order,
     as validate_boolean_set found them (_atom_codes): a permutation of
-    range(n).  join and compatible_elems read the ∘/• rows built from them
-    on first use (_skew_rows): x∘y and y∘x are y and x restricted to
-    p(x) ∧ p(y), so x and y agree there (are compatible) iff x∘y = y∘x, and
-    then x ∨ y = x ∨ (y\\x) = x•y.
+    range(n).  join, compatible_elems and bullet read the ∘/• rows built
+    from them on first use (_skew_rows): x∘y and y∘x are y and x restricted
+    to p(x) ∧ p(y), so x and y agree there (are compatible) iff x∘y = y∘x,
+    and then x ∨ y = x ∨ (y\\x) = x•y.
     """
 
     def __init__(self, base, stalks, cover_maps, rest, zero, codes):
@@ -299,7 +304,7 @@ class BooleanSet(Presheaf):
         return self.restrict(y, self.base.rel_complement(self.p(y), self.p(x)))
 
     def bullet(self, x, y):
-        return self.join(x, self.setminus(y, x))
+        return self.elements[_skew_rows(self)[1][self.index[x]][self.index[y]]]
 
 
 def _atom_codes(P):
@@ -479,6 +484,76 @@ def _class_presheaf(base, elements, table, cls_idx):
         restrictions[(upper, lower)] = {
             elements[x]: elements[row[x]] for x in members[base.index[upper]]}
     return validate_presheaf(base, stalks, restrictions)
+
+
+def _row_classes(elements, table):
+    """Classes of equal rows of the ∘ index ``table``, which for a right
+    normal ∘ are the classes of Green's R-relation (x R y iff x∘y = y and
+    y∘x = x).
+
+    Returns (cls_idx, reps, names): the class index of each element, the
+    first element of each class, and the class names "[rep]", classes in
+    order of their first element.  Each distinct row object is converted
+    to a tuple once, as parsed and rebuilt ∘ rows are shared per class.
+    """
+    class_of_row, class_of_id, cls_idx, reps = {}, {}, [], []
+    for i, row in enumerate(table):
+        c = class_of_id.get(id(row))
+        if c is None:
+            c = class_of_id[id(row)] = class_of_row.setdefault(tuple(row), len(reps))
+            if c == len(reps):
+                reps.append(i)
+        cls_idx.append(c)
+    return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
+
+
+def _band_quotient(elements, table):
+    """R classes of the ∘ index ``table`` (_row_classes) and their quotient,
+    ordered by c <= d iff c∘d = c: (cls_idx, names, order pairs of class
+    names, the classes below every class)."""
+    cls_idx, reps, names = _row_classes(elements, table)
+    q = [[cls_idx[table[a][b]] for b in reps] for a in reps]
+    bottoms = [c for c, row in enumerate(q) if all(m == c for m in row)]
+    pairs = [(names[c], names[d]) for c, row in enumerate(q) for d, m in enumerate(row) if m == c]
+    return cls_idx, names, pairs, bottoms
+
+
+def _reconstruct(elements, index, circ, bullet, z):
+    """Whether the skew index tables are to_skew(X) of a Boolean set X:
+    (X, True) if so, else (None, whether ∘ was rebuilt exactly).
+
+    By the paper's theorem the right-hand skew Boolean algebras are exactly
+    these, and X is then the set of R classes of ∘, the classes of equal ∘
+    rows, over their quotient (_band_quotient).  The class order must be a
+    Boolean algebra with the zero's class as bottom, and the class presheaf
+    (_class_presheaf) a Boolean set by its atom codes.  Its one-element
+    zero stalk is then the declared zero.  Last, x∘y = y|(p(x) ∧ p(y)) is
+    compared row by row, one row per stalk, and x•y = x ∨ (y\\x) by
+    code(x•y) = code(x) + code(y|(p(y) \\ p(x))), the rule to_skew builds •
+    by (_bullet_rows).  No step raises on a failure, so the caller's scans
+    report it.
+    """
+    cls_idx, names, pairs, _ = _band_quotient(elements, circ)
+    # a Boolean quotient has 2^m classes for its m atoms (the classes with
+    # just the bottom below them): any other partition is refused here, as
+    # validate_balg's diagnostic scans are cubic in the number of classes
+    below = Counter(d for _, d in pairs)
+    if len(names) != 1 << sum(v == 2 for v in below.values()):
+        return None, False
+    try:
+        base = balg.validate_balg(names, pairs, names[cls_idx[z]])
+        P = _class_presheaf(base, elements, circ, cls_idx)
+    except StructureError:
+        return None, False
+    codes = _atom_codes(P)
+    if codes is None:
+        return None, False
+    rows = _stalk_rows(P, elements, index)
+    if any(row != rows[names[c]][0] for row, c in zip(circ, cls_idx)):
+        return None, False
+    if not all(map(eq, bullet, _bullet_rows(P, codes, elements, index, rows))):
+        return None, True
+    return _coded_boolean_set(P, codes), True
 
 
 def bset_struct_eq(X, Y):
@@ -664,21 +739,12 @@ def validate_band(elements, table):
     return RightNormalBand(elements, index, t)
 
 
-def _band_quotient(S):
-    """R classes of a band and their quotient, ordered by c <= d iff c∘d = c:
-    (cls_idx, names, order pairs, the classes below every class)."""
-    cls_idx, reps, names = skew._row_classes(S.elements, S.table)
-    qmeet = skew._class_table(S.table, cls_idx, reps)
-    bottoms = [c for c, row in enumerate(qmeet) if all(m == c for m in row)]
-    return cls_idx, names, skew._order_pairs(qmeet, names), bottoms
-
-
 @memo("_presheaf")
 def band_to_presheaf(S):
     """Stalks are R classes over the quotient meet semilattice, whose meet
     is induced by circ (R is a congruence of a right normal band); its order
     is the natural order of S.  A skew algebra's is its Boolean set."""
-    cls_idx, names, pairs, _ = _band_quotient(S)
+    cls_idx, names, pairs, _ = _band_quotient(S.elements, S.table)
     base = balg.validate_meet_semilattice(names, pairs)
     return _class_presheaf(base, S.elements, S.table, cls_idx)
 
@@ -688,7 +754,7 @@ def band_to_bset(S):
     """The Boolean set of a band: R classes over the quotient, validated as
     a Boolean algebra with the least class as bottom.  Raises the first
     failed law when the band is not Boolean."""
-    cls_idx, names, pairs, bottoms = _band_quotient(S)
+    cls_idx, names, pairs, bottoms = _band_quotient(S.elements, S.table)
     base = balg.validate_balg(names, pairs, names[bottoms[0]])
     return validate_boolean_set(_class_presheaf(base, S.elements, S.table, cls_idx))
 

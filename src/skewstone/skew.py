@@ -12,8 +12,8 @@ Boolean sets, so ``validate_skew`` accepts by reconstruction and by nothing
 else: the classes of equal ∘ rows (the R classes of a right normal band)
 must form a Boolean set whose skew tables, rebuilt from its atom
 coordinates, equal the input.  That costs O(n^2) plus one ``validate_balg``
-of the class quotient, and it keeps the Boolean set and the quotient, which
-``from_skew`` and ``gamma_classes`` return.  When the tables are refused the
+of the class quotient, and it keeps the Boolean set, which ``from_skew``
+returns and ``gamma_classes`` views.  When the tables are refused the
 axioms are checked exhaustively, only to name the first failed one:
 associativity by Light's test over a generating set, O(g·n^2) for g
 generators, after the triples of the first row, with the O(n^3) triple scan
@@ -21,17 +21,19 @@ only to name its witness; SB1-SB4 by O(n^2) scans over pairs; SB5 by one
 ``validate_balg`` per element; right normality of ∘ last.  Intended feasible
 bound about 512 elements.
 
-The R classes and their quotient order are built here (``_row_classes``,
-``_class_table``, ``_order_pairs``) for skew algebras and for the right
-normal bands of :mod:`skewstone.bset` alike.  Their natural order, x <= y
-iff x∘y = x, is the restriction order x = y|p(x) of the presheaf of these
-classes (``bset.band_to_presheaf``), and meets are read there.
+This module keeps the tables, the axioms and their scans; the
+correspondence with Boolean sets, both ways, lives in :mod:`skewstone.bset`,
+the R classes and the reconstruction (``bset._reconstruct``) included.  The
+natural order, x <= y iff x∘y = x, is the restriction order x = y|p(x) of
+the presheaf of R classes (``bset.band_to_presheaf``), and meets are read
+there.
 """
 
 from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from . import balg, bset
+from ._memo import memo
 from .errors import (
     NoBinaryMeets,
     NotABand,
@@ -47,8 +49,8 @@ class SkewAlgebra:
     """Validated right-hand skew Boolean algebra.
 
     ``circ`` and ``bullet`` are index matrices in element order.  Built
-    only by ``validate_skew``, which keeps the Boolean set and the gamma
-    quotient it rebuilt the tables from (``_bset``, ``_gamma``).  Immutable
+    only by ``validate_skew``, which keeps the Boolean set it rebuilt the
+    tables from (``_bset``); the gamma quotient is a view of it.  Immutable
     after validation.
     """
 
@@ -204,11 +206,11 @@ def validate_skew(elements, circ_table, bullet_table, zero):
     algebra.
 
     Tables are row-major in element order.  Acceptance is decided only by
-    the paper's theorem read backwards (_reconstruct): the tables are
+    the paper's theorem read backwards (bset._reconstruct): the tables are
     accepted when they equal the skew tables of the Boolean set that their
     own R classes form, at O(n^2) plus one validate_balg of the 2^m classes
-    of the quotient.  That Boolean set and its quotient are kept, so
-    from_skew and gamma_classes return them.  Refused tables are scanned
+    of the quotient.  That Boolean set is kept: from_skew returns it and
+    gamma_classes views it.  Refused tables are scanned
     from the start to name the violated axiom with a witness tuple, the
     first in scan order: the band checks (Light's test, with the triple
     scan only to find the witness; the ∘ check is left out when ∘ alone was
@@ -226,57 +228,16 @@ def validate_skew(elements, circ_table, bullet_table, zero):
 
 def _validate_index(elements, index, circ, bullet, z):
     """validate_skew on index tables, the zero at index ``z``.  The one
-    place a SkewAlgebra is built, so every algebra holds its Boolean set and
-    gamma quotient.  A refusal that no axiom explains raises AssertionError,
-    also under ``python -O``."""
+    place a SkewAlgebra is built, so every algebra holds its Boolean set.
+    A refusal that no axiom explains raises AssertionError, also under
+    ``python -O``."""
     S = SkewAlgebra(elements, index, circ, bullet, z)
-    X, gq, circ_ok = _reconstruct(elements, index, circ, bullet, z)
+    X, circ_ok = bset._reconstruct(elements, index, circ, bullet, z)
     if X is None:
         _axiom_scan(S, circ_ok)
         raise AssertionError("reconstruction failed, yet every axiom holds")
     S._bset = S._presheaf = X
-    S._gamma = gq
     return S
-
-
-def _reconstruct(elements, index, circ, bullet, z):
-    """Whether the tables are to_skew(X) of a Boolean set X: (X, its gamma
-    quotient, True) if so, else (None, None, whether ∘ was rebuilt exactly).
-
-    By the paper's theorem the right-hand skew Boolean algebras are exactly
-    these, and X is then the set of R classes of ∘, the classes of equal ∘
-    rows (_row_classes).  The class order (c <= d iff c∘d = c) must be a
-    Boolean algebra with the zero's class as bottom, and the class presheaf
-    (bset._class_presheaf) a Boolean set by its atom codes.  Its one-element
-    zero stalk is then the declared zero.  Last, x∘y = y|(p(x) ∧ p(y)) is
-    compared row by row, one row per stalk, and x•y = x ∨ (y\\x) by
-    code(x•y) = code(x) + code(y|(p(y) \\ p(x))), the rule to_skew builds •
-    by (bset._bullet_rows).  No step raises on a failure, so the caller's
-    scans report it.
-    """
-    cls_idx, reps, names = _row_classes(elements, circ)
-    k = len(reps)
-    qmeet = _class_table(circ, cls_idx, reps)
-    # a Boolean quotient has 2^m classes for its m atoms (the classes with
-    # just the bottom below them): any other partition is refused here, as
-    # validate_balg's diagnostic scans are cubic in the number of classes
-    atoms = sum(sum(row[c] == d for d, row in enumerate(qmeet)) == 2 for c in range(k))
-    if k != 1 << atoms:
-        return None, None, False
-    try:
-        base = balg.validate_balg(names, _order_pairs(qmeet, names), names[cls_idx[z]])
-        P = bset._class_presheaf(base, elements, circ, cls_idx)
-    except StructureError:
-        return None, None, False
-    codes = bset._atom_codes(P)
-    if codes is None:
-        return None, None, False
-    rows = bset._stalk_rows(P, elements, index)
-    if any(row != rows[names[c]][0] for row, c in zip(circ, cls_idx)):
-        return None, None, False
-    if not all(map(eq, bullet, bset._bullet_rows(P, codes, elements, index, rows))):
-        return None, None, True
-    return bset._coded_boolean_set(P, codes), _quotient(base, elements, cls_idx, names), True
 
 
 def _axiom_scan(S, circ_is_band):
@@ -364,54 +325,13 @@ class GammaQuotient:
         return self.classes[class_id]
 
 
-def _row_classes(elements, table):
-    """Classes of equal rows of the ∘ index ``table``, which for a right
-    normal ∘ are the classes of Green's R-relation (x R y iff x∘y = y and
-    y∘x = x).
-
-    Returns (cls_idx, reps, names): the class index of each element, the
-    first element of each class, and the class names "[rep]", classes in
-    order of their first element.  Each distinct row object is converted
-    to a tuple once, as parsed and rebuilt ∘ rows are shared per class.
-    """
-    class_of_row, class_of_id, cls_idx, reps = {}, {}, [], []
-    for i, row in enumerate(table):
-        c = class_of_id.get(id(row))
-        if c is None:
-            c = class_of_id[id(row)] = class_of_row.setdefault(tuple(row), len(reps))
-            if c == len(reps):
-                reps.append(i)
-        cls_idx.append(c)
-    return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
-
-
-def _class_table(table, cls_idx, reps):
-    """The operation induced on classes: q[c][d] is the class of rep(c)·rep(d)."""
-    return [[cls_idx[table[a][b]] for b in reps] for a in reps]
-
-
-def _order_pairs(qmeet, names):
-    """The quotient order, c <= d iff c∘d = c, as pairs of class names."""
-    return [
-        (names[c], names[d]) for c, row in enumerate(qmeet) for d, m in enumerate(row) if m == c
-    ]
-
-
+@memo("_gamma")
 def gamma_classes(S):
     """The partition x R y iff x∘y = y and y∘x = x with its Boolean
-    quotient: the classes of equal ∘ rows that validate_skew rebuilt S
-    from, kept on S."""
-    return S._gamma
-
-
-def _quotient(alg, elements, cls_idx, names):
-    """The GammaQuotient over ``alg`` of the classes ``cls_idx``."""
-    class_of = {x: names[c] for x, c in zip(elements, cls_idx)}
-    classes = {
-        name: tuple(x for x, d in zip(elements, cls_idx) if d == c)
-        for c, name in enumerate(names)
-    }
-    return GammaQuotient(alg, class_of, classes)
+    quotient: the base and stalks of the Boolean set that validate_skew
+    rebuilt S from, with ``class_of`` in S's element order."""
+    X = S._bset
+    return GammaQuotient(X.base, {x: X.stalk_of[x] for x in S.elements}, X.stalks)
 
 
 # -------------------------------------------------------------- consequences
@@ -441,7 +361,7 @@ def check_consequences(S):
     circ, bullet = S.circ_t, S.bullet_t
     els = S.elements
     r = range(len(els))
-    cls, _, _ = _row_classes(els, circ)
+    cls, _, _ = bset._row_classes(els, circ)
     z = S.index[S.zero]
     return Report([
         _first_witness("circ_over_bullet_left", (
@@ -485,14 +405,14 @@ def validate_skew_morphism(mapping, S, T):
     if bad is not None:
         i, j, k = bad
         raise NotAMorphism((S.elements[i], S.elements[j]), ("circ", "bullet")[k])
-    gs, gt = gamma_classes(S), gamma_classes(T)
+    X, Y = S._bset, T._bset
     qmap = {}
     for x in S.elements:
-        c = gs.class_of[x]
-        img = gt.class_of[mapping[x]]
+        c = X.stalk_of[x]
+        img = Y.stalk_of[mapping[x]]
         if qmap.setdefault(c, img) != img:
             raise AssertionError(("induced map not well-defined", x))
-    induced = balg.validate_bahom(qmap, gs.algebra, gt.algebra)
+    induced = balg.validate_bahom(qmap, X.base, Y.base)
     return SkewMorphism(S, T, dict(mapping), induced)
 
 

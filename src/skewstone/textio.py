@@ -24,7 +24,7 @@ once, so equal rows share one index row too.  Parsed and index tables are
 therefore read-only: an edit in place would change every row sharing the
 list.  Morphism and relmor stanzas name their
 endpoints with "from:"/"to:" body keys; every reference must resolve to an
-earlier stanza.  Output ordering is the input order of ids everywhere.
+earlier stanza, and a right normal band is no morphism endpoint.  Output ordering is the input order of ids everywhere.
 """
 
 import re
@@ -395,6 +395,10 @@ def _build_stanza(s, built):
     if s.kind == "morphism":
         _require(s, "map")
         src, tgt = built[d["from"]], built[d["to"]]
+        for end in (d["from"], d["to"]):
+            if isinstance(built[end], bset.RightNormalBand):
+                raise ValueError(f"endpoint {end!r} is a right normal band (a skew stanza "
+                                 "without bullet:), which has no morphisms")
         mapping = dict(d["map"])
         if isinstance(src, balg.FinBooleanAlgebra):
             return balg.validate_bahom(mapping, src, tgt)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import skewstone
-from skewstone import cli
+from skewstone import cli, textio
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 PROD = str(DOCS / "prod.txt")
@@ -244,6 +245,59 @@ def test_round_trip_same_without_asserts(capsys, tmp_path):
     assert [r[0] for r in outcomes[0]] == [0, 0, 0]
     assert "skew round trip: identity (18 elements)" in outcomes[0][2][1]
     assert outcomes[0] == outcomes[1]
+
+
+PARITY = """
+import contextlib, io, json, sys
+from skewstone import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([argv, code, buf.getvalue()])
+print(json.dumps([__debug__, out]))
+"""
+
+
+def test_commands_give_the_same_output_under_python_O(capsys, tmp_path):
+    # one process runs every call with asserts and one with python -O: the
+    # validators accept and name failures outside every assert, so stdout
+    # and exit codes are the same
+    code, doc = run(capsys, "gen", "--atoms", "3", "--stalks", "2,2,2", "--seed", "1")
+    gen = tmp_path / "g.txt"
+    gen.write_text(doc)
+    code2, skew_doc = run(capsys, "to-skew", str(gen), "G")
+    assert code == code2 == 0
+    skew_path = tmp_path / "s.txt"
+    skew_path.write_text(skew_doc)
+    lines = skew_doc.splitlines()
+    row = lines.index("  circ:") + 3  # the second row of the ∘ table
+    entries = lines[row].split()
+    assert entries[-1] != "0"
+    lines[row] = "    " + " ".join(entries[:-1] + ["0"])
+    mutant = tmp_path / "m.txt"
+    mutant.write_text("\n".join(lines) + "\n")
+    docs = {str(path): [s.name for s in textio.parse(path.read_text()).stanzas]
+            for path in sorted(DOCS.glob("*.txt"))}
+    docs[str(gen)] = ["B", "G"]
+    docs[str(skew_path)] = ["G_skew"]
+    calls = [["validate", str(mutant)]]
+    for path, names in docs.items():
+        calls.append(["validate", path])
+        calls += [[command, path, name] for name in names
+                  for command in ("props", "roundtrip", "to-bset")]
+    env = dict(os.environ, PYTHONPATH=str(Path(skewstone.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    runs = [json.loads(subprocess.run(
+        [sys.executable, *flags, "-c", PARITY, json.dumps(calls)],
+        capture_output=True, text=True, env=env, check=True).stdout)
+        for flags in ([], ["-O"])]
+    assert [debug for debug, _ in runs] == [True, False]
+    assert runs[0][1] == runs[1][1]
+    codes = [code for _, code, _ in runs[0][1]]
+    assert codes[0] == 1 and "skew G_skew: FAIL" in runs[0][1][0][2]
+    assert {0, 1} <= set(codes) and len(calls) > 40
 
 
 def test_sections_command(capsys):
@@ -575,3 +629,21 @@ def test_a_missing_basemap_entry_names_the_basemap(capsys, tmp_path):
     code, out = run(capsys, "validate", str(f))
     assert (code, out.splitlines()[-1]) == (2, expected)
     assert run(capsys, "check-morphism", str(f), "collapse") == (2, expected + "\n")
+
+
+@pytest.mark.parametrize("source, target", [
+    ("Band3", "Band3"), ("X3s", "Band3"), ("Band3", "X3s")],
+    ids=["band-band", "skew-band", "band-skew"])
+def test_a_band_endpoint_is_a_document_error(capsys, tmp_path, source, target):
+    # a right normal band has neither a zero nor •, so it is no morphism
+    # endpoint; a stanza that names one is refused at its line
+    show = Path(SHOW).read_text()
+    f = tmp_path / "band_morphism.txt"
+    f.write_text(show + f"morphism M {{\n  from: {source}\n  to: {target}\n"
+                        "  map: 0->0, x1->x1, x2->x2\n}\n")
+    line = len(show.splitlines()) + 1
+    expected = (f"document error: morphism M (line {line}): endpoint 'Band3' is a right "
+                "normal band (a skew stanza without bullet:), which has no morphisms")
+    code, out = run(capsys, "validate", str(f))
+    assert (code, out.splitlines()[-2:]) == (2, ["relmor spread: ok", expected])
+    assert run(capsys, "check-morphism", str(f), "M") == (2, expected + "\n")

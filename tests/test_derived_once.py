@@ -55,7 +55,7 @@ def old_skew_rel_complement(S, x, y, down):
 
 
 def old_is_boolean_band(S):
-    _, names, pairs, bottoms = bset._band_quotient(S)
+    _, names, pairs, bottoms = bset._band_quotient(S.elements, S.table)
     if len(bottoms) != 1:
         return False
     try:
@@ -74,7 +74,7 @@ def old_is_boolean_band(S):
 
 
 def old_band_to_bset(S):
-    cls_idx, names, pairs, bottoms = bset._band_quotient(S)
+    cls_idx, names, pairs, bottoms = bset._band_quotient(S.elements, S.table)
     base = balg.validate_balg(names, pairs, names[bottoms[0]])
     return bset.validate_boolean_set(bset._class_presheaf(base, S.elements, S.table, cls_idx))
 

@@ -425,8 +425,8 @@ def gamma_view(gq):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_gamma_and_from_skew_match_reference(seed):
-    # gamma_classes and from_skew return what validate_skew kept, which on
-    # every accepted algebra equals the earlier builders' output
+    # from_skew returns what validate_skew kept and gamma_classes views it,
+    # which on every accepted algebra equals the earlier builders' output
     raws = [raw_skew(S) for S in skew_inputs()] + skew_mutants(30, seed)
     accepted = 0
     for raw in raws:

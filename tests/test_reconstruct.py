@@ -12,8 +12,8 @@ skew tables and stanzas (``to_skew``, ``textio.skew_stanza``, the row
 reorder of ``textio``) and ``skew_struct_eq`` are compared the same way.
 Every pair of band tables on at most four elements is compared with the
 oracle ``laws.scan``, and an AST scan checks that ``SkewAlgebra`` is built
-only where the certificate decides, as ``from_skew`` and ``gamma_classes``
-return what it kept; the other validated structures are held to one
+only where the certificate decides, as ``from_skew`` returns what it kept
+and ``gamma_classes`` views it; the other validated structures are held to one
 builder each the same way.  Every validator's certificate, patched to
 refuse valid input, must make it raise AssertionError, as its scans only
 name failures.
@@ -218,7 +218,10 @@ def test_generated_algebras_are_accepted_by_reconstruction(sizes):
     raw = generated_raw(sizes)
     assert assert_same_outcome(raw)[0] == "ok"
     S = skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
-    assert isinstance(S._bset, bset.BooleanSet) and isinstance(S._gamma, skew.GammaQuotient)
+    assert isinstance(S._bset, bset.BooleanSet) and not hasattr(S, "_gamma")
+    gq = skew.gamma_classes(S)  # a view of the Boolean set, built on first use
+    assert isinstance(gq, skew.GammaQuotient) and gq is S._gamma
+    assert gq.algebra is S._bset.base and gq.classes is S._bset.stalks
 
 
 def test_docs_skew_stanzas_match_reference():
@@ -296,7 +299,7 @@ def test_accepting_256_validates_only_the_quotient(monkeypatch):
     monkeypatch.undo()
 
     X, gq = bset.from_skew(S), skew.gamma_classes(S)
-    assert X is S._bset and gq is S._gamma
+    assert X is S._bset and gq is S._gamma and gq.algebra is X.base
     Y = old_from_skew(S)  # built the earlier way, from the tables
     assert presheaf_view(X) == presheaf_view(Y)
     assert (X.zero, join_table(X)) == (Y.zero, join_table(Y))
@@ -339,7 +342,7 @@ def valid_bset_morphism():
     pytest.param({(balg, "_stone_tables"): None}, valid_balg, id="validate_balg"),
     pytest.param({(bset, "_local_restrictions"): None}, valid_presheaf, id="validate_presheaf"),
     pytest.param({(bset, "_atom_codes"): None}, valid_boolean_set, id="validate_boolean_set"),
-    pytest.param({(skew, "_reconstruct"): (None, None, False)}, valid_skew, id="validate_skew"),
+    pytest.param({(bset, "_reconstruct"): (None, False)}, valid_skew, id="validate_skew"),
     pytest.param({(skew, "_light_associative"): False}, valid_band, id="validate_band"),
     # balg._unpreserved is also the base homomorphism's meet/join scan,
     # which runs first; the base map is a homomorphism, so that check is
@@ -379,8 +382,8 @@ def calls_by_function(tree, name):
 
 
 def test_skew_algebras_are_built_only_by_validate_skew():
-    # gamma_classes and from_skew return what validate_skew kept, so no
-    # other code may build a SkewAlgebra; _validate_index is validate_skew's
+    # from_skew returns what validate_skew kept and gamma_classes views it,
+    # so no other code may build a SkewAlgebra; _validate_index is validate_skew's
     # core on index tables, which to_skew calls directly.  Every other
     # validated structure is built in one place too, after its certificate
     # accepts.

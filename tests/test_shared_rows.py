@@ -13,7 +13,7 @@ refuses, anywhere in the package:
   a name bound by a ``for`` loop over a table, or to ``table[i]``, and
   every name ``row``.
 
-Tests copy a row before they edit it.  ``skew._row_classes`` converts each
+Tests copy a row before they edit it.  ``bset._row_classes`` converts each
 shared row object once; its classes must not depend on the sharing.
 """
 
@@ -21,7 +21,7 @@ import ast
 from pathlib import Path
 
 import skewstone
-from skewstone import bset, skew
+from skewstone import bset
 
 PACKAGE = Path(skewstone.__file__).resolve().parent
 TABLES = {"circ", "bullet", "circ_t", "bullet_t", "circ_table", "bullet_table", "table",
@@ -143,4 +143,4 @@ def test_row_classes_are_the_same_for_shared_and_distinct_equal_rows():
         mixed = [list(r) if i % 2 else r for i, r in enumerate(shared)]
         want = old_row_classes(S.elements, shared)
         for table in (shared, distinct, mixed):
-            assert skew._row_classes(S.elements, table) == want
+            assert bset._row_classes(S.elements, table) == want
