@@ -19,7 +19,10 @@ least-upper-bound scan over every pair runs only when the coordinates fail,
 to name the first compatible pair without a join.  A refusal that either
 scan cannot explain is an internal error (AssertionError).  The one order
 is the restriction order, x <= y iff x = y|p(x); its bitmask rows
-(_order_masks) are built only for bound searches and filter checks.
+(_order_masks) are built only for meets, bound searches and filter
+checks.  A Boolean set's meets are one table (_meet_table): a candidate per
+pair from the ∘ rows and the atom coordinates, kept where the order masks
+confirm it, and found by a bound search where they do not.
 
 This module holds both halves of the paper's theorem.  Forward, a Boolean
 set's skew tables are its ∘/• rows (``_skew_rows``, from ``_stalk_rows``
@@ -37,9 +40,9 @@ presheaf and what ``from_skew`` returns.
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
-from operator import eq
+from operator import and_, eq
 
 from . import balg, skew
 from ._memo import memo
@@ -56,6 +59,7 @@ from .errors import (
     StalkCollision,
     StructureError,
     ZeroStalkNotTrivial,
+    _band_endpoint,
 )
 
 
@@ -113,6 +117,7 @@ class Presheaf:
     @property
     @memo("_has_meets")
     def has_binary_meets(self):
+        """Whether every pair has a meet, by a bound search per pair."""
         return all(
             self.meet_elem(x, y) is not None
             for x in self.elements for y in self.elements
@@ -280,7 +285,8 @@ class BooleanSet(Presheaf):
     range(n).  join, compatible_elems and bullet read the ∘/• rows built
     from them on first use (_skew_rows): x∘y and y∘x are y and x restricted
     to p(x) ∧ p(y), so x and y agree there (are compatible) iff x∘y = y∘x,
-    and then x ∨ y = x ∨ (y\\x) = x•y.
+    and then x ∨ y = x ∨ (y\\x) = x•y.  meet_elem and has_binary_meets read
+    the meet table (_meet_table), whose entries the order masks verify.
     """
 
     def __init__(self, base, stalks, cover_maps, rest, zero, codes):
@@ -305,6 +311,17 @@ class BooleanSet(Presheaf):
 
     def bullet(self, x, y):
         return self.elements[_skew_rows(self)[1][self.index[x]][self.index[y]]]
+
+    def meet_elem(self, x, y):
+        """Greatest lower bound from the verified meet table, or None."""
+        k = _meet_table(self)[self.index[x]][self.index[y]]
+        return self.elements[k] if k >= 0 else None
+
+    @property
+    @memo("_has_meets")
+    def has_binary_meets(self):
+        """Whether the verified meet table has a meet for every pair."""
+        return all(min(row) >= 0 for row in _meet_table(self))
 
 
 def _atom_codes(P):
@@ -446,6 +463,46 @@ def _skew_rows(X):
     rows = _stalk_rows(X, els, index)
     circ = [rows[X.stalk_of[x]][0] for x in els]
     return circ, list(_bullet_rows(X, X._codes, els, index, rows))
+
+
+@memo("_meet")
+def _meet_table(X):
+    """x ∧ y for every pair of X's elements, as indices in element order,
+    -1 where there is none; the same table as a bound search per pair.
+
+    The meet of x and y lies over p(x) ∧ p(y), where y∘x and x∘y are x and
+    y restricted, and it is the meet of those two: the element that keeps
+    the atom coordinates on which they agree.  With each element's
+    coordinates as a set of (atom, stalk member) bits, read from the atom
+    codes, the candidate m for row x is the element whose set is the
+    intersection of theirs, read off the ∘ rows (_skew_rows).  The order
+    masks confirm a whole row at once: below[m] must equal common =
+    below[x] & below[y] for every y, so m is a common lower bound (each
+    element is its own restriction to its stalk) above every other one.  By
+    antisymmetry no other element is, and m is what balg._bound returns.  A
+    row with any unconfirmed candidate is answered by that bound search
+    pair by pair, so the table does not depend on what the ∘ rows hold.
+    """
+    n, below = len(X.elements), _order_masks(X)[0]
+    bits = [0] * n
+    offset = 0
+    for a, w in _weights(X):
+        radix = len(X.stalks[a]) + 1
+        for i, c in enumerate(X._codes):
+            d = c // w % radix
+            if d:
+                bits[i] |= 1 << (offset + d - 1)
+        offset += radix - 1
+    elem_of = {b: i for i, b in enumerate(bits)}
+    circ = [list(map(bits.__getitem__, row)) for row in _skew_rows(X)[0]]
+    table = []
+    for bx, row, col in zip(below, circ, zip(*circ)):
+        common = list(map(and_, repeat(bx), below))
+        cand = list(map(elem_of.__getitem__, map(and_, row, col)))
+        if common != list(map(below.__getitem__, cand)):
+            cand = [balg._bound(c, below) for c in common]
+        table.append(cand)
+    return table
 
 
 @memo("_skew")
@@ -623,8 +680,12 @@ def validate_bset_morphism(phi, phibar, X, Y):
     of every element and base element below its stalk runs only on a
     refusal, to name the first (x, p(x), b).  If that scan finds nothing,
     the two disagree, which raises AssertionError, also under
-    ``python -O``.
+    ``python -O``.  A right normal band as an endpoint is refused with a
+    ValueError.
     """
+    for end, obj in (("source", X), ("target", Y)):
+        if isinstance(obj, RightNormalBand):
+            raise _band_endpoint(end)
     f = balg._index_map(phi, X, Y, "map", "a source element")
     if phibar is None:
         phibar = derive_base_map(X, Y, phi)

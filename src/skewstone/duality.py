@@ -11,9 +11,18 @@ evaluated independently.
 Base ultrafilters are represented by their atoms in the finite case, but all
 logic here goes through the FilterSet interface so the computations mirror
 the filter-theoretic constructions rather than the atom shortcut.
+
+The checks of the dual topology read index rows and bitmasks: each element's
+set of ultrafilters as a mask over the dual's points (_stone_masks), the
+Boolean set's ∘/• rows, and its meet table (bset._meet_table), one verified
+meet per pair, computed once.  Every property is still checked over every
+element or pair; an exact check over whole rows accepts it, and only a
+failure runs the pair scan that names the first witness.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import and_, eq, or_
 
 from . import balg, bset, etale
 from ._memo import memo
@@ -144,6 +153,34 @@ def _stone_sets(X):
         for a in u.members:
             through[a].append(u.ident)
     return {a: frozenset(ids) for a, ids in through.items()}
+
+
+@memo("_points")
+def _stone_masks(X):
+    """_stone_sets(X) as bitmasks, bit k for the k-th point of
+    bset_to_etale(X).total: (the bit of each point id, each element's mask
+    in X.elements order, per point the mask of the indices of the elements
+    whose sets hold it, per base point of the space the mask of its fiber).
+    Built from whatever _stone_sets holds; cached per Boolean set."""
+    sp = bset_to_etale(X)
+    L = _stone_sets(X)
+    pos = {g: k for k, g in enumerate(sp.total)}
+    masks = [sum(1 << pos[g] for g in L[a]) for a in X.elements]
+    through = [0] * len(pos)
+    for i, m in enumerate(masks):
+        for k in _bits(m):
+            through[k] |= 1 << i
+    fibers = [sum(1 << pos[g] for g in sp.fibers[x]) for x in sp.base]
+    return pos, masks, through, fibers
+
+
+def _one_per_fiber(mask, fibers):
+    """Whether the point mask holds at most one point of each fiber."""
+    for f in fibers:
+        s = mask & f
+        if s & (s - 1):
+            return False
+    return True
 
 
 @memo("_etale")
@@ -312,19 +349,28 @@ def dual_is_hausdorff(X):
     by the sets of ultrafilters through each element.
 
     Two points are separated iff some pair of disjoint basic opens contains
-    them (unions of basics cannot separate when no basics do), so pairwise
-    basic separation is the honest full check.
+    them (unions of basics cannot separate when no basics do), so every
+    pair of points is checked for basic separation.  In the point masks
+    (_stone_masks): with apart[a] the elements whose sets are disjoint from
+    a's, g and h are separated iff the union of apart[a] over the a
+    through g holds an element through h.
     """
-    ultras = bset_ultrafilters(X)
-    basic = _stone_sets(X)
-    for i, g in enumerate(ultras):
-        for h in ultras[i + 1:]:
-            if not any(
-                g.ident in basic[a] and h.ident in basic[b] and not (basic[a] & basic[b])
-                for a in X.elements for b in X.elements
-            ):
-                return False
-    return True
+    pos, masks, through, _ = _stone_masks(X)
+    full = (1 << len(masks)) - 1
+    apart = []
+    for m in masks:
+        touching = 0
+        for k in _bits(m):
+            touching |= through[k]
+        apart.append(full & ~touching)
+    reach = []
+    for t in through:
+        r = 0
+        for a in _bits(t):
+            r |= apart[a]
+        reach.append(r)
+    pts = [pos[u.ident] for u in bset_ultrafilters(X)]
+    return all(reach[g] & through[h] for i, g in enumerate(pts) for h in pts[i + 1:])
 
 
 @dataclass
@@ -344,7 +390,10 @@ class MeetHausdorffReport:
 
 
 def check_meets_vs_hausdorff(X):
-    """Both sides of the meets/Hausdorff correspondence, computed honestly.
+    """Both sides of the meets/Hausdorff correspondence, each computed: the
+    meets from the verified meet table (bset._meet_table, which falls back
+    to a bound search wherever the order masks do not confirm an entry), and
+    the separation of every pair of dual points.
 
     At finite scale both values are always true (every finite Boolean set
     has binary meets and every finite dual is discrete), so the report
@@ -371,13 +420,16 @@ class MeetPartialReport:
 
 def check_meet_partial_correspondence(m):
     """Meet preservation of the morphism versus partiality of its dual,
-    both sides computed independently (meets by exhaustive pair scan)."""
+    both sides computed independently: every pair's meet is compared, row
+    by row, in the verified meet tables of both sets (bset._meet_table)."""
     X, Y = m.source, m.target
     if not X.has_binary_meets or not Y.has_binary_meets:
         raise NoBinaryMeets(())
+    f = [Y.index[m.mapping[x]] for x in X.elements]
+    tx, ty = bset._meet_table(X), bset._meet_table(Y)
     preserves = all(
-        m.mapping[X.meet_elem(x, y)] == Y.meet_elem(m.mapping[x], m.mapping[y])
-        for x in X.elements for y in X.elements
+        list(map(f.__getitem__, row)) == list(map(ty[fi].__getitem__, f))
+        for fi, row in zip(f, tx)
     )
     dual = dual_of_bset_morphism(m)
     return MeetPartialReport(preserves, dual.partial_map)
@@ -442,10 +494,31 @@ def check_topology(X):
     are compact (finite guard), and exhaust the local sections of the dual.
     A failed property names its first witness, scanning elements (and pairs
     of them) in X.elements order.
+
+    Each pair property is accepted by an exact check over whole rows of the
+    point masks (_stone_masks), the meet table and the ∘/• index rows
+    (bset._skew_rows); only when that check fails does the pair scan run,
+    in the same order, to name the first witness:
+    - base: the law holds iff the least set through each point (the meet
+      of the sets through it) is itself one of the sets;
+    - meets: each meet row's sets equal the row of intersections;
+    - injective: the masks are distinct;
+    - order: the elements whose sets contain a's are those through every
+      point of a's set, which must be the elements above a;
+    - joins: per row, the sets of the joins of the compatible pairs
+      (x∘y = y∘x, joined by x•y) equal the unions;
+    - sections: for a section a, the b with a section union are the
+      sections with no other point in a fiber of a's points, and each must
+      be compatible with a.
     """
     sp = bset_to_etale(X)
     L = _stone_sets(X)
+    _, M, through, fibers = _stone_masks(X)
     els = X.elements
+    circ, bullet = bset._skew_rows(X)
+    meets = bset._meet_table(X)
+    above = bset._order_masks(X)[1]
+    n = len(els)
 
     def is_section(pts):
         return len({sp.proj[g] for g in pts}) == len(pts)
@@ -464,27 +537,70 @@ def check_topology(X):
                     if not any(gid in L[c] and L[c] <= common for c in els):
                         yield a, b, gid
 
+    least = [-1] * len(through)
+    for m in M:
+        for k in _bits(m):
+            least[k] &= m
+    basic = set(M)
+    based = all(s in basic for s in least if s != -1)
+
+    meets_ok = all(list(map(M.__getitem__, row)) == list(map(and_, repeat(m), M))
+                   for m, row in zip(M, meets))
+
+    full = (1 << n) - 1
+    supersets = []
+    for m in M:
+        s = full
+        for k in _bits(m):
+            s &= through[k]
+        supersets.append(s)
+
+    sections = [_one_per_fiber(m, fibers) for m in M]
+    section_mask = sum(1 << i for i, ok in enumerate(sections) if ok)
+    # per point, the elements through another point of its fiber
+    clash = [0] * len(through)
+    for f in fibers:
+        for k in _bits(f):
+            for k2 in _bits(f & ~(1 << k)):
+                clash[k] |= through[k2]
+    joins_ok = unions_ok = True
+    for i, (m, crow, ccol, brow) in enumerate(zip(M, circ, zip(*circ), bullet)):
+        comp = list(map(eq, crow, ccol))
+        joins_ok = joins_ok and (list(map(M.__getitem__, compress(brow, comp)))
+                                 == list(map(or_, repeat(m), compress(M, comp))))
+        if unions_ok and sections[i]:
+            union_sections = section_mask
+            for k in _bits(m):
+                union_sections &= ~clash[k]
+            unions_ok = all(map(comp.__getitem__, _bits(union_sections)))
+
+    atom_bit = {x: 1 << k for k, x in enumerate(sp.base)}
+    stone = {e: sum(atom_bit[F.generator] for F in X.base.stone_map(e))
+             for e in X.base.elements}
+
+    def shadow(m):
+        return sum(1 << k for k, f in enumerate(fibers) if m & f)
+
     lsets = set(L.values())
     return Report([
-        _first_witness("base_for_topology", unbased()),
-        _first_witness("meet_is_intersection", (
+        _first_witness("base_for_topology", () if based else unbased()),
+        _first_witness("meet_is_intersection", () if meets_ok else (
             (a, b) for a in els for b in els
             if (m := X.meet_elem(a, b)) is not None and L[m] != L[a] & L[b])),
-        _first_witness("injective_on_elements", (
+        _first_witness("injective_on_elements", () if len(basic) == n else (
             (a, b) for a in els for b in els if (L[a] == L[b]) != (a == b))),
-        _first_witness("order_reflecting", (
+        _first_witness("order_reflecting", () if supersets == above else (
             (a, b) for a in els for b in els if (L[a] <= L[b]) != X.leq_elem(a, b))),
-        _first_witness("is_local_section", ((a,) for a in els if not is_section(L[a]))),
-        _first_witness("join_is_union", (
+        _first_witness("is_local_section", (
+            (a,) for a, ok in zip(els, sections) if not ok)),
+        _first_witness("join_is_union", () if joins_ok else (
             (a, b) for a in els for b in els
             if X.compatible_elems(a, b) and L[X.join(a, b)] != L[a] | L[b])),
-        _first_witness("union_section_implies_compatible", (
+        _first_witness("union_section_implies_compatible", () if unions_ok else (
             (a, b) for a in els for b in els
             if is_section(L[a] | L[b]) and not X.compatible_elems(a, b))),
         _first_witness("projects_onto_stone_image", (
-            (a,) for a in els
-            if {sp.proj[g] for g in L[a]}
-            != {F.generator for F in X.base.stone_map(X.p(a))})),
+            (a,) for a, m in zip(els, M) if shadow(m) != stone[X.p(a)])),
         # compactness of each point set: tautological at finite scale,
         # recorded as the guard that the dual has finitely many points
         CheckItem("compact", isinstance(len(sp.total), int)),

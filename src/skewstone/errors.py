@@ -35,6 +35,13 @@ class DuplicateName(DocumentError):
         super().__init__(f"duplicate stanza name {name!r}{where}")
 
 
+def _band_endpoint(name):
+    """The ValueError for a morphism endpoint, named ``name``, that is a
+    right normal band: a band has no zero and no bullet, so no morphisms."""
+    return ValueError(f"{name} is a right normal band (a skew stanza without "
+                      "bullet:), which has no morphisms")
+
+
 class StructureError(Exception):
     """A named law failed on concrete elements.
 

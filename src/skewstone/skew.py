@@ -41,6 +41,7 @@ from .errors import (
     NotRightNormal,
     SkewAxiomViolation,
     StructureError,
+    _band_endpoint,
 )
 from .report import Report, _first_witness
 
@@ -397,7 +398,11 @@ class SkewMorphism:
 def validate_skew_morphism(mapping, S, T):
     """Check that ``mapping`` is a total map of S's elements to T's
     (balg._index_map) that preserves the zero, then ∘ and • pair by pair
-    (balg._unpreserved), and derive the induced map of gamma quotients."""
+    (balg._unpreserved), and derive the induced map of gamma quotients.  A
+    right normal band as an endpoint is refused with a ValueError."""
+    for end, obj in (("source", S), ("target", T)):
+        if isinstance(obj, bset.RightNormalBand):
+            raise _band_endpoint(end)
     f = balg._index_map(mapping, S, T, "map", "a source element")
     if f[S._zero_i] != T._zero_i:
         raise NotAMorphism((S.zero,), "zero")

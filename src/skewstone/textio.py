@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import balg, bset, etale, skew
-from .errors import DuplicateName, ParseError, UnresolvedReference
+from .errors import DuplicateName, ParseError, UnresolvedReference, _band_endpoint
 
 KEYWORDS = ("balg", "skew", "bset", "etale", "morphism", "relmor")
 
@@ -397,8 +397,7 @@ def _build_stanza(s, built):
         src, tgt = built[d["from"]], built[d["to"]]
         for end in (d["from"], d["to"]):
             if isinstance(built[end], bset.RightNormalBand):
-                raise ValueError(f"endpoint {end!r} is a right normal band (a skew stanza "
-                                 "without bullet:), which has no morphisms")
+                raise _band_endpoint(f"endpoint {end!r}")
         mapping = dict(d["map"])
         if isinstance(src, balg.FinBooleanAlgebra):
             return balg.validate_bahom(mapping, src, tgt)

@@ -1,11 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewstone import bset, skew
+from skewstone import bset, skew, textio
 
 import mutation_engine as me
 from conftest import make_prod
@@ -545,3 +546,23 @@ def test_validate_presheaf_matches_all_chains_on_mutants(sizes, count):
     assert laws[0] is None
     if min(sizes) > 1:
         assert PathDependent in laws  # the walk found a mismatch and fell back
+
+
+def test_library_validators_refuse_a_band_endpoint():
+    # a right normal band has neither a zero nor •, so it has no morphisms;
+    # the validators name the band endpoint instead of failing on a missing
+    # attribute
+    show = Path(__file__).resolve().parent.parent / "docs" / "showcase.txt"
+    built = textio.build(textio.parse(show.read_text()))
+    X3s, band = built["X3s"], built["Band3"]
+    ident = {x: x for x in band.elements}
+    message = "is a right normal band (a skew stanza without bullet:), which has no morphisms"
+    for call, end in [
+        (lambda: skew.validate_skew_morphism(ident, X3s, band), "target"),
+        (lambda: skew.validate_skew_morphism(ident, band, X3s), "source"),
+        (lambda: bset.validate_bset_morphism(ident, None, band, band), "source"),
+        (lambda: bset.validate_bset_morphism(ident, None, built["X3"], band), "target"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == f"{end} {message}"

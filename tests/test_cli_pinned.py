@@ -6,9 +6,11 @@ every stanza of ``docs/*.txt``, ``to-bset``/``export`` on generated
 Boolean-set, skew, band and etale documents (seeded band mutants included),
 ``gen`` for three shapes, the duality commands on the generated Boolean set
 and on an etale space whose total order interleaves its fibers, ``props``
-on the generated skew algebra, and ``check-morphism`` on two skew
+on the generated skew algebra, ``check-morphism`` on two skew
 morphisms (the identity of the generated skew algebra, and the skew
-counterpart of ``docs/showcase.txt``'s ``collapse``).  To record it again,
+counterpart of ``docs/showcase.txt``'s ``collapse``), and ``props`` on the
+256-element generated Boolean set (stalks 3,3,3,3) and on the dual of a
+generated 72-section etale space.  To record it again,
 from the repository root:
 
     PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
@@ -108,6 +110,12 @@ def write_documents(root):
     (root / "etale.txt").write_text(etale_text((2, 1, 3), 2, "E"))
     docs["etale.txt"] = ["E"]
     (root / "skewmor.txt").write_text(skew_morphisms_text(skew_doc))
+    # props only (see commands)
+    _, gen256 = run(["gen", "--atoms", "4", "--stalks", "3,3,3,3"])
+    (root / "gen256.txt").write_text(gen256)
+    (root / "etale72.txt").write_text(etale_text((2, 3, 1, 2), 5, "F"))
+    _, dual = run(["dualize", str(root / "etale72.txt"), "F"])
+    (root / "etale72_dual.txt").write_text(dual)
     return docs
 
 
@@ -154,6 +162,8 @@ def commands(root):
     ]:
         for cmd in cmds:
             out.append((f"{cmd} {fname} {name}", [cmd, str(Path(root) / fname), name]))
+    for fname, name in [("gen256.txt", "G"), ("etale72_dual.txt", "F_dual")]:
+        out.append((f"props {fname} {name}", ["props", str(Path(root) / fname), name]))
     return out
 
 

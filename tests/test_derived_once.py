@@ -139,6 +139,8 @@ def test_memoized_builders_store_one_object_under_their_name():
         (lambda B: B.cover_pairs, X.base, "_covers"),
         (lambda B: B.atoms, X.base, "_atoms"),
         (lambda X: X.has_binary_meets, X, "_has_meets"),
+        (bset._meet_table, X, "_meet"),
+        (duality._stone_masks, X, "_points"),
     ]
     for fn, obj, attr in cases:
         first = fn(obj)

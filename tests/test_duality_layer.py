@@ -111,9 +111,33 @@ def old_dual_bset(sp):
     return X
 
 
+def old_meets(X):
+    """The earlier Presheaf.meet_elem, as a function of two ids: a bound
+    search over order masks read from the restrictions (copies of
+    bset._order_masks and balg._bound), so it reads no meet table."""
+    n, index = len(X.elements), X.index
+    below = [0] * n
+    for j, y in enumerate(X.elements):
+        for x in X._rest[y].values():
+            below[j] |= 1 << index[x]
+
+    def meet(x, y):
+        mask = below[index[x]] & below[index[y]]
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            if mask & ~below[i] == 0:
+                return X.elements[i]
+            m &= m - 1
+        return None
+    return meet
+
+
 def old_check_topology(X):
     """The earlier check_topology; ``found`` also records, per law, every
-    witness its loops meet, in scan order (the report keeps the last)."""
+    witness its loops meet, in scan order (the report keeps the last).
+    Meets come from its own bound search (old_meets)."""
+    meet_elem = old_meets(X)
     sp = duality.bset_to_etale(X)
     L = {a: frozenset(u.ident for u in duality.ultrafilters_containing(X, a))
          for a in X.elements}
@@ -142,7 +166,7 @@ def old_check_topology(X):
     ok, wit = True, ()
     for a in X.elements:
         for b in X.elements:
-            m = X.meet_elem(a, b)
+            m = meet_elem(a, b)
             if m is not None and L[m] != L[a] & L[b]:
                 ok, wit = fail((a, b))
     add("meet_is_intersection", ok, wit)
