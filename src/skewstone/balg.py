@@ -648,19 +648,3 @@ def _atom_join_map(A, B, amap):
     """Each element of A to the join in B of the images of the atoms below it."""
     return {e: B.join_all(amap[a] for a in A.atoms if A.leq(a, e)) for e in A.elements}
 
-
-def find_balg_isomorphism(A, B):
-    """Isomorphism A -> B as an id map, or None.
-
-    Finite Boolean algebras are the powersets of their atoms, so they are
-    isomorphic iff they have as many atoms, and then any bijection of the
-    atoms extends to an isomorphism: the k-th atom of A goes to the k-th
-    atom of B, and an element to the join of the images of the atoms below
-    it.  The map is validated as a homomorphism in both directions.
-    """
-    if len(A.atoms) != len(B.atoms):
-        return None
-    mapping = _atom_join_map(A, B, dict(zip(A.atoms, B.atoms)))
-    validate_bahom(mapping, A, B)
-    validate_bahom({y: x for x, y in mapping.items()}, B, A)
-    return mapping

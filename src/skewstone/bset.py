@@ -830,14 +830,6 @@ def presheaf_to_band(P):
     return validate_band(els, [[P.circ(x, y) for y in els] for x in els])
 
 
-def band_struct_eq(S, T):
-    if set(S.elements) != set(T.elements):
-        return False
-    return all(
-        S.circ(x, y) == T.circ(x, y) for x in S.elements for y in S.elements
-    )
-
-
 def presheaf_struct_eq(P, Q):
     """Structural equality: identical carriers and restriction tables, with
     bases identified along the projection-induced bijection (which must be

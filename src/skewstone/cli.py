@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import balg, bset, dot, duality, etale, laws, skew, textio
-from .errors import DocumentError, NotProper, QuotientNotBoolean, StructureError
+from .errors import DocumentError, QuotientNotBoolean, StructureError
 
 
 def _load(path):
@@ -21,13 +21,34 @@ def _load(path):
     return textio.parse(text)
 
 
+def _failure(e):
+    """The report line of a StructureError: law, witness and any detail."""
+    return (f"FAIL {e.law} witness=({','.join(e.witness)})"
+            + (f" {e.detail}" if e.detail else ""))
+
+
 def _load_named(args):
-    """The validated object named ``args.name``, after building every stanza
-    of ``args.file``."""
-    built = textio.build(_load(args.file))
-    if args.name not in built:
+    """The validated object named ``args.name``, after building, in document
+    order, the stanzas it depends on.  A dependency that fails is reported
+    as validate reports it, with exit code 1."""
+    doc = _load(args.file)
+    if args.name not in doc.by_name:
         print(f"no stanza named {args.name!r}")
         raise SystemExit(2)
+    needed = {args.name}
+    for s in reversed(doc.stanzas):  # references point to earlier stanzas
+        if s.name in needed:
+            needed |= textio.dependencies(s)
+    built = {}
+    for s in doc.stanzas:
+        if s.name in needed:
+            try:
+                built[s.name] = textio._build_one(s, built)
+            except StructureError as e:
+                if s.name == args.name:
+                    raise
+                print(f"{s.kind} {s.name}: {_failure(e)}")
+                raise SystemExit(1) from None
     return built[args.name]
 
 
@@ -36,15 +57,14 @@ def cmd_validate(args):
     built = {}
     failed = set()
     for s in doc.stanzas:
-        if {s.over, s.data.get("from"), s.data.get("to")} & failed:
+        if textio.dependencies(s) & failed:
             print(f"{s.kind} {s.name}: skipped (depends on a failed stanza)")
             failed.add(s.name)
             continue
         try:
             built[s.name] = textio._build_one(s, built)
         except StructureError as e:
-            print(f"{s.kind} {s.name}: FAIL {e.law} witness=({','.join(e.witness)})"
-                  + (f" {e.detail}" if e.detail else ""))
+            print(f"{s.kind} {s.name}: {_failure(e)}")
             failed.add(s.name)
             continue
         obj = built[s.name]
@@ -311,12 +331,8 @@ def main(argv=None):
     except DocumentError as e:
         print(f"parse error: {e}")
         return 2
-    except NotProper as e:
-        print(f"FAIL {e.law} witness=({','.join(e.witness)})")
-        return 1
     except StructureError as e:
-        print(f"FAIL {e.law} witness=({','.join(e.witness)})"
-              + (f" {e.detail}" if e.detail else ""))
+        print(_failure(e))
         return 1
     except (ValueError, KeyError) as e:
         print(f"document error: {e}")

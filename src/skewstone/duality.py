@@ -12,16 +12,18 @@ Base ultrafilters are represented by their atoms in the finite case, but all
 logic here goes through the FilterSet interface so the computations mirror
 the filter-theoretic constructions rather than the atom shortcut.
 
-The checks of the dual topology read index rows and bitmasks: each element's
-set of ultrafilters as a mask over the dual's points (_stone_masks), the
-Boolean set's ∘/• rows, and its meet table (bset._meet_table), one verified
-meet per pair, computed once.  Every property is still checked over every
-element or pair; an exact check over whole rows accepts it, and only a
-failure runs the pair scan that names the first witness.
+Each element's set of ultrafilters, the points of its basic open set, has
+one form: a bitmask over the dual's points (_stone_masks), built once per
+Boolean set.  The double dual and the checks of the dual topology read
+these masks, with the Boolean set's ∘/• rows and its meet table
+(bset._meet_table), one verified meet per pair, computed once.  Every
+property is still checked over every element or pair; an exact check over
+whole rows accepts it, and only a failure runs the pair scan, over the same
+masks and rows, that names the first witness.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from operator import and_, eq, or_
 
 from . import balg, bset, etale
@@ -144,32 +146,25 @@ def ultrafilters_containing(X, a):
     return tuple(u for u in bset_ultrafilters(X) if a in u)
 
 
-@memo("_stone")
-def _stone_sets(X):
-    """Each element of X -> the idents of the ultrafilters containing it,
-    from one pass over bset_ultrafilters.  Cached per Boolean set."""
-    through = {a: [] for a in X.elements}
-    for u in bset_ultrafilters(X):
-        for a in u.members:
-            through[a].append(u.ident)
-    return {a: frozenset(ids) for a, ids in through.items()}
-
-
 @memo("_points")
 def _stone_masks(X):
-    """_stone_sets(X) as bitmasks, bit k for the k-th point of
-    bset_to_etale(X).total: (the bit of each point id, each element's mask
-    in X.elements order, per point the mask of the indices of the elements
-    whose sets hold it, per base point of the space the mask of its fiber).
-    Built from whatever _stone_sets holds; cached per Boolean set."""
+    """The Stone representation of X: each element's set of ultrafilters as
+    a bitmask, bit k for the k-th point of bset_to_etale(X).total.  Returns
+    (the bit of each point id, each element's mask in X.elements order, per
+    point the mask of the indices of the elements in its ultrafilter, per
+    base point of the space the mask of its fiber), built in one pass over
+    bset_ultrafilters.  Cached per Boolean set."""
     sp = bset_to_etale(X)
-    L = _stone_sets(X)
-    pos = {g: k for k, g in enumerate(sp.total)}
-    masks = [sum(1 << pos[g] for g in L[a]) for a in X.elements]
-    through = [0] * len(pos)
-    for i, m in enumerate(masks):
-        for k in _bits(m):
-            through[k] |= 1 << i
+    pos, index = {g: k for k, g in enumerate(sp.total)}, X.index
+    masks, through = [0] * len(X.elements), [0] * len(pos)
+    for u in bset_ultrafilters(X):
+        k = pos[u.ident]
+        bit, row = 1 << k, 0
+        for a in u.members:
+            i = index[a]
+            masks[i] |= bit
+            row |= 1 << i
+        through[k] = row
     fibers = [sum(1 << pos[g] for g in sp.fibers[x]) for x in sp.base]
     return pos, masks, through, fibers
 
@@ -185,20 +180,14 @@ def _one_per_fiber(mask, fibers):
 
 @memo("_etale")
 def bset_to_etale(X):
-    """Etale space of ultrafilters over the base's ultrafilters.
-
-    Base points are named by the generating atom of each base ultrafilter;
-    the returned space carries ``points`` (id -> BSetUltrafilter) and
-    ``base_filters`` (id -> FilterSet) indexes.  Cached per Boolean set.
-    """
+    """Etale space of ultrafilters over the base's ultrafilters: a point is
+    named by its ultrafilter's ident, a base point by the generating atom of
+    its base ultrafilter.  Cached per Boolean set."""
     ultras = bset_ultrafilters(X)
-    base_filters = {F.generator: F for F in X.base.ultrafilters()}
     total = tuple(u.ident for u in ultras)
     proj = {u.ident: u.base_filter.generator for u in ultras}
-    sp = etale.validate_etale(total, tuple(base_filters), proj)
-    sp.points = {u.ident: u for u in ultras}
-    sp.base_filters = base_filters
-    return sp
+    return etale.validate_etale(
+        total, tuple(F.generator for F in X.base.ultrafilters()), proj)
 
 
 # -------------------------------------------------------------- double duals
@@ -212,8 +201,9 @@ def bset_double_dual(X):
     """
     sp = bset_to_etale(X)
     D = etale.dual_bset(sp)
-    points, atoms = balg.render_braces(sp.total), balg.render_braces(sp.base)
-    phi = {a: points(pts) for a, pts in _stone_sets(X).items()}
+    atoms, point = balg.render_braces(sp.base), sp.total.__getitem__
+    phi = {a: "{" + ",".join(map(point, _bits(m))) + "}"
+           for a, m in zip(X.elements, _stone_masks(X)[1])}
     phibar = {
         e: atoms({F.generator for F in X.base.stone_map(e)}) for e in X.base.elements
     }
@@ -264,10 +254,13 @@ def etale_double_dual(sp):
     base point to the singleton subset naming its principal ultrafilter."""
     D = etale.dual_bset(sp)
     sp2 = bset_to_etale(D)
+    idents = {}
+    for u in bset_ultrafilters(D):
+        idents.setdefault(u.members, []).append(u.ident)
     point_map = {}
     for a in sp.total:
         through = frozenset(sid for sid, mem in D.sections.items() if a in mem)
-        matches = [u.ident for u in sp2.points.values() if u.members == through]
+        matches = idents.get(through, ())
         if len(matches) != 1:
             raise AssertionError((a, through))
         point_map[a] = matches[0]
@@ -497,8 +490,9 @@ def check_topology(X):
 
     Each pair property is accepted by an exact check over whole rows of the
     point masks (_stone_masks), the meet table and the ∘/• index rows
-    (bset._skew_rows); only when that check fails does the pair scan run,
-    in the same order, to name the first witness:
+    (bset._skew_rows); only when that check fails does the pair scan, over
+    the same masks and rows, run in the same order to name the first
+    witness:
     - base: the law holds iff the least set through each point (the meet
       of the sets through it) is itself one of the sets;
     - meets: each meet row's sets equal the row of intersections;
@@ -512,30 +506,26 @@ def check_topology(X):
       be compatible with a.
     """
     sp = bset_to_etale(X)
-    L = _stone_sets(X)
-    _, M, through, fibers = _stone_masks(X)
+    pos, M, through, fibers = _stone_masks(X)
     els = X.elements
     circ, bullet = bset._skew_rows(X)
     meets = bset._meet_table(X)
     above = bset._order_masks(X)[1]
     n = len(els)
 
-    def is_section(pts):
-        return len({sp.proj[g] for g in pts}) == len(pts)
-
     # a point whose one-point set is basic lies in a basic set inside any
     # common set through it, so it is never a witness
-    singles = {gid for pts in L.values() if len(pts) == 1 for gid in pts}
+    singles = 0
+    for m in M:
+        if m and not m & (m - 1):
+            singles |= m
 
     def unbased():
-        for a in els:
-            for b in els:
-                common = L[a] & L[b]
-                if common <= singles:
-                    continue
-                for gid in common:
-                    if not any(gid in L[c] and L[c] <= common for c in els):
-                        yield a, b, gid
+        for i, j in product(range(n), repeat=2):
+            common = M[i] & M[j]
+            for k in _bits(common & ~singles):
+                if not any(m >> k & 1 and not m & ~common for m in M):
+                    yield els[i], els[j], sp.total[k]
 
     least = [-1] * len(through)
     for m in M:
@@ -581,29 +571,29 @@ def check_topology(X):
     def shadow(m):
         return sum(1 << k for k, f in enumerate(fibers) if m & f)
 
-    lsets = set(L.values())
+    def witnesses(failing):
+        return ((els[i], els[j]) for i, j in product(range(n), repeat=2) if failing(i, j))
+
     return Report([
         _first_witness("base_for_topology", () if based else unbased()),
-        _first_witness("meet_is_intersection", () if meets_ok else (
-            (a, b) for a in els for b in els
-            if (m := X.meet_elem(a, b)) is not None and L[m] != L[a] & L[b])),
-        _first_witness("injective_on_elements", () if len(basic) == n else (
-            (a, b) for a in els for b in els if (L[a] == L[b]) != (a == b))),
-        _first_witness("order_reflecting", () if supersets == above else (
-            (a, b) for a in els for b in els if (L[a] <= L[b]) != X.leq_elem(a, b))),
+        _first_witness("meet_is_intersection", () if meets_ok else witnesses(
+            lambda i, j: (k := meets[i][j]) >= 0 and M[k] != M[i] & M[j])),
+        _first_witness("injective_on_elements", () if len(basic) == n else witnesses(
+            lambda i, j: (M[i] == M[j]) != (i == j))),
+        _first_witness("order_reflecting", () if supersets == above else witnesses(
+            lambda i, j: (not M[i] & ~M[j]) != bool(above[i] >> j & 1))),
         _first_witness("is_local_section", (
             (a,) for a, ok in zip(els, sections) if not ok)),
-        _first_witness("join_is_union", () if joins_ok else (
-            (a, b) for a in els for b in els
-            if X.compatible_elems(a, b) and L[X.join(a, b)] != L[a] | L[b])),
-        _first_witness("union_section_implies_compatible", () if unions_ok else (
-            (a, b) for a in els for b in els
-            if is_section(L[a] | L[b]) and not X.compatible_elems(a, b))),
+        _first_witness("join_is_union", () if joins_ok else witnesses(
+            lambda i, j: circ[i][j] == circ[j][i] and M[bullet[i][j]] != M[i] | M[j])),
+        _first_witness("union_section_implies_compatible", () if unions_ok else witnesses(
+            lambda i, j: _one_per_fiber(M[i] | M[j], fibers) and circ[i][j] != circ[j][i])),
         _first_witness("projects_onto_stone_image", (
             (a,) for a, m in zip(els, M) if shadow(m) != stone[X.p(a)])),
         # compactness of each point set: tautological at finite scale,
         # recorded as the guard that the dual has finitely many points
         CheckItem("compact", isinstance(len(sp.total), int)),
         _first_witness("sections_exhausted", (
-            (s.ident,) for s in etale.all_sections(sp) if s.members not in lsets)),
+            (s.ident,) for s in etale.all_sections(sp)
+            if sum(1 << pos[g] for g in s.members) not in basic)),
     ])

@@ -281,14 +281,6 @@ def require_covering(rm):
     return rm
 
 
-def etale_struct_eq(S, T):
-    return (
-        set(S.total) == set(T.total)
-        and set(S.base) == set(T.base)
-        and S.proj == T.proj
-    )
-
-
 def enumerate_covering_relational(sp, tq):
     """All covering relational morphisms sp -> tq.
 

@@ -350,6 +350,12 @@ def _finish_tables(data, kind):
 
 # ------------------------------------------------------------------ building
 
+def dependencies(s):
+    """The names of the stanzas that stanza s is built from: its base and
+    its morphism endpoints."""
+    return {s.over, s.data.get("from"), s.data.get("to")} - {None}
+
+
 def build(document):
     """Validate every stanza in order; returns name -> object."""
     built = {}

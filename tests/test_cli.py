@@ -318,6 +318,47 @@ def test_check_morphism(capsys):
     assert "covering: True" in out2 and "partial map: False" in out2
 
 
+def test_named_commands_build_only_what_they_name(capsys, tmp_path):
+    # collapse breaks BM1; nothing the other stanzas are built from reads it
+    text = Path(SHOW).read_text()
+    edited = text.replace("map: 0->c0, x1->c1, x2->c1", "map: 0->c0, x1->c1, x2->c0")
+    assert edited != text
+    f = tmp_path / "edited.txt"
+    f.write_text(edited)
+    for command, name in [("dualize", "X3"), ("ultrafilters", "X3"), ("props", "B2")]:
+        assert run(capsys, command, str(f), name) == run(capsys, command, SHOW, name)
+    assert run(capsys, "check-morphism", str(f), "collapse") == (
+        1, "FAIL bsetmor.BM1 witness=(x2)\n")
+
+
+def test_a_failed_dependency_is_reported_as_validate_reports_it(capsys, tmp_path):
+    f = tmp_path / "m3.txt"
+    f.write_text(
+        "balg M3 {\n"
+        "  elements: 0, a, b, c, 1\n"
+        "  leq: 0<=a, 0<=b, 0<=c, a<=1, b<=1, c<=1\n"
+        "  bottom: 0\n"
+        "}\n"
+        "balg C2 {\n"
+        "  elements: 0, 1\n"
+        "  leq: 0<=1\n"
+        "  bottom: 0\n"
+        "}\n"
+        "bset P over M3 {\n"
+        "  stalk 0: z\n"
+        "}\n"
+    )
+    line = "balg M3: FAIL lattice.distributivity witness=(a,b,c)\n"
+    code, out = run(capsys, "validate", str(f))
+    assert code == 1 and out.startswith(line)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["props", str(f), "P"])
+    assert e.value.code == 1 and capsys.readouterr().out == line
+    assert run(capsys, "props", str(f), "C2")[0] == 0
+    assert run(capsys, "props", str(f), "M3") == (
+        1, "FAIL lattice.distributivity witness=(a,b,c)\n")
+
+
 def test_props_commands(capsys):
     code, out = run(capsys, "props", PROD, "B4")
     assert code == 0

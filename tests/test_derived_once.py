@@ -131,7 +131,6 @@ def test_memoized_builders_store_one_object_under_their_name():
         (bset.band_to_presheaf, band, "_presheaf"),
         (bset._order_masks, X, "_order"),
         (duality.bset_ultrafilters, X, "_ultra"),
-        (duality._stone_sets, X, "_stone"),
         (duality.bset_to_etale, X, "_etale"),
         (etale.dual_bset, sp, "_dual"),
         (bset.band_to_bset, band, "_bset"),

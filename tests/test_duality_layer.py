@@ -365,9 +365,13 @@ def test_topology_reports_match_reference():
         report = duality.check_topology(X)
         assert report.all_ok
         assert report == old_check_topology(X)[0]
-        assert list(duality._stone_sets(X).items()) == [
-            (a, frozenset(u.ident for u in duality.ultrafilters_containing(X, a)))
-            for a in X.elements]
+        pos, masks, through, _ = duality._stone_masks(X)
+        assert pos == {g: k for k, g in enumerate(duality.bset_to_etale(X).total)}
+        want = [sum(1 << pos[u.ident] for u in duality.ultrafilters_containing(X, a))
+                for a in X.elements]
+        assert masks == want
+        assert through == [sum(1 << i for i, m in enumerate(want) if m >> k & 1)
+                           for k in range(len(pos))]
 
 
 def test_consequence_reports_match_reference():
@@ -531,6 +535,30 @@ def test_right_normal_circ_is_right_normality():
 
 # ------------------------------------------------------------ double duals
 
+def stone_sets(X):
+    """Each element of X -> the ids of the points in its mask, read back
+    from the point masks (duality._stone_masks)."""
+    pos, masks = duality._stone_masks(X)[:2]
+    total = list(pos)
+    return {a: frozenset(g for k, g in enumerate(total) if m >> k & 1)
+            for a, m in zip(X.elements, masks)}
+
+
+def toggle(X, a, g):
+    """Toggle point g in the mask of element a, and a in the row of g."""
+    pos, masks, through, _ = X._points
+    i, k = X.index[a], pos[g]
+    masks[i] ^= 1 << k
+    through[k] ^= 1 << i
+
+
+def editable_masks(X):
+    """X with copies of its point masks stored in X._points, for edits."""
+    pos, masks, through, fibers = duality._stone_masks(X)
+    X._points = pos, list(masks), list(through), fibers
+    return X
+
+
 def old_unbased(els, L):
     """The first base_for_topology witness of the scan over every c."""
     for a in els:
@@ -543,21 +571,19 @@ def old_unbased(els, L):
 
 
 def test_base_for_topology_first_witness_on_tampered_stone_sets():
-    # points toggled in the element -> ultrafilters map: pairs whose common
-    # set mixes points with and without a one-point basic set are scanned
+    # points toggled in the point masks: pairs whose common set mixes
+    # points with and without a one-point basic set are scanned
     rng = random.Random(6)
     failed = 0
     for sizes in [(2, 2), (1, 3), (2, 1, 2)]:
         for _ in range(40):
-            X = bset.generate_boolean_set(sizes)
-            L = dict(duality._stone_sets(X))
-            points = sorted(set().union(*L.values()))
+            X = editable_masks(bset.generate_boolean_set(sizes))
+            points = sorted(set().union(*stone_sets(X).values()))
             for _ in range(rng.randint(1, 3)):
                 a = rng.choice(X.elements)
-                L[a] = L[a] ^ {rng.choice(points)}
-            X._stone = L
+                toggle(X, a, rng.choice(points))
             item = duality.check_topology(X).items[0]
-            want = old_unbased(X.elements, L)
+            want = old_unbased(X.elements, stone_sets(X))
             assert item == CheckItem("base_for_topology", want is None, want or ())
             failed += want is not None
     assert failed > 10

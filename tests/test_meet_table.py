@@ -9,7 +9,7 @@ elements (atom stalk sizes in non-decreasing order, labels shuffled) and of
 are corrupted before the table is built, where candidates fail the
 order-mask check and the bound search answers.  ``dual_is_hausdorff`` and
 the meet-preservation side of ``check_meet_partial_correspondence`` must
-give the earlier pair scans' answers, on tampered Stone sets too, and
+give the earlier pair scans' answers, on tampered point masks too, and
 ``check_topology`` must accept valid sets without running a pair scan.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from skewstone import balg, bset, duality, etale, textio
 
-from test_duality_layer import old_meets, seeded_space
+from test_duality_layer import editable_masks, old_meets, seeded_space, stone_sets, toggle
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -28,7 +28,7 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 def old_dual_is_hausdorff(X):
     ultras = duality.bset_ultrafilters(X)
-    basic = duality._stone_sets(X)
+    basic = stone_sets(X)
     for i, g in enumerate(ultras):
         for h in ultras[i + 1:]:
             if not any(
@@ -121,19 +121,20 @@ def test_meet_table_falls_back_on_corrupted_circ_rows(monkeypatch):
 
 
 def tampered(X, rng):
-    """X with its Stone sets edited: random points toggled, or one point
+    """X with its point masks edited: random points toggled, or one point
     glued to every set through another, so that those two points cannot be
     separated."""
-    L = dict(duality._stone_sets(X))
+    editable_masks(X)
+    L = stone_sets(X)
     points = sorted(set().union(*L.values()))
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 3)):
-            a = rng.choice(X.elements)
-            L[a] = L[a] ^ {rng.choice(points)}
+            toggle(X, rng.choice(X.elements), rng.choice(points))
     else:
         g, h = rng.sample(points, 2)
-        L = {a: s | {g} if h in s else s for a, s in L.items()}
-    X._stone = L
+        for a, s in L.items():
+            if h in s and g not in s:
+                toggle(X, a, g)
     return X
 
 

@@ -200,7 +200,8 @@ def test_stanzas_from_objects_round_trip(prod, efix, x3_skew):
 
     e = textio.etale_stanza(efix, "E")
     built = textio.build(textio.parse(textio.print_stanza(e)))
-    assert etale.etale_struct_eq(built["E"], efix)
+    E = built["E"]
+    assert (set(E.total), set(E.base), E.proj) == (set(efix.total), set(efix.base), efix.proj)
 
     k = textio.skew_stanza(x3_skew, "S")
     built = textio.build(textio.parse(textio.print_stanza(k)))
