@@ -201,12 +201,10 @@ def bset_double_dual(X):
     """
     sp = bset_to_etale(X)
     D = etale.dual_bset(sp)
-    atoms, point = balg.render_braces(sp.base), sp.total.__getitem__
-    phi = {a: "{" + ",".join(map(point, _bits(m))) + "}"
+    phi = {a: "{" + ",".join(map(sp.total.__getitem__, _bits(m))) + "}"
            for a, m in zip(X.elements, _stone_masks(X)[1])}
-    phibar = {
-        e: atoms({F.generator for F in X.base.stone_map(e)}) for e in X.base.elements
-    }
+    phibar = {e: "{" + ",".join(map(sp.base.__getitem__, _bits(m))) + "}"
+              for e, m in zip(X.base.elements, balg._ultra_masks(X.base)[1])}
     m = bset.validate_bset_morphism(phi, phibar, X, D)
     if not len(set(phi.values())) == len(D.elements) == len(X.elements):
         raise AssertionError(("double dual not bijective", len(D.elements), len(X.elements)))
@@ -564,9 +562,7 @@ def check_topology(X):
                 union_sections &= ~clash[k]
             unions_ok = all(map(comp.__getitem__, _bits(union_sections)))
 
-    atom_bit = {x: 1 << k for k, x in enumerate(sp.base)}
-    stone = {e: sum(atom_bit[F.generator] for F in X.base.stone_map(e))
-             for e in X.base.elements}
+    stone, base_index = balg._ultra_masks(X.base)[1], X.base.index
 
     def shadow(m):
         return sum(1 << k for k, f in enumerate(fibers) if m & f)
@@ -589,7 +585,7 @@ def check_topology(X):
         _first_witness("union_section_implies_compatible", () if unions_ok else witnesses(
             lambda i, j: _one_per_fiber(M[i] | M[j], fibers) and circ[i][j] != circ[j][i])),
         _first_witness("projects_onto_stone_image", (
-            (a,) for a, m in zip(els, M) if shadow(m) != stone[X.p(a)])),
+            (a,) for a, m in zip(els, M) if shadow(m) != stone[base_index[X.p(a)]])),
         # compactness of each point set: tautological at finite scale,
         # recorded as the guard that the dual has finitely many points
         CheckItem("compact", isinstance(len(sp.total), int)),

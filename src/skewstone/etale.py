@@ -131,12 +131,15 @@ def all_sections(sp):
 
 
 def restrict_section(C, A, B):
-    """C|^A_B = C ∩ p^{-1}(B), for B ⊆ A = p(C)."""
+    """C|^A_B = C ∩ p^{-1}(B), for B ⊆ A = p(C); a NotNested names its
+    points in base order, then any stray ids sorted."""
     A, B = frozenset(A), frozenset(B)
+    rank = {x: (0, k) for k, x in enumerate(C.space.base)}
     if C.footprint != A:
-        raise NotNested(tuple(sorted(A ^ C.footprint)), detail="A is not the footprint of C")
+        raise NotNested(tuple(sorted(A ^ C.footprint, key=lambda x: rank.get(x, (1, x)))),
+                        detail="A is not the footprint of C")
     if not B <= A:
-        raise NotNested(tuple(sorted(B - A)))
+        raise NotNested(tuple(sorted(B - A, key=lambda x: rank.get(x, (1, x)))))
     return LocalSection(C.space, frozenset(e for e in C.members if C.space.proj[e] in B))
 
 

@@ -149,7 +149,7 @@ def test_criterion_4_point_double_dual():
 
 def test_criterion_5_finite_stone_duality():
     with criterion(5, "finite Stone duality"):
-        for k in range(5):
+        for k in range(9):
             points = tuple(f"p{i}" for i in range(k))
             B, _, _ = balg.powerset_balg(points, balg.render_braces(points))
             rep = balg.classical_properties_report(B)
@@ -157,7 +157,7 @@ def test_criterion_5_finite_stone_duality():
             ultra = B.ultrafilters()
             images = {B.stone_map(a) for a in B.elements}
             assert len(images) == len(B.elements) == 2 ** len(ultra)
-        print("  powerset algebras with 0..4 atoms, all six classical"
+        print("  powerset algebras with 0..8 atoms, all seven classical"
               " properties exhaustive", end="")
 
 

@@ -140,6 +140,7 @@ def test_memoized_builders_store_one_object_under_their_name():
         (lambda X: X.has_binary_meets, X, "_has_meets"),
         (bset._meet_table, X, "_meet"),
         (duality._stone_masks, X, "_points"),
+        (balg._ultra_masks, X.base, "_umasks"),
     ]
     for fn, obj, attr in cases:
         first = fn(obj)
