@@ -59,14 +59,27 @@ def _closure(n, pairs):
     return up
 
 
-def _down_masks(n, up):
-    down = [0] * n
-    for i in range(n):
-        row = up[i]
-        for j in range(n):
-            if row >> j & 1:
-                down[j] |= 1 << i
-    return down
+def _bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _first(mask):
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _transpose(rows, n):
+    """Bitmask rows over n columns, transposed: bit i of the j-th result is
+    bit j of rows[i]."""
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
 
 
 def _bound(mask, rel):
@@ -83,6 +96,9 @@ def _bound(mask, rel):
 
 
 def _check_poset(elements, index, leq_pairs):
+    """The up and down rows of the order the pairs generate.  NotAPoset names
+    the least i below and above some other element, and the least such
+    partner j: i is the least element of its cycle, so j > i."""
     n = len(elements)
     pairs = []
     for x, y in leq_pairs:
@@ -90,11 +106,12 @@ def _check_poset(elements, index, leq_pairs):
             raise ValueError(f"order pair ({x!r}, {y!r}) uses undeclared elements")
         pairs.append((index[x], index[y]))
     up = _closure(n, pairs)
+    down = _transpose(up, n)
     for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise NotAPoset((elements[i], elements[j]))
-    return up
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            raise NotAPoset((elements[i], elements[_first(both)]))
+    return up, down
 
 
 class FinMeetSemilattice:
@@ -121,12 +138,10 @@ class FinMeetSemilattice:
         return self.elements[self._meet[self.index[x]][self.index[y]]]
 
     def down_set(self, x):
-        m = self._down[self.index[x]]
-        return tuple(e for i, e in enumerate(self.elements) if m >> i & 1)
+        return tuple(map(self.elements.__getitem__, _bits(self._down[self.index[x]])))
 
     def up_set(self, x):
-        m = self._up[self.index[x]]
-        return tuple(e for i, e in enumerate(self.elements) if m >> i & 1)
+        return tuple(map(self.elements.__getitem__, _bits(self._up[self.index[x]])))
 
     @property
     @memo("_covers")
@@ -135,8 +150,8 @@ class FinMeetSemilattice:
         covers = []
         for i, e in enumerate(self.elements):
             strict = self._down[i] & ~(1 << i)
-            for j in range(len(self.elements)):
-                if strict >> j & 1 and self._up[j] & strict == 1 << j:
+            for j in _bits(strict):
+                if self._up[j] & strict == 1 << j:
                     covers.append((e, self.elements[j]))
         return tuple(covers)
 
@@ -144,8 +159,7 @@ class FinMeetSemilattice:
 def validate_meet_semilattice(elements, leq_pairs):
     elements, index = _index_elements(elements)
     n = len(elements)
-    up = _check_poset(elements, index, leq_pairs)
-    down = _down_masks(n, up)
+    up, down = _check_poset(elements, index, leq_pairs)
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -289,17 +303,16 @@ class FinBooleanAlgebra(FinMeetSemilattice):
     def ultrafilters(self):
         """All maximal proper filters, ordered by generator index.
 
-        Enumerates every filter as a principal up-set and keeps the maximal
-        proper ones, then checks the classical properties on them: each
-        ultrafilter is prime, and every non-bottom element lies in one.
+        Every filter is a principal up-set, and ↑j ⊋ ↑i iff j < i, so the
+        maximal proper ones are the ↑i, i proper, with no proper element
+        strictly below i.  The classical properties are then checked on
+        them: each ultrafilter is prime, and every non-bottom element lies
+        in one.
         """
         up = self._up
         full = (1 << len(self.elements)) - 1
-        proper = [i for i, row in enumerate(up) if row != full]
-        gens = [
-            i for i in proper
-            if not any(up[i] & ~up[j] == 0 and up[i] != up[j] for j in proper)
-        ]
+        proper = sum(1 << i for i, row in enumerate(up) if row != full)
+        gens = [i for i in _bits(proper) if self._down[i] & proper == 1 << i]
         ultra = tuple(self.principal_filter(self.elements[i]) for i in gens)
         covered = 0
         for i, f in zip(gens, ultra):
@@ -308,7 +321,7 @@ class FinBooleanAlgebra(FinMeetSemilattice):
             covered |= up[i]
         missing = full & ~covered & ~(1 << self._bottom_i)
         if missing:
-            raise AssertionError(self.elements[(missing & -missing).bit_length() - 1])
+            raise AssertionError(self.elements[_first(missing)])
         return ultra
 
     def stone_map(self, a):
@@ -321,8 +334,7 @@ def _ultra_masks(B):
     """Each ultrafilter's member mask, in B.ultrafilters() order, and each
     element's Stone mask: bit k is set iff the k-th ultrafilter holds it."""
     ultra = [B._mask(u.members) for u in B.ultrafilters()]
-    return ultra, [sum(1 << k for k, m in enumerate(ultra) if m >> i & 1)
-                   for i in range(len(B.elements))]
+    return ultra, _transpose(ultra, len(B.elements))
 
 
 def _stone_tables(n, up, down, bot):
@@ -344,14 +356,7 @@ def _stone_tables(n, up, down, bot):
     k = len(atoms)
     if n != 1 << k:
         return None
-    code = [0] * n
-    for b, a in enumerate(atoms):
-        bit = 1 << b
-        m = up[a]
-        while m:
-            low = m & -m
-            code[low.bit_length() - 1] |= bit
-            m ^= low
+    code = _transpose([up[a] for a in atoms], n)
     pos = [-1] * n
     for i, c in enumerate(code):
         if pos[c] >= 0:
@@ -372,11 +377,7 @@ def _stone_tables(n, up, down, bot):
     comp_in = {}
     for b in range(n):
         cb = code[b]
-        m = down[b]
-        while m:
-            low = m & -m
-            a = low.bit_length() - 1
-            m ^= low
+        for a in _bits(down[b]):
             comp_in[b, a] = pos[cb & ~code[a]]
     return meet, join, comp_in
 
@@ -399,8 +400,7 @@ def validate_balg(elements, leq_pairs, bottom):
     n = len(elements)
     if bottom not in index:
         raise ValueError(f"declared bottom {bottom!r} is not an element")
-    up = _check_poset(elements, index, leq_pairs)
-    down = _down_masks(n, up)
+    up, down = _check_poset(elements, index, leq_pairs)
     bot = index[bottom]
 
     tables = _stone_tables(n, up, down, bot)
@@ -421,11 +421,9 @@ def validate_balg(elements, leq_pairs, bottom):
                 raise NotALattice((elements[i], elements[j]), "join")
             join[i][j] = u
 
-    full = (1 << n) - 1
-    if up[bot] != full:
-        for i in range(n):
-            if not up[bot] >> i & 1:
-                raise NoBottom((bottom, elements[i]))
+    not_above = ((1 << n) - 1) & ~up[bot]
+    if not_above:
+        raise NoBottom((bottom, elements[_first(not_above)]))
 
     for a in range(n):
         ma = meet[a]
@@ -438,12 +436,8 @@ def validate_balg(elements, leq_pairs, bottom):
 
     for b in range(n):
         db = down[b]
-        m = db
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not any(db >> c & 1 and meet[c][a] == bot and join[c][a] == b
-                       for c in range(n)):
+        for a in _bits(db):
+            if not any(meet[c][a] == bot and join[c][a] == b for c in _bits(db)):
                 raise NoRelativeComplement((elements[a], elements[b]))
 
     raise AssertionError("the Stone map refused an order that every law accepts")
@@ -570,15 +564,14 @@ def powerset_balg(points, render):
     """
     points = tuple(points)
     n = len(points)
-    subsets = []
-    for mask in range(1 << n):
-        subsets.append(frozenset(points[i] for i in range(n) if mask >> i & 1))
-    id_of = {}
+    subsets = [frozenset(map(points.__getitem__, _bits(mask))) for mask in range(1 << n)]
+    id_of, ids = {}, set()
     for s in subsets:
         sid = render(s)
-        if sid in id_of.values() or s in id_of:
+        if sid in ids or s in id_of:
             raise ValueError(f"subset renderer not injective at {sid!r}")
         id_of[s] = sid
+        ids.add(sid)
     set_of = {sid: s for s, sid in id_of.items()}
     pairs = [
         (id_of[s], id_of[t]) for s in subsets for t in subsets if s <= t

@@ -179,7 +179,7 @@ def cmd_sections(args):
             if x not in sp.base:
                 print(f"unknown base point {x!r}")
                 return 1
-        secs = etale.sections_over(sp, frozenset(wanted))
+        secs = etale.sections_over(sp, wanted)
         for s in secs:
             print(s.ident)
         return 0

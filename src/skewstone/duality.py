@@ -28,6 +28,7 @@ from operator import and_, eq, or_
 
 from . import balg, bset, etale
 from ._memo import memo
+from .balg import _bits, _first
 from .errors import NoBinaryMeets, NotProper
 from .report import CheckItem, Report, _first_witness
 
@@ -46,19 +47,6 @@ class BSetUltrafilter:
 
     def __repr__(self):
         return f"Ultra({self.ident})"
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _first(mask):
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
 
 
 @memo("_ultra")

@@ -101,32 +101,38 @@ def make_section(space, members):
     return LocalSection(space, members)
 
 
+def _base_points(sp, A):
+    """The points of the base subset A, in base order; A is read once, and a
+    ValueError names the least id of A that is not a base point."""
+    A = frozenset(A)
+    stray = A.difference(sp.fibers)
+    if stray:
+        raise ValueError(f"{min(stray)!r} is not a base point")
+    return [x for x in sp.base if x in A]
+
+
 def sections_over(sp, A):
     """All sections over the base subset A: one fiber choice per point.
 
     Deterministic order: the product of fiber choices, points in base order.
     The empty subset yields the single empty section.
     """
-    points = [x for x in sp.base if x in frozenset(A)]
     out = []
-    for choice in product(*(sp.fibers[x] for x in points)):
+    for choice in product(*(sp.fibers[x] for x in _base_points(sp, A))):
         out.append(LocalSection(sp, frozenset(choice)))
     return tuple(out)
 
 
 def construct_section(sp, A):
     """The lexicographically least transversal over A."""
-    points = [x for x in sp.base if x in frozenset(A)]
-    return LocalSection(sp, frozenset(sp.fibers[x][0] for x in points))
+    return LocalSection(sp, frozenset(sp.fibers[x][0] for x in _base_points(sp, A)))
 
 
 def all_sections(sp):
     """Every local section, ordered by base-subset bitmask then fiber choice."""
-    n = len(sp.base)
     out = []
-    for mask in range(1 << n):
-        A = frozenset(sp.base[i] for i in range(n) if mask >> i & 1)
-        out.extend(sections_over(sp, A))
+    for mask in range(1 << len(sp.base)):
+        out.extend(sections_over(sp, map(sp.base.__getitem__, balg._bits(mask))))
     return tuple(out)
 
 

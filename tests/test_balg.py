@@ -21,6 +21,7 @@ from skewstone.errors import (
 from morphism_reference import find_balg_isomorphism
 
 import mutation_engine as me
+import order_reference
 
 
 def test_powerset_of_two_atoms_is_valid(b4):
@@ -178,6 +179,11 @@ def test_powerset_algebras_validate(k):
     assert len(alg.atoms) == k
 
 
+def test_powerset_refuses_a_renderer_that_is_not_injective():
+    with pytest.raises(ValueError, match=r"^subset renderer not injective at '1'$"):
+        balg.powerset_balg(("p", "q"), lambda s: str(len(s)))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
 def test_relative_complement_laws(k, _):
@@ -208,8 +214,8 @@ def _reference_validate_balg(elements, leq_pairs, bottom):
     n = len(elements)
     if bottom not in index:
         raise ValueError(f"declared bottom {bottom!r} is not an element")
-    up = balg._check_poset(elements, index, leq_pairs)
-    down = balg._down_masks(n, up)
+    up = order_reference.check_poset(elements, index, leq_pairs)
+    down = order_reference.down_masks(n, up)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -10,7 +10,10 @@ on the generated skew algebra, ``check-morphism`` on two skew
 morphisms (the identity of the generated skew algebra, and the skew
 counterpart of ``docs/showcase.txt``'s ``collapse``), and ``props`` on the
 256-element generated Boolean set (stalks 3,3,3,3) and on the dual of a
-generated 72-section etale space.  To record it again,
+generated 72-section etale space, then the refusals of a missing stanza
+name, of stanzas of the wrong kind and of an unknown ``sections --over``
+base point, and ``check-morphism`` of a Boolean-set morphism whose base
+hom is not proper.  To record it again,
 from the repository root:
 
     PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
@@ -43,7 +46,10 @@ GEN_SHAPES = [("2", "3,1", None), ("4", "1,1,3,3", "4"), ("3", "2,1,2", "0")]
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # a stanza name that the document lacks
+            code = e.code
     return code, out.getvalue()
 
 
@@ -63,6 +69,27 @@ def etale_text(fibers, seed, name):
     random.Random(seed).shuffle(total)
     sp = etale.validate_etale(total, [f"u{i}" for i in range(len(fibers))], proj)
     return textio.print_stanza(textio.etale_stanza(sp, name)) + "\n"
+
+
+# a Boolean-set morphism over a base hom that does not map the top to the
+# top; appended to docs/prod.txt, check-morphism only (see commands)
+NONPROPER = """balg B2 {
+  elements: 0, 1
+  leq: 0<=1
+  bottom: 0
+}
+bset X3 over B2 {
+  stalk 0: 0
+  stalk 1: x1, x2
+  restrict 1 -> 0: x1->0, x2->0
+}
+morphism embed {
+  from: X3
+  to: Prod
+  map: 0->0, x1->a1, x2->a2
+  basemap: 0->0, 1->a
+}
+"""
 
 
 def write_documents(root):
@@ -116,6 +143,7 @@ def write_documents(root):
     (root / "etale72.txt").write_text(etale_text((2, 3, 1, 2), 5, "F"))
     _, dual = run(["dualize", str(root / "etale72.txt"), "F"])
     (root / "etale72_dual.txt").write_text(dual)
+    (root / "nonproper.txt").write_text((DOCS / "prod.txt").read_text() + NONPROPER)
     return docs
 
 
@@ -164,6 +192,20 @@ def commands(root):
             out.append((f"{cmd} {fname} {name}", [cmd, str(Path(root) / fname), name]))
     for fname, name in [("gen256.txt", "G"), ("etale72_dual.txt", "F_dual")]:
         out.append((f"props {fname} {name}", ["props", str(Path(root) / fname), name]))
+    # refusals: a missing stanza, a stanza of the wrong kind, an unknown
+    # base point; and a morphism whose base hom is not proper
+    for cmd, fname, name, extra in [
+        ("to-skew", "gen.txt", "missing", []),
+        ("to-skew", "gen.txt", "B", []),
+        ("dualize", "gen.txt", "B", []),
+        ("roundtrip", "gen.txt", "B", []),
+        ("ultrafilters", "etale.txt", "E", []),
+        ("sections", "gen.txt", "G", []),
+        ("sections", "etale.txt", "E", ["--over", "u0,zz"]),
+        ("check-morphism", "nonproper.txt", "embed", []),
+    ]:
+        out.append((" ".join([cmd, fname, name, *extra]),
+                    [cmd, str(Path(root) / fname), name, *extra]))
     return out
 
 

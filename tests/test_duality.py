@@ -74,6 +74,17 @@ def test_ultrafilter_checks_fire_on_corrupted_tables():
         _fresh_ultrafilters(X)
 
 
+def test_conjugacy_check_names_a_triple_that_is_not_transitive():
+    # over the one atom, a2 is made to lie above a1 and a3: a1 ~ a2 ~ a3
+    # share lower bounds pairwise, but a1 and a3 do not
+    X = bset.generate_boolean_set((3,))
+    below = bset._order_masks(X)[0]
+    below[X.index["a2"]] |= 1 << X.index["a1"] | 1 << X.index["a3"]
+    with pytest.raises(AssertionError) as e:
+        _fresh_ultrafilters(X)
+    assert e.value.args == (("conjugacy not transitive", "a1", "a2", "a3"),)
+
+
 def test_bset_ultrafilters_x3(x3_bset):
     us = duality.bset_ultrafilters(x3_bset)
     assert [u.ident for u in us] == ["[x1]@1", "[x2]@1"]

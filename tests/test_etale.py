@@ -28,6 +28,21 @@ def test_sections_over(efix):
     assert [s.ident for s in etale.sections_over(efix, {"v"})] == ["{e3}"]
 
 
+def test_base_subsets_are_read_once_and_checked(efix):
+    # a one-shot iterable of base points gives what the set gives
+    assert etale.sections_over(efix, iter(["u", "v"])) == etale.sections_over(efix, {"u", "v"})
+    assert etale.construct_section(efix, iter(["v", "u"])).ident == "{e1,e3}"
+    # an id that is not a base point is refused, the least one named
+    for f in (etale.sections_over, etale.construct_section):
+        with pytest.raises(ValueError, match="^'w' is not a base point$"):
+            f(efix, ["u", "zz", "w"])
+    # restriction names such ids in its NotNested witness, as before
+    C = etale.make_section(efix, {"e1", "e3"})
+    with pytest.raises(NotNested) as e:
+        etale.restrict_section(C, {"u", "v"}, {"zz", "u", "w"})
+    assert e.value.witness == ("w", "zz")
+
+
 def test_construct_section_is_least(efix):
     assert etale.construct_section(efix, {"u", "v"}).ident == "{e1,e3}"
     # nonempty for every base subset
