@@ -565,18 +565,17 @@ def powerset_balg(points, render):
     points = tuple(points)
     n = len(points)
     subsets = [frozenset(map(points.__getitem__, _bits(mask))) for mask in range(1 << n)]
-    id_of, ids = {}, set()
+    id_of, set_of = {}, {}
     for s in subsets:
         sid = render(s)
-        if sid in ids or s in id_of:
+        if sid in set_of or s in id_of:
             raise ValueError(f"subset renderer not injective at {sid!r}")
         id_of[s] = sid
-        ids.add(sid)
-    set_of = {sid: s for s, sid in id_of.items()}
-    pairs = [
-        (id_of[s], id_of[t]) for s in subsets for t in subsets if s <= t
-    ]
-    alg = validate_balg([id_of[s] for s in subsets], pairs, id_of[frozenset()])
+        set_of[sid] = s
+    ids = list(id_of.values())
+    # the covers s < s + {p}; validate_balg closes them into the order
+    pairs = [(ids[m], ids[m | 1 << p]) for m in range(1 << n) for p in range(n) if not m >> p & 1]
+    alg = validate_balg(ids, pairs, ids[0])
     return alg, id_of, set_of
 
 

@@ -27,6 +27,11 @@ def _failure(e):
             + (f" {e.detail}" if e.detail else ""))
 
 
+class _Stop(Exception):
+    """Ends a command whose report is printed; main returns ``args[0]`` as
+    the exit code."""
+
+
 def _load_named(args):
     """The validated object named ``args.name``, after building, in document
     order, the stanzas it depends on.  A dependency that fails is reported
@@ -34,7 +39,7 @@ def _load_named(args):
     doc = _load(args.file)
     if args.name not in doc.by_name:
         print(f"no stanza named {args.name!r}")
-        raise SystemExit(2)
+        raise _Stop(2)
     needed = {args.name}
     for s in reversed(doc.stanzas):  # references point to earlier stanzas
         if s.name in needed:
@@ -48,7 +53,7 @@ def _load_named(args):
                 if s.name == args.name:
                     raise
                 print(f"{s.kind} {s.name}: {_failure(e)}")
-                raise SystemExit(1) from None
+                raise _Stop(1) from None
     return built[args.name]
 
 
@@ -328,6 +333,8 @@ def main(argv=None):
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
+    except _Stop as e:
+        return e.args[0]
     except DocumentError as e:
         print(f"parse error: {e}")
         return 2

@@ -144,15 +144,10 @@ def _stone_masks(X):
     bset_ultrafilters.  Cached per Boolean set."""
     sp = bset_to_etale(X)
     pos, index = {g: k for k, g in enumerate(sp.total)}, X.index
-    masks, through = [0] * len(X.elements), [0] * len(pos)
+    through = [0] * len(pos)
     for u in bset_ultrafilters(X):
-        k = pos[u.ident]
-        bit, row = 1 << k, 0
-        for a in u.members:
-            i = index[a]
-            masks[i] |= bit
-            row |= 1 << i
-        through[k] = row
+        through[pos[u.ident]] = sum(1 << index[a] for a in u.members)
+    masks = balg._transpose(through, len(X.elements))
     fibers = [sum(1 << pos[g] for g in sp.fibers[x]) for x in sp.base]
     return pos, masks, through, fibers
 

@@ -45,16 +45,13 @@ class FinEtaleSpace:
 
 
 def validate_etale(total, base, proj):
-    total = tuple(str(e) for e in total)
-    base = tuple(str(x) for x in base)
-    points = set(total)
-    if len(points) != len(total) or len(set(base)) != len(base):
-        raise ValueError("duplicate ids")
+    total, points = balg._index_elements(total)
+    base, base_index = balg._index_elements(base)
     balg._refuse_stray_keys(proj, points, "projection", "a point of the total space")
     for e in total:
         if e not in proj:
             raise ValueError(f"projection not total: missing {e!r}")
-        if proj[e] not in base:
+        if proj[e] not in base_index:
             raise ValueError(f"projection image {proj[e]!r} not a base point")
     image = {proj[e] for e in total}
     for x in base:

@@ -35,14 +35,26 @@ from .errors import DuplicateName, ParseError, UnresolvedReference, _band_endpoi
 
 KEYWORDS = ("balg", "skew", "bset", "etale", "morphism", "relmor")
 
+# the keys of each stanza kind, in print order
 _KEYS = {
-    "balg": {"elements", "leq", "bottom"},
-    "skew": {"elements", "zero", "circ", "bullet"},
-    "bset": {"stalk", "restrict"},
-    "etale": {"total", "base", "proj"},
-    "morphism": {"from", "to", "map", "basemap"},
-    "relmor": {"from", "to", "phi", "phibar"},
+    "balg": ("elements", "leq", "bottom"),
+    "skew": ("elements", "zero", "circ", "bullet"),
+    "bset": ("stalk", "restrict"),
+    "etale": ("total", "base", "proj"),
+    "morphism": ("from", "to", "map", "basemap"),
+    "relmor": ("from", "to", "phi", "phibar"),
 }
+# the keys a stanza must hold to be built ("zero:" only when both tables are)
+_REQUIRED = {
+    "balg": ("elements", "leq", "bottom"),
+    "skew": ("elements", "circ"),
+    "bset": (),
+    "etale": ("total", "base", "proj"),
+    "morphism": ("map",),
+    "relmor": ("phi", "phibar"),
+}
+# the stanza kinds that the "from:" and "to:" of each morphism kind may name
+_ENDPOINTS = {"morphism": ("balg", "skew", "bset"), "relmor": ("etale",)}
 
 _OPEN = "([{"
 _CLOSE = ")]}"
@@ -229,18 +241,13 @@ def _check_refs(stanza, names, line):
         if stanza.over is None:
             raise ParseError(line, 1, "'over <balg>' in a bset header")
         need(stanza.over, ("balg",))
-    if stanza.kind == "morphism":
+    if stanza.kind in _ENDPOINTS:
         for key in ("from", "to"):
             if key not in stanza.data:
-                raise ParseError(line, 1, f"'{key}:' in a morphism stanza")
-            need(stanza.data[key], ("balg", "skew", "bset"))
+                raise ParseError(line, 1, f"'{key}:' in a {stanza.kind} stanza")
+            need(stanza.data[key], _ENDPOINTS[stanza.kind])
         if names[stanza.data["from"]].kind != names[stanza.data["to"]].kind:
             raise ParseError(line, 1, "morphism endpoints of the same kind")
-    if stanza.kind == "relmor":
-        for key in ("from", "to"):
-            if key not in stanza.data:
-                raise ParseError(line, 1, f"'{key}:' in a relmor stanza")
-            need(stanza.data[key], ("etale",))
 
 
 def _parse_body(lines, i, kind):
@@ -288,20 +295,39 @@ def _parse_body(lines, i, kind):
     return data, i
 
 
+def _one_id(value, key, line):
+    toks = _ids(value, line)
+    if len(toks) != 1:
+        raise ParseError(line, 1, f"a single id for {key!r}")
+    return toks[0]
+
+
+def _read_map(value, key, line):
+    return _maplets(_pairs(value, "->", line), key, line)
+
+
+def _write_map(entries):
+    return ", ".join(f"{x}->{y}" for x, y in entries)
+
+
+_IDS = (lambda value, key, line: _ids(value, line), ", ".join)
+_ID = (_one_id, str)
+_MAP = (_read_map, _write_map)
+# the reader and the writer of each key whose value is the rest of its line
+_PLAIN = {
+    "elements": _IDS, "total": _IDS, "base": _IDS,
+    "bottom": _ID, "zero": _ID, "from": _ID, "to": _ID,
+    "proj": _MAP, "map": _MAP, "basemap": _MAP, "phibar": _MAP,
+    "leq": (lambda value, key, line: _pairs(value, "<=", line),
+            lambda pairs: ", ".join(f"{x}<={y}" for x, y in pairs)),
+    "phi": (lambda value, key, line: _maplets(_arrow_sets(value, line), key, line),
+            lambda entries: ", ".join(f"{e}->" + "+".join(ts) for e, ts in entries)),
+}
+
+
 def _store(data, kind, key, args, value, line):
-    if key in ("elements", "total", "base"):
-        data[key] = _ids(value, line)
-    elif key == "leq":
-        data["leq"] = _pairs(value, "<=", line)
-    elif key in ("bottom", "zero", "from", "to"):
-        toks = _ids(value, line)
-        if len(toks) != 1:
-            raise ParseError(line, 1, f"a single id for {key!r}")
-        data[key] = toks[0]
-    elif key in ("proj", "map", "basemap", "phibar"):
-        data[key] = _maplets(_pairs(value, "->", line), key, line)
-    elif key == "phi":
-        data[key] = _maplets(_arrow_sets(value, line), key, line)
+    if key in _PLAIN:
+        data[key] = _PLAIN[key][0](value, key, line)
     elif key == "stalk":
         if len(args) != 1:
             raise ParseError(line, 1, "'stalk <base-element>:'")
@@ -310,14 +336,11 @@ def _store(data, kind, key, args, value, line):
         if len(args) != 3 or args[1] != "->":
             raise ParseError(line, 1, "'restrict <e> -> <f>:'")
         data.setdefault("restrict", {})[(args[0], args[2])] = dict(
-            _maplets(_pairs(value, "->", line), " ".join((key, *args)), line)
-        )
-    elif key in ("circ", "bullet"):
+            _read_map(value, " ".join((key, *args)), line))
+    else:  # circ, bullet
         if value:
             raise ParseError(line, 1, f"table rows on the lines after '{key}:'")
         data[key] = line  # the table replaces it in _finish_tables
-    else:  # pragma: no cover
-        raise ParseError(line, 1, f"supported key, got {key!r}")
 
 
 def _finish_tables(data, kind):
@@ -364,12 +387,6 @@ def build(document):
     return built
 
 
-def _require(s, *keys):
-    for key in keys:
-        if key not in s.data:
-            raise ParseError(s.line, 1, f"'{key}:' in {s.kind} stanza {s.name}")
-
-
 def _build_one(s, built):
     """Validate stanza s; a ValueError or KeyError is raised again as a
     ValueError that names the stanza and its line."""
@@ -381,11 +398,12 @@ def _build_one(s, built):
 
 def _build_stanza(s, built):
     d = s.data
+    for key in _REQUIRED[s.kind]:
+        if key not in d:
+            raise ParseError(s.line, 1, f"'{key}:' in {s.kind} stanza {s.name}")
     if s.kind == "balg":
-        _require(s, "elements", "leq", "bottom")
         return balg.validate_balg(d["elements"], d["leq"], d["bottom"])
     if s.kind == "skew":
-        _require(s, "elements", "circ")
         if d.get("bullet") is None:
             return bset.validate_band(d["elements"], d["circ"])
         if "zero" not in d:
@@ -396,10 +414,8 @@ def _build_stanza(s, built):
         P = bset.validate_presheaf(base, d.get("stalks", {}), d.get("restrict", {}))
         return bset.validate_boolean_set(P)
     if s.kind == "etale":
-        _require(s, "total", "base", "proj")
         return etale.validate_etale(d["total"], d["base"], dict(d["proj"]))
     if s.kind == "morphism":
-        _require(s, "map")
         src, tgt = built[d["from"]], built[d["to"]]
         for end in (d["from"], d["to"]):
             if isinstance(built[end], bset.RightNormalBand):
@@ -412,7 +428,6 @@ def _build_stanza(s, built):
         basemap = dict(d["basemap"]) if "basemap" in d else None
         return bset.validate_bset_morphism(mapping, basemap, src, tgt)
     if s.kind == "relmor":
-        _require(s, "phi", "phibar")
         src, tgt = built[d["from"]], built[d["to"]]
         phi = {e: set(ts) for e, ts in d["phi"]}
         return etale.validate_relational_morphism(phi, dict(d["phibar"]), src, tgt)
@@ -426,48 +441,25 @@ def print_document(document):
 
 
 def print_stanza(s):
+    """The stanza's text: each key it holds, in the order of its kind's keys."""
     d = s.data
     head = f"{s.kind} {s.name}"
     if s.over:
         head += f" over {s.over}"
     lines = [head + " {"]
-    if s.kind == "balg":
-        lines.append(f"  elements: {', '.join(d['elements'])}")
-        lines.append(f"  leq: {', '.join(f'{x}<={y}' for x, y in d['leq'])}")
-        lines.append(f"  bottom: {d['bottom']}")
-    elif s.kind == "skew":
-        lines.append(f"  elements: {', '.join(d['elements'])}")
-        if d.get("zero") is not None:
-            lines.append(f"  zero: {d['zero']}")
-        for op in ("circ", "bullet"):
-            if d.get(op) is None:
-                continue
-            lines.append(f"  {op}:")
-            lines.append("    " + " ".join(d["elements"]))
-            for row in d[op]:
-                lines.append("    " + " ".join(row))
-    elif s.kind == "bset":
-        for e, members in d["stalks"].items():
-            lines.append(f"  stalk {e}: {', '.join(members)}")
-        for (e, f), m in d["restrict"].items():
-            body = ", ".join(f"{x}->{y}" for x, y in m.items())
-            lines.append(f"  restrict {e} -> {f}: {body}")
-    elif s.kind == "etale":
-        lines.append(f"  total: {', '.join(d['total'])}")
-        lines.append(f"  base: {', '.join(d['base'])}")
-        lines.append(f"  proj: {', '.join(f'{e}->{x}' for e, x in d['proj'])}")
-    elif s.kind == "morphism":
-        lines.append(f"  from: {d['from']}")
-        lines.append(f"  to: {d['to']}")
-        lines.append(f"  map: {', '.join(f'{x}->{y}' for x, y in d['map'])}")
-        if "basemap" in d:
-            lines.append(f"  basemap: {', '.join(f'{x}->{y}' for x, y in d['basemap'])}")
-    elif s.kind == "relmor":
-        lines.append(f"  from: {d['from']}")
-        lines.append(f"  to: {d['to']}")
-        body = ", ".join(f"{e}->" + "+".join(ts) for e, ts in d["phi"])
-        lines.append(f"  phi: {body}")
-        lines.append(f"  phibar: {', '.join(f'{x}->{y}' for x, y in d['phibar'])}")
+    for key in _KEYS[s.kind]:
+        if key == "stalk":
+            lines += [f"  stalk {e}: {', '.join(m)}" for e, m in d["stalks"].items()]
+        elif key == "restrict":
+            lines += [f"  restrict {e} -> {f}: {_write_map(m.items())}"
+                      for (e, f), m in d["restrict"].items()]
+        elif d.get(key) is None:
+            continue
+        elif key in _PLAIN:
+            lines.append(f"  {key}: {_PLAIN[key][1](d[key])}")
+        else:  # circ, bullet: a header row, then one row per element
+            lines.append(f"  {key}:")
+            lines += ["    " + " ".join(row) for row in (d["elements"], *d[key])]
     lines.append("}")
     return "\n".join(lines)
 

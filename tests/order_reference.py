@@ -1,9 +1,11 @@
 """The order-row readers of ``skewstone.balg`` as they were before they read
 their rows by set bits: each scans every index, or walks the lowest set bit
-by hand.  The tests compare the package with them; none is used by it.
+by hand; and ``powerset_balg`` as it was before it gave ``validate_balg``
+only the cover pairs, when it compared all 4^k pairs of subsets.  The tests
+compare the package with them; none is used by it.
 """
 
-from skewstone.balg import _closure
+from skewstone.balg import _bits, _closure, validate_balg
 from skewstone.errors import NotAPoset
 
 
@@ -116,3 +118,22 @@ def stone_tables(n, up, down, bot):
             m ^= low
             comp_in[b, a] = pos[cb & ~code[a]]
     return meet, join, comp_in
+
+
+def powerset_balg(points, render):
+    points = tuple(points)
+    n = len(points)
+    subsets = [frozenset(map(points.__getitem__, _bits(mask))) for mask in range(1 << n)]
+    id_of, ids = {}, set()
+    for s in subsets:
+        sid = render(s)
+        if sid in ids or s in id_of:
+            raise ValueError(f"subset renderer not injective at {sid!r}")
+        id_of[s] = sid
+        ids.add(sid)
+    set_of = {sid: s for s, sid in id_of.items()}
+    pairs = [
+        (id_of[s], id_of[t]) for s in subsets for t in subsets if s <= t
+    ]
+    alg = validate_balg([id_of[s] for s in subsets], pairs, id_of[frozenset()])
+    return alg, id_of, set_of

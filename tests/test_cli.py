@@ -351,9 +351,7 @@ def test_a_failed_dependency_is_reported_as_validate_reports_it(capsys, tmp_path
     line = "balg M3: FAIL lattice.distributivity witness=(a,b,c)\n"
     code, out = run(capsys, "validate", str(f))
     assert code == 1 and out.startswith(line)
-    with pytest.raises(SystemExit) as e:
-        cli.main(["props", str(f), "P"])
-    assert e.value.code == 1 and capsys.readouterr().out == line
+    assert run(capsys, "props", str(f), "P") == (1, line)
     assert run(capsys, "props", str(f), "C2")[0] == 0
     assert run(capsys, "props", str(f), "M3") == (
         1, "FAIL lattice.distributivity witness=(a,b,c)\n")
@@ -656,6 +654,37 @@ def test_a_stray_morphism_map_key_is_a_document_error(capsys, tmp_path, old, new
     code, out = run(capsys, "validate", str(f))
     assert (code, out.splitlines()[-1]) == (2, expected)
     assert run(capsys, "check-morphism", str(f), name) == (2, expected + "\n")
+
+
+@pytest.mark.parametrize("old, new, name, message", [
+    ("  total: e1, e2, e3\n", "  total: e1, e2, e3, e2\n", "Efix", "duplicate element id 'e2'"),
+    ("  total: e1, e2, e3\n  base: u, v\n", "  total: e1, e3, e2, e3\n  base: u, u, v\n", "Efix",
+     "duplicate element id 'e3'"),
+    ("  base: u, v\n", "  base: u, v, u\n", "Efix", "duplicate element id 'u'"),
+    ("  proj: e1->u, e2->u, e3->v\n", "  proj: e1->u, e2->u\n", "Efix",
+     "projection not total: missing 'e3'"),
+    ("  proj: e1->u, e2->u, e3->v\n", "  proj: e1->u, e2->u, e3->zz\n", "Efix",
+     "projection image 'zz' not a base point"),
+    ("  phibar: u->w, v->w\n", "  phibar: u->w\n", "spread", "base map not total at 'v'"),
+    ("  phi: e1->f1+f2, e2->, e3->f1+f2\n", "  phi: e1->f1+f2, e2->\n", "spread",
+     "phi not total: missing 'e3'"),
+    ("  phi: e1->f1+f2, e2->, e3->f1+f2\n", "  phi: e1->f1+f2, e2->, e3->f1+zz\n", "spread",
+     "phi('e3') contains unknown point 'zz'"),
+], ids=["repeated-point", "total-before-base", "repeated-base-point", "proj-not-total",
+        "proj-off-base", "phibar-not-total", "phi-not-total", "phi-unknown-point"])
+def test_a_malformed_etale_space_or_relmor_is_a_located_document_error(capsys, tmp_path, old,
+                                                                       new, name, message):
+    text = Path(SHOW).read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    f = tmp_path / "bad_etale.txt"
+    f.write_text(text)
+    line = next(k + 1 for k, ln in enumerate(text.splitlines()) if ln.split()[1:2] == [name])
+    kind = "relmor" if name == "spread" else "etale"
+    code, out = run(capsys, "validate", str(f))
+    expected = f"document error: {kind} {name} (line {line}): {message}"
+    assert (code, out.splitlines()[-1]) == (2, expected)
+    assert sum(ln.startswith("document error") for ln in out.splitlines()) == 1
 
 
 def test_a_missing_basemap_entry_names_the_basemap(capsys, tmp_path):

@@ -46,10 +46,7 @@ GEN_SHAPES = [("2", "3,1", None), ("4", "1,1,3,3", "4"), ("3", "2,1,2", "0")]
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # a stanza name that the document lacks
-            code = e.code
+        code = cli.main(argv)
     return code, out.getvalue()
 
 

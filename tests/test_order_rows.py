@@ -1,6 +1,7 @@
 """The readers of ``balg``'s up/down rows walk set bits (``balg._bits``);
 they give what the index-by-index scans and hand-written lowest-bit loops
-in ``order_reference`` gave: on every powerset up to 8 atoms, on the meet
+in ``order_reference`` gave: on every powerset up to 8 atoms (built from
+its cover pairs, as from all its pairs of subsets before), on the meet
 semilattices that ``band_to_presheaf`` builds for the tests' bands, and, for
 the antisymmetry witness, on seeded random relations with cycles.
 Ultrafilters and Stone masks exist only for Boolean algebras: on the bands
@@ -48,6 +49,17 @@ def test_powerset_rows_match_the_scans(k):
     B = balg.powerset_balg(points, balg.render_braces(points))[0]
     assert_rows_match(B)
     assert_ultrafilters_match(B)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_powerset_from_cover_pairs_matches_all_pairs(k):
+    points = tuple(f"p{i}" for i in range(k))
+    got, id_of, set_of = balg.powerset_balg(points, balg.render_braces(points))
+    want, want_id_of, want_set_of = ref.powerset_balg(points, balg.render_braces(points))
+    assert (id_of, set_of) == (want_id_of, want_set_of)
+    for attr in ("elements", "index", "_up", "_down", "_meet", "_join", "_bottom_i", "_comp_in",
+                 "cover_pairs"):
+        assert getattr(got, attr) == getattr(want, attr), attr
 
 
 def test_band_semilattice_rows_match_the_scans():

@@ -1,14 +1,29 @@
-"""The text parser as it was before identical table lines shared one id list
-and before bracketed values without nesting were split in one pass.
+"""The text format as it was before each stanza kind's keys were stated in
+one table: the parser, the builder's required-key checks and the printer.
 
-(The reference copy of ``skewstone.textio.parse`` with its ``_split_top``,
-which merges the pieces of ``str.split`` by bracket depth; kept unchanged
-for ``test_parse_reference.py``.  It builds the same ``Stanza`` and
-``Document`` objects as the package.)
+``parse`` is also the parser as it was before identical table lines shared
+one id list and before bracketed values without nesting were split in one
+pass: its ``_split_top`` merges the pieces of ``str.split`` by bracket depth.
+``_KEYS`` (the allowed keys as sets), ``_store`` (one if-chain branch per
+key), ``_check_refs`` (one ``from:``/``to:`` loop per morphism kind), the
+``_require`` calls of ``_build_stanza`` and ``print_stanza`` (one branch per
+kind) are copies of the package's before that change.  Kept unchanged for
+``test_parse_reference.py`` and ``test_key_tables.py``; it builds the same
+``Stanza`` and ``Document`` objects as the package.
 """
 
-from skewstone.errors import DuplicateName, ParseError, UnresolvedReference
-from skewstone.textio import _KEYS, KEYWORDS, Document, Stanza
+from skewstone import balg, bset, etale, skew
+from skewstone.errors import DuplicateName, ParseError, UnresolvedReference, _band_endpoint
+from skewstone.textio import KEYWORDS, Document, Stanza
+
+_KEYS = {
+    "balg": {"elements", "leq", "bottom"},
+    "skew": {"elements", "zero", "circ", "bullet"},
+    "bset": {"stalk", "restrict"},
+    "etale": {"total", "base", "proj"},
+    "morphism": {"from", "to", "map", "basemap"},
+    "relmor": {"from", "to", "phi", "phibar"},
+}
 
 _OPEN = "([{"
 _CLOSE = ")]}"
@@ -251,3 +266,111 @@ def _finish_tables(data, kind):
                 data[op] = [
                     [row_of[x][pos[y]] for y in elements] for x in elements
                 ]
+
+
+def build(document):
+    """Validate every stanza in order; returns name -> object."""
+    built = {}
+    for s in document.stanzas:
+        built[s.name] = _build_one(s, built)
+    return built
+
+
+def _require(s, *keys):
+    for key in keys:
+        if key not in s.data:
+            raise ParseError(s.line, 1, f"'{key}:' in {s.kind} stanza {s.name}")
+
+
+def _build_one(s, built):
+    try:
+        return _build_stanza(s, built)
+    except (ValueError, KeyError) as e:
+        raise ValueError(f"{s.kind} {s.name} (line {s.line}): {e}") from e
+
+
+def _build_stanza(s, built):
+    d = s.data
+    if s.kind == "balg":
+        _require(s, "elements", "leq", "bottom")
+        return balg.validate_balg(d["elements"], d["leq"], d["bottom"])
+    if s.kind == "skew":
+        _require(s, "elements", "circ")
+        if d.get("bullet") is None:
+            return bset.validate_band(d["elements"], d["circ"])
+        if "zero" not in d:
+            raise ParseError(s.line, 1, "'zero:' in a skew stanza with both tables")
+        return skew.validate_skew(d["elements"], d["circ"], d["bullet"], d["zero"])
+    if s.kind == "bset":
+        base = built[s.over]
+        P = bset.validate_presheaf(base, d.get("stalks", {}), d.get("restrict", {}))
+        return bset.validate_boolean_set(P)
+    if s.kind == "etale":
+        _require(s, "total", "base", "proj")
+        return etale.validate_etale(d["total"], d["base"], dict(d["proj"]))
+    if s.kind == "morphism":
+        _require(s, "map")
+        src, tgt = built[d["from"]], built[d["to"]]
+        for end in (d["from"], d["to"]):
+            if isinstance(built[end], bset.RightNormalBand):
+                raise _band_endpoint(f"endpoint {end!r}")
+        mapping = dict(d["map"])
+        if isinstance(src, balg.FinBooleanAlgebra):
+            return balg.validate_bahom(mapping, src, tgt)
+        if isinstance(src, skew.SkewAlgebra):
+            return skew.validate_skew_morphism(mapping, src, tgt)
+        basemap = dict(d["basemap"]) if "basemap" in d else None
+        return bset.validate_bset_morphism(mapping, basemap, src, tgt)
+    if s.kind == "relmor":
+        _require(s, "phi", "phibar")
+        src, tgt = built[d["from"]], built[d["to"]]
+        phi = {e: set(ts) for e, ts in d["phi"]}
+        return etale.validate_relational_morphism(phi, dict(d["phibar"]), src, tgt)
+    raise ValueError(f"unknown stanza kind {s.kind!r}")
+
+
+def print_stanza(s):
+    d = s.data
+    head = f"{s.kind} {s.name}"
+    if s.over:
+        head += f" over {s.over}"
+    lines = [head + " {"]
+    if s.kind == "balg":
+        lines.append(f"  elements: {', '.join(d['elements'])}")
+        lines.append(f"  leq: {', '.join(f'{x}<={y}' for x, y in d['leq'])}")
+        lines.append(f"  bottom: {d['bottom']}")
+    elif s.kind == "skew":
+        lines.append(f"  elements: {', '.join(d['elements'])}")
+        if d.get("zero") is not None:
+            lines.append(f"  zero: {d['zero']}")
+        for op in ("circ", "bullet"):
+            if d.get(op) is None:
+                continue
+            lines.append(f"  {op}:")
+            lines.append("    " + " ".join(d["elements"]))
+            for row in d[op]:
+                lines.append("    " + " ".join(row))
+    elif s.kind == "bset":
+        for e, members in d["stalks"].items():
+            lines.append(f"  stalk {e}: {', '.join(members)}")
+        for (e, f), m in d["restrict"].items():
+            body = ", ".join(f"{x}->{y}" for x, y in m.items())
+            lines.append(f"  restrict {e} -> {f}: {body}")
+    elif s.kind == "etale":
+        lines.append(f"  total: {', '.join(d['total'])}")
+        lines.append(f"  base: {', '.join(d['base'])}")
+        lines.append(f"  proj: {', '.join(f'{e}->{x}' for e, x in d['proj'])}")
+    elif s.kind == "morphism":
+        lines.append(f"  from: {d['from']}")
+        lines.append(f"  to: {d['to']}")
+        lines.append(f"  map: {', '.join(f'{x}->{y}' for x, y in d['map'])}")
+        if "basemap" in d:
+            lines.append(f"  basemap: {', '.join(f'{x}->{y}' for x, y in d['basemap'])}")
+    elif s.kind == "relmor":
+        lines.append(f"  from: {d['from']}")
+        lines.append(f"  to: {d['to']}")
+        body = ", ".join(f"{e}->" + "+".join(ts) for e, ts in d["phi"])
+        lines.append(f"  phi: {body}")
+        lines.append(f"  phibar: {', '.join(f'{x}->{y}' for x, y in d['phibar'])}")
+    lines.append("}")
+    return "\n".join(lines)
