@@ -20,9 +20,11 @@ to name the first compatible pair without a join.  A refusal that either
 scan cannot explain is an internal error (AssertionError).  The one order
 is the restriction order, x <= y iff x = y|p(x); its bitmask rows
 (_order_masks) are built only for meets, bound searches and filter
-checks.  A Boolean set's meets are one table (_meet_table): a candidate per
-pair from the ∘ rows and the atom coordinates, kept where the order masks
-confirm it, and found by a bound search where they do not.
+checks.  Every presheaf's meets are one table (_meet_table), which
+meet_elem, has_binary_meets and preserves_meets read.  A Boolean set's
+candidates are the elements that keep the coordinates on which each pair
+agrees, kept where the order masks confirm them; a bound search answers
+where they do not, and for every other presheaf.
 
 This module holds both halves of the paper's theorem.  Forward, a Boolean
 set's skew tables are its ∘/• rows (``_skew_rows``, from ``_stalk_rows``
@@ -53,6 +55,7 @@ from .errors import (
     InternalMissingJoin,
     MissingJoin,
     MissingRestriction,
+    NoBinaryMeets,
     NoGlobalSupport,
     NotRightNormal,
     PathDependent,
@@ -98,9 +101,8 @@ class Presheaf:
         return self._rest[y].get(self.stalk_of[x]) == x
 
     def meet_elem(self, x, y):
-        """Greatest lower bound by a bound search, or None."""
-        below = _order_masks(self)[0]
-        k = balg._bound(below[self.index[x]] & below[self.index[y]], below)
+        """Greatest lower bound from the meet table (_meet_table), or None."""
+        k = _meet_table(self)[self.index[x]][self.index[y]]
         return self.elements[k] if k >= 0 else None
 
     def join_elem(self, x, y):
@@ -117,11 +119,20 @@ class Presheaf:
     @property
     @memo("_has_meets")
     def has_binary_meets(self):
-        """Whether every pair has a meet, by a bound search per pair."""
-        return all(
-            self.meet_elem(x, y) is not None
-            for x in self.elements for y in self.elements
-        )
+        """Whether the meet table (_meet_table) has a meet for every pair."""
+        return all(min(row) >= 0 for row in _meet_table(self))
+
+    def preserves_meets(self, mapping, other):
+        """Whether the element map ``mapping`` into the presheaf ``other``
+        takes each meet to the meet of the images, compared row by row in
+        the two meet tables (_meet_table).  NoBinaryMeets when either side
+        lacks a meet."""
+        if not self.has_binary_meets or not other.has_binary_meets:
+            raise NoBinaryMeets(())
+        f = [other.index[mapping[x]] for x in self.elements]
+        ty = _meet_table(other)
+        return all(list(map(f.__getitem__, row)) == list(map(ty[fi].__getitem__, f))
+                   for fi, row in zip(f, _meet_table(self)))
 
     def circ(self, x, y):
         """x∘y = y restricted to p(x) ∧ p(y)."""
@@ -285,8 +296,8 @@ class BooleanSet(Presheaf):
     range(n).  join, compatible_elems and bullet read the ∘/• rows built
     from them on first use (_skew_rows): x∘y and y∘x are y and x restricted
     to p(x) ∧ p(y), so x and y agree there (are compatible) iff x∘y = y∘x,
-    and then x ∨ y = x ∨ (y\\x) = x•y.  meet_elem and has_binary_meets read
-    the meet table (_meet_table), whose entries the order masks verify.
+    and then x ∨ y = x ∨ (y\\x) = x•y.  The meet table (_meet_table) reads
+    its candidates off the codes, not the rows.
     """
 
     def __init__(self, base, stalks, cover_maps, rest, zero, codes):
@@ -311,17 +322,6 @@ class BooleanSet(Presheaf):
 
     def bullet(self, x, y):
         return self.elements[_skew_rows(self)[1][self.index[x]][self.index[y]]]
-
-    def meet_elem(self, x, y):
-        """Greatest lower bound from the verified meet table, or None."""
-        k = _meet_table(self)[self.index[x]][self.index[y]]
-        return self.elements[k] if k >= 0 else None
-
-    @property
-    @memo("_has_meets")
-    def has_binary_meets(self):
-        """Whether the verified meet table has a meet for every pair."""
-        return all(min(row) >= 0 for row in _meet_table(self))
 
 
 def _atom_codes(P):
@@ -468,38 +468,39 @@ def _skew_rows(X):
 @memo("_meet")
 def _meet_table(X):
     """x ∧ y for every pair of X's elements, as indices in element order,
-    -1 where there is none; the same table as a bound search per pair.
+    -1 where there is none: the greatest common lower bound in the order
+    masks (balg._bound), the one meet table of every presheaf.
 
-    The meet of x and y lies over p(x) ∧ p(y), where y∘x and x∘y are x and
-    y restricted, and it is the meet of those two: the element that keeps
-    the atom coordinates on which they agree.  With each element's
-    coordinates as a set of (atom, stalk member) bits, read from the atom
-    codes, the candidate m for row x is the element whose set is the
-    intersection of theirs, read off the ∘ rows (_skew_rows).  The order
-    masks confirm a whole row at once: below[m] must equal common =
-    below[x] & below[y] for every y, so m is a common lower bound (each
-    element is its own restriction to its stalk) above every other one.  By
-    antisymmetry no other element is, and m is what balg._bound returns.  A
-    row with any unconfirmed candidate is answered by that bound search
-    pair by pair, so the table does not depend on what the ∘ rows hold.
+    A Boolean set reads a candidate per pair off its atom codes.  With each
+    element's coordinates as a set of (atom, stalk member) bits, the meet
+    of x and y is the element whose set is the intersection of theirs, the
+    coordinates on which x and y agree: both x and y restricted to the join
+    of those atoms.  The order masks confirm a whole row at once:
+    below[m] must equal common = below[x] & below[y] for every y, so m is
+    a common lower bound (each element is its own restriction to its
+    stalk) above every other one.  By antisymmetry no other element is, and
+    m is what balg._bound returns.  A row with any unconfirmed candidate,
+    and every row of any other presheaf, is answered by that bound search
+    pair by pair, so the table does not depend on what the codes hold.
     """
-    n, below = len(X.elements), _order_masks(X)[0]
-    bits = [0] * n
-    offset = 0
-    for a, w in _weights(X):
-        radix = len(X.stalks[a]) + 1
-        for i, c in enumerate(X._codes):
-            d = c // w % radix
-            if d:
-                bits[i] |= 1 << (offset + d - 1)
-        offset += radix - 1
-    elem_of = {b: i for i, b in enumerate(bits)}
-    circ = [list(map(bits.__getitem__, row)) for row in _skew_rows(X)[0]]
+    below = _order_masks(X)[0]
+    cands = repeat(None)
+    if isinstance(X, BooleanSet):
+        bits = [0] * len(below)
+        offset = 0
+        for a, w in _weights(X):
+            radix = len(X.stalks[a]) + 1
+            for i, c in enumerate(X._codes):
+                d = c // w % radix
+                if d:
+                    bits[i] |= 1 << (offset + d - 1)
+            offset += radix - 1
+        elem_of = {b: i for i, b in enumerate(bits)}
+        cands = (list(map(elem_of.__getitem__, map(and_, repeat(b), bits))) for b in bits)
     table = []
-    for bx, row, col in zip(below, circ, zip(*circ)):
+    for bx, cand in zip(below, cands):
         common = list(map(and_, repeat(bx), below))
-        cand = list(map(elem_of.__getitem__, map(and_, row, col)))
-        if common != list(map(below.__getitem__, cand)):
+        if cand is None or common != list(map(below.__getitem__, cand)):
             cand = [balg._bound(c, below) for c in common]
         table.append(cand)
     return table

@@ -21,12 +21,6 @@ def _load(path):
     return textio.parse(text)
 
 
-def _failure(e):
-    """The report line of a StructureError: law, witness and any detail."""
-    return (f"FAIL {e.law} witness=({','.join(e.witness)})"
-            + (f" {e.detail}" if e.detail else ""))
-
-
 class _Stop(Exception):
     """Ends a command whose report is printed; main returns ``args[0]`` as
     the exit code."""
@@ -52,7 +46,7 @@ def _load_named(args):
             except StructureError as e:
                 if s.name == args.name:
                     raise
-                print(f"{s.kind} {s.name}: {_failure(e)}")
+                print(f"{s.kind} {s.name}: FAIL {e}")
                 raise _Stop(1) from None
     return built[args.name]
 
@@ -69,7 +63,7 @@ def cmd_validate(args):
         try:
             built[s.name] = textio._build_one(s, built)
         except StructureError as e:
-            print(f"{s.kind} {s.name}: {_failure(e)}")
+            print(f"{s.kind} {s.name}: FAIL {e}")
             failed.add(s.name)
             continue
         obj = built[s.name]
@@ -339,7 +333,7 @@ def main(argv=None):
         print(f"parse error: {e}")
         return 2
     except StructureError as e:
-        print(_failure(e))
+        print(f"FAIL {e}")
         return 1
     except (ValueError, KeyError) as e:
         print(f"document error: {e}")

@@ -29,7 +29,7 @@ from operator import and_, eq, or_
 from . import balg, bset, etale
 from ._memo import memo
 from .balg import _bits, _first
-from .errors import NoBinaryMeets, NotProper
+from .errors import NotProper
 from .report import CheckItem, Report, _first_witness
 
 
@@ -394,19 +394,10 @@ class MeetPartialReport:
 
 def check_meet_partial_correspondence(m):
     """Meet preservation of the morphism versus partiality of its dual,
-    both sides computed independently: every pair's meet is compared, row
-    by row, in the verified meet tables of both sets (bset._meet_table)."""
-    X, Y = m.source, m.target
-    if not X.has_binary_meets or not Y.has_binary_meets:
-        raise NoBinaryMeets(())
-    f = [Y.index[m.mapping[x]] for x in X.elements]
-    tx, ty = bset._meet_table(X), bset._meet_table(Y)
-    preserves = all(
-        list(map(f.__getitem__, row)) == list(map(ty[fi].__getitem__, f))
-        for fi, row in zip(f, tx)
-    )
-    dual = dual_of_bset_morphism(m)
-    return MeetPartialReport(preserves, dual.partial_map)
+    both sides computed independently: the meet tables of both sets are
+    compared row by row (Presheaf.preserves_meets)."""
+    preserves = m.source.preserves_meets(m.mapping, m.target)
+    return MeetPartialReport(preserves, dual_of_bset_morphism(m).partial_map)
 
 
 # ----------------------------------------------------------------- functor laws

@@ -40,9 +40,6 @@ class FinEtaleSpace:
     def __repr__(self):
         return f"<FinEtaleSpace {len(self.total)} over {len(self.base)}>"
 
-    def p(self, e):
-        return self.proj[e]
-
 
 def validate_etale(total, base, proj):
     total, points = balg._index_elements(total)

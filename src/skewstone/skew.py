@@ -35,7 +35,6 @@ from operator import eq, itemgetter
 from . import balg, bset
 from ._memo import memo
 from .errors import (
-    NoBinaryMeets,
     NotABand,
     NotAMorphism,
     NotRightNormal,
@@ -322,9 +321,6 @@ class GammaQuotient:
     class_of: dict
     classes: dict
 
-    def members(self, class_id):
-        return self.classes[class_id]
-
 
 @memo("_gamma")
 def gamma_classes(S):
@@ -422,12 +418,9 @@ def validate_skew_morphism(mapping, S, T):
 
 
 def is_wedge_morphism(phi):
-    """Whether the morphism preserves binary meets of the natural order."""
-    S, T = phi.source, phi.target
-    if not is_wedge_algebra(S) or not is_wedge_algebra(T):
-        raise NoBinaryMeets(())
-    m = phi.mapping
-    return all(m[meet(S, x, y)] == meet(T, m[x], m[y]) for x in S.elements for y in S.elements)
+    """Whether the morphism preserves binary meets of the natural order,
+    which are those of the Boolean sets of its ends (Presheaf.preserves_meets)."""
+    return bset.from_skew(phi.source).preserves_meets(phi.mapping, bset.from_skew(phi.target))
 
 
 def compose_skew_morphisms(g, f):

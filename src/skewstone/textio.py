@@ -107,8 +107,8 @@ class Document:
             return {
                 "kind": "bset",
                 "base": self.law_raw(s.over),
-                "stalks": s.data["stalks"],
-                "restrict": s.data["restrict"],
+                "stalks": s.data.get("stalks", {}),
+                "restrict": s.data.get("restrict", {}),
             }
         raise ValueError(f"no law view for stanza kind {s.kind!r}")
 
@@ -449,10 +449,10 @@ def print_stanza(s):
     lines = [head + " {"]
     for key in _KEYS[s.kind]:
         if key == "stalk":
-            lines += [f"  stalk {e}: {', '.join(m)}" for e, m in d["stalks"].items()]
+            lines += [f"  stalk {e}: {', '.join(m)}" for e, m in d.get("stalks", {}).items()]
         elif key == "restrict":
             lines += [f"  restrict {e} -> {f}: {_write_map(m.items())}"
-                      for (e, f), m in d["restrict"].items()]
+                      for (e, f), m in d.get("restrict", {}).items()]
         elif d.get(key) is None:
             continue
         elif key in _PLAIN:

@@ -58,6 +58,16 @@ def test_no_lattice_failure():
         balg.validate_balg(["0", "a", "b"], [("0", "a"), ("0", "b")], "0")
 
 
+def test_a_semilattice_refusal_names_the_first_pair_without_a_meet():
+    # c and d have two greatest common lower bounds, a and b have none: the
+    # pair named is the first in element order
+    pairs = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    for els, first in [(["c", "d", "a", "b"], ("c", "d")), (["a", "b", "c", "d"], ("a", "b"))]:
+        with pytest.raises(NotALattice) as info:
+            balg.validate_meet_semilattice(els, pairs)
+        assert (info.value.law, info.value.witness) == ("order.meet_exists", first)
+
+
 def test_wrong_bottom_rejected():
     with pytest.raises(NoBottom):
         balg.validate_balg(["0", "1"], [("0", "1")], "1")

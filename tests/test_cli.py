@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -717,3 +718,76 @@ def test_a_band_endpoint_is_a_document_error(capsys, tmp_path, source, target):
     code, out = run(capsys, "validate", str(f))
     assert (code, out.splitlines()[-2:]) == (2, ["relmor spread: ok", expected])
     assert run(capsys, "check-morphism", str(f), "M") == (2, expected + "\n")
+
+
+B2_TEXT = "balg B2 {\n  elements: 0, 1\n  leq: 0<=1\n  bottom: 0\n}\n"
+B4_TEXT = "balg B4 {\n  elements: 0, a, b, 1\n  leq: 0<=a, 0<=b, a<=1, b<=1\n  bottom: 0\n}\n"
+# documents that validate refuses: file name -> (text, exit code, last output line)
+REFUSED = {
+    "keyword.txt": ("balgebra B2 {\n}\n", 2, "parse error: line 1, col 1: expected stanza "
+                    "keyword, one of balg, skew, bset, etale, morphism, relmor"),
+    "over.txt": (B2_TEXT + "bset P over {\n}\n", 2,
+                 "parse error: line 6, col 12: expected base name after 'over'"),
+    "brace.txt": ("balg B2\n  elements: 0, 1\n}\n", 2,
+                  "parse error: line 1, col 7: expected '{' ending the stanza header"),
+    "noover.txt": (B2_TEXT + "bset P {\n  stalk 0: z\n}\n", 2,
+                   "parse error: line 6, col 1: expected 'over <balg>' in a bset header"),
+    "unclosed.txt": (B2_TEXT + "bset P over B2 {\n  stalk 0: z\n", 2,
+                     "parse error: line 7, col 1: expected '}' closing the stanza"),
+    "nokey.txt": ("balg B2 {\n  : 0\n}\n", 2,
+                  "parse error: line 2, col 1: expected a key before ':'"),
+    "fewrows.txt": ("skew S {\n  elements: p, q\n  circ:\n    p q\n    p q\n}\n", 2,
+                    "parse error: line 4, col 1: expected 2 table rows after the header"),
+    "nozero.txt": ("skew S {\n  elements: p, q\n  circ:\n    p q\n    p q\n    p q\n"
+                   "  bullet:\n    p q\n    p q\n    p q\n}\n", 2,
+                   "parse error: line 1, col 1: expected 'zero:' in a skew stanza with both tables"),
+    "stalkkey.txt": (B2_TEXT + "bset P over B2 {\n  stalk 0: z\n  stalk zz: x\n}\n", 2,
+                     "document error: bset P (line 6): stalk key 'zz' is not a base element"),
+    "noncover.txt": (B4_TEXT + "bset P over B4 {\n  stalk 0: z\n  stalk a: a1\n  stalk b: b1\n"
+                     "  stalk 1: s\n  restrict 1 -> 0: s->z\n}\n", 2,
+                     "document error: bset P (line 6): restriction ('1', '0') is not a Hasse "
+                     "covering pair"),
+    "norestrict.txt": (B2_TEXT + "bset P over B2 {\n  stalk 0: z\n  stalk 1: x\n}\n", 1,
+                       "bset P: FAIL presheaf.restriction witness=(1,0)"),
+    "onestalk.txt": (B2_TEXT + "bset P over B2 {\n  stalk 0: z\n}\n", 1,
+                     "bset P: FAIL bset.global_support witness=(1)"),
+    "emptybody.txt": (B2_TEXT + "bset P over B2 {\n}\n", 1,
+                      "bset P: FAIL bset.global_support witness=(0)"),
+    "unmapped.txt": (B4_TEXT + "bset P over B4 {\n  stalk 0: z\n  stalk a: a1\n  stalk b: b1\n"
+                     "  stalk 1: s, t\n  restrict 1 -> a: s->a1, t->a1\n  restrict 1 -> b: t->b1\n"
+                     "  restrict a -> 0: a1->z\n  restrict b -> 0: b1->z\n}\n", 1,
+                     "bset P: FAIL presheaf.restriction witness=(1,b,s)"),
+}
+# the refused documents whose FAIL line names a (law, witness)
+REPLAYS = {fname: re.fullmatch(r"bset P: FAIL (\S+) witness=\((.*)\)", last).groups()
+           for fname, (_, _, last) in REFUSED.items() if " FAIL " in last}
+
+
+@pytest.mark.parametrize("fname", list(REFUSED))
+def test_a_refused_document_names_its_line_or_witness(capsys, tmp_path, fname):
+    # a malformed document is one located parse error, before any stanza is
+    # built; a bad stalk key or restriction pair is its stanza's document
+    # error, and a failed law its FAIL line
+    text, code, last = REFUSED[fname]
+    f = tmp_path / fname
+    f.write_text(text)
+    got, out = run(capsys, "validate", str(f))
+    assert (got, out.splitlines()[-1]) == (code, last)
+    if last.startswith("parse error"):
+        assert out == last + "\n"
+
+
+@pytest.mark.parametrize("fname", list(REPLAYS))
+def test_every_bset_fail_line_replays(capsys, tmp_path, fname):
+    # a bset stanza without stalk or restrict lines holds none: replay and
+    # the printer read the absent keys as empty, as the builder does
+    assert len(REPLAYS) == 4
+    text = REFUSED[fname][0]
+    f = tmp_path / fname
+    f.write_text(text)
+    law, witness = REPLAYS[fname]
+    assert run(capsys, "replay", str(f), "P", "--law", law, "--witness", witness) == (
+        0, f"confirmed: {law} violated at ({witness})\n")
+    doc = textio.parse(text)
+    again = textio.parse("\n".join(textio.print_stanza(s) for s in doc.stanzas))
+    assert [s.data for s in again.stanzas] == [s.data for s in doc.stanzas]

@@ -13,7 +13,9 @@ counterpart of ``docs/showcase.txt``'s ``collapse``), and ``props`` on the
 generated 72-section etale space, then the refusals of a missing stanza
 name, of stanzas of the wrong kind and of an unknown ``sections --over``
 base point, and ``check-morphism`` of a Boolean-set morphism whose base
-hom is not proper.  To record it again,
+hom is not proper; last, ``validate`` on each refused document of
+``test_cli.REFUSED`` and ``replay`` of each FAIL line among them.  To
+record it again,
 from the repository root:
 
     PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
@@ -34,6 +36,7 @@ import skewstone
 from skewstone import bset, cli, etale, textio
 
 import mutation_engine as me
+from test_cli import REFUSED, REPLAYS
 
 HERE = Path(__file__).resolve().parent
 DOCS = HERE.parent / "docs"
@@ -203,6 +206,14 @@ def commands(root):
     ]:
         out.append((" ".join([cmd, fname, name, *extra]),
                     [cmd, str(Path(root) / fname), name, *extra]))
+    # validate on each refused document of test_cli, and replay of each
+    # FAIL line among them
+    for fname, (text, _, _) in REFUSED.items():
+        (Path(root) / fname).write_text(text)
+        out.append((f"validate {fname}", ["validate", str(Path(root) / fname)]))
+    for fname, (law, witness) in REPLAYS.items():
+        out.append((f"replay {fname} P --law {law} --witness {witness}",
+                    ["replay", str(Path(root) / fname), "P", "--law", law, "--witness", witness]))
     return out
 
 

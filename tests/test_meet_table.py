@@ -5,21 +5,28 @@ replaced.
 The table must equal the earlier bound search (``old_meets``, which builds
 its own order masks) on every pair: of every generated shape up to 81
 elements (atom stalk sizes in non-decreasing order, labels shuffled) and of
-3,3,3,3; of the duals of 40 seeded etale spaces; and of sets whose ∘ rows
-are corrupted before the table is built, where candidates fail the
-order-mask check and the bound search answers.  ``dual_is_hausdorff`` and
+3,3,3,3; of the duals of 40 seeded etale spaces; and of sets whose atom codes
+are swapped before the table is built, where candidates fail the
+order-mask check and the bound search answers.  The table reads no ∘/•
+rows.  ``dual_is_hausdorff`` and
 the meet-preservation side of ``check_meet_partial_correspondence`` must
 give the earlier pair scans' answers, on tampered point masks too, and
 ``check_topology`` must accept valid sets without running a pair scan.
 """
 
 import random
+from itertools import product
 from math import prod
 from pathlib import Path
 
-from skewstone import balg, bset, duality, etale, textio
+import pytest
 
-from test_duality_layer import editable_masks, old_meets, seeded_space, stone_sets, toggle
+from skewstone import balg, bset, duality, etale, skew, textio
+from skewstone.errors import NoBinaryMeets
+
+from test_duality_layer import (
+    editable_masks, old_meets, right_normal_bands, seeded_space, stone_sets, toggle)
+from test_quotients import all_bands
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -44,6 +51,18 @@ def old_preserves_meets(m):
     mx, my = old_meets(X), old_meets(Y)
     return all(m.mapping[mx(x, y)] == my(m.mapping[x], m.mapping[y])
                for x in X.elements for y in X.elements)
+
+
+def old_wedge_loop(phi):
+    """The earlier skew.is_wedge_morphism: one meet per pair at each end,
+    here by the bound search of old_meets over each end's presheaf."""
+    S, T = phi.source, phi.target
+    ms, mt = old_meets(bset.band_to_presheaf(S)), old_meets(bset.band_to_presheaf(T))
+    for A, meet in ((S, ms), (T, mt)):
+        if any(meet(x, y) is None for x in A.elements for y in A.elements):
+            raise NoBinaryMeets(())
+    m = phi.mapping
+    return all(m[ms(x, y)] == mt(m[x], m[y]) for x in S.elements for y in S.elements)
 
 
 # ----------------------------------------------------------------- inputs
@@ -104,20 +123,77 @@ def test_meet_table_matches_the_bound_search_on_etale_duals(monkeypatch):
     assert calls[0] == 0
 
 
-def test_meet_table_falls_back_on_corrupted_circ_rows(monkeypatch):
+def test_meet_table_falls_back_on_swapped_atom_codes(monkeypatch):
     rng = random.Random(9)
     calls = counting_bound(monkeypatch)
     for sizes in [(2, 1, 2), (1, 1, 3), (2, 2, 2)]:
         for _ in range(15):
             X = bset.generate_boolean_set(sizes, seed=rng.randrange(100))
-            circ, bullet = ([row[:] for row in t] for t in bset._skew_rows(X))
+            codes = list(X._codes)
             n = len(X.elements)
             for _ in range(rng.randint(1, 4)):
                 i, j = rng.randrange(n), rng.randrange(n)
-                circ[i][j] = (circ[i][j] + rng.randrange(1, n)) % n
-            X._rows = circ, bullet
+                codes[i], codes[j] = codes[j], codes[i]
+            X._codes = codes
             assert_table_matches(X)
     assert calls[0] > 0
+
+
+def test_meet_table_reads_no_skew_rows(monkeypatch):
+    def refuse(X):
+        raise AssertionError("the ∘/• rows were built")
+    monkeypatch.setattr(bset, "_skew_rows", refuse)
+    assert_table_matches(bset.generate_boolean_set((2, 1, 3), seed=5))
+    assert_table_matches(etale.dual_bset(seeded_space(random.Random(4))))
+
+
+def band_presheaves():
+    """The presheaves of test_quotients.all_bands() and of every right
+    normal band on four elements."""
+    els = list("pqrs")
+    four = [bset.validate_band(els, [[els[v] for v in row] for row in rows])
+            for rows in right_normal_bands(4)]
+    assert len(four) == 213
+    return [bset.band_to_presheaf(S) for S in all_bands() + four]
+
+
+def test_band_presheaf_meets_match_the_bound_search():
+    # a band's presheaf is no Boolean set: its table is the bound search
+    without = 0
+    for P in band_presheaves():
+        meet, els = old_meets(P), P.elements
+        want = [[meet(x, y) for y in els] for x in els]
+        assert [[P.meet_elem(x, y) for y in els] for x in els] == want
+        assert P.has_binary_meets is all(m is not None for row in want for m in row)
+        without += not P.has_binary_meets
+    assert without > 0
+
+
+def test_preserves_meets_matches_both_earlier_loops():
+    built = textio.build(textio.parse((DOCS / "showcase.txt").read_text()))
+    sets = [built["X3"], built["Cst"], bset.generate_boolean_set((1, 1)),
+            bset.generate_boolean_set((2, 1))]
+    seen = {"bset": set(), "skew": set()}
+    for X, Y in product(sets, repeat=2):
+        for m in bset.enumerate_bset_morphisms(X, Y):
+            want = old_preserves_meets(m)
+            assert X.preserves_meets(m.mapping, Y) is want
+            seen["bset"].add(want)
+        for phi in skew.enumerate_skew_morphisms(bset.to_skew(X), bset.to_skew(Y)):
+            want = old_wedge_loop(phi)
+            assert skew.is_wedge_morphism(phi) is want
+            seen["skew"].add(want)
+    assert seen == {"bset": {True, False}, "skew": {True, False}}
+
+
+def test_preserves_meets_needs_meets_on_both_sides():
+    P = next(P for P in band_presheaves() if not P.has_binary_meets)
+    Q = bset.generate_boolean_set((1,))
+    ident = {x: x for x in P.elements}
+    for src, tgt, mapping in [(P, P, ident), (Q, P, {x: P.elements[0] for x in Q.elements})]:
+        with pytest.raises(NoBinaryMeets) as info:
+            src.preserves_meets(mapping, tgt)
+        assert info.value.witness == ()
 
 
 def tampered(X, rng):

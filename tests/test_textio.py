@@ -73,6 +73,24 @@ def test_prod_fixture_file_round_trips():
     assert isinstance(built["Prod"], bset.BooleanSet)
 
 
+def test_blank_and_comment_lines_inside_a_body_are_skipped():
+    # a blank line and a comment-only one after every body line, table rows
+    # included; they shift the later header lines, the only line numbers a
+    # Document keeps, so the view leaves those out and a one-stanza
+    # document is compared whole
+    def view(doc):
+        return [(s.kind, s.name, s.over, s.data) for s in doc.stanzas]
+    for path in sorted(DOCS.glob("*.txt")):
+        text = path.read_text()
+        padded = "".join(line + ("\n   # note\n" if line.startswith(" ") else "")
+                         for line in text.splitlines(keepends=True))
+        assert padded.count("# note") > 10
+        assert view(textio.parse(padded)) == view(textio.parse(text))
+    one = "skew S {\n  elements: p\n  circ:\n    p\n    p\n}\n"
+    padded = one.replace("\n    p\n", "\n\n    p\n  # row\n\n")
+    assert textio.parse(padded) == textio.parse(one)
+
+
 def test_showcase_builds_every_kind():
     doc = textio.parse((DOCS / "showcase.txt").read_text())
     built = textio.build(doc)
