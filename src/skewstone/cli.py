@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import balg, bset, dot, duality, etale, laws, skew, textio
-from .errors import DocumentError, QuotientNotBoolean, StructureError
+from .errors import DocumentError, StructureError
 
 
 def _load(path):
@@ -95,9 +95,6 @@ def cmd_to_bset(args):
     if isinstance(obj, skew.SkewAlgebra):
         X = bset.from_skew(obj)
     elif isinstance(obj, bset.RightNormalBand):
-        if not bset.is_boolean_band(obj):
-            print(f"FAIL {QuotientNotBoolean.law} witness=(): band is not Boolean")
-            return 1
         X = bset.band_to_bset(obj)
     elif isinstance(obj, etale.FinEtaleSpace):
         return _print_dual_bset(obj, args.name)

@@ -35,7 +35,8 @@ from .report import CheckItem, Report, _first_witness
 
 @dataclass(frozen=True)
 class BSetUltrafilter:
-    """Ultrafilter of a Boolean set: a conjugacy class over a base ultrafilter."""
+    """Ultrafilter of a Boolean set: the up-set of an element over an atom,
+    over that atom's base ultrafilter."""
 
     bset: "bset.BooleanSet" = field(compare=False)
     members: frozenset = field()
@@ -53,48 +54,35 @@ class BSetUltrafilter:
 def bset_ultrafilters(X):
     """All ultrafilters of X, grouped by base ultrafilter.
 
-    For each base ultrafilter F, the preimage of F is partitioned into
-    conjugacy classes (sharing a lower bound whose projection lies in F);
-    the classes are checked to be prime filters projecting onto F.
-
-    Sets of elements are bitmasks over X.elements, read from the order rows
-    bset._order_masks(X).  With pre_mask the preimage of F, the conjugacy row of
-    a is the mask of the b in the preimage with below[a] & below[b] & pre_mask
-    nonzero, a test symmetric in a and b; reflexivity is checked, and
-    transitivity is row containment.  The classes of this equivalence are
-    its distinct rows, so they are disjoint.  This costs O(n^2) mask
-    operations per base ultrafilter for n elements (the rows, their
-    equivalence checks and the filter checks) plus one O(n) primeness
-    comparison per class, against O(n^3) per base ultrafilter for an
-    element-wise conjugacy test.
+    Every filter of a finite Boolean set is principal: a minimal member m is
+    below every other member x, as m and x have a lower bound in the filter,
+    so the filter is the up-set of m.  That up-set is prime only if p(m) is
+    an atom a: for an atom a < p(m), m is the compatible join of m|a and
+    m|(p(m) \\ a), and neither is above m.  So the ultrafilters over the base
+    ultrafilter F generated by a are the up-sets of the elements over a, the
+    rows above[m] of bset._order_masks(X).  They must partition the preimage
+    of F, and each is checked to be a prime filter projecting onto F
+    (_assert_is_ultrafilter).  Each is named by its first member in
+    X.elements order, and they are listed in that order.
     """
-    els, below = X.elements, bset._order_masks(X)[0]
+    els, above = X.elements, bset._order_masks(X)[1]
     out = []
     for F in X.base.ultrafilters():
+        a = F.generator
         pre = [i for i, x in enumerate(els) if X.p(x) in F.members]
         pre_mask = sum(1 << i for i in pre)
-        rel = {}
-        for a in pre:
-            low = below[a] & pre_mask
-            rel[a] = sum(1 << b for b in pre if low & below[b])
-        for a in pre:
-            row = rel[a]
-            if not row >> a & 1:
-                raise AssertionError(("conjugacy not reflexive", els[a]))
-            for b in _bits(row):
-                # rel[b] within rel[a] for every b in rel[a]: every triple
-                extra = rel[b] & ~row
-                if extra:
-                    raise AssertionError((
-                        "conjugacy not transitive", els[a], els[b], els[_first(extra)]))
-        seen = 0
-        for a in pre:
-            if seen >> a & 1:
-                continue
-            cls = rel[a]
-            seen |= cls
-            members = frozenset(els[b] for b in _bits(cls))
-            u = BSetUltrafilter(X, members, F, f"[{els[a]}]@{F.generator}")
+        ups = sorted((above[i] for i in pre if X.p(els[i]) == a), key=_first)
+        # the elements covered twice, outside the preimage, or not at all
+        covered = stray = 0
+        for up in ups:
+            stray |= up & (covered | ~pre_mask)
+            covered |= up
+        stray |= pre_mask & ~covered
+        if stray:
+            raise AssertionError(("not a partition of the preimage", a, els[_first(stray)]))
+        for up in ups:
+            members = frozenset(map(els.__getitem__, _bits(up)))
+            u = BSetUltrafilter(X, members, F, f"[{els[_first(up)]}]@{a}")
             _assert_is_ultrafilter(X, u)
             out.append(u)
     return tuple(out)
@@ -103,6 +91,12 @@ def bset_ultrafilters(X):
 def _assert_is_ultrafilter(X, u):
     """Assert that u projects onto its base filter and is an upward closed,
     pairwise bounded below, prime set of elements (as masks over X).
+
+    The middle two are accepted by whole rows: u is upward closed iff the
+    union of its members' above rows lies in u, and pairwise bounded below
+    within itself iff the meet of their below rows meets u, as a minimal
+    member of a finite such set is below every other.  Only a refusal runs
+    the pair scan, which names the first failing member or pair.
 
     Given the first three, u is prime iff it is the set of z with z|a = s,
     where a is the atom generating the base filter and s = m|a for any
@@ -115,13 +109,18 @@ def _assert_is_ultrafilter(X, u):
         raise AssertionError((u.ident, F))
     idx = sorted(index[x] for x in u.members)
     umask = sum(1 << i for i in idx)
+    low, up = -1, 0
     for i in idx:
-        escape = above[i] & ~umask
-        if escape:
-            raise AssertionError(("not upward closed", els[i], els[_first(escape)]))
-        for j in idx:
-            if not below[i] & below[j] & umask:
-                raise AssertionError(("no common lower bound", els[i], els[j]))
+        low &= below[i]
+        up |= above[i]
+    if not low & umask or up & ~umask:
+        for i in idx:
+            escape = above[i] & ~umask
+            if escape:
+                raise AssertionError(("not upward closed", els[i], els[_first(escape)]))
+            for j in idx:
+                if not below[i] & below[j] & umask:
+                    raise AssertionError(("no common lower bound", els[i], els[j]))
     a = F.generator
     s = X._rest[els[idx[0]]][a]
     prime = sum(1 << i for i, z in enumerate(els) if X._rest[z].get(a) == s)
@@ -300,8 +299,8 @@ def dual_of_bset_morphism(m):
     for u in bset_ultrafilters(Y):
         pre = frozenset(x for x in X.elements if m.mapping[x] in u.members)
         fprime = phibar[u.base_filter.generator]
-        # the preimage is a union of conjugacy classes over the pulled-back
-        # base ultrafilter: any class meeting it is contained in it
+        # the preimage is a union of ultrafilters over the pulled-back base
+        # ultrafilter: any ultrafilter meeting it is contained in it
         for v in bset_ultrafilters(X):
             if (v.base_filter.generator == fprime and v.members & pre
                     and not v.members <= pre):

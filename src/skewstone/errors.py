@@ -123,10 +123,6 @@ class NotAMorphism(StructureError):
         super().__init__(witness, detail, law=f"morphism.{op}")
 
 
-class QuotientNotBoolean(StructureError):
-    law = "skew.quotient"
-
-
 # ---------------------------------------------------------------------- bset
 
 class PathDependent(StructureError):

@@ -201,9 +201,10 @@ def parse(text):
         if not raw.strip():
             i += 1
             continue
-        toks = raw.split()
+        found = list(re.finditer(r"\S+", raw))
+        toks = [m.group() for m in found]
         if toks[0] not in KEYWORDS:
-            raise ParseError(i + 1, raw.index(toks[0]) + 1,
+            raise ParseError(i + 1, found[0].start() + 1,
                              f"stanza keyword, one of {', '.join(KEYWORDS)}")
         kind = toks[0]
         if len(toks) < 2 or toks[1] == "{":
@@ -213,7 +214,8 @@ def parse(text):
         rest = toks[2:]
         if rest and rest[0] == "over":
             if len(rest) < 2 or rest[1] == "{":
-                raise ParseError(i + 1, raw.index("over") + 5, "base name after 'over'")
+                col = found[3].start() + 1 if len(rest) > 1 else len(raw) + 1
+                raise ParseError(i + 1, col, "base name after 'over'")
             over = rest[1]
             rest = rest[2:]
         if rest != ["{"]:

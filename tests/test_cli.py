@@ -609,7 +609,7 @@ def test_band_with_a_two_element_least_class_is_not_boolean(capsys, tmp_path):
     f = tmp_path / "band.txt"
     f.write_text("skew S {\n  elements: p, q\n  circ:\n    p q\n    p q\n    p q\n}\n")
     code, out = run(capsys, "to-bset", str(f), "S")
-    assert (code, out) == (1, "FAIL skew.quotient witness=(): band is not Boolean\n")
+    assert (code, out) == (1, "FAIL bset.zero_stalk witness=(p,q)\n")
 
 
 @pytest.mark.parametrize("text, line, op", [
@@ -727,7 +727,9 @@ REFUSED = {
     "keyword.txt": ("balgebra B2 {\n}\n", 2, "parse error: line 1, col 1: expected stanza "
                     "keyword, one of balg, skew, bset, etale, morphism, relmor"),
     "over.txt": (B2_TEXT + "bset P over {\n}\n", 2,
-                 "parse error: line 6, col 12: expected base name after 'over'"),
+                 "parse error: line 6, col 13: expected base name after 'over'"),
+    "cover.txt": (B2_TEXT + "bset cover over {\n}\n", 2,
+                  "parse error: line 6, col 17: expected base name after 'over'"),
     "brace.txt": ("balg B2\n  elements: 0, 1\n}\n", 2,
                   "parse error: line 1, col 7: expected '{' ending the stanza header"),
     "noover.txt": (B2_TEXT + "bset P {\n  stalk 0: z\n}\n", 2,

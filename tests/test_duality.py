@@ -1,9 +1,15 @@
+import ast
+import inspect
+import random
+
 import pytest
 
-from skewstone import bset, duality, etale
+from skewstone import balg, bset, duality, etale
 from skewstone.errors import NotProper
 
-from conftest import make_b2, make_b4, make_efix, make_prod, make_x3_bset
+from conftest import (B4_ELEMENTS, B4_LEQ, PROD_RESTRICT, PROD_STALKS, make_b2, make_b4,
+                      make_efix, make_prod, make_x3_bset)
+from test_duality_layer import seeded_space
 
 
 def _cubic_ultrafilters(X):
@@ -30,6 +36,10 @@ def _cubic_ultrafilters(X):
     return out
 
 
+def _triples(X):
+    return [(u.ident, u.members, u.base_filter.members) for u in duality.bset_ultrafilters(X)]
+
+
 @pytest.mark.parametrize("build", [
     lambda: bset.generate_boolean_set((2, 2, 2)),
     lambda: bset.generate_boolean_set((1, 1, 3, 3), seed=4),
@@ -38,11 +48,15 @@ def _cubic_ultrafilters(X):
     make_prod,
     make_x3_bset,
     lambda: etale.dual_bset(make_efix()),
-], ids=["gen222", "gen1133", "gen2222", "constant_b4", "prod", "x3", "dual_efix"])
+    # listed top first: an ultrafilter's first member, which names it, is
+    # not its least element
+    lambda: bset.validate_boolean_set(bset.validate_presheaf(
+        balg.validate_balg(B4_ELEMENTS[::-1], B4_LEQ, "0"), PROD_STALKS, PROD_RESTRICT)),
+], ids=["gen222", "gen1133", "gen2222", "constant_b4", "prod", "x3", "dual_efix",
+        "prod_top_first"])
 def test_ultrafilters_match_cubic_reference(build):
     X = build()
-    got = [(u.ident, u.members, u.base_filter.members) for u in duality.bset_ultrafilters(X)]
-    assert got == _cubic_ultrafilters(X)
+    assert _triples(X) == _cubic_ultrafilters(X)
 
 
 def _fresh_ultrafilters(X):
@@ -50,39 +64,151 @@ def _fresh_ultrafilters(X):
     return duality.bset_ultrafilters(X)
 
 
+def old_bset_ultrafilters(X):
+    """Reference: the conjugacy construction that the principal-filter route
+    replaced, as (ident, members, base filter members) triples.  The
+    conjugacy row of a is the mask of the b in the preimage sharing a lower
+    bound with a there; its classes are the distinct rows, named by their
+    first member.  Its reflexivity and transitivity checks are kept."""
+    els, below = X.elements, bset._order_masks(X)[0]
+    out = []
+    for F in X.base.ultrafilters():
+        pre = [i for i, x in enumerate(els) if X.p(x) in F.members]
+        pre_mask = sum(1 << i for i in pre)
+        rel = {}
+        for a in pre:
+            low = below[a] & pre_mask
+            rel[a] = sum(1 << b for b in pre if low & below[b])
+        for a in pre:
+            row = rel[a]
+            if not row >> a & 1:
+                raise AssertionError(("conjugacy not reflexive", els[a]))
+            for b in duality._bits(row):
+                extra = rel[b] & ~row
+                if extra:
+                    raise AssertionError((
+                        "conjugacy not transitive", els[a], els[b], els[duality._first(extra)]))
+        seen = 0
+        for a in pre:
+            if seen >> a & 1:
+                continue
+            cls = rel[a]
+            seen |= cls
+            members = frozenset(els[b] for b in duality._bits(cls))
+            out.append((f"[{els[a]}]@{F.generator}", members, F.members))
+    return out
+
+
+def old_pair_loop(X, members):
+    """Reference: the interleaved upward-closure and lower-bound scan over
+    the members, as the ultrafilter check ran it on every candidate: its
+    first complaint, or None."""
+    (els, index), (below, above) = (X.elements, X.index), bset._order_masks(X)
+    idx = sorted(index[x] for x in members)
+    umask = sum(1 << i for i in idx)
+    for i in idx:
+        escape = above[i] & ~umask
+        if escape:
+            return ("not upward closed", els[i], els[duality._first(escape)])
+        for j in idx:
+            if not below[i] & below[j] & umask:
+                return ("no common lower bound", els[i], els[j])
+    return None
+
+
+# (1,) to 3,3,7,7: 2 to 1024 elements, wide 256 and 729 included
+GEN_SHAPES = [(1,), (3,), (2, 1), (2, 1, 2), (2, 2, 2), (1, 1, 3, 3), (3, 3, 3, 3),
+              (2, 2, 2, 5), (1,) * 8, (2,) * 6, (4, 4, 4, 4), (3, 3, 7, 7)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sizes", GEN_SHAPES, ids=lambda s: ",".join(map(str, s)))
+def test_ultrafilters_match_conjugacy_reference(sizes, seed):
+    X = bset.generate_boolean_set(sizes, seed)
+    assert _triples(X) == old_bset_ultrafilters(X)
+
+
+def test_ultrafilters_match_conjugacy_reference_on_seeded_duals():
+    rng = random.Random(26)
+    for _ in range(40):
+        X = etale.dual_bset(seeded_space(rng))
+        assert _triples(X) == old_bset_ultrafilters(X)
+
+
+def test_ultrafilter_route_reads_no_atom_codes_or_meet_table():
+    def reads(tree, names):
+        return sorted({
+            n.id if isinstance(n, ast.Name) else n.attr
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            and f.name in ("bset_ultrafilters", "_assert_is_ultrafilter")
+            for n in ast.walk(f)
+            if (n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)) in names})
+
+    forbidden = {"_codes", "_atom_codes", "_meet_table"}
+    assert reads(ast.parse(inspect.getsource(duality)), forbidden) == []
+    planted = "def bset_ultrafilters(X):\n    return X._codes, bset._meet_table(X)\n"
+    assert reads(ast.parse(planted), forbidden) == ["_codes", "_meet_table"]
+
+
 def test_ultrafilter_checks_fire_on_corrupted_tables():
     X = bset.generate_boolean_set((2, 1, 2))
     u = _fresh_ultrafilters(X)[0]
-    inside = [X.index[x] for x in u.members]
+    a = u.base_filter.generator
+    inside = sorted(X.index[x] for x in u.members)
     outside = [i for i in range(len(X.elements)) if X.elements[i] not in u]
 
-    # an element above a member but outside u breaks upward closure
+    # an element above a member but outside u breaks upward closure; the
+    # member is not u's least element, whose row is u itself
     above = bset._order_masks(X)[1]
-    saved = above[inside[0]]
-    above[inside[0]] |= 1 << outside[-1]
-    with pytest.raises(AssertionError, match="not upward closed"):
+    target = next(i for i in inside if X.p(X.elements[i]) != a)
+    saved = above[target]
+    above[target] |= 1 << outside[-1]
+    with pytest.raises(AssertionError) as e:
         _fresh_ultrafilters(X)
-    above[inside[0]] = saved
+    assert e.value.args == (
+        ("not upward closed", X.elements[target], X.elements[outside[-1]]),)
+    above[target] = saved
     assert _fresh_ultrafilters(X)[0] == u
 
     # an element outside u restricting on u's atom as u's members do
     # breaks primeness: u must be every such element
-    a = u.base_filter.generator
     y = next(X.elements[i] for i in outside if a in X._rest[X.elements[i]])
     X._rest[y][a] = X._rest[X.elements[inside[0]]][a]
     with pytest.raises(AssertionError, match="not prime"):
         _fresh_ultrafilters(X)
 
 
-def test_conjugacy_check_names_a_triple_that_is_not_transitive():
-    # over the one atom, a2 is made to lie above a1 and a3: a1 ~ a2 ~ a3
-    # share lower bounds pairwise, but a1 and a3 do not
+@pytest.mark.parametrize("row, extra, witness", [
+    ("a1", "a2", "a2"),  # a2 lies in two ultrafilters
+    ("a1", "0", "0"),  # 0 lies outside the preimage
+    ("a3", None, "a3"),  # a3's up-set is empty: a3 lies in no ultrafilter
+], ids=["overlap", "outside", "uncovered"])
+def test_partition_check_names_the_first_stray_element(row, extra, witness):
+    # over the one atom 1, the up-sets of a1, a2, a3 must partition the
+    # preimage {a1, a2, a3}; one up-set row is corrupted
     X = bset.generate_boolean_set((3,))
-    below = bset._order_masks(X)[0]
-    below[X.index["a2"]] |= 1 << X.index["a1"] | 1 << X.index["a3"]
+    above, i = bset._order_masks(X)[1], X.index
+    above[i[row]] = above[i[row]] | 1 << i[extra] if extra else 0
     with pytest.raises(AssertionError) as e:
         _fresh_ultrafilters(X)
-    assert e.value.args == (("conjugacy not transitive", "a1", "a2", "a3"),)
+    assert e.value.args == (("not a partition of the preimage", "1", witness),)
+
+
+def test_lower_bound_check_names_the_pair_of_the_pair_loop():
+    # u loses its least element m when m is dropped from one member's below
+    # row; no other member is below all, so the scan names a pair
+    X = bset.generate_boolean_set((2, 1, 2))
+    u = _fresh_ultrafilters(X)[0]
+    m = next(x for x in u.members if X.p(x) == u.base_filter.generator)
+    x = max(u.members - {m}, key=X.index.__getitem__)
+    below = bset._order_masks(X)[0]
+    below[X.index[x]] &= ~(1 << X.index[m])
+    expected = old_pair_loop(X, u.members)
+    assert expected is not None and expected[0] == "no common lower bound"
+    with pytest.raises(AssertionError) as e:
+        _fresh_ultrafilters(X)
+    assert e.value.args == (expected,)
 
 
 def test_bset_ultrafilters_x3(x3_bset):

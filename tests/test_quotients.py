@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from skewstone import balg, bset, dot, duality, skew, textio
-from skewstone.errors import NotProper, QuotientNotBoolean, StructureError
+from skewstone.errors import NotProper, StructureError
 
 import morphism_reference
 import mutation_engine as me
@@ -26,6 +26,12 @@ SHOWCASE = Path(__file__).resolve().parent.parent / "docs" / "showcase.txt"
 
 
 # ------------------------------------------------------------- references
+
+class QuotientNotBoolean(StructureError):
+    """The earlier quotient's refusal: its R classes do not form a Boolean
+    algebra under the induced operations."""
+    law = "skew.quotient"
+
 
 def old_band_gamma(S):
     n = len(S.elements)
