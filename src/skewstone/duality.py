@@ -410,18 +410,18 @@ def check_functor_laws_bset(f, g):
     for name, obj in (("X", X), ("Y", Y), ("Z", Z)):
         d = dual_of_bset_morphism(bset.identity_bset_morphism(obj))
         ident = etale.identity_relational(bset_to_etale(obj))
-        items.append(CheckItem(f"dual_identity_{name}", etale.relational_eq(d, ident)))
+        items.append(_first_witness(f"dual_identity_{name}", _relational_differences(d, ident)))
 
     gf = bset.compose_bset_morphisms(g, f)
     lhs = dual_of_bset_morphism(gf)
     rhs = etale.compose_relational(dual_of_bset_morphism(f), dual_of_bset_morphism(g))
-    items.append(CheckItem("dual_composition", etale.relational_eq(lhs, rhs)))
+    items.append(_first_witness("dual_composition", _relational_differences(lhs, rhs)))
 
     for name, m in (("f", f), ("g", g), ("gf", gf)):
         dd = dual_of_relational(dual_of_bset_morphism(m))
         left = bset.compose_bset_morphisms(dd, bset_double_dual(m.source))
         right = bset.compose_bset_morphisms(bset_double_dual(m.target), m)
-        items.append(CheckItem(f"naturality_{name}", bset.bset_morphism_eq(left, right)))
+        items.append(_first_witness(f"naturality_{name}", _bset_differences(left, right)))
     return Report(items)
 
 
@@ -434,19 +434,35 @@ def check_functor_laws_relational(chi, psi):
     for name, sp in (("S", S), ("T", T), ("U", U)):
         d = dual_of_relational(etale.identity_relational(sp))
         ident = bset.identity_bset_morphism(etale.dual_bset(sp))
-        items.append(CheckItem(f"dual_identity_{name}", bset.bset_morphism_eq(d, ident)))
+        items.append(_first_witness(f"dual_identity_{name}", _bset_differences(d, ident)))
 
     pc = etale.compose_relational(psi, chi)
     lhs = dual_of_relational(pc)
     rhs = bset.compose_bset_morphisms(dual_of_relational(chi), dual_of_relational(psi))
-    items.append(CheckItem("dual_composition", bset.bset_morphism_eq(lhs, rhs)))
+    items.append(_first_witness("dual_composition", _bset_differences(lhs, rhs)))
 
     for name, rm in (("chi", chi), ("psi", psi), ("psi_chi", pc)):
         dd = dual_of_bset_morphism(dual_of_relational(rm))
         left = etale.compose_relational(dd, etale_double_dual(rm.source).as_relational())
         right = etale.compose_relational(etale_double_dual(rm.target).as_relational(), rm)
-        items.append(CheckItem(f"naturality_{name}", etale.relational_eq(left, right)))
+        items.append(_first_witness(f"naturality_{name}", _relational_differences(left, right)))
     return Report(items)
+
+
+def _bset_differences(f, g):
+    """Where two Boolean-set morphisms out of one source differ: each
+    element with two images, in element order, then each base element."""
+    X, fb, gb = f.source, f.base_hom.mapping, g.base_hom.mapping
+    yield from ((x,) for x in X.elements if f.mapping[x] != g.mapping[x])
+    yield from ((e,) for e in X.base.elements if fb[e] != gb[e])
+
+
+def _relational_differences(f, g):
+    """Where two relational morphisms out of one space differ: each point
+    with two images, in total-space order, then each base point."""
+    sp = f.source
+    yield from ((e,) for e in sp.total if f.phi[e] != g.phi[e])
+    yield from ((x,) for x in sp.base if f.phibar[x] != g.phibar[x])
 
 
 # ----------------------------------------------- dual-space topology suite

@@ -273,10 +273,6 @@ def compose_relational(psi, phi):
     return validate_relational_morphism(out, bar, phi.source, psi.target)
 
 
-def relational_eq(f, g):
-    return f.phi == g.phi and f.phibar == g.phibar
-
-
 def require_covering(rm):
     if not rm.covering:
         kind = "locally injective" if not rm.locally_injective else "locally surjective"

@@ -13,9 +13,9 @@ counterpart of ``docs/showcase.txt``'s ``collapse``), and ``props`` on the
 generated 72-section etale space, then the refusals of a missing stanza
 name, of stanzas of the wrong kind and of an unknown ``sections --over``
 base point, and ``check-morphism`` of a Boolean-set morphism whose base
-hom is not proper; last, ``validate`` on each refused document of
-``test_cli.REFUSED`` and ``replay`` of each FAIL line among them.  To
-record it again,
+hom is not proper and of two that break BM2 and BM1; last, ``validate``
+on each refused document of ``test_cli.REFUSED`` and ``replay`` of each
+FAIL line among them.  To record it again,
 from the repository root:
 
     PYTHONPATH=src python tests/test_cli_pinned.py --record tests/cli_pinned.json
@@ -144,7 +144,24 @@ def write_documents(root):
     _, dual = run(["dualize", str(root / "etale72.txt"), "F"])
     (root / "etale72_dual.txt").write_text(dual)
     (root / "nonproper.txt").write_text((DOCS / "prod.txt").read_text() + NONPROPER)
+    (root / "bsetmor.txt").write_text(bset_morphisms_text(gen))
     return docs
+
+
+def bset_morphisms_text(gen_doc):
+    """Two edits of the identity of G in ``gen_doc``, with the identity
+    basemap: ``bm2`` moves (a1,b2) to (a2,b2) in its own stalk, which keeps
+    BM1 and breaks BM2; ``bm1`` sends a1 into the stalk of b, which breaks
+    BM1.  Only ``check-morphism`` runs on this document."""
+    doc = textio.parse(gen_doc)
+    base, G = doc.stanzas[0].data["elements"], textio.build(doc)["G"]
+    stanzas = [
+        textio.Stanza("morphism", name, None, {
+            "from": "G", "to": "G", "basemap": [(e, e) for e in base],
+            "map": [(x, edit.get(x, x)) for x in G.elements]}, 0)
+        for name, edit in [("bm2", {"(a1,b2)": "(a2,b2)"}), ("bm1", {"a1": "b2"})]
+    ]
+    return gen_doc + "".join(textio.print_stanza(s) + "\n" for s in stanzas)
 
 
 def skew_morphisms_text(skew_doc):
@@ -193,7 +210,8 @@ def commands(root):
     for fname, name in [("gen256.txt", "G"), ("etale72_dual.txt", "F_dual")]:
         out.append((f"props {fname} {name}", ["props", str(Path(root) / fname), name]))
     # refusals: a missing stanza, a stanza of the wrong kind, an unknown
-    # base point; and a morphism whose base hom is not proper
+    # base point; a morphism whose base hom is not proper, and Boolean-set
+    # morphisms that break BM2 and BM1
     for cmd, fname, name, extra in [
         ("to-skew", "gen.txt", "missing", []),
         ("to-skew", "gen.txt", "B", []),
@@ -203,6 +221,8 @@ def commands(root):
         ("sections", "gen.txt", "G", []),
         ("sections", "etale.txt", "E", ["--over", "u0,zz"]),
         ("check-morphism", "nonproper.txt", "embed", []),
+        ("check-morphism", "bsetmor.txt", "bm2", []),
+        ("check-morphism", "bsetmor.txt", "bm1", []),
     ]:
         out.append((" ".join([cmd, fname, name, *extra]),
                     [cmd, str(Path(root) / fname), name, *extra]))

@@ -308,7 +308,7 @@ def test_etale_double_dual(efix):
 def test_dual_of_relational_identity(efix):
     d = duality.dual_of_relational(etale.identity_relational(efix))
     ident = bset.identity_bset_morphism(etale.dual_bset(efix))
-    assert bset.bset_morphism_eq(d, ident)
+    assert (d.mapping, d.base_hom.mapping) == (ident.mapping, ident.base_hom.mapping)
 
 
 def test_dual_of_relational_fiber_collapse(efix):
@@ -326,7 +326,8 @@ def test_dual_of_relational_fiber_collapse(efix):
 
 def test_dual_of_bset_morphism_identity(x3_bset):
     d = duality.dual_of_bset_morphism(bset.identity_bset_morphism(x3_bset))
-    assert etale.relational_eq(d, etale.identity_relational(duality.bset_to_etale(x3_bset)))
+    ident = etale.identity_relational(duality.bset_to_etale(x3_bset))
+    assert (d.phi, d.phibar) == (ident.phi, ident.phibar)
 
 
 def test_dual_of_collapse_has_two_point_image(x3_bset):
@@ -394,6 +395,13 @@ def test_topology_report(x3_bset, prod, b4):
         assert rep.all_ok, str(rep)
 
 
+HOM_SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1)]
+
+
+def relational_key(rm):
+    return frozenset(rm.phi.items()), frozenset(rm.phibar.items())
+
+
 def test_functor_laws_bset(x3_bset):
     Y = bset.constant_bset(make_b2())
     collapse = bset.validate_bset_morphism(
@@ -401,6 +409,51 @@ def test_functor_laws_bset(x3_bset):
     )
     rep = duality.check_functor_laws_bset(collapse, bset.identity_bset_morphism(Y))
     assert rep.all_ok, str(rep)
+
+
+def test_a_failed_functor_law_names_where_its_sides_first_differ(x3_bset, monkeypatch):
+    # each dual swaps the images of the first two points of the first fiber
+    # of its source that has two, so the dual of an identity is not one
+    real = duality.dual_of_bset_morphism
+
+    def swapped(m):
+        d = real(m)
+        fiber = next((f for f in d.source.fibers.values() if len(f) > 1), None)
+        if fiber is None:
+            return d
+        (a, b), phi = fiber[:2], dict(d.phi)
+        phi[a], phi[b] = d.phi[b], d.phi[a]
+        return etale.validate_relational_morphism(phi, d.phibar, d.source, d.target)
+
+    Y = bset.constant_bset(make_b2())
+    collapse = bset.validate_bset_morphism(
+        {"0": "c0", "x1": "c1", "x2": "c1"}, {"0": "0", "1": "1"}, x3_bset, Y
+    )
+    monkeypatch.setattr(duality, "dual_of_bset_morphism", swapped)
+    rep = duality.check_functor_laws_bset(collapse, bset.identity_bset_morphism(Y))
+    assert [str(it) for it in rep.failures()] == ["FAIL dual_identity_X witness=([x1]@1)"]
+    # Boolean-set morphisms: the first element, then the first base element
+    ident, swap = (m for m in bset.enumerate_bset_morphisms(x3_bset, x3_bset)
+                   if m.mapping in ({"0": "0", "x1": "x1", "x2": "x2"},
+                                    {"0": "0", "x1": "x2", "x2": "x1"}))
+    assert list(duality._bset_differences(ident, swap)) == [("x1",), ("x2",)]
+    assert list(duality._bset_differences(ident, ident)) == []
+
+
+@pytest.mark.parametrize("a", HOM_SHAPES)
+def test_dual_maps_the_proper_morphisms_onto_the_covering_ones(a):
+    # the hom-set bijection: distinct proper morphisms X -> Y have distinct
+    # duals, and they are every covering morphism of the dual spaces
+    X = bset.generate_boolean_set(a)
+    for b in HOM_SHAPES:
+        Y = bset.generate_boolean_set(b)
+        duals = [duality.dual_of_bset_morphism(m)
+                 for m in bset.enumerate_bset_morphisms(X, Y, proper_only=True)]
+        covering = etale.enumerate_covering_relational(duality.bset_to_etale(Y),
+                                                        duality.bset_to_etale(X))
+        keys = [relational_key(d) for d in duals]
+        assert len(set(keys)) == len(keys), (a, b)
+        assert set(keys) == {relational_key(c) for c in covering}, (a, b)
 
 
 def test_functor_laws_relational(efix):

@@ -235,7 +235,8 @@ def test_acceptance_path_builds_no_order_masks(monkeypatch, capsys, tmp_path):
 
 
 def test_morphism_acceptance_runs_no_restriction_scan(monkeypatch):
-    # the ∘/• scan accepts; the id-level BM2 scan runs only on a refusal
+    # BM2 reads the restriction rows directly, with no restrict or
+    # down_set call
     sets = small_sets()
     inputs = [(m.mapping, base, m.source, m.target)
               for X in sets for Y in sets for m in bset.enumerate_bset_morphisms(X, Y)

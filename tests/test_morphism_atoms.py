@@ -11,9 +11,9 @@ same maps, and every validator the same (law, witness) or message on seeded
 single-entry edits of valid maps; the one message that changed is a missing
 ``basemap`` entry, which now names the basemap.  The edits include moves of
 one image within its target stalk, which keep BM1 and mostly break BM2.
-The lemma that lets the ∘/• scan accept a Boolean-set morphism (given the
-base homomorphism and BM1, BM2 holds iff ∘ and • are preserved) is checked
-on seeded maps that commute with a base homomorphism.
+The paper's morphism lemma (given the base homomorphism and BM1, BM2 holds
+iff ∘ and • are preserved) is checked on seeded maps that commute with a
+base homomorphism.
 """
 
 import random
@@ -22,7 +22,7 @@ from math import prod
 
 import pytest
 
-from skewstone import balg, bset, skew
+from skewstone import balg, bset, duality, skew
 from skewstone.errors import StructureError
 
 import morphism_reference as ref
@@ -263,9 +263,9 @@ def bm2_holds(phi, phibar, X, Y):
 
 
 def test_bm2_holds_iff_the_element_map_preserves_circ_and_bullet():
-    # the lemma the validator's acceptance rests on: given a base
-    # homomorphism and an element map that commutes with it (BM1), BM2
-    # holds iff the ∘/• rows of both sets are preserved
+    # the paper's morphism lemma: given a base homomorphism and an element
+    # map that commutes with it (BM1), BM2 holds iff the ∘/• rows of both
+    # sets are preserved
     rng, seen = random.Random(21), {True: 0, False: 0}
     for a in PROFILES:
         for b in PROFILES:
@@ -280,6 +280,39 @@ def test_bm2_holds_iff_the_element_map_preserves_circ_and_bullet():
                     assert holds == (balg._unpreserved(f, cx, cy, bx, by) is None), (a, b, phi)
                     seen[holds] += 1
     assert min(seen.values()) > 1000
+
+
+def test_morphism_acceptance_builds_no_skew_rows(monkeypatch):
+    # BM2 is one pass over the restriction rows: no ∘/• rows are built, and
+    # balg._unpreserved runs only as the base homomorphism's meet/join scan
+    inside = []
+
+    def refuse(*args):
+        raise AssertionError("∘/• rows were built")
+
+    def check_bahom(*args, real=balg._check_bahom):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    def unpreserved(*args, real=balg._unpreserved):
+        assert inside, "a ∘/• preservation scan ran"
+        return real(*args)
+
+    monkeypatch.setattr(bset, "_skew_rows", refuse)
+    monkeypatch.setattr(balg, "_check_bahom", check_bahom)
+    monkeypatch.setattr(balg, "_unpreserved", unpreserved)
+    fresh = [make_x3_bset(), make_prod(), bset.generate_boolean_set((2, 1), seed=1),
+             bset.generate_boolean_set((1, 2, 2), seed=2)]
+    for X in fresh:
+        assert bset.identity_bset_morphism(X).mapping == {x: x for x in X.elements}
+        sizes = sorted(len(X.stalks[a]) for a in X.base.atoms)
+        assert bset.bset_isomorphic(X, bset.generate_boolean_set(sizes[::-1], seed=3))
+        duality.bset_double_dual(X)
+    pool = [m for X in fresh[:3] for Y in fresh[:3] for m in bset.enumerate_bset_morphisms(X, Y)]
+    assert len(pool) > 100
 
 
 def test_the_element_map_is_checked_whole_before_the_basemap():
