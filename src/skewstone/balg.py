@@ -537,14 +537,46 @@ def validate_bahom(mapping, source, target):
 
 def _check_bahom(f, source, target):
     """Raise NotAHomomorphism unless the checked index map ``f``
-    (_index_map) preserves the bottom, then meets and joins pair by pair
-    (_unpreserved)."""
+    (_index_map) preserves the bottom, meets and joins.
+
+    Accepted by the atoms (_preserved_by_atoms) in O(k^2 + n·k) for k
+    source atoms; only a refusal runs the pair scan (_unpreserved), to name
+    the first pair whose meet or join is not preserved, and finding none
+    raises AssertionError, also under ``python -O``.
+    """
     if f[source._bottom_i] != target._bottom_i:
         raise NotAHomomorphism((source.bottom,), "bottom")
+    if _preserved_by_atoms(f, source, target):
+        return
     bad = _unpreserved(f, source._meet, target._meet, source._join, target._join)
-    if bad is not None:
-        i, j, k = bad
-        raise NotAHomomorphism((source.elements[i], source.elements[j]), ("meet", "join")[k])
+    if bad is None:
+        raise AssertionError("the atom check refused a map that preserves every meet and join")
+    i, j, k = bad
+    raise NotAHomomorphism((source.elements[i], source.elements[j]), ("meet", "join")[k])
+
+
+def _preserved_by_atoms(f, source, target):
+    """Whether the index map ``f`` preserves meets and joins, given that it
+    keeps the bottom: iff the images of distinct atoms are pairwise
+    disjoint and every element's image is the join of the images of the
+    atoms below it.  Exact, as every element is the join of its atoms, an
+    atom lies below a join only if it lies below a part, and meets
+    distribute over joins in the target."""
+    bot, meet, join = target._bottom_i, target._meet, target._join
+    atoms = [source.index[a] for a in source.atoms]
+    images = [f[a] for a in atoms]
+    for m, u in enumerate(images):
+        row = meet[u]
+        if any(row[v] != bot for v in images[m + 1:]):
+            return False
+    mask = sum(1 << a for a in atoms)
+    for x, down in enumerate(source._down):
+        acc = bot
+        for a in _bits(down & mask):
+            acc = join[acc][f[a]]
+        if acc != f[x]:
+            return False
+    return True
 
 
 def is_proper_hom(h):

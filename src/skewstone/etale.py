@@ -239,20 +239,33 @@ def validate_relational_morphism(phi, phibar, sp, tq):
             if tq.proj[f] != want:
                 raise FiberViolation((e,), detail=f"{f!r} lies over {tq.proj[f]!r}, not {want!r}")
 
-    inj = True
+    inj = _overlap(sp, norm) is None
+    surj = _missed(sp, tq, norm, phibar) is None
+    partial = all(len(norm[e]) <= 1 for e in sp.total)
+    return RelationalMorphism(sp, tq, norm, dict(phibar), inj, surj, partial)
+
+
+def _overlap(sp, phi):
+    """The first two points of one source fiber whose images under ``phi``
+    meet, base points and fibers in order, or None when locally injective."""
     for x in sp.base:
         fib = sp.fibers[x]
         for i, e1 in enumerate(fib):
             for e2 in fib[i + 1:]:
-                if norm[e1] & norm[e2]:
-                    inj = False
-    surj = True
+                if phi[e1] & phi[e2]:
+                    return e1, e2
+    return None
+
+
+def _missed(sp, tq, phi, phibar):
+    """The first source base point e and target point y over phibar(e) that
+    no image of e's fiber contains, base points and fibers in order, or None
+    when locally surjective."""
     for e in sp.base:
         for y in tq.fibers[phibar[e]]:
-            if not any(y in norm[x] for x in sp.fibers[e]):
-                surj = False
-    partial = all(len(norm[e]) <= 1 for e in sp.total)
-    return RelationalMorphism(sp, tq, norm, dict(phibar), inj, surj, partial)
+            if not any(y in phi[x] for x in sp.fibers[e]):
+                return e, y
+    return None
 
 
 def identity_relational(sp):
@@ -274,10 +287,16 @@ def compose_relational(psi, phi):
 
 
 def require_covering(rm):
-    if not rm.covering:
-        kind = "locally injective" if not rm.locally_injective else "locally surjective"
-        raise NotCovering((), detail=f"not {kind}")
-    return rm
+    """``rm`` when it is covering; else NotCovering names the first two
+    points of one fiber whose images meet (_overlap) or, for a locally
+    injective ``rm``, the base point and the target point that its fiber
+    misses (_missed)."""
+    if rm.covering:
+        return rm
+    if not rm.locally_injective:
+        raise NotCovering(_overlap(rm.source, rm.phi), detail="not locally injective")
+    raise NotCovering(_missed(rm.source, rm.target, rm.phi, rm.phibar),
+                      detail="not locally surjective")
 
 
 def enumerate_covering_relational(sp, tq):

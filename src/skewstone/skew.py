@@ -15,11 +15,15 @@ coordinates, equal the input.  That costs O(n^2) plus one ``validate_balg``
 of the class quotient, and it keeps the Boolean set, which ``from_skew``
 returns and ``gamma_classes`` views.  When the tables are refused the
 axioms are checked exhaustively, only to name the first failed one:
-associativity by Light's test over a generating set, O(g·n^2) for g
-generators, after the triples of the first row, with the O(n^3) triple scan
-only to name its witness; SB1-SB4 by O(n^2) scans over pairs; SB5 by one
-``validate_balg`` per element; right normality of ∘ last.  Intended feasible
-bound about 512 elements.
+associativity by Light's test over a generating set after the triples of
+the first row, with the triple scan only to name its witness; SB1-SB4 by
+O(n^2) scans over pairs; SB5 by one ``validate_balg`` per element; right
+normality of ∘ last.  The associativity scans read a row only through its
+contents, so they run once per class of c equal rows: O(g·c·n) for g
+generators, and O(c·n^2) for the triple scan.  A ∘ table has one class per
+R class (16 of 256 rows over four 3-element stalks), a • table one per row.
+The distributive laws of ``check_consequences`` run per ∘ class the same
+way.  Intended feasible bound about 512 elements.
 
 This module keeps the tables, the axioms and their scans; the
 correspondence with Boolean sets, both ways, lives in :mod:`skewstone.bset`,
@@ -30,7 +34,7 @@ there.
 """
 
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from operator import eq, getitem, itemgetter
 
 from . import balg, bset
 from ._memo import memo
@@ -104,6 +108,14 @@ def _band_check(elements, table, op):
     none raises AssertionError, also under ``python -O``.  A failure in the
     first row (an edited zero row, say) is thus found in O(n^2), where
     Light's test may meet it only at its last generators.
+
+    Every scan reads row i only through its contents, so it runs once per
+    class of equal rows (``bset._row_classes``), with one tuple and one
+    ``itemgetter`` per class: for c classes, Light's test costs O(g·c·n)
+    for g generators and the triple scan O(c·n^2) plus O(n) per failing
+    pair.  A ∘ table has one class per R class, 16 of 256 rows in a
+    product of four 3-element stalks; a • table has n, and costs what it
+    did row by row.
     """
     n = len(elements)
     for i in range(n):
@@ -111,37 +123,47 @@ def _band_check(elements, table, op):
             raise NotABand((elements[i],), op, "idempotent")
     if n < 2:
         return  # one idempotent element is associative
-    rows = [tuple(r) for r in table]
-    picks = [itemgetter(*r) for r in table]
-    witness = _assoc_witness(table, rows, picks, range(1))
+    cls, reps, _ = bset._row_classes(elements, table)
+    distinct = [tuple(table[r]) for r in reps]
+    rows = [distinct[c] for c in cls]
+    picks = [itemgetter(*t) for t in distinct]
+    witness = _assoc_witness(table, rows, picks, cls, reps[:1])
     if witness is None:
-        if _light_associative(rows):
+        if _light_associative(rows, cls, reps):
             return
-        witness = _assoc_witness(table, rows, picks, range(1, n))
+        witness = _assoc_witness(table, rows, picks, cls, reps[1:])
         if witness is None:
             raise AssertionError("Light's test refused, yet every triple associates")
     raise NotABand(tuple(elements[i] for i in witness), op, "assoc")
 
 
-def _assoc_witness(table, rows, picks, firsts):
+def _assoc_witness(table, rows, picks, cls, firsts):
     """The first (i, j, k) with (i·j)·k != i·(j·k), i in ``firsts``, or
-    None; a pair (i, j) is skipped when the row of i·j is row j composed
-    through row i."""
+    None.  ``rows`` are the rows as tuples, ``cls`` the class of equal rows
+    of each element and ``picks`` one ``itemgetter`` per class.
+
+    A pair (i, j) passes when the row of i·j is row j composed through row
+    i; that reads only the value i·j and the contents of row j, so it is
+    tested once per (i·j, class of j), in order of first j.  A failing pair
+    always has a k, which names its first j.  ``firsts`` holds the first
+    element of each class it scans, as an element whose row equals an
+    earlier clean one is clean.
+    """
     r = range(len(table))
     for i in firsts:
         ti = table[i]
-        for j in r:
-            if rows[ti[j]] == picks[j](ti):
+        for v, c in dict.fromkeys(zip(ti, cls)):
+            if rows[v] == picks[c](ti):
                 continue
-            tij = table[ti[j]]
-            tj = table[j]
+            j = next(j for j in r if ti[j] == v and cls[j] == c)
+            tij, tj = table[v], table[j]
             for k in r:
                 if tij[k] != ti[tj[k]]:
                     return i, j, k
     return None
 
 
-def _light_associative(rows):
+def _light_associative(rows, cls, reps):
     """Light's associativity test over a greedily chosen generating set.
 
     The middles a with (x·a)·y = x·(a·y) for all x, y form a submagma, so
@@ -149,18 +171,22 @@ def _light_associative(rows):
     Elements are visited in descending order of the size of their row's
     image; each one the chosen generators do not yet produce becomes a
     generator and is tested at once, then the closure grows by it.  A test
-    compares the row of x·a with row a composed through row x, for every x.
-    ``rows`` are the table's rows as tuples, at least two of them, as
-    ``itemgetter`` with one index returns a scalar.
+    compares the row of x·a with row a composed through row x; it reads
+    only row x, so it runs for the first x of each class of equal rows
+    (``cls``, with first elements ``reps``), and the image sizes are
+    counted once per class.  ``rows`` are the table's rows as tuples, at
+    least two of them, as ``itemgetter`` with one index returns a scalar.
     """
     n = len(rows)
     inside = bytearray(n)
     members = []
-    for a in sorted(range(n), key=lambda i: len(set(rows[i])), reverse=True):
+    xs = [rows[r] for r in reps]
+    size = [len(set(t)) for t in xs]
+    for a in sorted(range(n), key=lambda i: size[cls[i]], reverse=True):
         if inside[a]:
             continue
-        xa = [tx[a] for tx in rows]
-        if not all(map(eq, map(rows.__getitem__, xa), map(itemgetter(*rows[a]), rows))):
+        xa = [tx[a] for tx in xs]
+        if not all(map(eq, map(rows.__getitem__, xa), map(itemgetter(*rows[a]), xs))):
             return False
         inside[a] = 1
         members.append(a)
@@ -346,6 +372,54 @@ def _right_normal_witnesses(elements, t):
                         yield elements[i], elements[j], elements[k]
 
 
+def _left_distributivity_witnesses(elements, circ, bullet, reps):
+    """The (x, y, z) with x∘(y•z) != (x∘y)•(x∘z), the first z of each
+    failing (x, y), in scan order, for x the first element of each class of
+    equal ∘ rows (``reps``): the law reads x only through its ∘ row, so the
+    first of these is the first witness of the full scan.  For each y the
+    z-vectors of both sides are built whole."""
+    r = range(len(elements))
+    for i in reps:
+        ci = circ[i]
+        at = ci.__getitem__
+        for j, bj in enumerate(bullet):
+            lhs = list(map(at, bj))
+            rhs = list(map(bullet[ci[j]].__getitem__, ci))
+            if lhs != rhs:
+                k = next(k for k in r if lhs[k] != rhs[k])
+                yield elements[i], elements[j], elements[k]
+
+
+def _right_distributivity_witness(elements, circ, bullet, cls):
+    """The least (x, y, z) with (y•z)∘x != (y∘x)•(z∘x), as a sequence of at
+    most one witness.
+
+    For fixed (y, z) the x-vector of both sides reads only the ∘ rows of
+    y•z, y and z, so the first failing x is computed once per triple of
+    classes of equal ∘ rows (``cls``); the pairs (y, z) are visited in
+    order, once per (class of y•z, class of z) for each y, and only the
+    running minimum is kept.
+    """
+    n = len(elements)
+    r = range(n)
+    first = {}
+    least, best = n, ()
+    for j in r:
+        bj, cj = bullet[j], cls[j]
+        across = list(map(bullet.__getitem__, circ[j]))  # the • rows of y∘x
+        # keys in order of their first z; each value is a z of that key
+        for (cw, ck), z in dict(zip(zip(map(cls.__getitem__, bj), cls), r)).items():
+            fi = first.get((cw, cj, ck))
+            if fi is None:
+                lhs, rhs = circ[bj[z]], list(map(getitem, across, circ[z]))
+                fi = n if lhs == rhs else next((i for i in r if lhs[i] != rhs[i]), n)
+                first[cw, cj, ck] = fi
+            if fi < least:
+                k = next(k for k in r if cls[k] == ck and cls[bj[k]] == cw)
+                least, best = fi, ((elements[fi], elements[j], elements[k]),)
+    return best
+
+
 def check_consequences(S):
     """Exhaustively verify the derived identities of a validated algebra:
     circ distributes over bullet on both sides, the gamma classes (the
@@ -354,19 +428,24 @@ def check_consequences(S):
     bullet, (S,∘) is right normal (x∘y∘z = y∘x∘z, by comparing the rows of
     x∘y and y∘x), and zero is the bullet identity.  A failed identity names
     its first witness, scanning elements in S.elements order.
+
+    Both distributive laws read ∘ only through rows, so each runs once per
+    class of equal ∘ rows (one per R class of a valid algebra): the left
+    law in O(c·n^2) for c classes, as whole vectors, and the right law in
+    O(n·c) pair visits plus O(n) per triple of classes met.  The R-class
+    laws scan pairs, and right normality compares the rows of x∘y and y∘x
+    for every pair, O(n^2) row comparisons.
     """
     circ, bullet = S.circ_t, S.bullet_t
     els = S.elements
     r = range(len(els))
-    cls, _, _ = bset._row_classes(els, circ)
+    cls, reps, _ = bset._row_classes(els, circ)
     z = S.index[S.zero]
     return Report([
-        _first_witness("circ_over_bullet_left", (
-            (els[i], els[j], els[k]) for i in r for j in r for k in r
-            if circ[i][bullet[j][k]] != bullet[circ[i][j]][circ[i][k]])),
-        _first_witness("circ_over_bullet_right", (
-            (els[i], els[j], els[k]) for i in r for j in r for k in r
-            if circ[bullet[j][k]][i] != bullet[circ[j][i]][circ[k][i]])),
+        _first_witness("circ_over_bullet_left",
+                       _left_distributivity_witnesses(els, circ, bullet, reps)),
+        _first_witness("circ_over_bullet_right",
+                       _right_distributivity_witness(els, circ, bullet, cls)),
         _first_witness("gamma_right_zero_circ", (
             (els[i], els[j]) for i in r for j in r
             if (cls[i] == cls[j]) != (circ[i][j] == j and circ[j][i] == i))),

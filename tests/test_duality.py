@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skewstone import balg, bset, duality, etale
-from skewstone.errors import NotProper
+from skewstone.errors import NotCovering, NotProper
 
 from conftest import (B4_ELEMENTS, B4_LEQ, PROD_RESTRICT, PROD_STALKS, make_b2, make_b4,
                       make_efix, make_prod, make_x3_bset)
@@ -322,6 +322,19 @@ def test_dual_of_relational_fiber_collapse(efix):
     assert etale.dual_bset(efix).sections[full] == frozenset(
         e for e in efix.total if cov.phi[e]
     )
+
+
+@pytest.mark.parametrize("phi, witness, detail", [
+    # e1 and e2 share an image, and e2 is missed too: injectivity is named first
+    ({"e1": {"e1"}, "e2": {"e1"}, "e3": {"e3"}}, ("e1", "e2"), "not locally injective"),
+    ({"e1": {"e1"}, "e2": set(), "e3": {"e3"}}, ("u", "e2"), "not locally surjective"),
+    ({"e1": {"e2"}, "e2": {"e1"}, "e3": set()}, ("v", "e3"), "not locally surjective"),
+])
+def test_dual_of_relational_names_the_covering_witness(efix, phi, witness, detail):
+    rm = etale.validate_relational_morphism(phi, {"u": "u", "v": "v"}, efix, efix)
+    with pytest.raises(NotCovering) as e:
+        duality.dual_of_relational(rm)
+    assert (e.value.law, e.value.witness, e.value.detail) == ("relmor.covering", witness, detail)
 
 
 def test_dual_of_bset_morphism_identity(x3_bset):

@@ -13,9 +13,11 @@ single-entry edits of valid maps; the one message that changed is a missing
 one image within its target stalk, which keep BM1 and mostly break BM2.
 The paper's morphism lemma (given the base homomorphism and BM1, BM2 holds
 iff ∘ and • are preserved) is checked on seeded maps that commute with a
-base homomorphism.
+base homomorphism.  A base homomorphism is accepted by its atoms, and the
+meet/join pair scan must name the reference's witness on every refusal.
 """
 
+import itertools
 import random
 from functools import lru_cache
 from math import prod
@@ -189,6 +191,46 @@ def test_validate_bahom_matches_the_reference_on_single_edits():
     assert {f for f in failures if f[0] == "NotAHomomorphism"} >= {
         ("NotAHomomorphism", "hom.bottom"), ("NotAHomomorphism", "hom.meet"),
         ("NotAHomomorphism", "hom.join")}
+
+
+def test_bahom_atom_check_matches_the_pair_scan(monkeypatch):
+    # a homomorphism is accepted by its atoms; the pair scan runs only on a
+    # refusal, and names the reference's first (meet/join) pair.  Every map
+    # from the 4-element to the 8-element powerset, then seeded maps that
+    # keep the bottom and seeded single edits of homomorphisms, up to 16
+    # elements.
+    scans = []
+
+    def unpreserved(*args, real=balg._unpreserved):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(balg, "_unpreserved", unpreserved)
+    algebras = bases() + [balg.powerset_balg("pqrs", balg.render_braces("pqrs"))[0]]
+    A4, B8 = algebras[2], algebras[3]
+    cases = [(dict(zip(A4.elements, images)), A4, B8)
+             for images in itertools.product(B8.elements, repeat=len(A4.elements))]
+    rng = random.Random(28)
+    for A in algebras:
+        for B in algebras:
+            for _ in range(8):
+                mm = {x: rng.choice(B.elements) for x in A.elements}
+                cases.append(({**mm, A.bottom: B.bottom}, A, B))
+            homs = [h for _, h in bset._enumerate_bahoms(A, B)]
+            for h in rng.sample(homs, min(len(homs), 6)):
+                cases.append((h, A, B))
+                moved = dict(h)
+                moved[rng.choice(A.elements)] = rng.choice(B.elements)
+                cases.append((moved, A, B))
+    seen = set()
+    for mm, A, B in cases:
+        scans.clear()
+        got = outcome(balg.validate_bahom, mm, A, B)
+        assert got == outcome(ref.validate_bahom, mm, A, B)
+        assert bool(scans) == (got[0] != "ok" and got[1] != "hom.bottom")
+        seen.add(kind(got))
+    assert seen == {("ok",), ("NotAHomomorphism", "hom.bottom"),
+                    ("NotAHomomorphism", "hom.meet"), ("NotAHomomorphism", "hom.join")}
 
 
 def test_validate_skew_morphism_matches_the_reference_on_single_edits():

@@ -16,15 +16,16 @@ only where the certificate decides, as ``from_skew`` returns what it kept
 and ``gamma_classes`` views it; the other validated structures are held to one
 builder each the same way.  Every validator's certificate, patched to
 refuse valid input, must make it raise AssertionError, as its scans only
-name failures; a Boolean-set morphism has no certificate, since its one
-BM2 pass both accepts and names the failure.
+name failures (a base homomorphism's certificate is its atoms); a
+Boolean-set morphism has no certificate, since its one BM2 pass both
+accepts and names the failure.
 """
 
 import ast
 import hashlib
 import itertools
 import random
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,32 @@ SRC = Path(skewstone.__file__).resolve().parent
 
 # ------------------------------------------------------------- references
 
+def old_light_associative(rows):
+    n = len(rows)
+    inside = bytearray(n)
+    members = []
+    for a in sorted(range(n), key=lambda i: len(set(rows[i])), reverse=True):
+        if inside[a]:
+            continue
+        xa = [tx[a] for tx in rows]
+        if not all(map(eq, map(rows.__getitem__, xa), map(itemgetter(*rows[a]), rows))):
+            return False
+        inside[a] = 1
+        members.append(a)
+        new = [a]
+        while new:
+            found = set()
+            for u in new:
+                found.update(map(rows[u].__getitem__, members))
+            for v in members:
+                found.update(map(rows[v].__getitem__, new))
+            new = [p for p in found if not inside[p]]
+            for p in new:
+                inside[p] = 1
+            members.extend(new)
+    return True
+
+
 def old_band_check(elements, table, op):
     n = len(elements)
     for i in range(n):
@@ -56,7 +83,7 @@ def old_band_check(elements, table, op):
     if n < 2:
         return
     rows = [tuple(r) for r in table]
-    if skew._light_associative(rows):
+    if old_light_associative(rows):
         return
     picks = [itemgetter(*r) for r in table]
     for i in range(n):
@@ -313,6 +340,11 @@ def valid_balg():
     return lambda: balg.validate_balg(B.elements, pairs, B.bottom)
 
 
+def valid_bahom():
+    B = bset.generate_boolean_set((2, 1)).base
+    return lambda: balg.validate_bahom({x: x for x in B.elements}, B, B)
+
+
 def valid_presheaf():
     X = bset.generate_boolean_set((2, 1))
     return lambda: bset.validate_presheaf(X.base, X.stalks, X.cover_maps)
@@ -335,6 +367,7 @@ def valid_band():
 
 @pytest.mark.parametrize("stand_ins, make", [
     pytest.param({(balg, "_stone_tables"): None}, valid_balg, id="validate_balg"),
+    pytest.param({(balg, "_preserved_by_atoms"): False}, valid_bahom, id="validate_bahom"),
     pytest.param({(bset, "_local_restrictions"): None}, valid_presheaf, id="validate_presheaf"),
     pytest.param({(bset, "_atom_codes"): None}, valid_boolean_set, id="validate_boolean_set"),
     pytest.param({(bset, "_reconstruct"): (None, False)}, valid_skew, id="validate_skew"),

@@ -282,7 +282,8 @@ def test_band_check_witness_middle_is_not_a_generator():
     table = [[0, 0, 0, 3], [1, 1, 0, 3], [0, 1, 2, 3], [3, 3, 3, 3]]
     assert table[1][2] == 0
     assert len(set(table[0])) < len(set(table[1])) < len(set(table[2]))
-    assert not skew._light_associative([tuple(r) for r in table])
+    cls, reps, _ = bset._row_classes(els, table)
+    assert not skew._light_associative([tuple(r) for r in table], cls, reps)
     assert _assert_band_check_matches_reference(els, table, "circ") == (
         "band.assoc.circ", ("b", "a", "c")
     )
