@@ -133,8 +133,8 @@ def cmd_roundtrip(args):
         print(f"alpha: isomorphism ({len(m.mapping)} elements)")
         return 0
     if isinstance(obj, etale.FinEtaleSpace):
-        iso = duality.etale_double_dual(obj)
-        print(f"beta: isomorphism ({len(iso.point_map)} points)")
+        rm = duality.etale_double_dual(obj)
+        print(f"beta: isomorphism ({len(rm.phi)} points)")
         return 0
     if isinstance(obj, skew.SkewAlgebra):
         X = bset.from_skew(obj)

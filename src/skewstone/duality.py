@@ -2,11 +2,11 @@
 
 One direction sends a Boolean set to the etale space of its ultrafilters
 over the ultrafilters of the base; the other sends an etale space to the
-Boolean set of its sections over the powerset of the base.  Both double-dual
-comparison maps are constructed and verified to be isomorphisms, morphisms
-are dualized in both directions, and the meets/Hausdorff and
-meet-preservation/partial-map correspondences are computed with both sides
-evaluated independently.
+Boolean set of its sections over the powerset of the base.  Every map the
+duality derives, the double duals α and β and the duals of morphisms both
+ways, is a morphism of its own category, checked by that category's
+validator.  The meets/Hausdorff and meet-preservation/partial-map
+correspondences are computed with both sides evaluated independently.
 
 Base ultrafilters are represented by their atoms in the finite case, but all
 logic here goes through the FilterSet interface so the computations mirror
@@ -196,42 +196,12 @@ def bset_double_dual(X):
     return m
 
 
-@dataclass(eq=False)
-class EtaleIso:
-    """Bijection pair commuting with the projections."""
-
-    source: etale.FinEtaleSpace
-    target: etale.FinEtaleSpace
-    point_map: dict
-    base_map: dict
-
-    def as_relational(self):
-        return etale.validate_relational_morphism(
-            {e: {self.point_map[e]} for e in self.source.total},
-            dict(self.base_map),
-            self.source,
-            self.target,
-        )
-
-
-def _validate_etale_iso(iso):
-    sp, tq = iso.source, iso.target
-    if (sorted(iso.point_map) != sorted(sp.total)
-            or sorted(iso.point_map.values()) != sorted(tq.total)):
-        raise AssertionError("point map is not a bijection")
-    if (sorted(iso.base_map) != sorted(sp.base)
-            or sorted(iso.base_map.values()) != sorted(tq.base)):
-        raise AssertionError("base map is not a bijection")
-    for e in sp.total:
-        if tq.proj[iso.point_map[e]] != iso.base_map[sp.proj[e]]:
-            raise AssertionError(("projections do not commute", e))
-    return iso
-
-
 def etale_double_dual(sp):
-    """The comparison isomorphism from a space onto the ultrafilter space of
-    its section set: a point maps to the class of sections through it, a
-    base point to the singleton subset naming its principal ultrafilter."""
+    """The comparison isomorphism β from a space onto the ultrafilter space
+    of its section set, a relational morphism: a point maps to the class of
+    sections through it, a base point to the singleton subset naming its
+    principal ultrafilter.  Both maps are checked bijective by counting;
+    the validator refuses projections that do not commute (FiberViolation)."""
     D = etale.dual_bset(sp)
     sp2 = bset_to_etale(D)
     idents = {}
@@ -246,7 +216,12 @@ def etale_double_dual(sp):
         point_map[a] = matches[0]
     render = balg.render_braces(sp.base)
     base_map = {x: render({x}) for x in sp.base}
-    return _validate_etale_iso(EtaleIso(sp, sp2, point_map, base_map))
+    for f, src, tgt in ((point_map, sp.total, sp2.total), (base_map, sp.base, sp2.base)):
+        images = len(set(f.values()))
+        if not images == len(src) == len(tgt):
+            raise AssertionError(("double dual not bijective", images, len(src), len(tgt)))
+    return etale.validate_relational_morphism(
+        {a: {g} for a, g in point_map.items()}, base_map, sp, sp2)
 
 
 # --------------------------------------------------------- morphism dualization
@@ -276,7 +251,8 @@ def dual_of_bset_morphism(m):
 
     An ultrafilter G of the target maps to the set of source ultrafilters
     contained in the elementwise preimage of G; the base map is the preimage
-    of base ultrafilters, which needs the base hom to be proper.
+    of base ultrafilters, which needs the base hom to be proper.  The dual
+    is checked covering (etale.require_covering).
     """
     if not balg.is_proper_hom(m.base_hom):
         top, B = m.base_hom.mapping[m.source.base.top], m.target.base
@@ -309,10 +285,7 @@ def dual_of_bset_morphism(m):
             v.ident for v in bset_ultrafilters(X) if v.members <= pre
         )
         phi[u.ident] = images
-    rm = etale.validate_relational_morphism(phi, phibar, spy, spx)
-    if not rm.covering:
-        raise AssertionError("dual of a Boolean-set morphism must be covering")
-    return rm
+    return etale.require_covering(etale.validate_relational_morphism(phi, phibar, spy, spx))
 
 
 # ----------------------------------------------------- correspondence checks
@@ -427,7 +400,8 @@ def check_functor_laws_bset(f, g):
 
 def check_functor_laws_relational(chi, psi):
     """Identity and composition laws for dualizing relational covering
-    morphisms chi: S -> T and psi: T -> U, plus the etale-side naturality."""
+    morphisms chi: S -> T and psi: T -> U, plus the etale-side naturality
+    squares, which compose β (etale_double_dual) of each end as it is."""
     S, T, U = chi.source, chi.target, psi.target
     items = []
 
@@ -443,8 +417,8 @@ def check_functor_laws_relational(chi, psi):
 
     for name, rm in (("chi", chi), ("psi", psi), ("psi_chi", pc)):
         dd = dual_of_bset_morphism(dual_of_relational(rm))
-        left = etale.compose_relational(dd, etale_double_dual(rm.source).as_relational())
-        right = etale.compose_relational(etale_double_dual(rm.target).as_relational(), rm)
+        left = etale.compose_relational(dd, etale_double_dual(rm.source))
+        right = etale.compose_relational(etale_double_dual(rm.target), rm)
         items.append(_first_witness(f"naturality_{name}", _relational_differences(left, right)))
     return Report(items)
 

@@ -361,12 +361,14 @@ def gamma_classes(S):
 
 def _right_normal_witnesses(elements, t):
     """Every (x, y, z) with x∘y∘z != y∘x∘z, in scan order, for the ∘ index
-    table t; the rows of x∘y and y∘x are compared whole first."""
+    table t; the rows of x∘y and y∘x are compared whole first, and not at
+    all when they are one list, as they are in a valid parsed or to_skew
+    table: x∘y and y∘x lie in one R class, whose rows share one list."""
     r = range(len(t))
     for i in r:
         for j in r:
             rij, rji = t[t[i][j]], t[t[j][i]]
-            if rij != rji:
+            if rij is not rji and rij != rji:
                 for k in r:
                     if rij[k] != rji[k]:
                         yield elements[i], elements[j], elements[k]
@@ -473,8 +475,11 @@ class SkewMorphism:
 def validate_skew_morphism(mapping, S, T):
     """Check that ``mapping`` is a total map of S's elements to T's
     (balg._index_map) that preserves the zero, then ∘ and • pair by pair
-    (balg._unpreserved), and derive the induced map of gamma quotients.  A
-    right normal band as an endpoint is refused with a ValueError."""
+    (balg._unpreserved).  The induced map of gamma quotients is the base
+    hom of ``mapping`` as a morphism of the Boolean sets S and T were
+    rebuilt from (bset.validate_bset_morphism): by the paper's theorem such
+    a map is one, so BM1/BM2 never refuse it.  A right normal band as an
+    endpoint is refused with a ValueError."""
     for end, obj in (("source", S), ("target", T)):
         if isinstance(obj, bset.RightNormalBand):
             raise _band_endpoint(end)
@@ -485,14 +490,7 @@ def validate_skew_morphism(mapping, S, T):
     if bad is not None:
         i, j, k = bad
         raise NotAMorphism((S.elements[i], S.elements[j]), ("circ", "bullet")[k])
-    X, Y = S._bset, T._bset
-    qmap = {}
-    for x in S.elements:
-        c = X.stalk_of[x]
-        img = Y.stalk_of[mapping[x]]
-        if qmap.setdefault(c, img) != img:
-            raise AssertionError(("induced map not well-defined", x))
-    induced = balg.validate_bahom(qmap, X.base, Y.base)
+    induced = bset.validate_bset_morphism(mapping, None, S._bset, T._bset).base_hom
     return SkewMorphism(S, T, dict(mapping), induced)
 
 

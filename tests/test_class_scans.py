@@ -53,7 +53,10 @@ def scan_check_consequences(S):
         _first_witness("gamma_left_zero_bullet", (
             (els[i], els[j]) for i in r for j in r
             if cls[i] == cls[j] and bullet[i][j] != i)),
-        _first_witness("right_normal_circ", skew._right_normal_witnesses(els, circ)),
+        _first_witness("right_normal_circ", (
+            (els[i], els[j], els[k]) for i in r for j in r
+            if circ[circ[i][j]] != circ[circ[j][i]]
+            for k in r if circ[circ[i][j]][k] != circ[circ[j][i]][k])),
         _first_witness("bullet_identity_zero", (
             (els[i],) for i in r if bullet[z][i] != i or bullet[i][z] != i)),
     ])

@@ -298,11 +298,11 @@ def test_double_dual_constant(b4):
 
 
 def test_etale_double_dual(efix):
-    iso = duality.etale_double_dual(efix)
-    assert len(iso.point_map) == 3
+    rm = duality.etale_double_dual(efix)
+    assert isinstance(rm, etale.RelationalMorphism) and rm.covering
+    assert len(rm.phi) == 3
     one = etale.validate_etale(["q"], ["z"], {"q": "z"})
-    iso1 = duality.etale_double_dual(one)
-    assert len(iso1.point_map) == 1
+    assert len(duality.etale_double_dual(one).phi) == 1
 
 
 def test_dual_of_relational_identity(efix):

@@ -12,6 +12,7 @@ same laws must fail, and each witness must be the first one a full scan
 finds (the reference records every witness in scan order).
 """
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import product
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from skewstone import balg, bset, duality, etale, skew, textio
-from skewstone.errors import EmptySizes, StructureError
+from skewstone.errors import EmptySizes, FiberViolation, NotCovering, StructureError
 from skewstone.report import CheckItem, Report
 
 import mutation_engine as me
@@ -589,23 +590,38 @@ def test_base_for_topology_first_witness_on_tampered_stone_sets():
     assert failed > 10
 
 
-def test_etale_iso_checks_raise_without_asserts():
+def test_double_dual_refusals_name_a_law_on_tampered_ultrafilters():
+    # β's maps are read off the ultrafilters of the section set: with the
+    # idents of the memo swapped across fibers, after the ultrafilter space
+    # is built, the projections do not commute; with two idents equal, the
+    # point map is not injective
     sp = seeded_space(random.Random(3))
-    iso = duality.etale_double_dual(sp)
-    a, b = sp.total[:2]
-    swapped = dict(iso.point_map, **{a: iso.point_map[b], b: iso.point_map[a]})
-    broken = duality.EtaleIso(sp, iso.target, dict(iso.point_map), dict(iso.base_map))
-    broken.point_map.popitem()
-    with pytest.raises(AssertionError, match="point map"):
-        duality._validate_etale_iso(broken)
-    broken = duality.EtaleIso(sp, iso.target, dict(iso.point_map), dict(iso.base_map))
-    broken.base_map.popitem()
-    with pytest.raises(AssertionError, match="base map"):
-        duality._validate_etale_iso(broken)
-    assert sp.proj[a] != sp.proj[b]
-    with pytest.raises(AssertionError, match="do not commute"):
-        duality._validate_etale_iso(
-            duality.EtaleIso(sp, iso.target, swapped, dict(iso.base_map)))
+    D = etale.dual_bset(sp)
+    duality.etale_double_dual(sp)
+    ultras = D._ultra
+    first, last = ultras[0], ultras[-1]
+    assert first.base_filter != last.base_filter
+    named = {first: last.ident, last: first.ident}
+    D._ultra = tuple(dataclasses.replace(u, ident=named.get(u, u.ident)) for u in ultras)
+    with pytest.raises(FiberViolation) as e:
+        duality.etale_double_dual(sp)
+    # e00, the first point in total order, now maps over the last base point
+    assert (e.value.law, e.value.witness) == ("relmor.fiber", ("e00",))
+    D._ultra = (first, dataclasses.replace(ultras[1], ident=first.ident), *ultras[2:])
+    with pytest.raises(AssertionError) as e:
+        duality.etale_double_dual(sp)
+    assert e.value.args == (("double dual not bijective", 5, 6, 6),)
+
+
+def test_dual_of_a_morphism_refuses_a_map_that_is_not_covering():
+    # an identity whose map sends a point's stalk element to zero: no
+    # target ultrafilter's preimage holds that point's ultrafilter
+    X = bset.generate_boolean_set((2,))
+    m = bset.identity_bset_morphism(X)
+    with pytest.raises(NotCovering) as e:
+        duality.dual_of_bset_morphism(dataclasses.replace(m, mapping=dict(m.mapping, a2="0")))
+    assert (e.value.law, e.value.witness) == ("relmor.covering", ("1", "[a2]@1"))
+    assert e.value.detail == "not locally surjective"
 
 
 # ------------------------------------------------------------- Boolean bands

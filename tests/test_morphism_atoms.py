@@ -151,7 +151,12 @@ def outcome(validate, *args):
         return type(e).__name__, e.law, e.witness
     except ValueError as e:
         return "ValueError", str(e)
-    base = m.base_hom.mapping if isinstance(m, bset.BSetMorphism) else None
+    if isinstance(m, bset.BSetMorphism):
+        base = m.base_hom.mapping
+    elif isinstance(m, skew.SkewMorphism):
+        base = m.induced.mapping
+    else:
+        base = None
     return "ok", m.mapping, base
 
 
