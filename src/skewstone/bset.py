@@ -28,23 +28,26 @@ where they do not, and for every other presheaf.
 
 This module holds both halves of the paper's theorem.  Forward, a Boolean
 set's skew tables are its ∘/• rows (``_skew_rows``, from ``_stalk_rows``
-and ``_bullet_rows``).  Backward, skew algebras (``from_skew``) and right
-normal bands (``band_to_presheaf``, ``band_to_bset``) become presheaves the
-same way: stalks are the R classes, which for a right normal ∘ are the
-classes of equal ∘ rows (``_row_classes``), over their quotient
-(``_band_quotient``, the one quotient builder), and restriction is left
-multiplication by the first member of the lower class
-(``_class_presheaf``).  A skew algebra's Boolean set is built once, by
-``validate_skew``'s reconstruction (``_reconstruct``), and it is both that
-presheaf and what ``from_skew`` returns.
+and ``_bullet_rows``).  Backward, skew tables are accepted by the atom
+coordinates read off their ∘ rows (``_skew_certificate``): they must be,
+entry by entry, the product of the primitive algebras on the atom classes
+plus 0.  Skew algebras (``from_skew``) and right normal bands
+(``band_to_presheaf``, ``band_to_bset``) then become presheaves the same
+way: stalks are the R classes, which for a right normal ∘ are the classes
+of equal ∘ rows (``_row_classes``), over their quotient (a band's from
+``_band_quotient``, a certified algebra's from the supports of its
+classes), and restriction is left multiplication by the first member of
+the lower class (``_class_presheaf``).  A skew algebra's Boolean set is
+built once, by ``validate_skew``'s certificate route (``_reconstruct``),
+and it is both that presheaf and what ``from_skew`` returns; ``to_skew(X)``
+keeps X itself when the certified tables are X's (``_is_set_of``).
 """
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product, repeat
 from math import prod
-from operator import and_, eq
+from operator import and_, itemgetter
 
 from . import balg, skew
 from ._memo import memo
@@ -508,17 +511,21 @@ def _meet_table(X):
 
 @memo("_skew")
 def to_skew(X):
-    """The skew algebra whose Cayley tables are X's ∘/• rows (_skew_rows);
-    the output passes validate_skew's index-level check."""
+    """The skew algebra whose Cayley tables are X's ∘/• rows (_skew_rows).
+    The tables pass validate_skew's index-level check, its atom-coordinate
+    certificate (_reconstruct), a second computation of them from the
+    tables alone; when the tables' classes and atom rows are X's, the
+    algebra keeps X itself as its Boolean set, so from_skew(to_skew(X)) is
+    X."""
     circ, bullet = _skew_rows(X)
-    return skew._validate_index(X.elements, X.index, circ, bullet, X.index[X.zero])
+    return skew._validate_index(X.elements, X.index, circ, bullet, X.index[X.zero], X)
 
 
 def from_skew(S):
     """Boolean set on the gamma quotient (skew.gamma_classes): stalks are
     R classes, restriction is left multiplication by any member of the
     target class (see _class_presheaf).  It is the set that validate_skew
-    rebuilt S from, kept on S."""
+    built after its certificate, or the X of to_skew(X), kept on S."""
     return S._bset
 
 
@@ -576,41 +583,142 @@ def _band_quotient(elements, table):
     return cls_idx, names, pairs, bottoms
 
 
-def _reconstruct(elements, index, circ, bullet, z):
+def _class_coordinates(circ, z, cls_idx, reps):
+    """The atom coordinates read off a ∘ index table: (the code of each
+    element, the support mask of each class of equal rows), or None.
+
+    The atom classes are the classes other than the zero's whose first
+    member r has a ∘ row inside the zero's class and its own.  Element x
+    has, at atom a, the digit 0 if r∘x is the zero, else 1 + the position
+    of r∘x in a, packed into a bit field of |a|.bit_length() bits; its
+    support mask has all bits of the fields where its digit is not 0.  The
+    coordinates are returned when the zero's class is the zero alone (so
+    every digit at a is in {0..|a|}), there are 2^k classes for k atoms,
+    the codes are a bijection onto the product of the {0..|a|}, and each
+    class has one support.  (Distinct classes
+    then have distinct supports once ∘ follows the coordinates, as two
+    classes of one support would have one ∘ row.)
+    """
+    n, zc = len(circ), cls_idx[z]
+    size = [0] * len(reps)
+    digit = [0] * n
+    for i, c in enumerate(cls_idx):
+        size[c] += 1
+        digit[i] = size[c]
+    if size[zc] != 1:
+        return None
+    digit[z] = 0
+    atoms = [c for c, r in enumerate(reps) if c != zc and len(vs := set(circ[r])) <= size[c] + 1
+             and all(cls_idx[v] in (zc, c) for v in vs)]
+    if len(reps) != 1 << len(atoms) or n != prod(size[a] + 1 for a in atoms):
+        return None
+    code, mask, shift = [0] * n, [0] * n, 0
+    for a in atoms:
+        width = size[a].bit_length()
+        field = ((1 << width) - 1) << shift
+        row = circ[reps[a]]
+        code = [c | digit[v] << shift for c, v in zip(code, row)]
+        mask = [m | field if v != z else m for m, v in zip(mask, row)]
+        shift += width
+    sup = [mask[r] for r in reps]
+    if len(set(code)) != n or list(map(sup.__getitem__, cls_idx)) != mask:
+        return None
+    return code, sup
+
+
+def _skew_certificate(circ, bullet, z, cls_idx, reps):
+    """The atom-coordinate certificate of skew index tables: (the support
+    mask of each class of equal ∘ rows, True) when they pass, else (None,
+    whether the ∘ checks passed).
+
+    The tables pass when they have atom coordinates (_class_coordinates)
+    and, entrywise, x∘y has code code(y) & mask(x) and x•y has code
+    code(x) | (code(y) & ~mask(x)): y's coordinates on x's support and 0
+    elsewhere, and x's on x's support and y's elsewhere.  Each is one
+    ``&`` or ``|`` and one list index; the ∘ check runs once per class,
+    whose members share one row.
+
+    Exact both ways, by the finite form of the paper's theorem: tables that
+    pass are, coordinate by coordinate, the product of the primitive
+    algebras on the atom classes plus 0, which satisfies SB1-SB5 and right
+    normality since each factor does (SB1-SB4 and right normality are
+    identities, and x↓ is the product of the {0, x_a}); the tables of a
+    Boolean set pass, each x∘y being y|(p(x) ∧ p(y)) and x•y being
+    x ∨ (y|(p(y) \\ p(x))) in its atom coordinates.
+    """
+    if len(circ) < 2:
+        return [0], True  # [[0]] and [[0]], the one-element algebra
+    coords = _class_coordinates(circ, z, cls_idx, reps)
+    if coords is None:
+        return None, False
+    code, sup = coords
+    for r, m in zip(reps, sup):
+        if itemgetter(*circ[r])(code) != tuple(map(and_, code, repeat(m))):
+            return None, False
+    elem_of = [0] * (max(code) + 1)
+    members = [[] for _ in reps]
+    for i, (c, cx) in enumerate(zip(cls_idx, code)):
+        elem_of[cx] = i
+        members[c].append(i)
+    for ms, m in zip(members, sup):
+        # x•y is the element coded code(x) + (code(y) & ~m), m = mask(x)
+        outside = list(map(and_, code, repeat(~m)))
+        pick, span = itemgetter(*outside), max(outside) + 1
+        for i in ms:
+            cx = code[i]
+            if pick(elem_of[cx:cx + span]) != tuple(bullet[i]):
+                return None, True
+    return sup, True
+
+
+def _is_set_of(X, elements, index, circ, cls_idx, reps):
+    """Whether the Boolean set X is the one that ∘ index rows accepted by
+    _skew_certificate rebuild: the classes of equal ∘ rows are X's stalks,
+    and r∘x = x|a for each atom a of X's base, r a member of X(a) (X's
+    zero where a is not below p(x), so the zeros agree).  A Boolean set is
+    fixed by its atom coordinates, so X is then that set, its base names
+    aside.  O(n) per atom of the base."""
+    of = [X.stalk_of[elements[r]] for r in reps]
+    if (len(set(of)) != len(of)
+            or list(map(of.__getitem__, cls_idx)) != [X.stalk_of[x] for x in elements]):
+        return False
+    return all(circ[index[X.stalks[a][0]]] == [index[X._rest[x].get(a, X.zero)] for x in elements]
+               for a in X.base.atoms)
+
+
+def _reconstruct(elements, index, circ, bullet, z, X=None):
     """Whether the skew index tables are to_skew(X) of a Boolean set X:
-    (X, True) if so, else (None, whether ∘ was rebuilt exactly).
+    (X, True) if so, else (None, whether ∘ passed the certificate).
 
     By the paper's theorem the right-hand skew Boolean algebras are exactly
-    these, and X is then the set of R classes of ∘, the classes of equal ∘
-    rows, over their quotient (_band_quotient).  The class order must be a
-    Boolean algebra with the zero's class as bottom, and the class presheaf
-    (_class_presheaf) a Boolean set by its atom codes.  Its one-element
-    zero stalk is then the declared zero.  Last, x∘y = y|(p(x) ∧ p(y)) is
-    compared row by row, one row per stalk, and x•y = x ∨ (y\\x) by
-    code(x•y) = code(x) + code(y|(p(y) \\ p(x))), the rule to_skew builds •
-    by (_bullet_rows).  No step raises on a failure, so the caller's scans
-    report it.
+    these, and they are decided by their atom coordinates
+    (_skew_certificate), which no step after it can refuse.  X is then the
+    set of R classes of ∘, the classes of equal ∘ rows: the class order
+    (c <= d iff the support of c is inside that of d) validated as a
+    Boolean algebra with the zero's class as bottom, and the class
+    presheaf (_class_presheaf) as a Boolean set by its atom codes.  A
+    Boolean set ``X`` passed in is returned itself when it is the set of
+    the tables (_is_set_of), as for to_skew's own output; else the set is
+    built.  A certificate refusal raises nothing, so the caller's scans
+    report it; a later step refusing certified tables is an internal error
+    (AssertionError, also under ``python -O``).
     """
-    cls_idx, names, pairs, _ = _band_quotient(elements, circ)
-    # a Boolean quotient has 2^m classes for its m atoms (the classes with
-    # just the bottom below them): any other partition is refused here, as
-    # validate_balg's diagnostic scans are cubic in the number of classes
-    below = Counter(d for _, d in pairs)
-    if len(names) != 1 << sum(v == 2 for v in below.values()):
-        return None, False
+    cls_idx, reps, names = _row_classes(elements, circ)
+    sup, circ_ok = _skew_certificate(circ, bullet, z, cls_idx, reps)
+    if sup is None:
+        return None, circ_ok
+    if X is not None and _is_set_of(X, elements, index, circ, cls_idx, reps):
+        return X, True
+    pairs = [(names[c], names[d]) for c, sc in enumerate(sup) for d, sd in enumerate(sup)
+             if sc & sd == sc]
     try:
         base = balg.validate_balg(names, pairs, names[cls_idx[z]])
         P = _class_presheaf(base, elements, circ, cls_idx)
-    except StructureError:
-        return None, False
+    except StructureError as e:
+        raise AssertionError(f"certified skew tables, yet {e.law} fails") from e
     codes = _atom_codes(P)
     if codes is None:
-        return None, False
-    rows = _stalk_rows(P, elements, index)
-    if any(row != rows[names[c]][0] for row, c in zip(circ, cls_idx)):
-        return None, False
-    if not all(map(eq, bullet, _bullet_rows(P, codes, elements, index, rows))):
-        return None, True
+        raise AssertionError("certified skew tables, yet the class atom codes fail")
     return _coded_boolean_set(P, codes), True
 
 

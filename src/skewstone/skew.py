@@ -8,12 +8,15 @@ unital Boolean algebra under the natural order, and circ is right normal
 (x∘y∘z = y∘x∘z).
 
 By the paper's theorem these algebras are exactly the skew algebras of
-Boolean sets, so ``validate_skew`` accepts by reconstruction and by nothing
-else: the classes of equal ∘ rows (the R classes of a right normal band)
-must form a Boolean set whose skew tables, rebuilt from its atom
-coordinates, equal the input.  That costs O(n^2) plus one ``validate_balg``
-of the class quotient, and it keeps the Boolean set, which ``from_skew``
-returns and ``gamma_classes`` views.  When the tables are refused the
+Boolean sets, products of primitive algebras in finite form, so
+``validate_skew`` accepts by their atom coordinates and by nothing else
+(``bset._reconstruct``): read off the ∘ rows of the atom classes among the
+classes of equal ∘ rows (the R classes of a right normal band), they must
+be a bijection onto the product of the atom stalks plus 0 under which both
+tables are the product's, entry by entry.  That costs O(n^2); only then is
+the Boolean set of the R classes built, with one ``validate_balg`` of the
+class quotient, and the algebra keeps it, which ``from_skew`` returns and
+``gamma_classes`` views.  When the tables are refused the
 axioms are checked exhaustively, only to name the first failed one:
 associativity by Light's test over a generating set after the triples of
 the first row, with the triple scan only to name its witness; SB1-SB4 by
@@ -27,7 +30,7 @@ way.  Intended feasible bound about 512 elements.
 
 This module keeps the tables, the axioms and their scans; the
 correspondence with Boolean sets, both ways, lives in :mod:`skewstone.bset`,
-the R classes and the reconstruction (``bset._reconstruct``) included.  The
+the R classes and the certificate (``bset._reconstruct``) included.  The
 natural order, x <= y iff x∘y = x, is the restriction order x = y|p(x) of
 the presheaf of R classes (``bset.band_to_presheaf``), and meets are read
 there.
@@ -53,8 +56,8 @@ class SkewAlgebra:
     """Validated right-hand skew Boolean algebra.
 
     ``circ`` and ``bullet`` are index matrices in element order.  Built
-    only by ``validate_skew``, which keeps the Boolean set it rebuilt the
-    tables from (``_bset``); the gamma quotient is a view of it.  Immutable
+    only by ``validate_skew``, which keeps the Boolean set of its R classes
+    (``_bset``); the gamma quotient is a view of it.  Immutable
     after validation.
     """
 
@@ -232,17 +235,18 @@ def validate_skew(elements, circ_table, bullet_table, zero):
     algebra.
 
     Tables are row-major in element order.  Acceptance is decided only by
-    the paper's theorem read backwards (bset._reconstruct): the tables are
-    accepted when they equal the skew tables of the Boolean set that their
-    own R classes form, at O(n^2) plus one validate_balg of the 2^m classes
-    of the quotient.  That Boolean set is kept: from_skew returns it and
-    gamma_classes views it.  Refused tables are scanned
-    from the start to name the violated axiom with a witness tuple, the
-    first in scan order: the band checks (Light's test, with the triple
-    scan only to find the witness; the ∘ check is left out when ∘ alone was
-    rebuilt exactly), SB1-SB4 over pairs, SB5, which materializes each x↓
-    and validates it as a unital Boolean algebra under the natural order,
-    and last right normality of ∘.
+    the finite form of the paper's theorem (bset._reconstruct): the tables
+    are accepted when the atom coordinates read off their ∘ rows make them
+    the product of the primitive algebras on the atom classes plus 0,
+    entry by entry, at O(n^2).  The Boolean set that their R classes form
+    is then built, with one validate_balg of the 2^m classes of the
+    quotient, and kept: from_skew returns it and gamma_classes views it.
+    Refused tables are scanned from the start to name the violated axiom
+    with a witness tuple, the first in scan order: the band checks (Light's
+    test, with the triple scan only to find the witness; the ∘ check is
+    left out when ∘ alone passed the certificate), SB1-SB4 over pairs,
+    SB5, which materializes each x↓ and validates it as a unital Boolean
+    algebra under the natural order, and last right normality of ∘.
     """
     elements, index = balg._index_elements(elements)
     if zero not in index:
@@ -252,16 +256,20 @@ def validate_skew(elements, circ_table, bullet_table, zero):
     return _validate_index(elements, index, circ, bullet, index[zero])
 
 
-def _validate_index(elements, index, circ, bullet, z):
+def _validate_index(elements, index, circ, bullet, z, X=None):
     """validate_skew on index tables, the zero at index ``z``.  The one
-    place a SkewAlgebra is built, so every algebra holds its Boolean set.
-    A refusal that no axiom explains raises AssertionError, also under
-    ``python -O``."""
+    place a SkewAlgebra is built, so every algebra holds its Boolean set:
+    ``X`` when the tables are its own (to_skew's), else the one rebuilt
+    from them.  The algebra keeps one ∘ row object per class of equal rows
+    (bset._row_classes), however the caller shared them.  A refusal that
+    no axiom explains raises AssertionError, also under ``python -O``."""
+    cls, reps, _ = bset._row_classes(elements, circ)
+    circ = list(map([circ[r] for r in reps].__getitem__, cls))
     S = SkewAlgebra(elements, index, circ, bullet, z)
-    X, circ_ok = bset._reconstruct(elements, index, circ, bullet, z)
+    X, circ_ok = bset._reconstruct(elements, index, circ, bullet, z, X)
     if X is None:
         _axiom_scan(S, circ_ok)
-        raise AssertionError("reconstruction failed, yet every axiom holds")
+        raise AssertionError("certificate failed, yet every axiom holds")
     S._bset = S._presheaf = X
     return S
 
@@ -352,7 +360,7 @@ class GammaQuotient:
 def gamma_classes(S):
     """The partition x R y iff x∘y = y and y∘x = x with its Boolean
     quotient: the base and stalks of the Boolean set that validate_skew
-    rebuilt S from, with ``class_of`` in S's element order."""
+    kept on S, with ``class_of`` in S's element order."""
     X = S._bset
     return GammaQuotient(X.base, {x: X.stalk_of[x] for x in S.elements}, X.stalks)
 
@@ -476,8 +484,8 @@ def validate_skew_morphism(mapping, S, T):
     """Check that ``mapping`` is a total map of S's elements to T's
     (balg._index_map) that preserves the zero, then ∘ and • pair by pair
     (balg._unpreserved).  The induced map of gamma quotients is the base
-    hom of ``mapping`` as a morphism of the Boolean sets S and T were
-    rebuilt from (bset.validate_bset_morphism): by the paper's theorem such
+    hom of ``mapping`` as a morphism of the Boolean sets that S and T
+    keep (bset.validate_bset_morphism): by the paper's theorem such
     a map is one, so BM1/BM2 never refuse it.  A right normal band as an
     endpoint is refused with a ValueError."""
     for end, obj in (("source", S), ("target", T)):
@@ -523,6 +531,6 @@ def skew_struct_eq(S, T):
 def enumerate_skew_morphisms(S, T):
     """All morphisms S -> T, each validated (validate_skew_morphism): by the
     paper's theorem they are the morphisms of the Boolean sets that S and T
-    were rebuilt from (bset.enumerate_bset_morphisms), in that order."""
+    keep (bset.enumerate_bset_morphisms), in that order."""
     for m in bset.enumerate_bset_morphisms(S._bset, T._bset):
         yield validate_skew_morphism(m.mapping, S, T)

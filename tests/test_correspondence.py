@@ -30,7 +30,8 @@ from test_quotients import all_bands, gamma_view, outcome, presheaf_view
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SRC = Path(skewstone.__file__).resolve().parent
 
-SMALL = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 3), (3, 2), (1, 1, 1), (2, 2, 1)]
+SMALL = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 3), (3, 2), (1, 1, 1), (2, 2, 1), (1, 2),
+         (3, 1), (3, 3), (2, 1, 1), (1, 2, 1), (3, 1, 1), (1, 1, 1, 1)]
 BENCH = [(2, 2, 2), (1, 1, 3, 3), (2, 2, 2, 2), (2, 2, 2, 5), (3, 3, 3, 3), (1,) * 6,
          (1,) * 7]
 
@@ -42,6 +43,16 @@ def index_tables(elements, circ, bullet, zero):
     elements, index = balg._index_elements(elements)
     return (elements, index, skew._as_index_table(elements, index, circ, "circ"),
             skew._as_index_table(elements, index, bullet, "bullet"), index[zero])
+
+
+def bset_view(X):
+    """Everything a Boolean set holds, with key orders: its base's tables
+    and covers, its stalks, cover maps, restrictions, codes and zero."""
+    B = X.base
+    return (type(X).__name__, B.elements, B.index, B._up, B._down, B._meet, B._join,
+            B._bottom_i, B._comp_in, B.cover_pairs, X.elements, X.index,
+            list(X.stalks.items()), list(X.stalk_of.items()), list(X.cover_maps.items()),
+            [(x, list(r.items())) for x, r in X._rest.items()], X._codes, X.zero)
 
 
 def compare(elements, index, circ, bullet, z):
@@ -57,6 +68,7 @@ def compare(elements, index, circ, bullet, z):
         assert new == old and new[0] != "ok"
         return False, circ_ok
     assert presheaf_view(X) == presheaf_view(old_X) and X._codes == old_X._codes
+    assert bset_view(X) == bset_view(old_X)
     assert new[0] == old[0] == "ok"
     S = new[1]
     assert presheaf_view(S._bset) == presheaf_view(old[1]._bset)

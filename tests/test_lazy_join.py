@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from skewstone import balg, bset, cli, duality, etale, textio
+from skewstone import balg, bset, cli, duality, etale, skew, textio
 from skewstone.errors import InternalMissingJoin, StructureError
 
 from conftest import make_b2, make_b4, make_prod, make_x3_bset
@@ -189,7 +189,11 @@ def test_dual_sets_match_reference():
 def test_skew_validation_keeps_codes_and_builds_no_join_table():
     X = bset.generate_boolean_set((2, 2, 2), seed=4)
     S = bset.to_skew(X)
-    Y = bset.from_skew(S)
+    els = S.elements
+    # the set validate_skew rebuilds from the id tables (to_skew keeps X)
+    Y = bset.from_skew(skew.validate_skew(els, [[S.circ(x, y) for y in els] for x in els],
+                                          [[S.bullet(x, y) for y in els] for x in els], S.zero))
+    assert Y is not X
     assert Y._codes == bset._atom_codes(Y)
     assert not hasattr(Y, "_rows")
     assert join_table(Y) == old_coded_join_table(Y, Y._codes)

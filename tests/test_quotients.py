@@ -459,7 +459,11 @@ def test_struct_eq_matches_reference():
         for Q in presheaves:
             assert bset.presheaf_struct_eq(P, Q) == old_presheaf_struct_eq(P, Q)
     sets = [X for X in presheaves if isinstance(X, bset.BooleanSet)]
-    sets += [bset.from_skew(bset.to_skew(X)) for X in sets]
+    # to_skew keeps X, so the sets that validate_skew rebuilds from its tables
+    rebuilt = [skew.validate_skew(r["elements"], r["circ"], r["bullet"], r["zero"])
+               for r in map(raw_skew, map(bset.to_skew, sets))]
+    sets += [bset.from_skew(S) for S in rebuilt]
+    assert all(Y is not X for X, Y in zip(sets, sets[len(rebuilt):]))
     sets += [old_band_bset(S) for S in bands().values()]
     assert len(sets) > 10
     hits = 0

@@ -193,15 +193,17 @@ def generated_raw(sizes, seed=5):
 
 
 class Spy:
-    """Records the calls of a module function while patched in."""
+    """Records the calls of a module function and what they returned while
+    patched in."""
 
     def __init__(self, monkeypatch, module, name):
-        self.calls = []
+        self.calls, self.results = [], []
         fn = getattr(module, name)
 
         def spy(*args, **kwargs):
             self.calls.append(args)
-            return fn(*args, **kwargs)
+            self.results.append(fn(*args, **kwargs))
+            return self.results[-1]
 
         monkeypatch.setattr(module, name, spy)
 
@@ -504,11 +506,11 @@ def test_seeded_mutants_match_reference(sizes, count):
 @pytest.mark.parametrize("sizes, count", [((2, 2, 2), 40), ((2, 2, 2, 2), 20),
                                           ((3, 3, 3, 3), 4)])
 def test_mutants_with_intact_row_classes_match_reference(monkeypatch, sizes, count):
-    # the certificate reaches the table comparison (it rebuilds the stalk
-    # rows) and fails there; on a • edit the ∘ band check is left out
+    # the certificate reaches the table comparison (the ∘ rows have atom
+    # coordinates) and fails there; on a • edit the ∘ band check is left out
     raw = generated_raw(sizes)
     rng = random.Random(count)
-    rebuilt = Spy(monkeypatch, bset, "_stalk_rows")
+    coords = Spy(monkeypatch, bset, "_class_coordinates")
     bands = Spy(monkeypatch, skew, "_band_check")
     compared = 0
     for m in range(count):
@@ -518,12 +520,14 @@ def test_mutants_with_intact_row_classes_match_reference(monkeypatch, sizes, cou
             mutant = me.mutate_skew(raw, rng)
             while mutant["circ"] is not raw["circ"]:
                 mutant = me.mutate_skew(raw, rng)
-        rebuilt.calls.clear()
+        coords.results.clear()
         bands.calls.clear()
         assert assert_same_outcome(mutant)[0] != "ok"
-        compared += bool(rebuilt.calls)
+        [found] = coords.results  # one certificate per validation
+        reached = found is not None
+        compared += reached
         if mutant["circ"] is raw["circ"]:
-            assert rebuilt.calls
+            assert reached
             assert [args[2] for args in bands.calls] == ["bullet"]
     assert compared > count // 2
 
