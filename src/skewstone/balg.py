@@ -9,10 +9,13 @@ of representational reach here.
 Only the partial order is taken as input.  Meet, join and relative-complement
 tables are derived during validation and cached; element ids are opaque
 strings, all derived tables use dense integer indices in input order, which
-fixes every deterministic choice downstream.  Validation accepts only through
-the Stone map: an order is a finite Boolean algebra exactly when it is
-isomorphic to the powerset of its atoms, which is checked, and the tables
-read off, in O(n·k + 3^k + n^2) for k atoms.  The exhaustive lattice,
+fixes every deterministic choice downstream.  The order's up and down rows
+are built by one pass in topological order, O(n + pairs) row ORs; only
+pairs with a cycle are closed by Warshall's loop, to name the witness.
+Validation accepts only through the Stone map: an order is a finite Boolean
+algebra exactly when it is isomorphic to the powerset of its atoms, which
+is checked in O(n·k) and the tables read off in O(n^2 + 3^k) for k atoms,
+the 3^k for the relative complements.  The exhaustive lattice,
 distributivity (O(n^3) over triples) and relative-complement scans run only
 when that check fails, only to name the first failed law; the intended
 feasible bound is about 256 elements.
@@ -96,21 +99,51 @@ def _bound(mask, rel):
 
 
 def _check_poset(elements, index, leq_pairs):
-    """The up and down rows of the order the pairs generate.  NotAPoset names
-    the least i below and above some other element, and the least such
-    partner j: i is the least element of its cycle, so j > i."""
+    """The up and down rows of the order the pairs generate.
+
+    The pairs other than (i, i) are edges i -> j; when they hold no cycle,
+    one pass in topological order (Kahn's) builds the down rows and one in
+    reverse the up rows, each an OR of whole rows per edge.  Only a cycle
+    closes the pairs (_closure, _transpose), where NotAPoset names the
+    least i below and above some other element, and the least such partner
+    j: i is the least element of its cycle, so j > i."""
     n = len(elements)
     pairs = []
     for x, y in leq_pairs:
         if x not in index or y not in index:
             raise ValueError(f"order pair ({x!r}, {y!r}) uses undeclared elements")
         pairs.append((index[x], index[y]))
-    up = _closure(n, pairs)
-    down = _transpose(up, n)
-    for i in range(n):
-        both = up[i] & down[i] & ~(1 << i)
-        if both:
-            raise NotAPoset((elements[i], elements[_first(both)]))
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in pairs:
+        if i != j:
+            succ[i].append(j)
+            indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # grows while it is read: each j once its last edge is met
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) < n:
+        up = _closure(n, pairs)
+        down = _transpose(up, n)
+        for i in range(n):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                raise NotAPoset((elements[i], elements[_first(both)]))
+        raise AssertionError("a cycle of order pairs, yet no two elements below each other")
+    up = [1 << i for i in range(n)]
+    down = up[:]
+    for i in order:
+        d = down[i]
+        for j in succ[i]:
+            down[j] |= d
+    for i in reversed(order):
+        u = up[i]
+        for j in succ[i]:
+            u |= up[j]
+        up[i] = u
     return up, down
 
 
@@ -345,8 +378,11 @@ def _stone_tables(n, up, down, bot):
     Boolean algebra with least element ``bot`` exactly when ``bot`` is least,
     n = 2^k for k atoms, code is injective, and up[x] is the set of elements
     whose code contains code[x] (x <= y iff code(x) ⊆ code(y)): finite Stone
-    duality, every finite Boolean algebra is the powerset of its atoms.  On
-    success the tables are read off the codes; the cost is O(n·k + 3^k + n²).
+    duality, every finite Boolean algebra is the powerset of its atoms.
+    That set is the AND of the up rows of the atoms in code[x], built for
+    each code from the code less its lowest atom, one AND per element.  On
+    success the tables are read off the codes; the cost is O(n·k + n² +
+    3^k), the 3^k for the relative complements.
     """
     full = (1 << n) - 1
     if up[bot] != full:
@@ -356,22 +392,18 @@ def _stone_tables(n, up, down, bot):
     k = len(atoms)
     if n != 1 << k:
         return None
-    code = _transpose([up[a] for a in atoms], n)
+    atom_up = [up[a] for a in atoms]
+    code = _transpose(atom_up, n)
     pos = [-1] * n
     for i, c in enumerate(code):
         if pos[c] >= 0:
             return None
         pos[c] = i
-    all_atoms = n - 1
-    for i, c in enumerate(code):
-        rest = all_atoms & ~c
-        expect = 1 << pos[c]
-        s = rest
-        while s:
-            expect |= 1 << pos[c | s]
-            s = (s - 1) & rest
-        if up[i] != expect:
-            return None
+    above = [full] * n  # above[c]: the elements whose code contains c
+    for c in range(1, n):
+        above[c] = above[c & c - 1] & atom_up[_first(c)]
+    if list(map(above.__getitem__, code)) != up:
+        return None
     meet = [[pos[c & d] for d in code] for c in code]
     join = [[pos[c | d] for d in code] for c in code]
     comp_in = {}

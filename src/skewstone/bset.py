@@ -434,7 +434,7 @@ def _stalk_rows(P, order, index):
     pys = [bi[P.stalk_of[y]] for y in order]
     rows = {}
     for c, mc in zip(B.elements, meet):
-        minus = [comp_in[f, m] for f, m in enumerate(mc)]  # f \ c
+        minus = list(map(comp_in.__getitem__, enumerate(mc)))  # f \ c
         rows[c] = ([r[mc[f]] for r, f in zip(rests, pys)],
                    [r[minus[f]] for r, f in zip(rests, pys)])
     return rows
@@ -444,16 +444,21 @@ def _bullet_rows(P, codes, order, index, rows):
     """The • row of each x in ``order``, as positions in ``index``, from the
     atom codes ``codes`` of P's elements and the stalk rows ``rows``
     (_stalk_rows): x•y = x ∨ (y\\x), and x and y\\x lie over disjoint base
-    elements, so code(x•y) = code(x) + code(y\\x)."""
+    elements, so code(x•y) = code(x) + code(y\\x).  As in the certificate
+    (_skew_certificate), each stalk's codes of y\\x are one ``itemgetter``,
+    applied to the elements in code order from code(x) on."""
     n = len(order)
     code, elem_of = [0] * n, [0] * n
     for x, cx in zip(P.elements, codes):
         code[index[x]] = cx
         elem_of[cx] = index[x]
-    minus = {c: [code[k] for k in m] for c, (_, m) in rows.items()}
+    if n == 1:  # itemgetter of one index returns the entry itself
+        yield [0]
+        return
+    picks = {c: itemgetter(*map(code.__getitem__, m)) for c, (_, m) in rows.items()}
     for x in order:
         cx = code[index[x]]
-        yield [elem_of[cx + d] for d in minus[P.stalk_of[x]]]
+        yield list(picks[P.stalk_of[x]](elem_of[cx:]))
 
 
 @memo("_rows")
@@ -551,15 +556,16 @@ def _class_presheaf(base, elements, table, cls_idx):
     return validate_presheaf(base, stalks, restrictions)
 
 
-def _row_classes(elements, table):
+def _row_classes(elements, table, with_rows=False):
     """Classes of equal rows of the ∘ index ``table``, which for a right
     normal ∘ are the classes of Green's R-relation (x R y iff x∘y = y and
     y∘x = x).
 
     Returns (cls_idx, reps, names): the class index of each element, the
     first element of each class, and the class names "[rep]", classes in
-    order of their first element.  Each distinct row object is converted
-    to a tuple once, as parsed and rebuilt ∘ rows are shared per class.
+    order of their first element; ``with_rows`` adds each class's row as a
+    tuple.  Each distinct row object is converted to a tuple once, as
+    parsed and rebuilt ∘ rows are shared per class.
     """
     class_of_row, class_of_id, cls_idx, reps = {}, {}, [], []
     for i, row in enumerate(table):
@@ -569,7 +575,10 @@ def _row_classes(elements, table):
             if c == len(reps):
                 reps.append(i)
         cls_idx.append(c)
-    return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
+    names = [f"[{elements[r]}]" for r in reps]
+    if with_rows:
+        return cls_idx, reps, names, list(class_of_row)
+    return cls_idx, reps, names
 
 
 def _band_quotient(elements, table):
@@ -585,7 +594,8 @@ def _band_quotient(elements, table):
 
 def _class_coordinates(circ, z, cls_idx, reps):
     """The atom coordinates read off a ∘ index table: (the code of each
-    element, the support mask of each class of equal rows), or None.
+    element, the support mask of each class of equal rows, the bit field
+    of each atom), or None.
 
     The atom classes are the classes other than the zero's whose first
     member r has a ∘ row inside the zero's class and its own.  Element x
@@ -612,10 +622,11 @@ def _class_coordinates(circ, z, cls_idx, reps):
              and all(cls_idx[v] in (zc, c) for v in vs)]
     if len(reps) != 1 << len(atoms) or n != prod(size[a] + 1 for a in atoms):
         return None
-    code, mask, shift = [0] * n, [0] * n, 0
+    code, mask, fields, shift = [0] * n, [0] * n, [], 0
     for a in atoms:
         width = size[a].bit_length()
         field = ((1 << width) - 1) << shift
+        fields.append(field)
         row = circ[reps[a]]
         code = [c | digit[v] << shift for c, v in zip(code, row)]
         mask = [m | field if v != z else m for m, v in zip(mask, row)]
@@ -623,13 +634,13 @@ def _class_coordinates(circ, z, cls_idx, reps):
     sup = [mask[r] for r in reps]
     if len(set(code)) != n or list(map(sup.__getitem__, cls_idx)) != mask:
         return None
-    return code, sup
+    return code, sup, fields
 
 
 def _skew_certificate(circ, bullet, z, cls_idx, reps):
-    """The atom-coordinate certificate of skew index tables: (the support
-    mask of each class of equal ∘ rows, True) when they pass, else (None,
-    whether the ∘ checks passed).
+    """The atom-coordinate certificate of skew index tables: ((the support
+    mask of each class of equal ∘ rows, the bit field of each atom), True)
+    when they pass, else (None, whether the ∘ checks passed).
 
     The tables pass when they have atom coordinates (_class_coordinates)
     and, entrywise, x∘y has code code(y) & mask(x) and x•y has code
@@ -647,11 +658,11 @@ def _skew_certificate(circ, bullet, z, cls_idx, reps):
     x ∨ (y|(p(y) \\ p(x))) in its atom coordinates.
     """
     if len(circ) < 2:
-        return [0], True  # [[0]] and [[0]], the one-element algebra
+        return ([0], []), True  # [[0]] and [[0]], the one-element algebra
     coords = _class_coordinates(circ, z, cls_idx, reps)
     if coords is None:
         return None, False
-    code, sup = coords
+    code, sup, fields = coords
     for r, m in zip(reps, sup):
         if itemgetter(*circ[r])(code) != tuple(map(and_, code, repeat(m))):
             return None, False
@@ -668,7 +679,7 @@ def _skew_certificate(circ, bullet, z, cls_idx, reps):
             cx = code[i]
             if pick(elem_of[cx:cx + span]) != tuple(bullet[i]):
                 return None, True
-    return sup, True
+    return (sup, fields), True
 
 
 def _is_set_of(X, elements, index, circ, cls_idx, reps):
@@ -696,7 +707,10 @@ def _reconstruct(elements, index, circ, bullet, z, X=None):
     set of R classes of ∘, the classes of equal ∘ rows: the class order
     (c <= d iff the support of c is inside that of d) validated as a
     Boolean algebra with the zero's class as bottom, and the class
-    presheaf (_class_presheaf) as a Boolean set by its atom codes.  A
+    presheaf (_class_presheaf) as a Boolean set by its atom codes.  The
+    certified supports are the 2^k unions of the atom fields, one per
+    class, so the order is given by its k·2^(k-1) covers: c below the
+    class whose support is c's plus one field outside it.  A
     Boolean set ``X`` passed in is returned itself when it is the set of
     the tables (_is_set_of), as for to_skew's own output; else the set is
     built.  A certificate refusal raises nothing, so the caller's scans
@@ -704,13 +718,15 @@ def _reconstruct(elements, index, circ, bullet, z, X=None):
     (AssertionError, also under ``python -O``).
     """
     cls_idx, reps, names = _row_classes(elements, circ)
-    sup, circ_ok = _skew_certificate(circ, bullet, z, cls_idx, reps)
-    if sup is None:
+    coords, circ_ok = _skew_certificate(circ, bullet, z, cls_idx, reps)
+    if coords is None:
         return None, circ_ok
     if X is not None and _is_set_of(X, elements, index, circ, cls_idx, reps):
         return X, True
-    pairs = [(names[c], names[d]) for c, sc in enumerate(sup) for d, sd in enumerate(sup)
-             if sc & sd == sc]
+    sup, fields = coords
+    class_of = {m: c for c, m in enumerate(sup)}
+    pairs = [(names[c], names[class_of[m | f]]) for c, m in enumerate(sup)
+             for f in fields if not m & f]
     try:
         base = balg.validate_balg(names, pairs, names[cls_idx[z]])
         P = _class_presheaf(base, elements, circ, cls_idx)

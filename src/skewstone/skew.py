@@ -105,36 +105,40 @@ def _band_check(elements, table, op):
     """Idempotence, then associativity, each with its first witness in
     scan order.
 
-    The triples (i, j, k) with i the first element are scanned first, then
-    Light's test decides associativity; the rest of the (i, j, k) scan runs
-    only when the test fails, to name the first failing triple, and finding
-    none raises AssertionError, also under ``python -O``.  A failure in the
-    first row (an edited zero row, say) is thus found in O(n^2), where
-    Light's test may meet it only at its last generators.
+    A left identity i (i·j = j for all j) holds no witness, as (i·j)·k =
+    j·k = i·(j·k).  The triples (i, j, k) with i the first element whose
+    row is not the identity are scanned first, then Light's test decides
+    associativity; the rest of the (i, j, k) scan runs only when the test
+    fails, to name the first failing triple, and finding none raises
+    AssertionError, also under ``python -O``.  A failure in that row (an
+    edited zero row of ∘, or the first edited row of • after its identity
+    zero row) is thus found in O(n^2), where Light's test may meet it only
+    at its last generators.
 
     Every scan reads row i only through its contents, so it runs once per
-    class of equal rows (``bset._row_classes``), with one tuple and one
-    ``itemgetter`` per class: for c classes, Light's test costs O(g·c·n)
-    for g generators and the triple scan O(c·n^2) plus O(n) per failing
-    pair.  A ∘ table has one class per R class, 16 of 256 rows in a
-    product of four 3-element stalks; a • table has n, and costs what it
+    class of equal rows (``bset._row_classes``, whose row tuples it reads),
+    with one ``itemgetter`` per class: for c classes, Light's test costs
+    O(g·c·n) for g generators and the triple scan O(c·n^2) plus O(n) per
+    failing pair.  A ∘ table has one class per R class, 16 of 256 rows in
+    a product of four 3-element stalks; a • table has n, and costs what it
     did row by row.
     """
     n = len(elements)
     for i in range(n):
         if table[i][i] != i:
             raise NotABand((elements[i],), op, "idempotent")
-    if n < 2:
-        return  # one idempotent element is associative
-    cls, reps, _ = bset._row_classes(elements, table)
-    distinct = [tuple(table[r]) for r in reps]
+    cls, reps, _, distinct = bset._row_classes(elements, table, with_rows=True)
+    identity = tuple(range(n))
+    t = next((c for c, row in enumerate(distinct) if row != identity), None)
+    if t is None:
+        return  # every row the identity: i·j = j is associative
     rows = [distinct[c] for c in cls]
-    picks = [itemgetter(*t) for t in distinct]
-    witness = _assoc_witness(table, rows, picks, cls, reps[:1])
+    picks = [itemgetter(*row) for row in distinct]
+    witness = _assoc_witness(table, rows, picks, cls, reps[t:t + 1])
     if witness is None:
         if _light_associative(rows, cls, reps):
             return
-        witness = _assoc_witness(table, rows, picks, cls, reps[1:])
+        witness = _assoc_witness(table, rows, picks, cls, reps[t + 1:])
         if witness is None:
             raise AssertionError("Light's test refused, yet every triple associates")
     raise NotABand(tuple(elements[i] for i in witness), op, "assoc")

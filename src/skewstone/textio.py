@@ -18,9 +18,10 @@ Grammar (normative):
 
 Separators split only at bracket depth zero, so ids like "(a1,b1)" or
 "{e1,e3}" pass through unharmed; a value whose brackets do not nest is split
-in one pass (_split_top).  Identical table lines of a stanza are split once
-and share one id list, and ``skew.validate_skew`` indexes each distinct row
-once, so equal rows share one index row too.  Parsed and index tables are
+in one pass (_split_top), and a "->" or "<=" pair list whose ids nest no
+brackets is read by one pattern (_pairs).  Identical table lines of a
+stanza are split once and share one id list, and ``skew.validate_skew``
+indexes each distinct row once, so equal rows share one index row too.  Parsed and index tables are
 therefore read-only: an edit in place would change every row sharing the
 list.  Morphism and relmor stanzas name their
 endpoints with "from:"/"to:" body keys; every reference must resolve to an
@@ -70,6 +71,29 @@ _TOP_SEP = {
     sep: re.compile(re.escape(sep) + "(?=" + _OUTSIDE + r"(?:[(\[{]|\Z))")
     for sep in (",", "->", "<=", "+")
 }
+
+
+def _pair_pattern(sep):
+    """The pattern of one chunk of a ``sep`` pair list: "x sep y" with the
+    spaces around it, then the comma and any empty chunks after it, or the
+    end; the first chunk also takes the empty chunks before it.  An id is a
+    run of plain characters (no space, comma or bracket, and no ``sep``
+    starting at one) and of bracket groups that do not nest.  Where the
+    matches cover a value with nothing between them, its commas and the
+    one ``sep`` of each pair are exactly those at bracket depth 0, so the
+    ids are what _split_top reads.
+
+    Such matches start at 0 or after a space or comma, so no other start is
+    tried, and each id is one character or group per repetition: a value
+    the pattern does not cover costs linear time, not quadratic or worse."""
+    head, tail = re.escape(sep[0]), re.escape(sep[1:])
+    ident = (r"(?:[^\s,()\[\]{}" + head + "]|" + head + "(?!" + tail + r")"
+             r"|[(\[{][^()\[\]{}]*[)\]}])+")
+    return re.compile(r"(?:\A[\s,]*|(?<=[\s,]))(" + ident + r")\s*" + re.escape(sep)
+                      + r"\s*(" + ident + r")\s*(?:,[\s,]*|\Z)")
+
+
+_PAIR = {sep: _pair_pattern(sep) for sep in ("->", "<=")}
 
 
 @dataclass
@@ -152,6 +176,13 @@ def _ids(value, line):
 
 
 def _pairs(value, sep, line):
+    """The (x, y) pairs of a ``sep`` list: by one ``re.split`` at _PAIR[sep]
+    when its matches cover the whole value (every piece between them is
+    empty), else chunk by chunk (_split_top), which also names the first
+    malformed chunk."""
+    parts = _PAIR[sep].split(value)
+    if len(parts) > 1 and not any(parts[::3]):
+        return list(zip(parts[1::3], parts[2::3]))
     out = []
     for chunk in _split_top(value):
         if not chunk:

@@ -15,15 +15,24 @@ row code (``scan_check_consequences``) on seeded mutants at 27, 81 and 256
 elements, for both tables, and its distributive laws those of
 ``test_duality_layer.old_check_consequences``.  Each check runs with equal
 rows sharing one list, as parsed, and with every row its own list.
+
+The band check skips the rows that are the identity, whose elements are
+left identities and hold no witness, and scans the first other row before
+Light's test; it must also agree with the route that scanned the first row
+(``first_row_band_check``), also on • tables whose first row is not the
+identity: the generated ones with the zero moved off the first place, and
+their single edits.
 """
 
 import itertools
 import random
 from math import prod
+from operator import itemgetter
 
 import pytest
 
 from skewstone import balg, bset, skew
+from skewstone.errors import NotABand
 from skewstone.report import Report, _first_witness
 
 import mutation_engine as me
@@ -62,6 +71,29 @@ def scan_check_consequences(S):
     ])
 
 
+def first_row_band_check(elements, table, op):
+    """``skew._band_check`` as it was when it scanned the first row, not the
+    first row that is not the identity, before Light's test."""
+    n = len(elements)
+    for i in range(n):
+        if table[i][i] != i:
+            raise NotABand((elements[i],), op, "idempotent")
+    if n < 2:
+        return
+    cls, reps, _ = bset._row_classes(elements, table)
+    distinct = [tuple(table[r]) for r in reps]
+    rows = [distinct[c] for c in cls]
+    picks = [itemgetter(*t) for t in distinct]
+    witness = skew._assoc_witness(table, rows, picks, cls, reps[:1])
+    if witness is None:
+        if skew._light_associative(rows, cls, reps):
+            return
+        witness = skew._assoc_witness(table, rows, picks, cls, reps[1:])
+        if witness is None:
+            raise AssertionError("Light's test refused, yet every triple associates")
+    raise NotABand(tuple(elements[i] for i in witness), op, "assoc")
+
+
 def layouts(table):
     """The table with equal rows sharing one list, as the parser gives
     identical lines, and with every row its own list."""
@@ -73,6 +105,7 @@ def assert_band_checks_agree(elements, table, op):
     want = _band_outcome(_reference_band_check, elements, table, op)
     for rows in layouts(table):
         assert _band_outcome(old_band_check, elements, rows, op) == want
+        assert _band_outcome(first_row_band_check, elements, rows, op) == want
         assert _band_outcome(skew._band_check, elements, rows, op) == want
     return want
 
@@ -116,6 +149,37 @@ def test_band_check_on_seeded_mutants(sizes, count):
                 ops.add(op)
                 laws.add(found and found[0])
     assert ops == {"circ", "bullet"} and {"band.assoc.circ", "band.assoc.bullet"} <= laws
+
+
+def moved_zero(table, z, to):
+    """The index table with elements z and ``to`` swapped."""
+    perm = list(range(len(table)))
+    perm[z], perm[to] = to, z
+    return [[perm[table[pi][pj]] for pj in perm] for pi in perm]
+
+
+@pytest.mark.parametrize("sizes, edits", [((1, 2), 60), ((2, 2, 2), 60), ((2, 2, 2, 2), 20)])
+def test_band_check_on_bullet_tables_whose_first_row_is_not_the_identity(sizes, edits):
+    raw = generated_raw(sizes)
+    elements, index = balg._index_elements(raw["elements"])
+    n = len(elements)
+    bullet = skew._as_index_table(elements, index, raw["bullet"], "bullet")
+    z = index[raw["zero"]]
+    assert bullet[z] == list(range(n))  # the zero's • row is the identity
+    rng = random.Random(n)
+    laws = set()
+    for to in sorted({1, n // 2, n - 1} - {z}):
+        table = moved_zero(bullet, z, to)
+        assert table[0] != list(range(n)) and table[to] == list(range(n))
+        assert assert_band_checks_agree(elements, table, "bullet") is None
+        for _ in range(edits):
+            rows = [list(r) for r in table]
+            i = rng.choice([0, to, rng.randrange(n)])
+            j = rng.randrange(n)
+            rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+            found = assert_band_checks_agree(elements, rows, "bullet")
+            laws.add(found and found[0])
+    assert {"band.assoc.bullet", "band.idempotent.bullet"} <= laws
 
 
 def chain_product(lengths, op):

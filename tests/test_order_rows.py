@@ -101,3 +101,30 @@ def test_antisymmetry_witness_matches_the_pair_scan():
             assert poset_outcome(balg._check_poset, els, rel) == \
                 poset_outcome(old_check_poset, els, rel)
         assert poset_outcome(balg._check_poset, els, pairs + cycle)[0] == "NotAPoset"
+
+
+def test_poset_rows_match_the_pair_scan_on_loops_repeats_and_full_orders():
+    # self-loops and repeated pairs (no cycle, and no in-degree of their
+    # own), with and without a cycle; and each powerset's 3^k pairs of
+    # subsets, the order already closed
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        els = [f"x{i}" for i in rng.sample(range(20), n)]
+        pairs = [(x, y) for x in els for y in els if x != y and rng.random() < 0.15]
+        loops = [(x, x) for x in els if rng.random() < 0.3]
+        repeats = [rng.choice(pairs) for _ in range(len(pairs) // 2)] if pairs else []
+        rel = pairs + loops + repeats
+        rng.shuffle(rel)
+        ring = rng.sample(els, min(n, rng.randint(2, 4)))
+        cycle = list(zip(ring, ring[1:] + ring[:1])) if n > 1 else []
+        for r in (rel, rel + cycle, loops):
+            assert poset_outcome(balg._check_poset, els, r) == \
+                poset_outcome(old_check_poset, els, r)
+    for k in range(7):
+        points = tuple(f"p{i}" for i in range(k))
+        B = balg.powerset_balg(points, balg.render_braces(points))[0]
+        full = [(x, y) for x in B.elements for y in B.up_set(x)]
+        assert len(full) == 3 ** k
+        got = poset_outcome(balg._check_poset, B.elements, full)
+        assert got == poset_outcome(old_check_poset, B.elements, full) == (B._up, B._down)
