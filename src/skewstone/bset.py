@@ -10,11 +10,17 @@ induction along chains, and a presheaf is accepted only by that walk; the
 enumeration of every Hasse chain runs only on a failure, and only to name
 the two chains that disagree.
 
-A Boolean set is decided by atom coordinates (``_atom_codes``): each stalk
-must map one to one onto the product of the atom stalks below it.  The
-Boolean set keeps the coordinates, and its one operation table is the ∘/•
-index rows built from them on first use (``_skew_rows``): x and y are
-compatible iff x∘y = y∘x, and then x ∨ y = x•y.  The exhaustive
+A Boolean set is decided by its atom coordinates (``_coordinates``): each
+element is coded by one digit per atom a, 0 where a is not below its stalk
+and else 1 + the position of its restriction to a in the stalk over a,
+each digit packed into a bit field of its own, and each stalk must map one
+to one onto the product of the atom stalks below it.  The Boolean set
+keeps the codes, the support of each stalk (the bits of the fields of the
+atoms below it) and the field of each atom, and every table is read off
+them.  Its one operation table is the ∘/• index rows built from them on
+first use (``_skew_rows``): x∘y is the element coded code(y) & sup(x) and
+x•y the one coded code(x) | code(y) & ~sup(x) (``_coded_rows``); x and y
+are compatible iff x∘y = y∘x, and then x ∨ y = x•y.  The exhaustive
 least-upper-bound scan over every pair runs only when the coordinates fail,
 to name the first compatible pair without a join.  A refusal that either
 scan cannot explain is an internal error (AssertionError).  The one order
@@ -26,28 +32,31 @@ candidates are the elements that keep the coordinates on which each pair
 agrees, kept where the order masks confirm them; a bound search answers
 where they do not, and for every other presheaf.
 
-This module holds both halves of the paper's theorem.  Forward, a Boolean
-set's skew tables are its ∘/• rows (``_skew_rows``, from ``_stalk_rows``
-and ``_bullet_rows``).  Backward, skew tables are accepted by the atom
-coordinates read off their ∘ rows (``_skew_certificate``): they must be,
-entry by entry, the product of the primitive algebras on the atom classes
-plus 0.  Skew algebras (``from_skew``) and right normal bands
-(``band_to_presheaf``, ``band_to_bset``) then become presheaves the same
-way: stalks are the R classes, which for a right normal ∘ are the classes
-of equal ∘ rows (``_row_classes``), over their quotient (a band's from
-``_band_quotient``, a certified algebra's from the supports of its
+This module holds both halves of the paper's theorem, and one coordinate
+function and one row kernel serve both.  Forward, a Boolean set's
+coordinates are read off its restrictions to the atoms, and its skew tables
+are the rows its coordinates give (``_coded_rows``).  Backward, skew tables
+are accepted by the atom coordinates read off the ∘ rows of their atom
+classes (``_skew_certificate``): the tables must be the rows those
+coordinates give, entry by entry, the product of the primitive algebras on
+the atom classes plus 0.  Skew algebras (``from_skew``) and right normal
+bands (``band_to_presheaf``, ``band_to_bset``) then become presheaves the
+same way: stalks are the R classes, which for a right normal ∘ are the
+classes of equal ∘ rows (``_row_classes``), over their quotient (a band's
+from ``_band_quotient``, a certified algebra's from the supports of its
 classes), and restriction is left multiplication by the first member of
 the lower class (``_class_presheaf``).  A skew algebra's Boolean set is
 built once, by ``validate_skew``'s certificate route (``_reconstruct``),
-and it is both that presheaf and what ``from_skew`` returns; ``to_skew(X)``
-keeps X itself when the certified tables are X's (``_is_set_of``).
+with the certified coordinates, and it is both that presheaf and what
+``from_skew`` returns; ``to_skew(X)`` keeps X itself when the certified
+tables are over X's elements with X's coordinates.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import prod
-from operator import and_, itemgetter
+from operator import and_, itemgetter, ne
 
 from . import balg, skew
 from ._memo import memo
@@ -294,19 +303,20 @@ def validate_presheaf(base, stalks, restrictions):
 class BooleanSet(Presheaf):
     """Presheaf over a Boolean algebra with minimum and compatible joins.
 
-    ``_codes`` are the atom coordinates of the elements, in element order,
-    as validate_boolean_set found them (_atom_codes): a permutation of
-    range(n).  join, compatible_elems and bullet read the ∘/• rows built
-    from them on first use (_skew_rows): x∘y and y∘x are y and x restricted
-    to p(x) ∧ p(y), so x and y agree there (are compatible) iff x∘y = y∘x,
-    and then x ∨ y = x ∨ (y\\x) = x•y.  The meet table (_meet_table) reads
-    its candidates off the codes, not the rows.
+    ``_coords`` are the packed atom coordinates that validate_boolean_set
+    found (_coordinates): the code of each element, in element order, the
+    support of each stalk, in base order, and the bit field of each atom,
+    in atom order.  join, compatible_elems and bullet read the ∘/• rows
+    built from them on first use (_skew_rows): x∘y and y∘x are y and x
+    restricted to p(x) ∧ p(y), so x and y agree there (are compatible) iff
+    x∘y = y∘x, and then x ∨ y = x ∨ (y\\x) = x•y.  The meet table
+    (_meet_table) reads its candidates off the codes, not the rows.
     """
 
-    def __init__(self, base, stalks, cover_maps, rest, zero, codes):
+    def __init__(self, base, stalks, cover_maps, rest, zero, coords):
         super().__init__(base, stalks, cover_maps, rest)
         self.zero = zero
-        self._codes = codes
+        self._coords = coords
 
     def join(self, x, y):
         i, j = self.index[x], self.index[y]
@@ -327,36 +337,66 @@ class BooleanSet(Presheaf):
         return self.elements[_skew_rows(self)[1][self.index[x]][self.index[y]]]
 
 
-def _atom_codes(P):
-    """The atom coordinates of a presheaf over a Boolean algebra, or None.
+def _coordinates(rows, cls_idx, z, classes):
+    """The packed atom coordinates of elements, from one row per atom: (the
+    code of each element, the support of each class, the bit field of each
+    atom), or None.
 
-    x is coded by one mixed-radix digit per atom a: 0 if a is not below
-    p(x), else 1 + the position of x|a in X(a).  The codes, in element
-    order, are returned when each X(c) has Π |X(a)| members over the atoms
-    a <= c, with distinct codes: x ↦ (x|a) is then a bijection onto that
-    product, which is the sheaf condition (every covering sieve of c holds
-    the atoms below c; c = 0 asks for one zero).
+    Element i lies in class cls_idx[i] of ``classes`` (its stalk, or its
+    class of equal ∘ rows), and z is the zero.  ``rows`` holds one (a, row)
+    per atom a, a class, in atom order: row[i] is x|a, x restricted to a,
+    or z where a is not below p(x), so every entry is z or in a.  The digit
+    of x at a is 0 if x|a is z, else 1 + the position of x|a in a, in
+    element order, packed into a field of |a|.bit_length() bits, atom after
+    atom; the support of x has every bit of the fields where its digit is
+    not 0.  The coordinates are returned when the zero's class is z alone,
+    there are 2^k classes for k atoms, the codes are a bijection onto the
+    product of the {0..|a|}, and the members of each class share one
+    support.
+
+    Over a presheaf (_presheaf_coordinates) that is the sheaf condition:
+    x ↦ (x|a) maps each X(c) one to one onto the product of the X(a) over
+    the atoms a <= c (every covering sieve of c holds the atoms below c;
+    c = 0 asks for one zero), as the codes within X(c) are distinct and
+    there are as many elements as the products have tuples together.
     """
+    n = len(cls_idx)
+    size, last, digit = [0] * classes, [0] * classes, [0] * n
+    for i, c in enumerate(cls_idx):
+        size[c] += 1
+        digit[i] = size[c]
+        last[c] = i
+    if (size[cls_idx[z]] != 1 or classes != 1 << len(rows)
+            or n != prod(size[a] + 1 for a, _ in rows)):
+        return None
+    digit[z] = 0
+    code, mask, fields, shift = [0] * n, [0] * n, [], 0
+    for a, row in rows:
+        width = size[a].bit_length()
+        field = ((1 << width) - 1) << shift
+        fields.append(field)
+        code = [c | digit[v] << shift for c, v in zip(code, row)]
+        mask = [m | field if v != z else m for m, v in zip(mask, row)]
+        shift += width
+    sup = list(map(mask.__getitem__, last))
+    if len(set(code)) != n or list(map(sup.__getitem__, cls_idx)) != mask:
+        return None
+    return code, sup, fields
+
+
+def _presheaf_coordinates(P):
+    """The atom coordinates (_coordinates) of a presheaf over a Boolean
+    algebra, each x|a read off x's restrictions, or None; None also when
+    the zero stalk is not one element."""
     B = P.base
-    weights = _weights(P)
-    digit = {x: k + 1 for a in B.atoms for k, x in enumerate(P.stalks[a])}
-    codes = []
-    for c in B.elements:
-        below = [(a, w) for a, w in weights if B.leq(a, c)]
-        if len(P.stalks[c]) != prod(len(P.stalks[a]) for a, _ in below):
-            return None
-        codes += (sum(w * digit[P._rest[x][a]] for a, w in below) for x in P.stalks[c])
-    return codes if len(set(codes)) == len(codes) else None
-
-
-def _weights(P):
-    """(atom, weight) of each atom's digit in the atom codes, in atom order:
-    the radix of atom a's digit is |X(a)| + 1."""
-    out, w = [], 1
-    for a in P.base.atoms:
-        out.append((a, w))
-        w *= len(P.stalks[a]) + 1
-    return out
+    zs = P.stalks[B.bottom]
+    if len(zs) != 1:
+        return None
+    index, z, bi = P.index, zs[0], B.index
+    rests = [P._rest[x] for x in P.elements]
+    rows = [(bi[a], [index[r.get(a, z)] for r in rests]) for a in B.atoms]
+    cls_idx = [c for c, e in enumerate(B.elements) for _ in P.stalks[e]]
+    return _coordinates(rows, cls_idx, index[z], len(B.elements))
 
 
 def _coded_map(X, Y, parts):
@@ -367,12 +407,13 @@ def _coded_map(X, Y, parts):
     k-th member of X(a).  The image of x has, at such a c, the digit of
     h(x|a) when a is below p(x), and at every other atom of Y the digit 0.
     """
-    wx, wy = dict(_weights(X)), dict(_weights(Y))
-    digits = [(wx[a], len(X.stalks[a]) + 1, (0, *(wy[c] * (1 + k) for k in h)))
+    (cxs, _, fx), (cys, _, fy) = X._coords, Y._coords
+    fx, fy = dict(zip(X.base.atoms, fx)), dict(zip(Y.base.atoms, fy))
+    digits = [(fx[a], balg._first(fx[a]), (0, *((1 + k) << balg._first(fy[c]) for k in h)))
               for c, a, h in parts]
-    y_of = dict(zip(Y._codes, Y.elements))
-    return {x: y_of[sum(v[cx // w % radix] for w, radix, v in digits)]
-            for x, cx in zip(X.elements, X._codes)}
+    y_of = dict(zip(cys, Y.elements))
+    return {x: y_of[sum(v[(cx & f) >> s] for f, s, v in digits)]
+            for x, cx in zip(X.elements, cxs)}
 
 
 def validate_boolean_set(P):
@@ -380,9 +421,10 @@ def validate_boolean_set(P):
 
     Checks global support and the trivial zero stalk; the zero is then the
     minimum, since every x restricts to it.  Every compatible pair then has
-    a join exactly when the atom coordinates are a bijection (_atom_codes),
-    and the Boolean set keeps the codes.  Only when they are not does the
-    exhaustive pair scan run, to name the first pair without a join.
+    a join exactly when the atom coordinates are a bijection
+    (_presheaf_coordinates), and the Boolean set keeps them.  Only when
+    they are not does the exhaustive pair scan run, to name the first pair
+    without a join.
     """
     base = P.base
     if not isinstance(base, balg.FinBooleanAlgebra):
@@ -393,8 +435,8 @@ def validate_boolean_set(P):
     zstalk = P.stalks[base.bottom]
     if len(zstalk) > 1:
         raise ZeroStalkNotTrivial(zstalk[:2])
-    codes = _atom_codes(P)
-    if codes is None:
+    coords = _presheaf_coordinates(P)
+    if coords is None:
         for x in P.elements:
             for y in P.elements:
                 if P.compatible_elems(x, y):
@@ -404,73 +446,62 @@ def validate_boolean_set(P):
                     if P.p(j) != base.join(P.p(x), P.p(y)):
                         raise AssertionError((x, y, j))
         raise AssertionError("atom coordinates failed, yet every compatible pair has a join")
-    return _coded_boolean_set(P, codes)
+    return _coded_boolean_set(P, coords)
 
 
-def _coded_boolean_set(P, codes):
-    """The Boolean set on P, whose atom codes ``codes`` are a bijection (so
-    the zero stalk has one element)."""
+def _coded_boolean_set(P, coords):
+    """The Boolean set on P, whose atom coordinates ``coords``
+    (_coordinates) are a bijection (so the zero stalk has one element)."""
     zero = P.stalks[P.base.bottom][0]
-    return BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, codes)
+    return BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, coords)
 
 
 # ------------------------------------------------------- skew correspondence
 
-def _stalk_rows(P, order, index):
-    """Per base element c, two rows over the ids ``order``: y|(c ∧ p(y)) and
-    y|(p(y) \\ c), as positions in ``index``.  Every x over c has x∘y and
-    y\\x from these rows, so a skew table is built from one pair of rows
-    per stalk.  The rows are read from the base's meet and relative
-    complement index tables and from each y's restrictions listed by base
-    index."""
-    B = P.base
-    meet, comp_in, bi = B._meet, B._comp_in, B.index
-    rests = []
-    for y in order:
-        r = [0] * len(B.elements)
-        for f, x in P._rest[y].items():
-            r[bi[f]] = index[x]
-        rests.append(r)
-    pys = [bi[P.stalk_of[y]] for y in order]
-    rows = {}
-    for c, mc in zip(B.elements, meet):
-        minus = list(map(comp_in.__getitem__, enumerate(mc)))  # f \ c
-        rows[c] = ([r[mc[f]] for r, f in zip(rests, pys)],
-                   [r[minus[f]] for r, f in zip(rests, pys)])
-    return rows
+def _coded_rows(code, sup, members):
+    """The ∘ and • rows that packed atom coordinates (_coordinates) give,
+    as element indices: ``code`` per element, ``sup`` per class and the
+    ``members`` of each class.  Two iterators: the ∘ row of each class,
+    which its members share, and the • row of each member, class by class.
 
+    x∘y is the element coded code(y) & sup(x), y's coordinates on x's
+    support and 0 elsewhere.  x•y is the element coded
+    code(x) | code(y) & ~sup(x), x's coordinates on x's support and y's
+    elsewhere; the two parts have no bit in common, so each class's codes
+    code(y) & ~sup(x) are one ``itemgetter``, applied to the window of the
+    elements in code order from code(x) on.  The codes of a Boolean set, or
+    of certified tables, are closed under both formulas.
+    """
+    elem_of = [0] * (max(code) + 1)
+    for i, cx in enumerate(code):
+        elem_of[cx] = i
+    circ = (list(map(elem_of.__getitem__, map(and_, code, repeat(m)))) for m in sup)
+    if len(code) == 1:  # itemgetter of one index returns the entry itself
+        return circ, iter([[0]])
 
-def _bullet_rows(P, codes, order, index, rows):
-    """The • row of each x in ``order``, as positions in ``index``, from the
-    atom codes ``codes`` of P's elements and the stalk rows ``rows``
-    (_stalk_rows): x•y = x ∨ (y\\x), and x and y\\x lie over disjoint base
-    elements, so code(x•y) = code(x) + code(y\\x).  As in the certificate
-    (_skew_certificate), each stalk's codes of y\\x are one ``itemgetter``,
-    applied to the elements in code order from code(x) on."""
-    n = len(order)
-    code, elem_of = [0] * n, [0] * n
-    for x, cx in zip(P.elements, codes):
-        code[index[x]] = cx
-        elem_of[cx] = index[x]
-    if n == 1:  # itemgetter of one index returns the entry itself
-        yield [0]
-        return
-    picks = {c: itemgetter(*map(code.__getitem__, m)) for c, (_, m) in rows.items()}
-    for x in order:
-        cx = code[index[x]]
-        yield list(picks[P.stalk_of[x]](elem_of[cx:]))
+    def bullet():
+        for ms, m in zip(members, sup):
+            outside = list(map(and_, code, repeat(~m)))
+            pick, span = itemgetter(*outside), max(outside) + 1
+            for i in ms:
+                cx = code[i]
+                yield list(pick(elem_of[cx:cx + span]))
+
+    return circ, bullet()
 
 
 @memo("_rows")
 def _skew_rows(X):
-    """The ∘ and • index rows of X, its one operation table: x∘y =
-    y|(p(x) ∧ p(y)) from one pair of rows per stalk (_stalk_rows), shared by
-    the elements of the stalk, and x•y = x ∨ (y\\x) from the atom codes
-    (_bullet_rows)."""
-    els, index = X.elements, X.index
-    rows = _stalk_rows(X, els, index)
-    circ = [rows[X.stalk_of[x]][0] for x in els]
-    return circ, list(_bullet_rows(X, X._codes, els, index, rows))
+    """The ∘ and • index rows of X, its one operation table, read off its
+    atom coordinates by the certificate's two formulas (_coded_rows): one
+    ∘ row per stalk, shared by its members, and one • row per element.  The
+    members of each stalk are consecutive in element order."""
+    code, sup, _ = X._coords
+    sizes = [len(X.stalks[e]) for e in X.base.elements]
+    members = [range(end - k, end) for k, end in zip(sizes, accumulate(sizes))]
+    circ_rows, bullet = _coded_rows(code, sup, members)
+    circ = [row for row, k in zip(circ_rows, sizes) for _ in range(k)]
+    return circ, list(bullet)
 
 
 @memo("_meet")
@@ -479,30 +510,30 @@ def _meet_table(X):
     -1 where there is none: the greatest common lower bound in the order
     masks (balg._bound), the one meet table of every presheaf.
 
-    A Boolean set reads a candidate per pair off its atom codes.  With each
-    element's coordinates as a set of (atom, stalk member) bits, the meet
-    of x and y is the element whose set is the intersection of theirs, the
-    coordinates on which x and y agree: both x and y restricted to the join
-    of those atoms.  The order masks confirm a whole row at once:
-    below[m] must equal common = below[x] & below[y] for every y, so m is
-    a common lower bound (each element is its own restriction to its
-    stalk) above every other one.  By antisymmetry no other element is, and
-    m is what balg._bound returns.  A row with any unconfirmed candidate,
-    and every row of any other presheaf, is answered by that bound search
-    pair by pair, so the table does not depend on what the codes hold.
+    A Boolean set reads a candidate per pair off its atom coordinates.
+    With each element's coordinates as a set of (atom, stalk member) bits,
+    one bit per nonzero digit of its code, the meet of x and y is the
+    element whose set is the intersection of theirs, the coordinates on
+    which x and y agree: both x and y restricted to the join of those
+    atoms.  The order masks confirm a whole row at once: below[m] must equal
+    common = below[x] & below[y] for every y, so m is a common lower bound
+    (each element is its own restriction to its stalk) above every other
+    one.  By antisymmetry no other element is, and m is what balg._bound
+    returns.  A row with any unconfirmed candidate, and every row of any
+    other presheaf, is answered by that bound search pair by pair, so the
+    table does not depend on what the codes hold.
     """
     below = _order_masks(X)[0]
     cands = repeat(None)
     if isinstance(X, BooleanSet):
-        bits = [0] * len(below)
-        offset = 0
-        for a, w in _weights(X):
-            radix = len(X.stalks[a]) + 1
-            for i, c in enumerate(X._codes):
-                d = c // w % radix
-                if d:
-                    bits[i] |= 1 << (offset + d - 1)
-            offset += radix - 1
+        codes, _, fields = X._coords
+        bits, offset = [0] * len(codes), 0
+        for f in fields:
+            shift = balg._first(f)
+            top = f >> shift  # the largest digit the field holds
+            onehot = [0, *(1 << offset + d for d in range(top))]
+            bits = [b | onehot[(c & f) >> shift] for b, c in zip(bits, codes)]
+            offset += top
         elem_of = {b: i for i, b in enumerate(bits)}
         cands = (list(map(elem_of.__getitem__, map(and_, repeat(b), bits))) for b in bits)
     table = []
@@ -592,62 +623,19 @@ def _band_quotient(elements, table):
     return cls_idx, names, pairs, bottoms
 
 
-def _class_coordinates(circ, z, cls_idx, reps):
-    """The atom coordinates read off a ∘ index table: (the code of each
-    element, the support mask of each class of equal rows, the bit field
-    of each atom), or None.
+def _skew_certificate(circ, bullet, z, cls_idx, reps):
+    """The atom-coordinate certificate of skew index tables: (their packed
+    atom coordinates, True) when they pass, else (None, whether the ∘
+    checks passed).
 
     The atom classes are the classes other than the zero's whose first
-    member r has a ∘ row inside the zero's class and its own.  Element x
-    has, at atom a, the digit 0 if r∘x is the zero, else 1 + the position
-    of r∘x in a, packed into a bit field of |a|.bit_length() bits; its
-    support mask has all bits of the fields where its digit is not 0.  The
-    coordinates are returned when the zero's class is the zero alone (so
-    every digit at a is in {0..|a|}), there are 2^k classes for k atoms,
-    the codes are a bijection onto the product of the {0..|a|}, and each
-    class has one support.  (Distinct classes
-    then have distinct supports once ∘ follows the coordinates, as two
-    classes of one support would have one ∘ row.)
-    """
-    n, zc = len(circ), cls_idx[z]
-    size = [0] * len(reps)
-    digit = [0] * n
-    for i, c in enumerate(cls_idx):
-        size[c] += 1
-        digit[i] = size[c]
-    if size[zc] != 1:
-        return None
-    digit[z] = 0
-    atoms = [c for c, r in enumerate(reps) if c != zc and len(vs := set(circ[r])) <= size[c] + 1
-             and all(cls_idx[v] in (zc, c) for v in vs)]
-    if len(reps) != 1 << len(atoms) or n != prod(size[a] + 1 for a in atoms):
-        return None
-    code, mask, fields, shift = [0] * n, [0] * n, [], 0
-    for a in atoms:
-        width = size[a].bit_length()
-        field = ((1 << width) - 1) << shift
-        fields.append(field)
-        row = circ[reps[a]]
-        code = [c | digit[v] << shift for c, v in zip(code, row)]
-        mask = [m | field if v != z else m for m, v in zip(mask, row)]
-        shift += width
-    sup = [mask[r] for r in reps]
-    if len(set(code)) != n or list(map(sup.__getitem__, cls_idx)) != mask:
-        return None
-    return code, sup, fields
-
-
-def _skew_certificate(circ, bullet, z, cls_idx, reps):
-    """The atom-coordinate certificate of skew index tables: ((the support
-    mask of each class of equal ∘ rows, the bit field of each atom), True)
-    when they pass, else (None, whether the ∘ checks passed).
-
-    The tables pass when they have atom coordinates (_class_coordinates)
-    and, entrywise, x∘y has code code(y) & mask(x) and x•y has code
-    code(x) | (code(y) & ~mask(x)): y's coordinates on x's support and 0
-    elsewhere, and x's on x's support and y's elsewhere.  Each is one
-    ``&`` or ``|`` and one list index; the ∘ check runs once per class,
-    whose members share one row.
+    member r has a ∘ row inside the zero's class and its own; r∘x stands
+    for x|a, and the coordinates are read off those rows (_coordinates).
+    The tables pass when the coordinates exist and both tables are the ones
+    they give (_coded_rows): entrywise, x∘y has code code(y) & sup(x) and
+    x•y has code code(x) | code(y) & ~sup(x).  The ∘ check runs once per
+    class, whose members share one row.  Distinct classes then have
+    distinct supports, as two classes of one support would have one ∘ row.
 
     Exact both ways, by the finite form of the paper's theorem: tables that
     pass are, coordinate by coordinate, the product of the primitive
@@ -657,44 +645,22 @@ def _skew_certificate(circ, bullet, z, cls_idx, reps):
     Boolean set pass, each x∘y being y|(p(x) ∧ p(y)) and x•y being
     x ∨ (y|(p(y) \\ p(x))) in its atom coordinates.
     """
-    if len(circ) < 2:
-        return ([0], []), True  # [[0]] and [[0]], the one-element algebra
-    coords = _class_coordinates(circ, z, cls_idx, reps)
+    zc = cls_idx[z]
+    atoms = [(c, circ[r]) for c, r in enumerate(reps)
+             if c != zc and all(cls_idx[v] in (zc, c) for v in set(circ[r]))]
+    coords = _coordinates(atoms, cls_idx, z, len(reps))
     if coords is None:
         return None, False
-    code, sup, fields = coords
-    for r, m in zip(reps, sup):
-        if itemgetter(*circ[r])(code) != tuple(map(and_, code, repeat(m))):
-            return None, False
-    elem_of = [0] * (max(code) + 1)
+    code, sup, _ = coords
     members = [[] for _ in reps]
-    for i, (c, cx) in enumerate(zip(cls_idx, code)):
-        elem_of[cx] = i
+    for i, c in enumerate(cls_idx):
         members[c].append(i)
-    for ms, m in zip(members, sup):
-        # x•y is the element coded code(x) + (code(y) & ~m), m = mask(x)
-        outside = list(map(and_, code, repeat(~m)))
-        pick, span = itemgetter(*outside), max(outside) + 1
-        for i in ms:
-            cx = code[i]
-            if pick(elem_of[cx:cx + span]) != tuple(bullet[i]):
-                return None, True
-    return (sup, fields), True
-
-
-def _is_set_of(X, elements, index, circ, cls_idx, reps):
-    """Whether the Boolean set X is the one that ∘ index rows accepted by
-    _skew_certificate rebuild: the classes of equal ∘ rows are X's stalks,
-    and r∘x = x|a for each atom a of X's base, r a member of X(a) (X's
-    zero where a is not below p(x), so the zeros agree).  A Boolean set is
-    fixed by its atom coordinates, so X is then that set, its base names
-    aside.  O(n) per atom of the base."""
-    of = [X.stalk_of[elements[r]] for r in reps]
-    if (len(set(of)) != len(of)
-            or list(map(of.__getitem__, cls_idx)) != [X.stalk_of[x] for x in elements]):
-        return False
-    return all(circ[index[X.stalks[a][0]]] == [index[X._rest[x].get(a, X.zero)] for x in elements]
-               for a in X.base.atoms)
+    circ_rows, bullet_rows = _coded_rows(code, sup, members)
+    if any(map(ne, circ_rows, map(circ.__getitem__, reps))):
+        return None, False
+    if any(map(ne, bullet_rows, map(bullet.__getitem__, chain.from_iterable(members)))):
+        return None, True
+    return coords, True
 
 
 def _reconstruct(elements, index, circ, bullet, z, X=None):
@@ -707,23 +673,27 @@ def _reconstruct(elements, index, circ, bullet, z, X=None):
     set of R classes of ∘, the classes of equal ∘ rows: the class order
     (c <= d iff the support of c is inside that of d) validated as a
     Boolean algebra with the zero's class as bottom, and the class
-    presheaf (_class_presheaf) as a Boolean set by its atom codes.  The
-    certified supports are the 2^k unions of the atom fields, one per
-    class, so the order is given by its k·2^(k-1) covers: c below the
-    class whose support is c's plus one field outside it.  A
-    Boolean set ``X`` passed in is returned itself when it is the set of
-    the tables (_is_set_of), as for to_skew's own output; else the set is
-    built.  A certificate refusal raises nothing, so the caller's scans
-    report it; a later step refusing certified tables is an internal error
+    presheaf (_class_presheaf), whose atom coordinates are the certified
+    ones: its stalks are the class members in element order, so each digit
+    is the same position.  The certified supports are the 2^k unions of
+    the atom fields, one per class, so the order is given by its
+    k·2^(k-1) covers: c below the class whose support is c's plus one
+    field outside it.  A Boolean set ``X`` passed in is returned itself
+    when the tables are over its elements, in its order, with its
+    coordinates: the coordinates fix the classes (by their supports) and
+    every restriction, so X is then the set of the tables, its base names
+    aside.  That holds for to_skew's own output; else the set is built.  A
+    certificate refusal raises nothing, so the caller's scans report it; a
+    later step refusing certified tables is an internal error
     (AssertionError, also under ``python -O``).
     """
     cls_idx, reps, names = _row_classes(elements, circ)
     coords, circ_ok = _skew_certificate(circ, bullet, z, cls_idx, reps)
     if coords is None:
         return None, circ_ok
-    if X is not None and _is_set_of(X, elements, index, circ, cls_idx, reps):
+    if X is not None and X.elements == elements and X._coords == coords:
         return X, True
-    sup, fields = coords
+    code, sup, fields = coords
     class_of = {m: c for c, m in enumerate(sup)}
     pairs = [(names[c], names[class_of[m | f]]) for c, m in enumerate(sup)
              for f in fields if not m & f]
@@ -732,10 +702,7 @@ def _reconstruct(elements, index, circ, bullet, z, X=None):
         P = _class_presheaf(base, elements, circ, cls_idx)
     except StructureError as e:
         raise AssertionError(f"certified skew tables, yet {e.law} fails") from e
-    codes = _atom_codes(P)
-    if codes is None:
-        raise AssertionError("certified skew tables, yet the class atom codes fail")
-    return _coded_boolean_set(P, codes), True
+    return _coded_boolean_set(P, ([code[index[x]] for x in P.elements], sup, fields)), True
 
 
 def bset_struct_eq(X, Y):
@@ -751,7 +718,7 @@ def bset_isomorphic(X, Y):
     as multisets.  Atoms are matched by stalk size (in atom order within a
     size), the k-th member of a matched X stalk goes to the k-th member of
     its partner, and each element goes to the element of Y with the same
-    atom coordinates (_codes) under the matching.  The result is validated
+    atom coordinates under the matching (_coded_map).  The result is validated
     as a Boolean-set morphism in both directions.
     """
     xs = sorted(X.base.atoms, key=lambda a: len(X.stalks[a]))
@@ -980,8 +947,8 @@ def is_boolean_band(S):
 
 def sheaf_condition(P):
     """Unique amalgamation for every matching family of every covering
-    sieve, decided by atom coordinates (_atom_codes)."""
-    return _atom_codes(P) is not None
+    sieve, decided by atom coordinates (_presheaf_coordinates)."""
+    return _presheaf_coordinates(P) is not None
 
 
 # ------------------------------------------------------------------ builders

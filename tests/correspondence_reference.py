@@ -2,10 +2,17 @@
 lived in ``skew``: ``_reconstruct`` with its eager gamma quotient
 (``_quotient``), the band quotient of a band object (``_band_quotient``)
 and the helpers they shared (``_row_classes``, ``_class_table``,
-``_order_pairs``, and the class-count guard over the class table).  Kept as
-the differential reference of ``tests/test_correspondence.py``.
+``_order_pairs``, and the class-count guard over the class table), with its
+own copies of the Boolean-set kernels it rebuilt the tables with: the
+mixed-radix atom codes (``atom_codes``), the stalk rows read from the base's
+meet and relative-complement tables (``stalk_rows``) and the • rows from
+the codes (``bullet_rows``).  The Boolean set it accepts is validated by
+``bset.validate_boolean_set``, so its atom coordinates are the ones the
+presheaf route computes.  Kept as the differential reference of
+``tests/test_correspondence.py``.
 """
 
+from math import prod
 from operator import eq
 
 from skewstone import balg, bset, skew
@@ -22,6 +29,61 @@ def row_classes(elements, table):
                 reps.append(i)
         cls_idx.append(c)
     return cls_idx, reps, [f"[{elements[r]}]" for r in reps]
+
+
+def atom_codes(P):
+    """The atom codes of a presheaf over a Boolean algebra, in element
+    order, or None: one mixed-radix digit per atom a, of radix |X(a)| + 1,
+    0 if a is not below p(x), else 1 + the position of x|a in X(a).  Each
+    X(c) must have the product of the sizes of the atom stalks below c as
+    its size, and the codes must be distinct: a permutation of range(n)."""
+    B = P.base
+    weights, w = [], 1
+    for a in B.atoms:
+        weights.append((a, w))
+        w *= len(P.stalks[a]) + 1
+    digit = {x: k + 1 for a in B.atoms for k, x in enumerate(P.stalks[a])}
+    codes = []
+    for c in B.elements:
+        below = [(a, w) for a, w in weights if B.leq(a, c)]
+        if len(P.stalks[c]) != prod(len(P.stalks[a]) for a, _ in below):
+            return None
+        codes += (sum(w * digit[P._rest[x][a]] for a, w in below) for x in P.stalks[c])
+    return codes if len(set(codes)) == len(codes) else None
+
+
+def stalk_rows(P, order, index):
+    """Per base element c, the rows y|(c ∧ p(y)) and y|(p(y) \\ c) over the
+    ids ``order``, as positions in ``index``."""
+    B = P.base
+    meet, comp_in, bi = B._meet, B._comp_in, B.index
+    rests = []
+    for y in order:
+        r = [0] * len(B.elements)
+        for f, x in P._rest[y].items():
+            r[bi[f]] = index[x]
+        rests.append(r)
+    pys = [bi[P.stalk_of[y]] for y in order]
+    rows = {}
+    for c, mc in zip(B.elements, meet):
+        minus = [comp_in[f, m] for f, m in enumerate(mc)]
+        rows[c] = ([r[mc[f]] for r, f in zip(rests, pys)],
+                   [r[minus[f]] for r, f in zip(rests, pys)])
+    return rows
+
+
+def bullet_rows(P, codes, order, index, rows):
+    """The • row of each x in ``order`` from the atom codes and the stalk
+    rows: x•y = x ∨ (y\\x), and code(x•y) = code(x) + code(y\\x)."""
+    n = len(order)
+    code, elem_of = [0] * n, [0] * n
+    for x, cx in zip(P.elements, codes):
+        code[index[x]] = cx
+        elem_of[cx] = index[x]
+    minus = {c: [code[k] for k in m] for c, (_, m) in rows.items()}
+    for x in order:
+        cx = code[index[x]]
+        yield [elem_of[cx + d] for d in minus[P.stalk_of[x]]]
 
 
 def class_table(table, cls_idx, reps):
@@ -57,15 +119,15 @@ def reconstruct(elements, index, circ, bullet, z):
         P = bset._class_presheaf(base, elements, circ, cls_idx)
     except StructureError:
         return None, None, False
-    codes = bset._atom_codes(P)
+    codes = atom_codes(P)
     if codes is None:
         return None, None, False
-    rows = bset._stalk_rows(P, elements, index)
+    rows = stalk_rows(P, elements, index)
     if any(row != rows[names[c]][0] for row, c in zip(circ, cls_idx)):
         return None, None, False
-    if not all(map(eq, bullet, bset._bullet_rows(P, codes, elements, index, rows))):
+    if not all(map(eq, bullet, bullet_rows(P, codes, elements, index, rows))):
         return None, None, True
-    return bset._coded_boolean_set(P, codes), quotient(base, elements, cls_idx, names), True
+    return bset.validate_boolean_set(P), quotient(base, elements, cls_idx, names), True
 
 
 def band_quotient(S):

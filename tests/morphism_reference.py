@@ -5,8 +5,9 @@ homomorphisms over every image of the atoms, the enumeration of Boolean-set
 morphisms by top-stalk propagation, the backtracking enumeration of skew
 morphisms, properness by a search over the image, the base isomorphism
 search over atom permutations and the Boolean-set isomorphism that decoded
-atom codes inline.  Kept as the differential reference of
-``tests/test_morphism_atoms.py`` and of acceptance criterion 2.
+mixed-radix atom codes inline, computed here from the restrictions.  Kept
+as the differential reference of ``tests/test_morphism_atoms.py`` and of
+acceptance criterion 2.
 """
 
 from itertools import permutations, product
@@ -64,7 +65,8 @@ def not_proper_witness(m):
 def assert_morphism_consequences(m):
     X, Y = m.source, m.target
     f = [Y.index[m.mapping[x]] for x in X.elements]
-    (cx, bx), (cy, by) = bset._skew_rows(X), bset._skew_rows(Y)
+    SX, SY = bset.to_skew(X), bset.to_skew(Y)
+    (cx, bx), (cy, by) = (SX.circ_t, SX.bullet_t), (SY.circ_t, SY.bullet_t)
     for i, fi in enumerate(f):
         cxi, bxi, cyi, byi = cx[i], bx[i], cy[fi], by[fi]
         for j, fj in enumerate(f):
@@ -211,6 +213,18 @@ def find_balg_isomorphism(A, B):
     return None
 
 
+def mixed_radix_codes(X):
+    """The atom code of each element of X, in element order: one digit per
+    atom a, of radix |X(a)| + 1, 0 if a is not below p(x), else 1 + the
+    position of x|a in X(a), read off the restrictions."""
+    digits, w = [], 1
+    for a in X.base.atoms:
+        digits.append((a, w, {y: k + 1 for k, y in enumerate(X.stalks[a])}))
+        w *= len(X.stalks[a]) + 1
+    return [sum(w * digit.get(X._rest[x].get(a), 0) for a, w, digit in digits)
+            for x in X.elements]
+
+
 def bset_isomorphic(X, Y):
     xs = sorted(X.base.atoms, key=lambda a: len(X.stalks[a]))
     ys = sorted(Y.base.atoms, key=lambda b: len(Y.stalks[b]))
@@ -222,7 +236,7 @@ def bset_isomorphic(X, Y):
         weight[b] = w
         w *= len(Y.stalks[b]) + 1
     digits = [(len(X.stalks[a]) + 1, weight[atom_map[a]]) for a in X.base.atoms]
-    y_of = dict(zip(Y._codes, Y.elements))
+    y_of = dict(zip(mixed_radix_codes(Y), Y.elements))
 
     def image(code):
         out = 0
@@ -231,7 +245,7 @@ def bset_isomorphic(X, Y):
             out += w * d
         return y_of[out]
 
-    phi = {x: image(c) for x, c in zip(X.elements, X._codes)}
+    phi = {x: image(c) for x, c in zip(X.elements, mixed_radix_codes(X))}
     phibar = balg._atom_join_map(X.base, Y.base, atom_map)
     validate_bset_morphism(phi, phibar, X, Y)
     validate_bset_morphism({y: x for x, y in phi.items()},

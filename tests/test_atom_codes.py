@@ -56,7 +56,8 @@ def old_validate_boolean_set(P):
                 if P.p(j) != base.join(P.p(x), P.p(y)):
                     raise AssertionError((x, y, j))
                 row[k] = P.index[j]
-    X = bset.BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero, bset._atom_codes(P))
+    X = bset.BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero,
+                        bset._presheaf_coordinates(P))
     X.scanned_join = join_table  # the table found by the scan, not one built from the codes
     return X
 

@@ -47,12 +47,13 @@ def index_tables(elements, circ, bullet, zero):
 
 def bset_view(X):
     """Everything a Boolean set holds, with key orders: its base's tables
-    and covers, its stalks, cover maps, restrictions, codes and zero."""
+    and covers, its stalks, cover maps, restrictions, atom coordinates
+    and zero."""
     B = X.base
     return (type(X).__name__, B.elements, B.index, B._up, B._down, B._meet, B._join,
             B._bottom_i, B._comp_in, B.cover_pairs, X.elements, X.index,
             list(X.stalks.items()), list(X.stalk_of.items()), list(X.cover_maps.items()),
-            [(x, list(r.items())) for x, r in X._rest.items()], X._codes, X.zero)
+            [(x, list(r.items())) for x, r in X._rest.items()], X._coords, X.zero)
 
 
 def compare(elements, index, circ, bullet, z):
@@ -67,7 +68,8 @@ def compare(elements, index, circ, bullet, z):
     if X is None:
         assert new == old and new[0] != "ok"
         return False, circ_ok
-    assert presheaf_view(X) == presheaf_view(old_X) and X._codes == old_X._codes
+    # the certified coordinates are the ones the presheaf route computes
+    assert presheaf_view(X) == presheaf_view(old_X) and X._coords == old_X._coords
     assert bset_view(X) == bset_view(old_X)
     assert new[0] == old[0] == "ok"
     S = new[1]

@@ -145,10 +145,10 @@ def test_ultrafilter_route_reads_no_atom_codes_or_meet_table():
             for n in ast.walk(f)
             if (n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)) in names})
 
-    forbidden = {"_codes", "_atom_codes", "_meet_table"}
+    forbidden = {"_coords", "_coordinates", "_presheaf_coordinates", "_meet_table"}
     assert reads(ast.parse(inspect.getsource(duality)), forbidden) == []
-    planted = "def bset_ultrafilters(X):\n    return X._codes, bset._meet_table(X)\n"
-    assert reads(ast.parse(planted), forbidden) == ["_codes", "_meet_table"]
+    planted = "def bset_ultrafilters(X):\n    return X._coords, bset._meet_table(X)\n"
+    assert reads(ast.parse(planted), forbidden) == ["_coords", "_meet_table"]
 
 
 def test_ultrafilter_checks_fire_on_corrupted_tables():

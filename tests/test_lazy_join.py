@@ -1,19 +1,21 @@
 """A Boolean set's one operation table is its ∘/• index rows
-(``bset._skew_rows``), built from the atom codes on first use: joins and
-compatibility are read off them, ``to_skew`` validates them, and the
+(``bset._skew_rows``), built from the atom coordinates on first use: joins
+and compatibility are read off them, ``to_skew`` validates them, and the
 ultrafilter and morphism checks rebuild no derived table.
 
-The references are the earlier join table built from the codes and the eager
+The references are the earlier join table built from the mixed-radix atom
+codes (``correspondence_reference.atom_codes``) and the eager
 ``_coded_boolean_set`` that kept it, the ``to_skew`` that read • through
 that table, the ``_stalk_rows`` that made id-level ``meet``/``rel_complement``
 calls, the morphism consequence check that compared ``to_skew`` of both sets
 through id-level calls, and the ultrafilter primeness pass over the join
-table.  The joins, the stalk rows, both skew tables and the ultrafilter
-check's verdicts must equal theirs, and the morphism validator must refuse
-a map with swapped images exactly when the old consequence check does.  The
-acceptance path reads no join and builds no order masks
-(``bset._order_masks``), and accepting a morphism runs no id-level
-restriction scan.
+table.  The joins, both skew tables (``bset._skew_rows``, in element order
+and in a shuffled order) and the ultrafilter check's verdicts must equal
+theirs, a set must keep the atom coordinates that its presheaf gives, and
+the morphism validator must refuse a map with swapped images exactly when
+the old consequence check does.  The acceptance path reads no join and
+builds no order masks (``bset._order_masks``), and accepting a morphism
+runs no id-level restriction scan.
 """
 
 import random
@@ -24,6 +26,7 @@ import pytest
 from skewstone import balg, bset, cli, duality, etale, skew, textio
 from skewstone.errors import InternalMissingJoin, StructureError
 
+import correspondence_reference as ref
 from conftest import make_b2, make_b4, make_prod, make_x3_bset
 from test_duality_layer import join_table, seeded_space
 
@@ -56,8 +59,10 @@ def old_coded_join_table(P, codes):
 
 
 def old_coded_boolean_set(P, codes):
+    """The set with the join table of the mixed-radix ``codes``; it keeps
+    no atom coordinates, as nothing read here needs them."""
     zero = P.stalks[P.base.bottom][0]
-    X = bset.BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, codes)
+    X = bset.BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, None)
     X._join = old_coded_join_table(P, codes)
     return X
 
@@ -73,15 +78,19 @@ def old_stalk_rows(P, order, index):
     return rows
 
 
-def old_skew_tables(X):
-    """to_skew's index tables, • read through the join table."""
-    els, index, join = X.elements, X.index, X._join
-    rows = old_stalk_rows(X, els, index)
+def old_skew_tables(X, order=None):
+    """to_skew's index tables over the ids ``order`` (X's element order
+    when None), • read through the join table."""
+    order = X.elements if order is None else order
+    index = {x: i for i, x in enumerate(order)}
+    rows = old_stalk_rows(X, order, index)
+    to_x = [X.index[y] for y in order]
     circ, bullet = [], []
-    for x, jrow in zip(els, join):
+    for x in order:
         circ_row, minus_row = rows[X.stalk_of[x]]
+        jrow = X._join[X.index[x]]
         circ.append(circ_row)
-        bullet.append([jrow[k] for k in minus_row])
+        bullet.append([index[X.elements[jrow[to_x[k]]]] for k in minus_row])
     return circ, bullet
 
 
@@ -89,7 +98,8 @@ def old_assert_morphism_consequences(m):
     """Joins, ∘ and • preserved, compared through id-level calls: joins on
     the join tables, ∘ and • on to_skew of both sets."""
     X, Y, phi = m.source, m.target, m.mapping
-    jx, jy = old_coded_join_table(X, X._codes), old_coded_join_table(Y, Y._codes)
+    jx = old_coded_join_table(X, ref.atom_codes(X))
+    jy = old_coded_join_table(Y, ref.atom_codes(Y))
     for x in X.elements:
         for y in X.elements:
             k = jx[X.index[x]][X.index[y]]
@@ -128,7 +138,7 @@ def old_assert_is_ultrafilter(X, u):
                 raise AssertionError(("no common lower bound", els[i], els[j]))
     inside = [umask >> i & 1 for i in range(len(els))]
     outside = [i for i in range(len(els)) if not inside[i]]
-    join = old_coded_join_table(X, X._codes)
+    join = old_coded_join_table(X, ref.atom_codes(X))
     for i in outside:
         row = join[i]
         for j in outside:
@@ -143,19 +153,22 @@ SHAPES = [(2, 1), (2, 2, 2), (3, 3, 3, 3), (2, 2, 2, 5), (1,) * 7]
 
 
 def assert_matches_reference(X, rng):
-    codes = bset._atom_codes(X)
-    assert X._codes == codes
-    ref = old_coded_boolean_set(X, codes)
-    assert join_table(X) == ref._join
+    assert X._coords == bset._presheaf_coordinates(X)
+    old = old_coded_boolean_set(X, ref.atom_codes(X))
+    assert join_table(X) == old._join
     assert bset._skew_rows(X) is bset._skew_rows(X)  # built once, then kept
-    assert bset._stalk_rows(X, X.elements, X.index) == old_stalk_rows(X, X.elements, X.index)
-    # the order _reconstruct passes: a skew algebra's, not the stalk order
+    circ, bullet = bset._skew_rows(X)
+    assert (circ, bullet) == old_skew_tables(old)
+    # a skew algebra's element order, not the stalk order, both sides
+    # carried over by the same permutation
     order = list(X.elements)
     rng.shuffle(order)
     index = {x: i for i, x in enumerate(order)}
-    assert bset._stalk_rows(X, order, index) == old_stalk_rows(X, order, index)
+    pos = [X.index[x] for x in order]
+    moved = tuple([[index[X.elements[t[i][j]]] for j in pos] for i in pos] for t in (circ, bullet))
+    assert moved == old_skew_tables(old, order)
     S = bset.to_skew(X)
-    assert (S.circ_t, S.bullet_t) == old_skew_tables(ref)
+    assert (S.circ_t, S.bullet_t) == old_skew_tables(old)
 
 
 @pytest.mark.parametrize("sizes", SHAPES)
@@ -194,9 +207,9 @@ def test_skew_validation_keeps_codes_and_builds_no_join_table():
     Y = bset.from_skew(skew.validate_skew(els, [[S.circ(x, y) for y in els] for x in els],
                                           [[S.bullet(x, y) for y in els] for x in els], S.zero))
     assert Y is not X
-    assert Y._codes == bset._atom_codes(Y)
+    assert Y._coords == bset._presheaf_coordinates(Y)
     assert not hasattr(Y, "_rows")
-    assert join_table(Y) == old_coded_join_table(Y, Y._codes)
+    assert join_table(Y) == old_coded_join_table(Y, ref.atom_codes(Y))
 
 
 # ------------------------------------------------------ acceptance path

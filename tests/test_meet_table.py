@@ -129,12 +129,13 @@ def test_meet_table_falls_back_on_swapped_atom_codes(monkeypatch):
     for sizes in [(2, 1, 2), (1, 1, 3), (2, 2, 2)]:
         for _ in range(15):
             X = bset.generate_boolean_set(sizes, seed=rng.randrange(100))
-            codes = list(X._codes)
+            codes, sup, fields = X._coords
+            codes = list(codes)
             n = len(X.elements)
             for _ in range(rng.randint(1, 4)):
                 i, j = rng.randrange(n), rng.randrange(n)
                 codes[i], codes[j] = codes[j], codes[i]
-            X._codes = codes
+            X._coords = codes, sup, fields  # packed codes swapped
             assert_table_matches(X)
     assert calls[0] > 0
 

@@ -371,7 +371,7 @@ def valid_band():
     pytest.param({(balg, "_stone_tables"): None}, valid_balg, id="validate_balg"),
     pytest.param({(balg, "_preserved_by_atoms"): False}, valid_bahom, id="validate_bahom"),
     pytest.param({(bset, "_local_restrictions"): None}, valid_presheaf, id="validate_presheaf"),
-    pytest.param({(bset, "_atom_codes"): None}, valid_boolean_set, id="validate_boolean_set"),
+    pytest.param({(bset, "_coordinates"): None}, valid_boolean_set, id="validate_boolean_set"),
     pytest.param({(bset, "_reconstruct"): (None, False)}, valid_skew, id="validate_skew"),
     pytest.param({(skew, "_light_associative"): False}, valid_band, id="validate_band"),
 ])
@@ -510,7 +510,7 @@ def test_mutants_with_intact_row_classes_match_reference(monkeypatch, sizes, cou
     # coordinates) and fails there; on a • edit the ∘ band check is left out
     raw = generated_raw(sizes)
     rng = random.Random(count)
-    coords = Spy(monkeypatch, bset, "_class_coordinates")
+    coords = Spy(monkeypatch, bset, "_coordinates")
     bands = Spy(monkeypatch, skew, "_band_check")
     compared = 0
     for m in range(count):

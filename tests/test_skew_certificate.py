@@ -13,21 +13,29 @@ the certificate.  Its exactness is pinned by the independent oracle: the
 product formula tables of every atom-stalk shape up to 81 elements scan
 clean.  ``to_skew`` keeps the Boolean set it built its tables from, and
 only that one; and a validated algebra holds one ∘ row per R class however
-its caller shared the rows.
+its caller shared the rows.  There is one coordinate system: the
+certificate reads off ``to_skew(X)`` exactly the packed atom coordinates
+(codes, supports, fields) that X keeps, which are the ones its presheaf
+gives, on every atom-stalk shape up to 81 elements, the docs and etale
+duals, and a set rebuilt from the tables keeps the ones its own presheaf
+gives.
 """
 
 import itertools
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 
-from skewstone import bset, etale, laws, skew
+from skewstone import balg, bset, etale, laws, skew, textio
 
 import correspondence_reference as ref
 from test_correspondence import bset_view, index_tables
 from test_duality_layer import seeded_space
 from test_reconstruct import class_preserving_circ_mutant, raw_skew, skew_view
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 # ----------------------------------------------------------------- helpers
@@ -255,6 +263,69 @@ def test_tables_keep_only_their_own_set(sizes, swap):
     T = skew._validate_index(els, index, circ, bullet, z, Y)
     assert T._bset is not Y
     assert bset_view(T._bset) == bset_view(ref.reconstruct(els, index, circ, bullet, z)[0])
+
+
+def test_tables_with_the_codes_of_another_set_rebuild_their_own():
+    # the product tables of two 1-element atoms, and a set with one
+    # 3-element atom on the same ids in the same order: both code the
+    # elements 0..3, but the supports and fields differ, so the set is
+    # rebuilt from the tables
+    raw = product_raw((1, 1))
+    els = raw["elements"]
+    b2 = balg.validate_balg(["0", "a"], [("0", "a")], "0")
+    P = bset.validate_presheaf(b2, {"0": els[:1], "a": els[1:]},
+                               {("a", "0"): {x: els[0] for x in els[1:]}})
+    X = bset.validate_boolean_set(P)
+    tables = index_tables(els, raw["circ"], raw["bullet"], raw["zero"])
+    elements, index, circ, bullet, z = tables
+    cls_idx, reps, _ = bset._row_classes(elements, circ)
+    coords = bset._skew_certificate(circ, bullet, z, cls_idx, reps)[0]
+    assert X.elements == elements and coords[0] == X._coords[0] == [0, 1, 2, 3]
+    Y = bset._reconstruct(*tables, X)[0]
+    assert Y is not X
+    assert bset_view(Y) == bset_view(ref.reconstruct(*tables)[0])
+
+
+# ------------------------------------------------------ one coordinate system
+
+def certified_coordinates(S):
+    """The atom coordinates the certificate reads off S's tables."""
+    els, _, circ, bullet, z = skew_view(S)
+    cls_idx, reps, _ = bset._row_classes(els, circ)
+    coords, circ_ok = bset._skew_certificate(circ, bullet, z, cls_idx, reps)
+    assert circ_ok
+    return coords
+
+
+def assert_one_coordinate_system(X):
+    """The certificate of to_skew(X) reads X's own coordinates, the ones
+    its presheaf gives, and to_skew keeps X; the set rebuilt from the id
+    tables keeps the coordinates its presheaf gives, X's again."""
+    S = bset.to_skew(X)
+    assert certified_coordinates(S) == X._coords == bset._presheaf_coordinates(X)
+    assert bset.from_skew(S) is X
+    Y = bset.from_skew(skew.validate_skew(*raw_tables(S)))
+    assert Y is not X
+    assert Y._coords == bset._presheaf_coordinates(Y) == X._coords
+
+
+def test_one_coordinate_system_on_every_shape_up_to_81():
+    every = shapes(81)
+    for k, sizes in enumerate(every):
+        assert_one_coordinate_system(bset.generate_boolean_set(sizes, seed=k))
+
+
+def test_one_coordinate_system_on_docs_and_etale_duals():
+    seen = 0
+    for path in sorted(DOCS.glob("*.txt")):
+        for X in textio.build(textio.parse(path.read_text())).values():
+            if isinstance(X, bset.BooleanSet):
+                assert_one_coordinate_system(X)
+                seen += 1
+    assert seen >= 3
+    rng = random.Random(18)
+    for _ in range(40):
+        assert_one_coordinate_system(etale.dual_bset(seeded_space(rng)))
 
 
 # -------------------------------------------------------------- row sharing
