@@ -865,8 +865,15 @@ class RightNormalBand:
 
 
 def validate_band(elements, table):
+    """The right normal band of the id table ``table``, row-major in element
+    order (_band_of_index)."""
     elements, index = balg._index_elements(elements)
-    t = skew._as_index_table(elements, index, table, "circ")
+    return _band_of_index(elements, index, skew._as_index_table(elements, index, table, "circ"))
+
+
+def _band_of_index(elements, index, t):
+    """validate_band on the index table ``t``: a band, right regular, then
+    right normal, each failure with its first witness."""
     skew._band_check(elements, t, "circ")
     n = len(elements)
     for i in range(n):

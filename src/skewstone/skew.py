@@ -211,11 +211,21 @@ def _light_associative(rows, cls, reps):
     return True
 
 
+def _not_an_element(what, entry):
+    return ValueError(f"{what} entry {entry!r} is not an element")
+
+
+def _zero_index(index, zero):
+    if zero not in index:
+        raise ValueError(f"zero {zero!r} is not an element")
+    return index[zero]
+
+
 def _as_index_table(elements, index, rows, what):
-    """The id table ``rows`` as index rows.  Each distinct row object is
-    translated once, so rows that share an id list (as the parser gives
-    identical table lines) share one index row; the length of every row is
-    checked, and the first bad row raises."""
+    """The id table ``rows`` as index rows, for callers that pass id tables
+    (the parser makes index rows itself).  Each distinct row object is
+    translated once, so rows that share an id list share one index row; the
+    length of every row is checked, and the first bad row raises."""
     n = len(elements)
     if len(rows) != n:
         raise ValueError(f"{what} table needs {n} rows, got {len(rows)}")
@@ -229,7 +239,7 @@ def _as_index_table(elements, index, rows, what):
             try:
                 t = done[id(row)] = list(map(pos, row))
             except KeyError as k:
-                raise ValueError(f"{what} entry {k.args[0]!r} is not an element") from None
+                raise _not_an_element(what, k.args[0]) from None
         out.append(t)
     return out
 
@@ -238,7 +248,9 @@ def validate_skew(elements, circ_table, bullet_table, zero):
     """Check SB1 through SB5 and right normality, and return the validated
     algebra.
 
-    Tables are row-major in element order.  Acceptance is decided only by
+    Tables are row-major in element order, rows of ids; ``_validate_index``
+    is the same check on index rows, which the parser gives
+    (``textio._build_stanza``).  Acceptance is decided only by
     the finite form of the paper's theorem (bset._reconstruct): the tables
     are accepted when the atom coordinates read off their ∘ rows make them
     the product of the primitive algebras on the atom classes plus 0,
@@ -253,11 +265,10 @@ def validate_skew(elements, circ_table, bullet_table, zero):
     algebra under the natural order, and last right normality of ∘.
     """
     elements, index = balg._index_elements(elements)
-    if zero not in index:
-        raise ValueError(f"zero {zero!r} is not an element")
+    z = _zero_index(index, zero)
     circ = _as_index_table(elements, index, circ_table, "circ")
     bullet = _as_index_table(elements, index, bullet_table, "bullet")
-    return _validate_index(elements, index, circ, bullet, index[zero])
+    return _validate_index(elements, index, circ, bullet, z)
 
 
 def _validate_index(elements, index, circ, bullet, z, X=None):

@@ -19,13 +19,24 @@ Grammar (normative):
 Separators split only at bracket depth zero, so ids like "(a1,b1)" or
 "{e1,e3}" pass through unharmed; a value whose brackets do not nest is split
 in one pass (_split_top), and a "->" or "<=" pair list whose ids nest no
-brackets is read by one pattern (_pairs).  Identical table lines of a
-stanza are split once and share one id list, and ``skew.validate_skew``
-indexes each distinct row once, so equal rows share one index row too.  Parsed and index tables are
-therefore read-only: an edit in place would change every row sharing the
-list.  Morphism and relmor stanzas name their
-endpoints with "from:"/"to:" body keys; every reference must resolve to an
-earlier stanza, and a right normal band is no morphism endpoint.  Output ordering is the input order of ids everywhere.
+brackets is read by one pattern (_pairs).
+
+A skew stanza's "circ" and "bullet" data are index rows, the form that
+``SkewAlgebra.circ_t``/``bullet_t`` keep: row x holds the position in
+"elements" of x∘y for each y, in element order.  One reader takes every line
+of a table (_TableReader.read_rows): each line is split once and its
+tokens mapped through the header's position dict, and identical lines of a
+table share one index row, which the algebra keeps.  Parsed and index tables are therefore read-only: an edit in
+place would change every row sharing the list.  Ids are made only where they
+are read, by ``Document.law_raw`` and ``print_stanza`` (_id_rows).  An entry
+that is not an element id stays in its row as that id, and the table
+(_StrayRows) keeps the first one in element order for the build step to
+name.
+
+Morphism and relmor stanzas name their endpoints with "from:"/"to:" body
+keys; every reference must resolve to an earlier stanza, and a right normal
+band is no morphism endpoint.  Output ordering is the input order of ids
+everywhere.
 """
 
 import re
@@ -120,12 +131,13 @@ class Document:
         if s.kind == "balg":
             return {"kind": "balg", **{k: s.data[k] for k in ("elements", "leq", "bottom")}}
         if s.kind == "skew":
+            els, bullet = s.data["elements"], s.data.get("bullet")
             return {
                 "kind": "skew",
-                "elements": s.data["elements"],
+                "elements": els,
                 "zero": s.data.get("zero"),
-                "circ": s.data["circ"],
-                "bullet": s.data.get("bullet"),
+                "circ": _id_rows(els, s.data["circ"], "circ"),
+                "bullet": None if bullet is None else _id_rows(els, bullet, "bullet"),
             }
         if s.kind == "bset":
             return {
@@ -255,7 +267,8 @@ def parse(text):
             raise DuplicateName(name, i + 1)
         header_line = i + 1
         i += 1
-        data, i = _parse_body(lines, i, kind)
+        data, tables, i = _parse_body(lines, i, kind)
+        _finish_tables(data, tables, name, header_line)
         stanza = Stanza(kind, name, over, data, header_line)
         _check_refs(stanza, names, header_line)
         names[name] = stanza
@@ -283,11 +296,67 @@ def _check_refs(stanza, names, line):
             raise ParseError(line, 1, "morphism endpoints of the same kind")
 
 
+class _TableReader:
+    """One circ or bullet table as it is read (read_rows): the header row's
+    ids and position dict, then each row as the header positions of its
+    tokens, with its line number.  ``known`` maps a line's text, stripped of
+    its comment, to the row of its tokens, so identical lines are split once
+    and share one row.  A token the header lacks stays in its row as that
+    token, and sets ``strays``."""
+
+    __slots__ = ("line", "header", "hline", "pos", "rows", "lines", "known", "strays")
+
+    def __init__(self, line):
+        self.line = line  # of the "circ:" or "bullet:" key
+        self.header = self.hline = self.pos = None
+        self.rows, self.lines, self.known, self.strays = [], [], {}, False
+
+    def _index(self, toks):
+        try:
+            return list(map(self.pos.__getitem__, toks))
+        except KeyError:
+            self.strays = True
+            return [self.pos.get(t, t) for t in toks]
+
+    def read_rows(self, lines, i):
+        """Read the table from line i on, each line stripped of its comment:
+        blank lines are skipped, the first other line is the header row and
+        each further one a row, up to a line with ":" (a key) or a lone "}".
+        Returns the index of that line, which the caller reads."""
+        known, rows, at, index = self.known, self.rows, self.lines, self._index
+        end = len(lines)
+        while i < end:
+            text = lines[i]
+            if "#" in text:
+                text = text.split("#", 1)[0]
+            row = known.get(text)
+            if row is None:
+                if ":" in text:
+                    break
+                toks = text.split()
+                if not toks:
+                    i += 1
+                    continue
+                if toks == ["}"]:
+                    break
+                if self.header is None:
+                    self.header, self.hline = toks, i + 1
+                    self.pos = {e: k for k, e in enumerate(toks)}
+                    i += 1
+                    continue
+                row = known[text] = index(toks)
+            rows.append(row)
+            i += 1
+            at.append(i)
+        return i
+
+
 def _parse_body(lines, i, kind):
+    """The data of the stanza body from line i on, the _TableReader of each
+    table key, and the index of the line after the closing "}"."""
     data = {}
     seen = set()  # keys with their arguments, e.g. ("stalk", "a")
-    table_key = None
-    split_rows = {}  # stripped table line -> its ids, one list per distinct line
+    tables = {}
     while True:
         if i >= len(lines):
             raise ParseError(len(lines), 1, "'}' closing the stanza")
@@ -300,7 +369,6 @@ def _parse_body(lines, i, kind):
             i += 1
             break
         if ":" in raw:
-            table_key = None
             head, value = raw.split(":", 1)
             head_toks = head.split()
             if not head_toks:
@@ -314,18 +382,14 @@ def _parse_body(lines, i, kind):
                                  f"one {' '.join(head_toks)!r} line in a {kind} stanza")
             seen.add(tuple(head_toks))
             _store(data, kind, key, head_toks[1:], value.strip(), i + 1)
-            if key in ("circ", "bullet") and not value.strip():
-                table_key = key
-        elif table_key is not None:
-            row = split_rows.get(stripped)
-            if row is None:
-                row = split_rows[stripped] = stripped.split()
-            data.setdefault(f"_{table_key}_rows", []).append((row, i + 1))
+            if key in ("circ", "bullet"):
+                table = tables[key] = _TableReader(i + 1)
+                i = table.read_rows(lines, i + 1)
+                continue
         else:
             raise ParseError(i + 1, 1, "'key: value' line or '}'")
         i += 1
-    _finish_tables(data, kind)
-    return data, i
+    return data, tables, i
 
 
 def _one_id(value, key, line):
@@ -370,38 +434,55 @@ def _store(data, kind, key, args, value, line):
             raise ParseError(line, 1, "'restrict <e> -> <f>:'")
         data.setdefault("restrict", {})[(args[0], args[2])] = dict(
             _read_map(value, " ".join((key, *args)), line))
-    else:  # circ, bullet
-        if value:
-            raise ParseError(line, 1, f"table rows on the lines after '{key}:'")
-        data[key] = line  # the table replaces it in _finish_tables
+    elif value:  # circ, bullet: _finish_tables stores the table
+        raise ParseError(line, 1, f"table rows on the lines after '{key}:'")
 
 
-def _finish_tables(data, kind):
-    if kind != "skew":
-        return
+def _finish_tables(data, tables, name, line):
+    """Check each table read for the skew stanza ``name`` (header line
+    ``line``) and store it in ``data`` as index rows in element order, each
+    problem raised at its line."""
     for op in ("circ", "bullet"):
-        rows = data.pop(f"_{op}_rows", None)
-        if isinstance(data.get(op), int):
-            if not rows:
-                raise ParseError(data[op], 1, f"table rows after '{op}:'")
-            header, hline = rows[0]
-            elements = data.get("elements", ())
-            if sorted(header) != sorted(elements):
-                raise ParseError(hline, 1, "header row listing every element id")
-            if len(rows) != len(header) + 1:
-                raise ParseError(hline, 1, f"{len(header)} table rows after the header")
-            row_of = {}
-            for x, (row, rline) in zip(header, rows[1:]):
-                if len(row) != len(header):
-                    raise ParseError(rline, 1, f"{len(header)} entries in the row")
-                row_of[x] = row
-            if header == elements and len(row_of) == len(header):
-                data[op] = [row for row, _ in rows[1:]]  # already in element order
-            else:
-                pos = {e: k for k, e in enumerate(header)}
-                data[op] = [
-                    [row_of[x][pos[y]] for y in elements] for x in elements
-                ]
+        t = tables.get(op)
+        if t is None:
+            continue
+        if t.header is None:
+            raise ParseError(t.line, 1, f"table rows after '{op}:'")
+        if "elements" not in data:
+            raise ParseError(line, 1, f"'elements:' in skew stanza {name}")
+        header, elements = t.header, data["elements"]
+        n = len(header)
+        if sorted(header) != sorted(elements):
+            raise ParseError(t.hline, 1, "header row listing every element id")
+        if len(t.rows) != n:
+            raise ParseError(t.hline, 1, f"{n} table rows after the header")
+        for row, rline in zip(t.rows, t.lines):
+            if len(row) != n:
+                raise ParseError(rline, 1, f"{n} entries in the row")
+        if header == elements and len(t.pos) == n:
+            table = t.rows  # already in element order
+        else:
+            # the row and column of element x are those of its last header
+            # position, and an entry's header position becomes its element's
+            where = {e: k for k, e in enumerate(elements)}
+            to_el = [where[e] for e in header]
+            take = [t.pos[e] for e in elements]
+            table = [[v if isinstance(v, str) else to_el[v]
+                      for v in map(t.rows[r].__getitem__, take)] for r in take]
+        # a repeated id's rows and columns but its last are left out
+        stray = t.strays and next((v for row in table for v in row if isinstance(v, str)), None)
+        if stray:
+            table = _StrayRows(table)
+            table.stray = stray
+        data[op] = table
+
+
+class _StrayRows(list):
+    """The index rows of a parsed table that holds entries which are not
+    element ids: each such entry stays in its row as that id, and ``stray``
+    is the first one in element order, for the build step to name."""
+
+    __slots__ = ("stray",)
 
 
 # ------------------------------------------------------------------ building
@@ -429,6 +510,26 @@ def _build_one(s, built):
         raise ValueError(f"{s.kind} {s.name} (line {s.line}): {e}") from e
 
 
+def _index_table(d, op):
+    """The index rows of table ``op``.  The first entry that is not an
+    element id, when the parser kept one, raises as validate_skew would; a
+    table whose first row holds ids (a hand-built table of ids) raises as
+    _id_rows does."""
+    t = d[op]
+    if isinstance(t, _StrayRows):
+        raise skew._not_an_element(op, t.stray)
+    if t:
+        bad = next((v for v in t[0] if v.__class__ is not int), None)
+        if bad is not None:
+            raise _not_a_position(op, bad)
+    return t
+
+
+def _not_a_position(op, entry):
+    return ValueError(f"{op} entry {entry!r} is not an element position: "
+                      "the tables of a skew stanza are index rows")
+
+
 def _build_stanza(s, built):
     d = s.data
     for key in _REQUIRED[s.kind]:
@@ -437,11 +538,17 @@ def _build_stanza(s, built):
     if s.kind == "balg":
         return balg.validate_balg(d["elements"], d["leq"], d["bottom"])
     if s.kind == "skew":
+        # the checks of validate_band and validate_skew, in their order, on
+        # the index rows the parser made
         if d.get("bullet") is None:
-            return bset.validate_band(d["elements"], d["circ"])
+            elements, index = balg._index_elements(d["elements"])
+            return bset._band_of_index(elements, index, _index_table(d, "circ"))
         if "zero" not in d:
             raise ParseError(s.line, 1, "'zero:' in a skew stanza with both tables")
-        return skew.validate_skew(d["elements"], d["circ"], d["bullet"], d["zero"])
+        elements, index = balg._index_elements(d["elements"])
+        z = skew._zero_index(index, d["zero"])
+        circ, bullet = _index_table(d, "circ"), _index_table(d, "bullet")
+        return skew._validate_index(elements, index, circ, bullet, z)
     if s.kind == "bset":
         base = built[s.over]
         P = bset.validate_presheaf(base, d.get("stalks", {}), d.get("restrict", {}))
@@ -492,7 +599,8 @@ def print_stanza(s):
             lines.append(f"  {key}: {_PLAIN[key][1](d[key])}")
         else:  # circ, bullet: a header row, then one row per element
             lines.append(f"  {key}:")
-            lines += ["    " + " ".join(row) for row in (d["elements"], *d[key])]
+            lines += ["    " + " ".join(row)
+                      for row in (d["elements"], *_id_rows(d["elements"], d[key], key))]
     lines.append("}")
     return "\n".join(lines)
 
@@ -507,14 +615,23 @@ def balg_stanza(B, name):
     }, 0)
 
 
-def _id_rows(els, table):
-    """The index rows of ``table`` as ids, each distinct row object converted
-    once: rows that share an index list share one id list."""
+def _id_rows(els, table, op):
+    """The index rows of table ``op`` as ids, each distinct row object
+    converted once: rows that share an index list share one id list.  An
+    entry the parser kept as an id (not an element's, _StrayRows) is that
+    id; any other entry that is not a position raises."""
+    strays = isinstance(table, _StrayRows)
     out, done = [], {}
     for row in table:
         ids = done.get(id(row))
         if ids is None:
-            ids = done[id(row)] = [els[k] for k in row]
+            try:
+                ids = done[id(row)] = (
+                    [k if k.__class__ is str else els[k] for k in row] if strays
+                    else list(map(els.__getitem__, row)))
+            except TypeError:
+                raise _not_a_position(op, next(
+                    k for k in row if k.__class__ is not int)) from None
         out.append(ids)
     return out
 
@@ -524,8 +641,8 @@ def skew_stanza(S, name):
     return Stanza("skew", name, None, {
         "elements": list(els),
         "zero": S.zero,
-        "circ": _id_rows(els, S.circ_t),
-        "bullet": _id_rows(els, S.bullet_t),
+        "circ": S.circ_t,
+        "bullet": S.bullet_t,
     }, 0)
 
 

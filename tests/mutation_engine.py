@@ -68,6 +68,12 @@ def mutate(raw, rng):
     return MUTATORS[raw["kind"]](raw, rng)
 
 
+def index_rows(elements, table):
+    """The id table ``table`` as the index rows a skew stanza holds."""
+    pos = {x: k for k, x in enumerate(elements)}
+    return [[pos[v] for v in row] for row in table]
+
+
 def raw_to_stanzas(raw, name):
     """Stanza list for a raw dict, so mutants can be replayed via the CLI."""
     if raw["kind"] == "balg":
@@ -80,8 +86,8 @@ def raw_to_stanzas(raw, name):
         return [textio.Stanza("skew", name, None, {
             "elements": list(raw["elements"]),
             "zero": raw["zero"],
-            "circ": [list(r) for r in raw["circ"]],
-            "bullet": [list(r) for r in raw["bullet"]],
+            "circ": index_rows(raw["elements"], raw["circ"]),
+            "bullet": index_rows(raw["elements"], raw["bullet"]),
         }, 0)]
     if raw["kind"] == "bset":
         base = raw_to_stanzas(raw["base"], name + "_base")

@@ -54,10 +54,9 @@ def run(argv):
 
 
 def band_text(band, name):
-    els = list(band.elements)
     return textio.print_stanza(textio.Stanza("skew", name, None, {
-        "elements": els,
-        "circ": [[band.circ(x, y) for y in els] for x in els],
+        "elements": list(band.elements),
+        "circ": band.table,
     }, 0)) + "\n"
 
 
@@ -131,7 +130,7 @@ def write_documents(root):
             while mutant["circ"] == rows:  # an edit of the bullet copy
                 mutant = me.mutate_skew(raw, rng)
             text = textio.print_stanza(textio.Stanza("skew", "S", None, {
-                "elements": els, "circ": mutant["circ"]}, 0)) + "\n"
+                "elements": els, "circ": me.index_rows(els, mutant["circ"])}, 0)) + "\n"
             (root / f"{tag}_m{m}.txt").write_text(text)
             docs[f"{tag}_m{m}.txt"] = ["S"]
     (root / "etale.txt").write_text(etale_text((2, 1, 3), 2, "E"))

@@ -110,9 +110,10 @@ def test_etale_duals_and_docs_match_reference():
     for path in sorted(DOCS.glob("*.txt")):
         for s in textio.parse(path.read_text()).stanzas:
             if s.kind == "skew" and s.data.get("bullet") is not None:
-                d = s.data
-                assert compare(*index_tables(d["elements"], d["circ"], d["bullet"],
-                                             d["zero"])) == (True, True)
+                d = s.data  # index rows, as the parser gives them
+                elements, index = balg._index_elements(d["elements"])
+                assert compare(elements, index, d["circ"], d["bullet"],
+                               index[d["zero"]]) == (True, True)
                 seen += 1
     assert seen
 

@@ -40,21 +40,21 @@ def check(text, name, expected_raw):
 def test_every_skew_table_edit(sizes):
     S = bset.to_skew(bset.generate_boolean_set(sizes))
     stanza = textio.skew_stanza(S, "M")
-    els, d = stanza.data["elements"], stanza.data
+    els, d = stanza.data["elements"], stanza.data  # tables of index rows
+    ids = textio.Document([stanza]).law_raw("M")  # the same tables of ids
     rejected = edits = 0
     for op in ("circ", "bullet"):
         for i, row in enumerate(d[op]):
             for j, old in enumerate(row):
-                for v in els:
+                for v in range(len(els)):
                     if v == old:
                         continue
-                    edited = list(row)
-                    edited[j] = v
-                    table = list(d[op])
-                    table[i] = edited
+                    edited, edited_ids = list(row), list(ids[op][i])
+                    edited[j], edited_ids[j] = v, els[v]
+                    table, id_table = list(d[op]), list(ids[op])
+                    table[i], id_table[i] = edited, edited_ids
                     data = {**d, op: table}
-                    raw = {"kind": "skew", "elements": els, "zero": d["zero"],
-                           "circ": data["circ"], "bullet": data["bullet"]}
+                    raw = {**ids, op: id_table}
                     text = textio.print_stanza(textio.Stanza("skew", "M", None, data, 0))
                     rejected += check(text, "M", raw) is not None
                     edits += 1

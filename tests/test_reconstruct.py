@@ -35,6 +35,7 @@ from skewstone import balg, bset, etale, laws, skew, textio
 from skewstone.errors import NotABand, SkewAxiomViolation, StructureError
 
 import mutation_engine as me
+import textio_reference
 from conftest import X3_BULLET, X3_CIRC
 from test_duality_layer import join_table, old_check_consequences, seeded_space
 from test_quotients import (
@@ -257,10 +258,10 @@ def test_generated_algebras_are_accepted_by_reconstruction(sizes):
 def test_docs_skew_stanzas_match_reference():
     seen = 0
     for path in sorted(DOCS.glob("*.txt")):
-        for s in textio.parse(path.read_text()).stanzas:
+        doc = textio.parse(path.read_text())
+        for s in doc.stanzas:
             if s.kind == "skew" and s.data.get("bullet") is not None:
-                raw = {"elements": s.data["elements"], "zero": s.data["zero"],
-                       "circ": s.data["circ"], "bullet": s.data["bullet"]}
+                raw = doc.law_raw(s.name)  # the id tables of the stanza
                 assert assert_same_outcome(raw)[0] == "ok"
                 seen += 1
     assert seen
@@ -409,7 +410,9 @@ def calls_by_function(tree, name):
 def test_skew_algebras_are_built_only_by_validate_skew():
     # from_skew returns what validate_skew kept and gamma_classes views it,
     # so no other code may build a SkewAlgebra; _validate_index is validate_skew's
-    # core on index tables, which to_skew calls directly.  Every other
+    # core on index tables, which to_skew and the build step of parsed index
+    # rows call directly, as the build step calls validate_band's core
+    # _band_of_index.  Every other
     # validated structure is built in one place too, after its certificate
     # accepts.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -419,12 +422,13 @@ def test_skew_algebras_are_built_only_by_validate_skew():
         return {f: fns for f, tree in trees.items() if (fns := calls_by_function(tree, name))}
 
     assert callers("SkewAlgebra") == {"skew.py": ["_validate_index"]}
-    assert callers("_validate_index") == {"bset.py": ["to_skew"], "skew.py": ["validate_skew"]}
+    assert callers("_validate_index") == {"bset.py": ["to_skew"], "skew.py": ["validate_skew"],
+                                          "textio.py": ["_build_stanza"]}
     assert callers("FinBooleanAlgebra") == {"balg.py": ["validate_balg"]}
     assert callers("FinMeetSemilattice") == {"balg.py": ["validate_meet_semilattice"]}
     assert callers("Presheaf") == {"bset.py": ["validate_presheaf"]}
     assert callers("BooleanSet") == {"bset.py": ["_coded_boolean_set"]}
-    assert callers("RightNormalBand") == {"bset.py": ["validate_band"]}
+    assert callers("RightNormalBand") == {"bset.py": ["_band_of_index"]}
 
 
 def test_the_call_scan_sees_names_attributes_and_module_level():
@@ -599,15 +603,19 @@ def test_to_skew_and_skew_stanza_match_reference():
         assert [[S.circ(x, y) for y in S.elements] for x in S.elements] == circ
         assert [[S.bullet(x, y) for y in S.elements] for x in S.elements] == bullet
         stanza = textio.skew_stanza(S, "G")
-        assert stanza.data == old_skew_stanza_data(S)
+        # the stanza keeps the algebra's index rows; its law view has the ids
+        assert stanza.data["circ"] is S.circ_t and stanza.data["bullet"] is S.bullet_t
+        law_view = textio.Document([stanza]).law_raw("G")
+        assert law_view.pop("kind") == "skew" and law_view == old_skew_stanza_data(S)
         old = textio.Stanza("skew", "G", None, old_skew_stanza_data(S), 0)
-        assert textio.print_stanza(stanza) == textio.print_stanza(old)
+        assert textio.print_stanza(stanza) == textio_reference.print_stanza(old)
 
 
 def test_table_rows_parse_the_same_in_and_out_of_element_order():
     S = bset.to_skew(bset.generate_boolean_set((2, 2), seed=3))
     text = textio.print_stanza(textio.skew_stanza(S, "G"))
-    in_order = textio.parse(text).stanzas[0].data
+    in_order_doc = textio.parse(text)
+    in_order = in_order_doc.stanzas[0].data
     lines = text.splitlines()
     # reverse the header and the rows of both tables, entries included
     for key in ("  circ:", "  bullet:"):
@@ -619,12 +627,13 @@ def test_table_rows_parse_the_same_in_and_out_of_element_order():
         lines[at:at + n + 1] = ["    " + " ".join(r) for r in [header] + rows]
     shuffled = textio.parse("\n".join(lines)).stanzas[0].data
     assert shuffled == in_order
-    assert in_order["circ"] == old_skew_stanza_data(S)["circ"]
+    assert in_order["circ"] == S.circ_t and in_order["bullet"] == S.bullet_t
+    assert in_order_doc.law_raw("G")["circ"] == old_skew_stanza_data(S)["circ"]
     # a repeated id takes the reorder path, whose rows follow the last copy
     dup = textio.parse(
         "skew D {\n  elements: a, a\n  zero: a\n  circ:\n    a a\n    a b\n    c d\n}\n"
-    ).stanzas[0].data
-    assert dup["circ"] == [["d", "d"], ["d", "d"]]
+    )
+    assert dup.law_raw("D")["circ"] == [["d", "d"], ["d", "d"]]
 
 
 def test_skew_struct_eq_matches_reference():

@@ -1,8 +1,9 @@
 """Parsed and index table rows are read-only in ``skewstone``.
 
-The parser gives identical table lines one shared id list, and
-``skew._as_index_table``, ``bset._skew_rows`` and ``textio.skew_stanza``
-share a row between the elements whose rows are equal.  An edit in place
+The parser gives identical table lines one shared index row, which the
+built algebra keeps, and ``skew._as_index_table`` (for id tables),
+``bset._skew_rows`` and ``textio.skew_stanza`` share a row between the
+elements whose rows are equal.  An edit in place
 would silently change every row that shares the list, so this AST scan
 refuses, anywhere in the package:
 
@@ -15,13 +16,18 @@ refuses, anywhere in the package:
 
 Tests copy a row before they edit it.  ``bset._row_classes`` converts each
 shared row object once; its classes must not depend on the sharing.
+
+A parsed skew document is built from its index rows as they are: no id
+table is indexed (``skew._as_index_table`` is not called), one ∘ row
+object per distinct table line reaches ``S.circ_t``, and ids are made only
+for the law view, which holds element ids alone.
 """
 
 import ast
 from pathlib import Path
 
 import skewstone
-from skewstone import bset
+from skewstone import bset, skew, textio
 
 PACKAGE = Path(skewstone.__file__).resolve().parent
 TABLES = {"circ", "bullet", "circ_t", "bullet_t", "circ_table", "bullet_table", "table",
@@ -144,3 +150,41 @@ def test_row_classes_are_the_same_for_shared_and_distinct_equal_rows():
         want = old_row_classes(S.elements, shared)
         for table in (shared, distinct, mixed):
             assert bset._row_classes(S.elements, table) == want
+
+
+# ------------------------------------------ parsed rows into the algebra
+
+def table_lines(text, op):
+    """The row lines of table ``op`` in a printed skew stanza."""
+    lines = text.splitlines()
+    at = lines.index(f"  {op}:") + 2  # after the header
+    return lines[at:at + len(lines[at - 1].split())]
+
+
+def test_a_parsed_skew_document_keeps_its_rows_into_the_algebra(monkeypatch):
+    X = bset.generate_boolean_set((3, 3, 3, 3))
+    text = textio.print_stanza(textio.skew_stanza(bset.to_skew(X), "G"))
+    band_text = textio.print_stanza(textio.Stanza("skew", "B", None, {
+        "elements": list(X.elements), "circ": bset.to_skew(X).circ_t}, 0))
+    calls = []
+    real = skew._as_index_table
+    monkeypatch.setattr(skew, "_as_index_table", lambda *args: calls.append(args) or real(*args))
+    doc = textio.parse(text + "\n" + band_text)
+    built = textio.build(doc)
+    S, band = built["G"], built["B"]
+    assert calls == []
+    data = doc.by_name["G"].data
+    lines = table_lines(text, "circ")
+    assert len(lines) == 256 and len(set(lines)) == 16
+    # one row object per distinct line, the same object in the algebra
+    assert len({(line, id(row)) for line, row in zip(lines, data["circ"])}) == 16
+    assert [id(row) for row in S.circ_t] == [id(row) for row in data["circ"]]
+    assert [id(row) for row in band.table] == [id(row) for row in doc.by_name["B"].data["circ"]]
+    assert len({id(row) for row in band.table}) == 16
+    assert S.bullet_t is data["bullet"] and len({id(row) for row in S.bullet_t}) == 256
+    # the law view holds element ids only
+    raw = doc.law_raw("G")
+    ids = set(data["elements"])
+    for op in ("circ", "bullet"):
+        assert all(isinstance(row, list) and set(row) <= ids for row in raw[op])
+        assert raw[op] == [row.split() for row in table_lines(text, op)]

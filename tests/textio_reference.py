@@ -7,9 +7,12 @@ pass: its ``_split_top`` merges the pieces of ``str.split`` by bracket depth.
 ``_KEYS`` (the allowed keys as sets), ``_store`` (one if-chain branch per
 key), ``_check_refs`` (one ``from:``/``to:`` loop per morphism kind), the
 ``_require`` calls of ``_build_stanza`` and ``print_stanza`` (one branch per
-kind) are copies of the package's before that change.  Kept unchanged for
-``test_parse_reference.py`` and ``test_key_tables.py``; it builds the same
-``Stanza`` and ``Document`` objects as the package.
+kind) are copies of the package's before that change.  Its skew tables
+are id rows, as the package's were before it read them into index rows.
+Its code is kept unchanged for ``test_parse_reference.py`` (and the table
+fuzz that uses it), ``test_key_tables.py`` and ``test_reconstruct.py``'s
+printer check; it builds the same ``Stanza`` and ``Document`` objects as
+the package.
 """
 
 from skewstone import balg, bset, etale, skew
