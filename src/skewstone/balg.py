@@ -1,4 +1,4 @@
-"""Finite generalized Boolean algebras with derived order tables.
+"""Finite generalized Boolean algebras, kept as their Stone code.
 
 A (generalized) Boolean algebra is a relatively complemented distributive
 lattice with a bottom element; a unital one also has a top.  Every finite
@@ -6,23 +6,23 @@ lattice with a bottom is automatically unital (the join of all elements is a
 top), so the distinction matters only for the infinite objects that are out
 of representational reach here.
 
-Only the partial order is taken as input.  Meet, join and relative-complement
-tables are derived during validation and cached; element ids are opaque
-strings, all derived tables use dense integer indices in input order, which
+Only the partial order is taken as input.  Element ids are opaque strings;
+the order rows and codes use dense integer indices in input order, which
 fixes every deterministic choice downstream.  The order's up and down rows
 are built by one pass in topological order, O(n + pairs) row ORs; only
 pairs with a cycle are closed by Warshall's loop, to name the witness.
 Validation accepts only through the Stone map: an order is a finite Boolean
 algebra exactly when it is isomorphic to the powerset of its atoms, which
-is checked in O(n·k) and the tables read off in O(n^2 + 3^k) for k atoms,
-the 3^k for the relative complements.  The exhaustive lattice,
-distributivity (O(n^3) over triples) and relative-complement scans run only
-when that check fails, only to name the first failed law; the intended
-feasible bound is about 256 elements.
+is checked in O(n·k) for k atoms.  The algebra keeps each element's atom
+code; meets, joins and relative complements are read off it as AND, OR
+and AND-NOT.  The exhaustive lattice, distributivity (O(n^3) over triples)
+and relative-complement scans run only when that check fails, only to name
+the first failed law; the intended feasible bound is about 256 elements.
 """
 
 from dataclasses import dataclass, field
 from itertools import chain, product
+from operator import and_, or_
 
 from .errors import (
     NoBottom,
@@ -226,13 +226,19 @@ class FilterSet:
 
 
 class FinBooleanAlgebra(FinMeetSemilattice):
-    """Validated relatively complemented distributive lattice with bottom."""
+    """Validated relatively complemented distributive lattice with bottom,
+    kept as its Stone code (_stone_code): ``_code[i]`` is the set of atoms
+    below element i, bit k for the k-th atom, and ``_pos[c]`` is the
+    element with code c.  No operation table is kept."""
 
-    def __init__(self, elements, index, up, down, meet_t, join_t, bottom_i, comp_in):
-        super().__init__(elements, index, up, down, meet_t)
-        self._join = join_t
+    def __init__(self, elements, index, up, down, bottom_i, code, pos):
+        self.elements = elements
+        self.index = index
+        self._up = up
+        self._down = down
         self._bottom_i = bottom_i
-        self._comp_in = comp_in
+        self._code = code
+        self._pos = pos
 
     @property
     def bottom(self):
@@ -240,32 +246,33 @@ class FinBooleanAlgebra(FinMeetSemilattice):
 
     @property
     def top(self):
-        t = _bound((1 << len(self.elements)) - 1, self._down)
-        return self.elements[t]
+        return self.elements[self._pos[-1]]
 
     @property
     @memo("_atoms")
     def atoms(self):
-        base = 1 << self._bottom_i
-        return tuple(
-            e for i, e in enumerate(self.elements)
-            if i != self._bottom_i and self._down[i] == base | 1 << i
-        )
+        pos = self._pos
+        return tuple(self.elements[pos[1 << k]] for k in range(len(pos).bit_length() - 1))
+
+    def meet(self, x, y):
+        code, index = self._code, self.index
+        return self.elements[self._pos[code[index[x]] & code[index[y]]]]
 
     def join(self, x, y):
-        return self.elements[self._join[self.index[x]][self.index[y]]]
+        code, index = self._code, self.index
+        return self.elements[self._pos[code[index[x]] | code[index[y]]]]
 
     def join_all(self, xs):
-        acc = self._bottom_i
+        code, index = self._code, self.index
+        c = 0
         for x in xs:
-            acc = self._join[acc][self.index[x]]
-        return self.elements[acc]
+            c |= code[index[x]]
+        return self.elements[self._pos[c]]
 
     def rel_complement(self, e, f):
         """The unique c <= e with c ∧ (e∧f) = 0 and c ∨ (e∧f) = e."""
-        i = self.index[e]
-        m = self._meet[i][self.index[f]]
-        return self.elements[self._comp_in[i, m]]
+        code, index = self._code, self.index
+        return self.elements[self._pos[code[index[e]] & ~code[index[f]]]]
 
     # -- filters and ideals ------------------------------------------------
 
@@ -302,19 +309,17 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         g = _bound(m, self._down)
         return g >= 0 and self._down[g] == m
 
-    def _is_prime_mask(self, m, table):
-        """No two elements outside m have their ``table`` entry inside m."""
-        n = len(self.elements)
-        if m == (1 << n) - 1:
-            return False
-        inside = [m >> i & 1 for i in range(n)]
-        outside = [i for i in range(n) if not inside[i]]
-        for i in outside:
-            row = table[i]
-            for j in outside:
-                if inside[row[j]]:
+    def _is_prime_mask(self, m, op):
+        """No two elements outside m have the element of ``op`` (and_ for
+        the meet, or_ for the join) of their codes inside m."""
+        full = (1 << len(self.elements)) - 1
+        inside = [m >> i & 1 for i in self._pos]  # by code
+        outside = list(map(self._code.__getitem__, _bits(full & ~m)))
+        for k, c in enumerate(outside):  # op is commutative: each pair once
+            for d in outside[k:]:
+                if inside[op(c, d)]:
                     return False
-        return True
+        return m != full
 
     def is_filter(self, members):
         return self._is_filter_mask(self._mask(members))
@@ -323,14 +328,14 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         return self._is_ideal_mask(self._mask(members))
 
     def _is_prime_filter_mask(self, m):
-        return self._is_filter_mask(m) and self._is_prime_mask(m, self._join)
+        return self._is_filter_mask(m) and self._is_prime_mask(m, or_)
 
     def is_prime_filter(self, members):
         return self._is_prime_filter_mask(self._mask(members))
 
     def is_prime_ideal(self, members):
         m = self._mask(members)
-        return self._is_ideal_mask(m) and self._is_prime_mask(m, self._meet)
+        return self._is_ideal_mask(m) and self._is_prime_mask(m, and_)
 
     @memo("_ultra")
     def ultrafilters(self):
@@ -370,58 +375,48 @@ def _ultra_masks(B):
     return ultra, _transpose(ultra, len(B.elements))
 
 
-def _stone_tables(n, up, down, bot):
-    """Meet, join and relative-complement tables by the Stone map, or None.
+def _stone_code(n, up, down, bot):
+    """The Stone code (code, pos) of the order, or None if it is not a
+    Boolean algebra with least element ``bot``.
 
-    The atoms are the elements whose down-set is {bottom, self}; code[x] is
-    the set of atoms below x, as a bitmask over the atoms.  The order is a
-    Boolean algebra with least element ``bot`` exactly when ``bot`` is least,
-    n = 2^k for k atoms, code is injective, and up[x] is the set of elements
-    whose code contains code[x] (x <= y iff code(x) ⊆ code(y)): finite Stone
-    duality, every finite Boolean algebra is the powerset of its atoms.
-    That set is the AND of the up rows of the atoms in code[x], built for
-    each code from the code less its lowest atom, one AND per element.  On
-    success the tables are read off the codes; the cost is O(n·k + n² +
-    3^k), the 3^k for the relative complements.
+    The atoms are the elements whose down-set is {bottom, self}, in element
+    order; code[x] is the set of atoms below x, bit k for the k-th atom, and
+    pos[c] is the element whose code is c.  The order is a Boolean algebra
+    with least element ``bot`` exactly when n = 2^k for k atoms and up[x]
+    is the set of elements whose code contains code[x] (x <= y iff code(x)
+    ⊆ code(y)): finite Stone duality, every finite Boolean algebra is the
+    powerset of its atoms.  Then ``bot``, whose code is empty, is least, and
+    code is a bijection, as distinct elements have distinct up rows.  That
+    set is the AND of the up rows of the atoms in code[x], built for each
+    code from the code less its lowest atom, one AND per element; the cost
+    is O(n·k).
     """
     full = (1 << n) - 1
-    if up[bot] != full:
-        return None
     base = 1 << bot
     atoms = [i for i in range(n) if i != bot and down[i] == base | 1 << i]
-    k = len(atoms)
-    if n != 1 << k:
+    if n != 1 << len(atoms):
         return None
     atom_up = [up[a] for a in atoms]
     code = _transpose(atom_up, n)
-    pos = [-1] * n
-    for i, c in enumerate(code):
-        if pos[c] >= 0:
-            return None
-        pos[c] = i
     above = [full] * n  # above[c]: the elements whose code contains c
     for c in range(1, n):
         above[c] = above[c & c - 1] & atom_up[_first(c)]
     if list(map(above.__getitem__, code)) != up:
         return None
-    meet = [[pos[c & d] for d in code] for c in code]
-    join = [[pos[c | d] for d in code] for c in code]
-    comp_in = {}
-    for b in range(n):
-        cb = code[b]
-        for a in _bits(down[b]):
-            comp_in[b, a] = pos[cb & ~code[a]]
-    return meet, join, comp_in
+    pos = [0] * n
+    for i, c in enumerate(code):
+        pos[c] = i
+    return code, pos
 
 
 def validate_balg(elements, leq_pairs, bottom):
     """Validate a partial order as a generalized Boolean algebra.
 
     Takes the order relation only (reflexive-transitive closure is implied)
-    and derives meet/join/relative-complement tables, or raises a diagnostic
-    naming the first failed law with a witness tuple.
+    and keeps its Stone code, or raises a diagnostic naming the first failed
+    law with a witness tuple.
 
-    Acceptance is decided by the Stone map (see _stone_tables), which is
+    Acceptance is decided by the Stone map (see _stone_code), which is
     exact both ways, so the lattice, bottom, distributivity and relative
     complement scans run only on an order it rejects, to name the first
     failed law and its witness.  The scans build no algebra: if none of
@@ -435,10 +430,9 @@ def validate_balg(elements, leq_pairs, bottom):
     up, down = _check_poset(elements, index, leq_pairs)
     bot = index[bottom]
 
-    tables = _stone_tables(n, up, down, bot)
-    if tables is not None:
-        meet, join, comp_in = tables
-        return FinBooleanAlgebra(elements, index, up, down, meet, join, bot, comp_in)
+    stone = _stone_code(n, up, down, bot)
+    if stone is not None:
+        return FinBooleanAlgebra(elements, index, up, down, bot, *stone)
 
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
@@ -571,16 +565,19 @@ def _check_bahom(f, source, target):
     """Raise NotAHomomorphism unless the checked index map ``f``
     (_index_map) preserves the bottom, meets and joins.
 
-    Accepted by the atoms (_preserved_by_atoms) in O(k^2 + n·k) for k
-    source atoms; only a refusal runs the pair scan (_unpreserved), to name
-    the first pair whose meet or join is not preserved, and finding none
-    raises AssertionError, also under ``python -O``.
+    Accepted by the atoms (_preserved_by_atoms) in O(n); only a refusal
+    reads meet and join tables off the codes and runs the pair scan
+    (_unpreserved), to name the first pair whose meet or join is not
+    preserved, and finding none raises AssertionError, also under -O.
     """
     if f[source._bottom_i] != target._bottom_i:
         raise NotAHomomorphism((source.bottom,), "bottom")
     if _preserved_by_atoms(f, source, target):
         return
-    bad = _unpreserved(f, source._meet, target._meet, source._join, target._join)
+    # the source and target meet tables, then the join tables
+    tables = [[[B._pos[op(c, d)] for d in B._code] for c in B._code]
+              for op in (and_, or_) for B in (source, target)]
+    bad = _unpreserved(f, *tables)
     if bad is None:
         raise AssertionError("the atom check refused a map that preserves every meet and join")
     i, j, k = bad
@@ -589,26 +586,18 @@ def _check_bahom(f, source, target):
 
 def _preserved_by_atoms(f, source, target):
     """Whether the index map ``f`` preserves meets and joins, given that it
-    keeps the bottom: iff the images of distinct atoms are pairwise
-    disjoint and every element's image is the join of the images of the
-    atoms below it.  Exact, as every element is the join of its atoms, an
-    atom lies below a join only if it lies below a part, and meets
-    distribute over joins in the target."""
-    bot, meet, join = target._bottom_i, target._meet, target._join
-    atoms = [source.index[a] for a in source.atoms]
-    images = [f[a] for a in atoms]
-    for m, u in enumerate(images):
-        row = meet[u]
-        if any(row[v] != bot for v in images[m + 1:]):
-            return False
-    mask = sum(1 << a for a in atoms)
-    for x, down in enumerate(source._down):
-        acc = bot
-        for a in _bits(down & mask):
-            acc = join[acc][f[a]]
-        if acc != f[x]:
-            return False
-    return True
+    keeps the bottom: iff the target codes of the images of the atoms are
+    pairwise disjoint (their sum is their OR) and every element's image
+    code is the OR of the image codes of the atoms below it.  Exact, as
+    every element is the join of its atoms, an atom lies below a join only
+    if it lies below a part, and meets distribute over joins in the target."""
+    t_code, s_pos = target._code, source._pos
+    images = [t_code[f[s_pos[1 << k]]] for k in range(len(s_pos).bit_length() - 1)]
+    joined = [0] * len(s_pos)  # joined[c]: the OR of the images of the atoms in c
+    for c in range(1, len(s_pos)):
+        joined[c] = joined[c & c - 1] | images[_first(c)]
+    return sum(images) == joined[-1] and all(
+        joined[c] == t_code[fx] for c, fx in zip(source._code, f))
 
 
 def is_proper_hom(h):
@@ -659,7 +648,7 @@ def classical_properties_report(B):
     is an isomorphism onto the ultrafilter powerset.  A failure names its
     first witness in element order, filters and ideals by generator.
     """
-    els, n, bot = B.elements, len(B.elements), B._bottom_i
+    els, n, bot, code, pos = B.elements, len(B.elements), B._bottom_i, B._code, B._pos
     full = (1 << n) - 1
     ultra = B.ultrafilters()
     U, stone = _ultra_masks(B)
@@ -669,7 +658,7 @@ def classical_properties_report(B):
     primes = {m for _, m in filters if B._is_prime_filter_mask(m)}
     proper = [m for _, m in ideals if m != full]
     maximal = [m != full and not any(m | p == p != m for p in proper) for _, m in ideals]
-    prime_ideal = [B._is_ideal_mask(m) and B._is_prime_mask(m, B._meet) for _, m in ideals]
+    prime_ideal = [B._is_ideal_mask(m) and B._is_prime_mask(m, and_) for _, m in ideals]
     # per filter the ultrafilters holding it, per ideal those missing it
     contain = [sum(1 << k for k, u in enumerate(U) if m | u == u) for _, m in filters]
     avoid = [sum(1 << k for k, u in enumerate(U) if not m & u) for _, m in ideals]
@@ -692,8 +681,9 @@ def classical_properties_report(B):
             if len({stone[i] for i in nonzero}) < len(nonzero) else ()),
         _first_witness("stone_map_isomorphism", chain(
             ((els[a], els[b]) for a, b in product(range(n), repeat=2)
-             if a != b and stone[a] == stone[b] or stone[B._meet[a][b]] != stone[a] & stone[b]
-             or stone[B._join[a][b]] != stone[a] | stone[b]),
+             if a != b and stone[a] == stone[b]
+             or stone[pos[code[a] & code[b]]] != stone[a] & stone[b]
+             or stone[pos[code[a] | code[b]]] != stone[a] | stone[b]),
             ((B.bottom,),) if stone[bot] else (),
             ((u.generator,) for k, u in enumerate(ultra) if 1 << k not in images))),
     ])

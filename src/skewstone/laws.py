@@ -151,11 +151,18 @@ def _scan_balg_env(env):
 
 class _Skew(dict):
     """A raw band or skew algebra: ``env["circ"][x][y]`` is x∘y and
-    ``env["bullet"][x][y]`` is x•y, each table built when first read."""
+    ``env["bullet"][x][y]`` is x•y, each table built when first read.  A
+    table entry that is not an element raises ValueError at once, in
+    validate's words: the first in element order, circ before bullet."""
 
     def __init__(self, raw):
         super().__init__()
         self.raw, self.elements, self.zero = raw, raw["elements"], raw.get("zero")
+        ids = set(self.elements)
+        for op in ("circ", "bullet"):
+            bad = next((v for row in raw.get(op) or () for v in row if v not in ids), None)
+            if bad is not None:
+                raise ValueError(f"{op} entry {bad!r} is not an element")
 
     def __missing__(self, op):
         els = self.elements
@@ -474,8 +481,9 @@ def holds(law, raw, witness):
     scan_bset reports the base's findings.  Raises ValueError, before
     evaluating anything, when the law is unknown or not a law of ``raw``'s
     kind, when the witness has no form that the validators and ``scan``
-    give the law (a length, and an id of the structure at each entry), or
-    when the law reads a zero that the skew raw does not declare."""
+    give the law (a length, and an id of the structure at each entry), when
+    the law reads a zero that the skew raw does not declare, or when a skew
+    raw's table holds an entry that is not an element (_Skew)."""
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}")
     witness = tuple(witness)

@@ -5,11 +5,11 @@ and the helpers they shared (``_row_classes``, ``_class_table``,
 ``_order_pairs``, and the class-count guard over the class table), with its
 own copies of the Boolean-set kernels it rebuilt the tables with: the
 mixed-radix atom codes (``atom_codes``), the stalk rows read from the base's
-meet and relative-complement tables (``stalk_rows``) and the • rows from
-the codes (``bullet_rows``).  The Boolean set it accepts is validated by
-``bset.validate_boolean_set``, so its atom coordinates are the ones the
-presheaf route computes.  Kept as the differential reference of
-``tests/test_correspondence.py``.
+meets and relative complements, found by a bound search over its order
+rows (``stalk_rows``), and the • rows from the codes (``bullet_rows``).
+The Boolean set it accepts is validated by ``bset.validate_boolean_set``,
+so its atom coordinates are the ones the presheaf route computes.  Kept as
+the differential reference of ``tests/test_correspondence.py``.
 """
 
 from math import prod
@@ -52,11 +52,32 @@ def atom_codes(P):
     return codes if len(set(codes)) == len(codes) else None
 
 
+def greatest(mask, down):
+    """The element of ``mask`` whose down row holds all of ``mask``."""
+    return next(i for i in range(len(down)) if mask >> i & 1 and mask & ~down[i] == 0)
+
+
+def base_tables(B):
+    """The meet table of the base B and its relative complements
+    comp_in[f, m] for m <= f: the greatest element below f whose meet with
+    m is the bottom, found over B's down rows."""
+    down, n = B._down, len(B.elements)
+    bottom = 1 << B.index[B.bottom]
+    meet = [[greatest(down[c] & down[f], down) for f in range(n)] for c in range(n)]
+    comp_in = {}
+    for f in range(n):
+        below = [x for x in range(n) if down[f] >> x & 1]
+        for m in below:
+            comp_in[f, m] = greatest(
+                sum(1 << x for x in below if down[x] & down[m] == bottom), down)
+    return meet, comp_in
+
+
 def stalk_rows(P, order, index):
     """Per base element c, the rows y|(c ∧ p(y)) and y|(p(y) \\ c) over the
     ids ``order``, as positions in ``index``."""
     B = P.base
-    meet, comp_in, bi = B._meet, B._comp_in, B.index
+    (meet, comp_in), bi = base_tables(B), B.index
     rests = []
     for y in order:
         r = [0] * len(B.elements)

@@ -268,8 +268,18 @@ def _balg_outcome(validate, elements, leq_pairs, bottom):
     except StructureError as e:
         return type(e), e.law, e.witness
     if isinstance(result, balg.FinBooleanAlgebra):
-        return result._meet, result._join, list(result._comp_in.items())
+        return operation_tables(result)
     return result
+
+
+def operation_tables(B):
+    """The meet and join tables of B, and per b and each a <= b the
+    relative complement b minus a, as indices, read through B's methods."""
+    els, ix = B.elements, B.index
+    return ([[ix[B.meet(x, y)] for y in els] for x in els],
+            [[ix[B.join(x, y)] for y in els] for x in els],
+            [((b, a), ix[B.rel_complement(y, els[a])]) for b, y in enumerate(els)
+             for a in range(len(els)) if B.leq(els[a], y)])
 
 
 def _assert_balg_matches_reference(elements, leq_pairs, bottom):
@@ -420,10 +430,12 @@ def test_filter_generator_is_the_least_member(k):
         assert i.generator == max(i.members, key=lambda x: len(B.down_set(x)))
 
 
-def test_ultrafilter_prime_check_fires_on_a_corrupted_join_table(b8):
-    # {q} ∨ {r} moved into up({p}) makes that ultrafilter not prime; the
-    # check is a raise, so it also fires under python -O
+def test_ultrafilter_prime_check_fires_on_a_corrupted_stone_code(b8):
+    # {q} ∨ {r} moved into up({p}): the code of {q,r} read as {p,q,r}'s
+    # makes that ultrafilter not prime; the check is a raise, so it also
+    # fires under python -O
     i = b8.index
-    b8._join[i["{q}"]][i["{r}"]] = i["{p,q,r}"]
+    b8._pos[b8._code[i["{q,r}"]]] = i["{p,q,r}"]
+    assert b8.join("{q}", "{r}") == "{p,q,r}"
     with pytest.raises(AssertionError, match=r"Filter\(\['\{p,q,r\}', '\{p,q\}', '\{p,r\}', '\{p\}'\]\)"):
         b8.ultrafilters()

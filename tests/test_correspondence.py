@@ -46,12 +46,12 @@ def index_tables(elements, circ, bullet, zero):
 
 
 def bset_view(X):
-    """Everything a Boolean set holds, with key orders: its base's tables
-    and covers, its stalks, cover maps, restrictions, atom coordinates
-    and zero."""
+    """Everything a Boolean set holds, with key orders: its base's order
+    rows, Stone code and covers, its stalks, cover maps, restrictions, atom
+    coordinates and zero."""
     B = X.base
-    return (type(X).__name__, B.elements, B.index, B._up, B._down, B._meet, B._join,
-            B._bottom_i, B._comp_in, B.cover_pairs, X.elements, X.index,
+    return (type(X).__name__, B.elements, B.index, B._up, B._down, B._code, B._pos,
+            B._bottom_i, B.cover_pairs, X.elements, X.index,
             list(X.stalks.items()), list(X.stalk_of.items()), list(X.cover_maps.items()),
             [(x, list(r.items())) for x, r in X._rest.items()], X._coords, X.zero)
 

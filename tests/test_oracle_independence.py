@@ -3,23 +3,25 @@
 validators it checks: it imports nothing from the package.  The reference
 modules of the tests (``tests/*_reference.py``) are a second route to what
 the package computes, so they neither read a Boolean set's atom
-coordinates nor call the private kernels of ``skewstone.bset`` that
-compute them or read tables off them."""
+coordinates or a Boolean algebra's Stone code nor call the private kernels
+of ``skewstone.bset`` and ``skewstone.balg`` that compute them or read
+tables off them."""
 
 import ast
 from pathlib import Path
 
 import skewstone
-from skewstone import bset
+from skewstone import balg, bset
 
 LAWS = Path(skewstone.__file__).resolve().parent / "laws.py"
 REFERENCES = sorted(Path(__file__).resolve().parent.glob("*_reference.py"))
 
-# a Boolean set's stored coordinates, and the bset functions that compute
-# them or build rows from them
-COORDINATES = {"_coords"}
+# a Boolean set's stored coordinates and a Boolean algebra's Stone code,
+# and the bset and balg functions that compute them or build rows from them
+COORDINATES = {"_coords", "_code", "_pos"}
 KERNELS = {"_coordinates", "_presheaf_coordinates", "_skew_certificate", "_coded_rows",
            "_skew_rows", "_coded_map", "_meet_table"}
+BALG_KERNELS = {"_stone_code"}
 
 
 def package_imports(tree):
@@ -62,7 +64,7 @@ def coordinate_reads(tree):
         name = (node.attr if isinstance(node, ast.Attribute)
                 else node.id if isinstance(node, ast.Name)
                 else node.name if isinstance(node, ast.alias) else None)
-        if name in COORDINATES | KERNELS:
+        if name in COORDINATES | KERNELS | BALG_KERNELS:
             out.append((node.lineno, name))
     return sorted(out)
 
@@ -70,6 +72,7 @@ def coordinate_reads(tree):
 def test_references_read_no_atom_coordinates_or_kernels():
     assert len(REFERENCES) >= 6
     assert all(callable(getattr(bset, name)) for name in KERNELS)
+    assert all(callable(getattr(balg, name)) for name in BALG_KERNELS)
     for path in REFERENCES:
         assert coordinate_reads(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
 
@@ -78,6 +81,9 @@ def test_the_reference_scan_sees_a_planted_kernel_call():
     text = REFERENCES[0].read_text(encoding="utf-8")
     end = len(text.splitlines())
     planted = text + ("\ndef planted(X):\n    return bset._skew_rows(X), X._coords\n"
-                      "from skewstone.bset import _coordinates\n")
+                      "from skewstone.bset import _coordinates\n"
+                      "def planted_stone(B):\n    return B._pos[B._code[0]], _pos\n"
+                      "from skewstone.balg import _stone_code\n")
     assert coordinate_reads(ast.parse(planted)) == [
-        (end + 3, "_coords"), (end + 3, "_skew_rows"), (end + 4, "_coordinates")]
+        (end + 3, "_coords"), (end + 3, "_skew_rows"), (end + 4, "_coordinates"),
+        (end + 6, "_code"), (end + 6, "_pos"), (end + 6, "_pos"), (end + 7, "_stone_code")]

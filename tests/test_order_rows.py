@@ -21,8 +21,20 @@ from test_quotients import all_bands
 
 
 def tables(stone):
-    """_stone_tables' result, its relative complements in insertion order."""
+    """ref.stone_tables' result, its relative complements in insertion order."""
     return stone and (stone[0], stone[1], list(stone[2].items()))
+
+
+def code_tables(stone, down):
+    """The tables that the Stone code (code, pos) gives, as ref.stone_tables
+    lays them out: the meet and join rows, and per b and each a <= b the
+    relative complement b minus a."""
+    if stone is None:
+        return None
+    code, pos = stone
+    return ([[pos[c & d] for d in code] for c in code], [[pos[c | d] for d in code] for c in code],
+            [((b, a), pos[cb & ~code[a]])
+             for b, cb in enumerate(code) for a in balg._bits(down[b])])
 
 
 def assert_rows_match(L):
@@ -32,7 +44,7 @@ def assert_rows_match(L):
         assert L.up_set(x) == ref.up_set(L, x)
     n = len(L.elements)
     for bot in range(n):  # each element as the bottom; all but the least are refused
-        assert tables(balg._stone_tables(n, L._up, L._down, bot)) == \
+        assert code_tables(balg._stone_code(n, L._up, L._down, bot), L._down) == \
             tables(ref.stone_tables(n, L._up, L._down, bot))
 
 
@@ -57,8 +69,7 @@ def test_powerset_from_cover_pairs_matches_all_pairs(k):
     got, id_of, set_of = balg.powerset_balg(points, balg.render_braces(points))
     want, want_id_of, want_set_of = ref.powerset_balg(points, balg.render_braces(points))
     assert (id_of, set_of) == (want_id_of, want_set_of)
-    for attr in ("elements", "index", "_up", "_down", "_meet", "_join", "_bottom_i", "_comp_in",
-                 "cover_pairs"):
+    for attr in ("elements", "index", "_up", "_down", "_bottom_i", "_code", "_pos", "cover_pairs"):
         assert getattr(got, attr) == getattr(want, attr), attr
 
 

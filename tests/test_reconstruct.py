@@ -369,7 +369,7 @@ def valid_band():
 
 
 @pytest.mark.parametrize("stand_ins, make", [
-    pytest.param({(balg, "_stone_tables"): None}, valid_balg, id="validate_balg"),
+    pytest.param({(balg, "_stone_code"): None}, valid_balg, id="validate_balg"),
     pytest.param({(balg, "_preserved_by_atoms"): False}, valid_bahom, id="validate_bahom"),
     pytest.param({(bset, "_local_restrictions"): None}, valid_presheaf, id="validate_presheaf"),
     pytest.param({(bset, "_coordinates"): None}, valid_boolean_set, id="validate_boolean_set"),

@@ -3,7 +3,9 @@ witness built from a document's ids, junk ids, empty entries and '>' chains,
 gives exactly one line and exit 0 (confirmed), 1 (not confirmed) or 2 (a
 document error), never a traceback.  A document error is a sentence, never
 the bare key of an escaped KeyError, as a zero that a skew stanza does not
-declare once gave ("document error: None")."""
+declare once gave ("document error: None"), and as a ∘ entry that is not
+an element once gave ("document error: 'zz'").  A table entry that is not
+an element is refused before any law runs, in ``validate``'s words."""
 
 import contextlib
 import io
@@ -16,9 +18,12 @@ from hypothesis import strategies as st
 from skewstone import cli, laws, textio
 
 from test_cli import ZEROLESS
+from test_parse_reference import BULLET, HEAD
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 JUNK = ["zz", "", " ", "0>", ">", "(a1", "a1)", "(zz,0)"]
+# a ∘ row that holds 'zz', repeated: validate refuses the document
+NON_ELEMENT = HEAD + "    0 x1 x2\n    0 0 0\n    0 x1 zz\n    0 x1 zz\n" + BULLET
 
 
 def ids_of(doc):
@@ -34,10 +39,12 @@ def ids_of(doc):
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    zeroless = tmp_path_factory.mktemp("replay") / "zeroless.txt"
+    tmp = tmp_path_factory.mktemp("replay")
+    zeroless, non_element = tmp / "zeroless.txt", tmp / "non_element.txt"
     zeroless.write_text(ZEROLESS)
+    non_element.write_text(NON_ELEMENT)
     out = []
-    for path in (DOCS / "prod.txt", DOCS / "showcase.txt", zeroless):
+    for path in (DOCS / "prod.txt", DOCS / "showcase.txt", zeroless, non_element):
         doc = textio.parse(path.read_text())
         out.append((str(path), sorted(doc.by_name) + ["nope"], ids_of(doc)))
     return out
@@ -77,3 +84,21 @@ def test_replay_gives_one_line_and_an_exit_code(documents):
             assert line == verdict_lines(argv[3], argv[5]).get(code), (argv, line)
 
     check()
+
+
+@pytest.mark.parametrize("law, witness", [("skew.SB1", "x2,x1"), ("band.assoc.circ", "x2,x2,x1")])
+def test_a_table_entry_that_is_not_an_element_is_a_document_error(tmp_path, law, witness):
+    # validate refuses the document; replay confirms no law on it, and the
+    # oracle's scan refuses it alike
+    path = tmp_path / "non_element.txt"
+    path.write_text(NON_ELEMENT)
+    message = "circ entry 'zz' is not an element"
+    for argv in (["validate", str(path)], ["replay", str(path), "X", "--law", law,
+                                           "--witness", witness]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code == 2 and out.getvalue().startswith("document error: ")
+        assert out.getvalue().endswith(f"{message}\n")
+    with pytest.raises(ValueError, match=message):
+        laws.scan(textio.parse(NON_ELEMENT).law_raw("X"))
