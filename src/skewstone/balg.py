@@ -346,12 +346,26 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         strictly below i.  The classical properties are then checked on
         them: each ultrafilter is prime, and every non-bottom element lies
         in one.
+
+        They hold when the stored Stone code is the one these generators
+        give, which is checked in O(k·n): bit k of ``_code[x]`` is set iff
+        x is in ↑ of the k-th generator, and ``_pos`` inverts ``_code``.
+        The codes are then a bijection onto the 2^k sets of atoms, the
+        bottom's empty, so the codes outside ↑ of the k-th atom lack bit k
+        and so do their joins (each ↑atom is prime), and every non-bottom
+        element has a nonzero code (lies in some ↑atom).  Only when the
+        code fails is each ↑atom checked to be a prime filter, and the
+        coverage scanned.
         """
-        up = self._up
-        full = (1 << len(self.elements)) - 1
+        up, code, pos = self._up, self._code, self._pos
+        n = len(self.elements)
+        full = (1 << n) - 1
         proper = sum(1 << i for i, row in enumerate(up) if row != full)
         gens = [i for i in _bits(proper) if self._down[i] & proper == 1 << i]
         ultra = tuple(self.principal_filter(self.elements[i]) for i in gens)
+        if (code == _transpose(list(map(up.__getitem__, gens)), n)
+                and all(pos[c] == i for i, c in enumerate(code))):
+            return ultra
         covered = 0
         for i, f in zip(gens, ultra):
             if not self._is_prime_filter_mask(up[i]):

@@ -2,7 +2,8 @@
 
 A presheaf assigns a finite stalk to each base element and a restriction map
 to each Hasse covering pair; composite restrictions along longer chains are
-derived by the walk that checks path independence, and kept.  A Boolean set
+derived by the walk that checks path independence, and a presheaf keeps
+them, x|f for every f <= p(x), as its one restriction table.  A Boolean set
 is a presheaf over a Boolean algebra with global support, a minimum element,
 a trivial zero stalk, and joins of compatible pairs.  Path independence is
 checked locally, cover by cover inside each down-set, which is exact by
@@ -45,11 +46,16 @@ same way: stalks are the R classes, which for a right normal ∘ are the
 classes of equal ∘ rows (``_row_classes``), over their quotient (a band's
 from ``_band_quotient``, a certified algebra's from the supports of its
 classes), and restriction is left multiplication by the first member of
-the lower class (``_class_presheaf``).  A skew algebra's Boolean set is
-built once, by ``validate_skew``'s certificate route (``_reconstruct``),
-with the certified coordinates, and it is both that presheaf and what
-``from_skew`` returns; ``to_skew(X)`` keeps X itself when the certified
-tables are over X's elements with X's coordinates.
+the lower class.  A band's presheaf goes through the cover walk
+(``_class_presheaf``), which names its refusals.  A skew algebra's Boolean
+set is built once, by ``validate_skew``'s certificate route
+(``_reconstruct``), straight from the certificate: x|f is r∘x for r in
+class f, which the certificate has shown to be the element coded
+code(x) & sup(f), so the whole restriction table is read off the certified
+∘ rows and no cover walk runs.  The set keeps the certified coordinates,
+and it is both that presheaf and what ``from_skew`` returns;
+``to_skew(X)`` keeps X itself when the certified tables are over X's
+elements with X's coordinates.
 """
 
 import random
@@ -81,10 +87,9 @@ from .errors import (
 class Presheaf:
     """Validated presheaf of sets; immutable, safe for concurrent reads."""
 
-    def __init__(self, base, stalks, cover_maps, rest):
+    def __init__(self, base, stalks, rest):
         self.base = base
         self.stalks = stalks
-        self.cover_maps = cover_maps
         self._rest = rest
         self.elements = tuple(
             x for e in base.elements for x in stalks[e]
@@ -251,7 +256,9 @@ def validate_presheaf(base, stalks, restrictions):
     O(|stalk(e)| · covers in ↓e) instead of once per descending chain.  Only
     when a cover disagrees does the scan over every chain run, so the
     PathDependent witness (x, chain1, chain2) is the first one it finds;
-    finding none raises AssertionError, also under ``python -O``.
+    finding none raises AssertionError, also under ``python -O``.  The
+    presheaf keeps the composites, x|f for every f <= p(x), as its one
+    restriction table; the cover maps are only the walk's input.
     """
     stalk_map = {}
     seen = {}
@@ -295,7 +302,7 @@ def validate_presheaf(base, stalks, restrictions):
     if rest is None:
         _chain_scan(base, stalk_map, cover_maps, lower)
         raise AssertionError("two covers disagree, yet every chain agrees")
-    return Presheaf(base, stalk_map, cover_maps, rest)
+    return Presheaf(base, stalk_map, rest)
 
 
 # ------------------------------------------------------------ order and ops
@@ -313,8 +320,8 @@ class BooleanSet(Presheaf):
     (_meet_table) reads its candidates off the codes, not the rows.
     """
 
-    def __init__(self, base, stalks, cover_maps, rest, zero, coords):
-        super().__init__(base, stalks, cover_maps, rest)
+    def __init__(self, base, stalks, rest, zero, coords):
+        super().__init__(base, stalks, rest)
         self.zero = zero
         self._coords = coords
 
@@ -446,14 +453,14 @@ def validate_boolean_set(P):
                     if P.p(j) != base.join(P.p(x), P.p(y)):
                         raise AssertionError((x, y, j))
         raise AssertionError("atom coordinates failed, yet every compatible pair has a join")
-    return _coded_boolean_set(P, coords)
+    return _coded_boolean_set(P.base, P.stalks, P._rest, coords)
 
 
-def _coded_boolean_set(P, coords):
-    """The Boolean set on P, whose atom coordinates ``coords``
-    (_coordinates) are a bijection (so the zero stalk has one element)."""
-    zero = P.stalks[P.base.bottom][0]
-    return BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, coords)
+def _coded_boolean_set(base, stalks, rest, coords):
+    """The Boolean set of the stalks and restrictions ``rest`` over
+    ``base``, whose atom coordinates ``coords`` (_coordinates) are a
+    bijection (so the zero stalk has one element)."""
+    return BooleanSet(base, stalks, rest, stalks[base.bottom][0], coords)
 
 
 # ------------------------------------------------------- skew correspondence
@@ -560,7 +567,7 @@ def to_skew(X):
 def from_skew(S):
     """Boolean set on the gamma quotient (skew.gamma_classes): stalks are
     R classes, restriction is left multiplication by any member of the
-    target class (see _class_presheaf).  It is the set that validate_skew
+    target class (see _reconstruct).  It is the set that validate_skew
     built after its certificate, or the X of to_skew(X), kept on S."""
     return S._bset
 
@@ -663,29 +670,34 @@ def _skew_certificate(circ, bullet, z, cls_idx, reps):
     return coords, True
 
 
-def _reconstruct(elements, index, circ, bullet, z, X=None):
+def _reconstruct(elements, circ, bullet, z, X=None):
     """Whether the skew index tables are to_skew(X) of a Boolean set X:
     (X, True) if so, else (None, whether ∘ passed the certificate).
 
     By the paper's theorem the right-hand skew Boolean algebras are exactly
     these, and they are decided by their atom coordinates
     (_skew_certificate), which no step after it can refuse.  X is then the
-    set of R classes of ∘, the classes of equal ∘ rows: the class order
-    (c <= d iff the support of c is inside that of d) validated as a
-    Boolean algebra with the zero's class as bottom, and the class
-    presheaf (_class_presheaf), whose atom coordinates are the certified
-    ones: its stalks are the class members in element order, so each digit
-    is the same position.  The certified supports are the 2^k unions of
-    the atom fields, one per class, so the order is given by its
-    k·2^(k-1) covers: c below the class whose support is c's plus one
-    field outside it.  A Boolean set ``X`` passed in is returned itself
-    when the tables are over its elements, in its order, with its
+    set of R classes of ∘, the classes of equal ∘ rows, read off the
+    certificate.  Its base is the class order (c <= d iff the support of c
+    is inside that of d), validated as a Boolean algebra with the zero's
+    class as bottom: the certified supports are the 2^k unions of the atom
+    fields, one per class, so the order is given by its k·2^(k-1) covers, c
+    below the class whose support is c's plus one field outside it.  Its
+    stalks are the class members in element order, and x|f is r∘x for r
+    the first member of class f, for every f <= p(x): the certificate has
+    shown that entry to be the element coded code(x) & sup(f), so the
+    restrictions are path independent and no cover walk runs.  The set
+    keeps the certified coordinates, the codes in its own element order,
+    which are the ones its restrictions give: each digit is the same
+    position in the same stalk.  A Boolean set ``X`` passed in is returned
+    itself when the tables are over its elements, in its order, with its
     coordinates: the coordinates fix the classes (by their supports) and
     every restriction, so X is then the set of the tables, its base names
     aside.  That holds for to_skew's own output; else the set is built.  A
-    certificate refusal raises nothing, so the caller's scans report it; a
-    later step refusing certified tables is an internal error
-    (AssertionError, also under ``python -O``).
+    certificate refusal raises nothing, so the caller's scans report it;
+    the class order refused as a Boolean algebra after a certificate
+    accepted is an internal error (AssertionError, also under
+    ``python -O``).
     """
     cls_idx, reps, names = _row_classes(elements, circ)
     coords, circ_ok = _skew_certificate(circ, bullet, z, cls_idx, reps)
@@ -699,10 +711,19 @@ def _reconstruct(elements, index, circ, bullet, z, X=None):
              for f in fields if not m & f]
     try:
         base = balg.validate_balg(names, pairs, names[cls_idx[z]])
-        P = _class_presheaf(base, elements, circ, cls_idx)
     except StructureError as e:
         raise AssertionError(f"certified skew tables, yet {e.law} fails") from e
-    return _coded_boolean_set(P, ([code[index[x]] for x in P.elements], sup, fields)), True
+    members = [[] for _ in reps]
+    for i, c in enumerate(cls_idx):
+        members[c].append(i)
+    stalks, rest = {}, {}
+    for e, ms in zip(base.elements, members):
+        stalks[e] = tuple(elements[i] for i in ms)
+        rows = [(f, circ[reps[base.index[f]]]) for f in base.down_set(e)]
+        for i in ms:
+            rest[elements[i]] = {f: elements[row[i]] for f, row in rows}
+    codes = list(map(code.__getitem__, chain.from_iterable(members)))
+    return _coded_boolean_set(base, stalks, rest, (codes, sup, fields)), True
 
 
 def bset_struct_eq(X, Y):

@@ -20,7 +20,7 @@ def balg_dot(B, name):
 def _presheaf_covers(P, index):
     """Hasse covers (x, y) of P's restriction order, x-major, then y, in the
     order of ``index``: x = y|f for f a lower cover of p(y)."""
-    covers = [(m[y], y) for m in P.cover_maps.values() for y in m]
+    covers = [(P._rest[y][f], y) for e, f in P.base.cover_pairs for y in P.stalks[e]]
     return sorted(covers, key=lambda c: (index[c[0]], index[c[1]]))
 
 

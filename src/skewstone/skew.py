@@ -14,14 +14,15 @@ Boolean sets, products of primitive algebras in finite form, so
 classes of equal ∘ rows (the R classes of a right normal band), they must
 be a bijection onto the product of the atom stalks plus 0 under which both
 tables are the product's, entry by entry.  That costs O(n^2); only then is
-the Boolean set of the R classes built, with one ``validate_balg`` of the
-class quotient, and the algebra keeps it, which ``from_skew`` returns and
-``gamma_classes`` views.  When the tables are refused the
-axioms are checked exhaustively, only to name the first failed one:
-associativity by Light's test over a generating set after the triples of
-the first row, with the triple scan only to name its witness; SB1-SB4 by
-O(n^2) scans over pairs; SB5 by one ``validate_balg`` per element; right
-normality of ∘ last.  The associativity scans read a row only through its
+the Boolean set of the R classes built, from the certificate: one
+``validate_balg`` of the class quotient, and every restriction read off a
+certified ∘ row, with no second check of the class presheaf.  The algebra
+keeps it, which ``from_skew`` returns and ``gamma_classes`` views.  When
+the tables are refused the axioms are checked exhaustively, only to name
+the first failed one: associativity by Light's test over a generating set
+after the triples of the first row, with the triple scan only to name its
+witness; SB1-SB4 by O(n^2) scans over pairs; SB5 by one ``validate_balg``
+per element; right normality of ∘ last.  The associativity scans read a row only through its
 contents, so they run once per class of c equal rows: O(g·c·n) for g
 generators, and O(c·n^2) for the triple scan.  A ∘ table has one class per
 R class (16 of 256 rows over four 3-element stalks), a • table one per row.
@@ -255,8 +256,9 @@ def validate_skew(elements, circ_table, bullet_table, zero):
     are accepted when the atom coordinates read off their ∘ rows make them
     the product of the primitive algebras on the atom classes plus 0,
     entry by entry, at O(n^2).  The Boolean set that their R classes form
-    is then built, with one validate_balg of the 2^m classes of the
-    quotient, and kept: from_skew returns it and gamma_classes views it.
+    is then built from the certificate, with one validate_balg of the 2^m
+    classes of the quotient and its restrictions read off the certified ∘
+    rows, and kept: from_skew returns it and gamma_classes views it.
     Refused tables are scanned from the start to name the violated axiom
     with a witness tuple, the first in scan order: the band checks (Light's
     test, with the triple scan only to find the witness; the ∘ check is
@@ -281,7 +283,7 @@ def _validate_index(elements, index, circ, bullet, z, X=None):
     cls, reps, _ = bset._row_classes(elements, circ)
     circ = list(map([circ[r] for r in reps].__getitem__, cls))
     S = SkewAlgebra(elements, index, circ, bullet, z)
-    X, circ_ok = bset._reconstruct(elements, index, circ, bullet, z, X)
+    X, circ_ok = bset._reconstruct(elements, circ, bullet, z, X)
     if X is None:
         _axiom_scan(S, circ_ok)
         raise AssertionError("certificate failed, yet every axiom holds")

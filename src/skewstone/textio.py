@@ -650,7 +650,7 @@ def bset_stanza(X, name, base_name):
     return Stanza("bset", name, base_name, {
         "stalks": {e: list(X.stalks[e]) for e in X.base.elements},
         "restrict": {
-            (e, f): {x: X.cover_maps[(e, f)][x] for x in X.stalks[e]}
+            (e, f): {x: X._rest[x][f] for x in X.stalks[e]}
             for e, f in X.base.cover_pairs
         },
     }, 0)

@@ -23,6 +23,14 @@ def make_b8():
     return alg
 
 
+def cover_maps(P):
+    """The restriction along each Hasse cover (e, f) of P's base, read off
+    ``P.restrict``: {(e, f): {x: x|f for x in P(e)}}, covers in base order
+    and each stalk in its own order."""
+    return {(e, f): {x: P.restrict(x, f) for x in P.stalks[e]}
+            for e, f in P.base.cover_pairs}
+
+
 def make_x3_skew():
     from skewstone import skew
     return skew.validate_skew(["0", "x1", "x2"], X3_CIRC, X3_BULLET, "0")

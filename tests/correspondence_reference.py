@@ -10,6 +10,13 @@ rows (``stalk_rows``), and the • rows from the codes (``bullet_rows``).
 The Boolean set it accepts is validated by ``bset.validate_boolean_set``,
 so its atom coordinates are the ones the presheaf route computes.  Kept as
 the differential reference of ``tests/test_correspondence.py``.
+
+``presheaf_build`` is the build step of ``bset._reconstruct`` as it was
+before restrictions were read off the certified ∘ rows: the class order
+validated as a Boolean algebra, the class presheaf through the cover walk
+of ``bset.validate_presheaf`` (``bset._class_presheaf``), and the certified
+codes permuted to the presheaf's element order.  It is the differential
+reference of ``tests/test_certified_build.py``.
 """
 
 from math import prod
@@ -171,3 +178,19 @@ def validate_index(elements, index, circ, bullet, z):
     S._bset = S._presheaf = X
     S._gamma = gq
     return S
+
+
+def presheaf_build(elements, circ, z, coords):
+    """The Boolean set of skew index tables whose certified atom
+    coordinates (codes in element order, supports per class, fields) are
+    ``coords``, built as the class presheaf."""
+    cls_idx, _, names = row_classes(elements, circ)
+    code, sup, fields = coords
+    class_of = {m: c for c, m in enumerate(sup)}
+    pairs = [(names[c], names[class_of[m | f]]) for c, m in enumerate(sup)
+             for f in fields if not m & f]
+    base = balg.validate_balg(names, pairs, names[cls_idx[z]])
+    P = bset._class_presheaf(base, elements, circ, cls_idx)
+    index = {x: i for i, x in enumerate(elements)}
+    return bset._coded_boolean_set(
+        P.base, P.stalks, P._rest, ([code[index[x]] for x in P.elements], sup, fields))

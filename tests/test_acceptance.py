@@ -17,6 +17,7 @@ from skewstone.errors import StructureError
 
 import morphism_reference
 import mutation_engine as me
+from conftest import cover_maps
 
 
 @contextlib.contextmanager
@@ -323,7 +324,7 @@ def _gen_bset_raw(sizes):
             "bottom": X.base.bottom,
         },
         "stalks": {e: list(X.stalks[e]) for e in X.base.elements},
-        "restrict": {k: dict(v) for k, v in X.cover_maps.items()},
+        "restrict": cover_maps(X),
     }
 
 

@@ -24,7 +24,7 @@ from skewstone.errors import (
 )
 
 import mutation_engine as me
-from conftest import make_b4, make_b8
+from conftest import cover_maps, make_b4, make_b8
 from test_duality_layer import join_table
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -56,7 +56,7 @@ def old_validate_boolean_set(P):
                 if P.p(j) != base.join(P.p(x), P.p(y)):
                     raise AssertionError((x, y, j))
                 row[k] = P.index[j]
-    X = bset.BooleanSet(base, P.stalks, P.cover_maps, P._rest, zero,
+    X = bset.BooleanSet(base, P.stalks, P._rest, zero,
                         bset._presheaf_coordinates(P))
     X.scanned_join = join_table  # the table found by the scan, not one built from the codes
     return X
@@ -137,7 +137,7 @@ def bset_outcome(validate, P):
         return type(e), e.law, e.witness, e.detail
     joins = X.scanned_join if hasattr(X, "scanned_join") else join_table(X)
     return (
-        X.elements, list(X.stalks.items()), list(X.cover_maps.items()),
+        X.elements, list(X.stalks.items()), list(cover_maps(X).items()),
         [(x, list(X._rest[x].items())) for x in X.elements], X.zero, joins,
     )
 
@@ -224,7 +224,7 @@ def raw_of(X):
     return {
         "kind": "bset",
         "stalks": {e: list(X.stalks[e]) for e in X.base.elements},
-        "restrict": {k: dict(v) for k, v in X.cover_maps.items()},
+        "restrict": cover_maps(X),
     }
 
 
@@ -314,7 +314,7 @@ def test_mutants_of_generated_sets(sizes, count, sheaf):
 def test_dual_bsets_of_small_spaces():
     for sp in small_spaces():
         X = etale.dual_bset(sp)
-        agree(bset.validate_presheaf(X.base, X.stalks, X.cover_maps))
+        agree(bset.validate_presheaf(X.base, X.stalks, cover_maps(X)))
 
 
 def test_bset_stanzas_of_the_docs():

@@ -18,6 +18,7 @@ from skewstone.errors import (
     ZeroArgument,
 )
 
+from conftest import make_b8
 from morphism_reference import find_balg_isomorphism
 
 import mutation_engine as me
@@ -438,4 +439,53 @@ def test_ultrafilter_prime_check_fires_on_a_corrupted_stone_code(b8):
     b8._pos[b8._code[i["{q,r}"]]] = i["{p,q,r}"]
     assert b8.join("{q}", "{r}") == "{p,q,r}"
     with pytest.raises(AssertionError, match=r"Filter\(\['\{p,q,r\}', '\{p,q\}', '\{p,r\}', '\{p\}'\]\)"):
+        b8.ultrafilters()
+
+
+def test_ultrafilter_prime_check_fires_on_a_corrupted_code_alone(b8):
+    # {q} coded as {p,q}, with _pos left as it was: _pos no longer inverts
+    # _code, so the Stone-code check refuses, and the scan finds ↑{p} not
+    # prime, as {q} ∨ {q} now reads a code inside it
+    i = b8.index
+    b8._code[i["{q}"]] = b8._code[i["{p,q}"]]
+    with pytest.raises(AssertionError, match=r"Filter\(\['\{p,q,r\}', '\{p,q\}', '\{p,r\}', '\{p\}'\]\)"):
+        b8.ultrafilters()
+
+
+def test_ultrafilters_of_a_code_with_two_atom_bits_swapped_come_from_the_scan(monkeypatch):
+    # the bits of {p} and {q} exchanged in _code and _pos together: _pos
+    # still inverts _code, but the code is not the one the order rows give
+    # (the k-th generator is no longer coded 1 << k), so the check refuses
+    # and each ↑atom goes through the prime-filter scan, which passes; the
+    # ultrafilters are the same
+    expected = make_b8().ultrafilters()
+    scanned = []
+    prime = balg.FinBooleanAlgebra._is_prime_filter_mask
+    monkeypatch.setattr(balg.FinBooleanAlgebra, "_is_prime_filter_mask",
+                        lambda B, m: scanned.append(m) or prime(B, m))
+    assert make_b8().ultrafilters() == expected and scanned == []
+    B = make_b8()
+    swap = [c & ~3 | (c & 1) << 1 | c >> 1 & 1 for c in range(len(B._pos))]
+    pos = list(B._pos)
+    B._code[:] = [swap[c] for c in B._code]
+    B._pos[:] = [pos[swap[c]] for c in range(len(pos))]
+    assert B.join("{p}", "{q}") == "{p,q}" and B.meet("{p,q}", "{q,r}") == "{q}"
+    got = B.ultrafilters()
+    assert got == expected
+    assert [f.generator for f in got] == [f.generator for f in expected]
+    assert scanned == [B._up[B.index[a]] for a in ("{p}", "{q}", "{r}")]
+
+
+def test_ultrafilter_prime_check_fires_on_a_consistent_code_the_order_does_not_give(b8):
+    # the codes of {p,q} and {p,r} exchanged in _code and _pos together:
+    # _pos still inverts _code, and each atom keeps its code, but {p,q} no
+    # longer has {q}'s bit though it lies in ↑{q}; the check refuses, and
+    # the scan finds ↑{q} not prime, as {p} ∨ {r} now reads {p,q}
+    i = b8.index
+    pq, pr = i["{p,q}"], i["{p,r}"]
+    cq, cr = b8._code[pq], b8._code[pr]
+    b8._code[pq], b8._code[pr] = cr, cq
+    b8._pos[cq], b8._pos[cr] = pr, pq
+    assert b8.join("{p}", "{r}") == "{p,q}"
+    with pytest.raises(AssertionError, match=r"Filter\(\['\{p,q,r\}', '\{p,q\}', '\{q,r\}', '\{q\}'\]\)"):
         b8.ultrafilters()

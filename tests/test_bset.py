@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from skewstone import bset, skew, textio
 
 import mutation_engine as me
-from conftest import make_prod
+from conftest import cover_maps, make_prod
 from test_atom_codes import covering_sieves, is_covering_sieve
 from skewstone.errors import (
     EmptySizes,
@@ -537,7 +537,7 @@ def test_validate_presheaf_matches_all_chains_on_mutants(sizes, count):
     raw = {
         "kind": "bset",
         "stalks": {e: list(X.stalks[e]) for e in X.base.elements},
-        "restrict": {k: dict(v) for k, v in X.cover_maps.items()},
+        "restrict": cover_maps(X),
     }
     cases = [raw] + [me.mutate_bset(raw, random.Random(i)) for i in range(count)]
     laws = []

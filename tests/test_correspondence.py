@@ -23,6 +23,7 @@ import skewstone
 from skewstone import balg, bset, etale, skew, textio
 
 import correspondence_reference as ref
+from conftest import cover_maps
 from test_derived_once import enumerated_bands
 from test_duality_layer import seeded_space
 from test_quotients import all_bands, gamma_view, outcome, presheaf_view
@@ -52,14 +53,14 @@ def bset_view(X):
     B = X.base
     return (type(X).__name__, B.elements, B.index, B._up, B._down, B._code, B._pos,
             B._bottom_i, B.cover_pairs, X.elements, X.index,
-            list(X.stalks.items()), list(X.stalk_of.items()), list(X.cover_maps.items()),
+            list(X.stalks.items()), list(X.stalk_of.items()), list(cover_maps(X).items()),
             [(x, list(r.items())) for x, r in X._rest.items()], X._coords, X.zero)
 
 
 def compare(elements, index, circ, bullet, z):
     """Asserts that the reconstruction and the validation agree with the
     reference on index tables; returns (accepted, circ_ok)."""
-    X, circ_ok = bset._reconstruct(elements, index, circ, bullet, z)
+    X, circ_ok = bset._reconstruct(elements, circ, bullet, z)
     old_X, old_gq, old_circ_ok = ref.reconstruct(elements, index, circ, bullet, z)
     assert circ_ok == old_circ_ok
     assert (X is None) == (old_X is None)

@@ -25,6 +25,7 @@ from skewstone.errors import EmptySizes, FiberViolation, NotCovering, StructureE
 from skewstone.report import CheckItem, Report
 
 import mutation_engine as me
+from conftest import cover_maps
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -292,7 +293,7 @@ def bset_view(X):
     """Everything a Boolean set exposes, with key orders."""
     return (
         X.base.elements, X.base.cover_pairs, X.elements,
-        list(X.stalks.items()), list(X.cover_maps.items()),
+        list(X.stalks.items()), list(cover_maps(X).items()),
         [(x, list(X._rest[x].items())) for x in X.elements], X.zero, join_table(X),
         list(getattr(X, "sections", {}).items()),
         list(getattr(X, "base_sets", {}).items()),

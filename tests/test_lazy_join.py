@@ -62,7 +62,7 @@ def old_coded_boolean_set(P, codes):
     """The set with the join table of the mixed-radix ``codes``; it keeps
     no atom coordinates, as nothing read here needs them."""
     zero = P.stalks[P.base.bottom][0]
-    X = bset.BooleanSet(P.base, P.stalks, P.cover_maps, P._rest, zero, None)
+    X = bset.BooleanSet(P.base, P.stalks, P._rest, zero, None)
     X._join = old_coded_join_table(P, codes)
     return X
 

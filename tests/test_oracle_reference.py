@@ -20,6 +20,7 @@ from skewstone import bset, laws
 
 import laws_reference as ref
 import mutation_engine as me
+from conftest import cover_maps
 
 
 def balg_raw(B):
@@ -30,7 +31,7 @@ def balg_raw(B):
 def bset_raw(X):
     return {"kind": "bset", "base": balg_raw(X.base),
             "stalks": {e: list(X.stalks[e]) for e in X.base.elements},
-            "restrict": {k: dict(v) for k, v in X.cover_maps.items()}}
+            "restrict": cover_maps(X)}
 
 
 def skew_raw(X):

@@ -19,7 +19,7 @@ from skewstone.errors import NotProper, StructureError
 
 import morphism_reference
 import mutation_engine as me
-from conftest import make_b2, make_b4, make_b8, make_prod, make_x3_bset
+from conftest import cover_maps, make_b2, make_b4, make_b8, make_prod, make_x3_bset
 from test_duality_layer import join_table
 
 SHOWCASE = Path(__file__).resolve().parent.parent / "docs" / "showcase.txt"
@@ -132,7 +132,7 @@ def old_band_bset(S):
     return bset.validate_boolean_set(bset.validate_presheaf(
         balg.validate_balg(
             P.base.elements, [(lo, hi) for hi, lo in P.base.cover_pairs], bottom),
-        P.stalks, P.cover_maps,
+        P.stalks, cover_maps(P),
     ))
 
 
@@ -281,7 +281,7 @@ def presheaf_view(P):
     """Everything a presheaf exposes, with key orders."""
     return (
         type(P).__name__, P.base.elements, P.base.cover_pairs, P.base._up,
-        list(P.stalks.items()), list(P.cover_maps.items()),
+        list(P.stalks.items()), list(cover_maps(P).items()),
         [(x, list(P._rest[x].items())) for x in P.elements],
         getattr(P, "zero", None),
         join_table(P) if isinstance(P, bset.BooleanSet) else None,

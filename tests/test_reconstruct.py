@@ -36,7 +36,7 @@ from skewstone.errors import NotABand, SkewAxiomViolation, StructureError
 
 import mutation_engine as me
 import textio_reference
-from conftest import X3_BULLET, X3_CIRC
+from conftest import X3_BULLET, X3_CIRC, cover_maps
 from test_duality_layer import join_table, old_check_consequences, seeded_space
 from test_quotients import (
     gamma_view, old_from_skew, old_gamma_classes, outcome, presheaf_view, raw_skew,
@@ -323,10 +323,15 @@ def test_accepting_256_validates_only_the_quotient(monkeypatch):
     raw = generated_raw((3, 3, 3, 3))
     balg_calls = Spy(monkeypatch, balg, "validate_balg")
     down_calls = Spy(monkeypatch, skew.SkewAlgebra, "down_algebra")
+    # the restrictions are read off the certified ∘ rows: no class
+    # presheaf is built and no cover walk runs
+    presheaf_calls = Spy(monkeypatch, bset, "validate_presheaf")
+    class_calls = Spy(monkeypatch, bset, "_class_presheaf")
     S = skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
     assert len(S.elements) == 256
     assert len(balg_calls.calls) == 1
     assert down_calls.calls == []
+    assert presheaf_calls.calls == class_calls.calls == []
     monkeypatch.undo()
 
     X, gq = bset.from_skew(S), skew.gamma_classes(S)
@@ -350,7 +355,7 @@ def valid_bahom():
 
 def valid_presheaf():
     X = bset.generate_boolean_set((2, 1))
-    return lambda: bset.validate_presheaf(X.base, X.stalks, X.cover_maps)
+    return lambda: bset.validate_presheaf(X.base, X.stalks, cover_maps(X))
 
 
 def valid_boolean_set():

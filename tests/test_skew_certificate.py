@@ -31,6 +31,7 @@ import pytest
 from skewstone import balg, bset, etale, laws, skew, textio
 
 import correspondence_reference as ref
+from conftest import cover_maps
 from test_correspondence import bset_view, index_tables
 from test_duality_layer import seeded_space
 from test_reconstruct import class_preserving_circ_mutant, raw_skew, skew_view
@@ -43,7 +44,7 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 def reconstructs_as_reference(elements, index, circ, bullet, z):
     """Asserts that _reconstruct returns what the reference returns on the
     index tables; returns (accepted, circ_ok)."""
-    X, circ_ok = bset._reconstruct(elements, index, circ, bullet, z)
+    X, circ_ok = bset._reconstruct(elements, circ, bullet, z)
     old, _, old_ok = ref.reconstruct(elements, index, circ, bullet, z)
     assert (X is None, circ_ok) == (old is None, old_ok)
     if X is not None:
@@ -229,7 +230,7 @@ def relabeled(X, swap):
     for a, b in swap:
         name[a], name[b] = b, a
     stalks = {e: tuple(name[x] for x in X.stalks[e]) for e in X.base.elements}
-    maps = {k: {name[x]: name[y] for x, y in m.items()} for k, m in X.cover_maps.items()}
+    maps = {k: {name[x]: name[y] for x, y in m.items()} for k, m in cover_maps(X).items()}
     return bset.validate_boolean_set(bset.validate_presheaf(X.base, stalks, maps))
 
 
@@ -259,7 +260,7 @@ def test_tables_keep_only_their_own_set(sizes, swap):
     Y = relabeled(X, swap)
     S = bset.to_skew(X)
     els, index, circ, bullet, z = skew_view(S)
-    assert bset._reconstruct(els, index, circ, bullet, z, X)[0] is X
+    assert bset._reconstruct(els, circ, bullet, z, X)[0] is X
     T = skew._validate_index(els, index, circ, bullet, z, Y)
     assert T._bset is not Y
     assert bset_view(T._bset) == bset_view(ref.reconstruct(els, index, circ, bullet, z)[0])
@@ -281,7 +282,7 @@ def test_tables_with_the_codes_of_another_set_rebuild_their_own():
     cls_idx, reps, _ = bset._row_classes(elements, circ)
     coords = bset._skew_certificate(circ, bullet, z, cls_idx, reps)[0]
     assert X.elements == elements and coords[0] == X._coords[0] == [0, 1, 2, 3]
-    Y = bset._reconstruct(*tables, X)[0]
+    Y = bset._reconstruct(elements, circ, bullet, z, X)[0]
     assert Y is not X
     assert bset_view(Y) == bset_view(ref.reconstruct(*tables)[0])
 

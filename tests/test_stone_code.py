@@ -134,7 +134,7 @@ def class_order(sizes):
     """The base that bset._reconstruct builds from the skew tables of the
     generated Boolean set of ``sizes``: the order of its ∘ row classes."""
     S = bset.to_skew(bset.generate_boolean_set(sizes))
-    X, circ_ok = bset._reconstruct(S.elements, S.index, S.circ_t, S.bullet_t, S._zero_i)
+    X, circ_ok = bset._reconstruct(S.elements, S.circ_t, S.bullet_t, S._zero_i)
     assert circ_ok and X is not None
     return X.base
 
