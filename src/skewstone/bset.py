@@ -7,9 +7,13 @@ them, x|f for every f <= p(x), as its one restriction table.  A Boolean set
 is a presheaf over a Boolean algebra with global support, a minimum element,
 a trivial zero stalk, and joins of compatible pairs.  Path independence is
 checked locally, cover by cover inside each down-set, which is exact by
-induction along chains, and a presheaf is accepted only by that walk; the
-enumeration of every Hasse chain runs only on a failure, and only to name
-the two chains that disagree.
+induction along chains, and a parsed presheaf is accepted only by that
+walk; the enumeration of every Hasse chain runs only on a failure, and only
+to name the two chains that disagree.  A built product of fibers
+(``_product_sections``, behind ``generate_boolean_set`` and
+``etale.dual_bset``) is accepted by the coordinate certificate below
+instead: its restrictions are read off the coordinates its choices give,
+which makes them path independent by construction.
 
 A Boolean set is decided by its atom coordinates (``_coordinates``): each
 element is coded by one digit per atom a, 0 where a is not below its stalk
@@ -395,14 +399,18 @@ def _presheaf_coordinates(P):
     """The atom coordinates (_coordinates) of a presheaf over a Boolean
     algebra, each x|a read off x's restrictions, or None; None also when
     the zero stalk is not one element."""
-    B = P.base
-    zs = P.stalks[B.bottom]
+    zs = P.stalks[P.base.bottom]
     if len(zs) != 1:
         return None
-    index, z, bi = P.index, zs[0], B.index
-    rests = [P._rest[x] for x in P.elements]
-    rows = [(bi[a], [index[r.get(a, z)] for r in rests]) for a in B.atoms]
-    cls_idx = [c for c, e in enumerate(B.elements) for _ in P.stalks[e]]
+    return _table_coordinates(P.base, P.stalks, [P._rest[x] for x in P.elements], P.index, zs[0])
+
+
+def _table_coordinates(B, stalks, rests, index, z):
+    """The atom coordinates (_coordinates) of the restriction rows
+    ``rests`` over the Boolean algebra B, one per element in element order
+    (``index``), with z the one member of the zero stalk, or None."""
+    rows = [(B.index[a], [index[r.get(a, z)] for r in rests]) for a in B.atoms]
+    cls_idx = [c for c, e in enumerate(B.elements) for _ in stalks[e]]
     return _coordinates(rows, cls_idx, index[z], len(B.elements))
 
 
@@ -990,27 +998,61 @@ def _product_sections(points, fibers, subset_id, elem_id):
     The base is the powerset of ``points``, with ids from ``subset_id``.
     The stalk over A is the product of the fibers of A's points, in point
     order, each choice named by ``elem_id`` (called with the chosen tuple);
-    restriction is projection.  Returns the validated set, the base's
-    ``set_of`` (id -> subset) and each element's parts (point -> choice).
+    restriction is projection.  Returns the set, the base's ``set_of``
+    (id -> subset) and each element's parts (point -> choice).
+
+    The set is built from its atom coordinates (_coordinates), which the
+    choices give: the atom over {p} has a field of
+    len(fibers[p]).bit_length() bits, fields in atom order, and a choice
+    has the digit 1 + its fiber position in the field of each of its
+    points.  x|f is then the element coded code(x) & sup(f) for every
+    f <= p(x), sup(f) the fields of f's points: the projection of x's
+    choice onto f's points.  That table is path independent by
+    construction, as (x|g)|f has code code(x) & sup(g) & sup(f) =
+    code(x) & sup(f) for f <= g, so no cover walk runs.  It is accepted by
+    the certificate of validate_boolean_set, run on its atom rows
+    (_table_coordinates), which must give back these coordinates; a
+    refusal is an internal error (AssertionError, also under ``python -O``).
+    A repeated id raises StalkCollision with the first repeat, stalks in
+    base order, and an empty stalk NoGlobalSupport with the first one.
     """
     base, _, set_of = balg.powerset_balg(points, subset_id)
-    stalks, parts = {}, {}
-    for eid, A in set_of.items():
-        present = [x for x in points if x in A]
+    field, digits, shift = {}, {}, 0
+    for a in base.atoms:
+        (pt,) = set_of[a]
+        size = len(fibers[pt])
+        field[pt] = ((1 << size.bit_length()) - 1) << shift
+        digits[pt] = [k << shift for k in range(1, size + 1)]
+        shift += size.bit_length()
+    stalks, parts, code_of, sup = {}, {}, {}, []
+    for eid in base.elements:
+        present = [x for x in points if x in set_of[eid]]
+        sup.append(sum(map(field.__getitem__, present)))
         ids = []
-        for choice in product(*(fibers[x] for x in present)):
+        for choice, ds in zip(product(*map(fibers.__getitem__, present)),
+                              product(*map(digits.__getitem__, present))):
             xid = elem_id(choice)
+            if xid in code_of:
+                raise StalkCollision((xid,))
+            code_of[xid] = sum(ds)
             parts[xid] = dict(zip(present, choice))
             ids.append(xid)
         stalks[eid] = tuple(ids)
-    restrictions = {}
-    for upper, lower in base.cover_pairs:
-        B = set_of[lower]
-        restrictions[(upper, lower)] = {
-            x: elem_id(tuple(c for pt, c in parts[x].items() if pt in B))
-            for x in stalks[upper]
-        }
-    X = validate_boolean_set(validate_presheaf(base, stalks, restrictions))
+    for e, xs in stalks.items():
+        if not xs:
+            raise NoGlobalSupport((e,))
+    elem_of = {c: x for x, c in code_of.items()}
+    rest = {}
+    for e in base.elements:
+        down = base.down_set(e)
+        masks = [sup[base.index[f]] for f in down]
+        for x in stalks[e]:
+            c = code_of[x]
+            rest[x] = dict(zip(down, [elem_of[c & m] for m in masks]))
+    coords = list(code_of.values()), sup, list(field.values())
+    X = _coded_boolean_set(base, stalks, rest, coords)
+    if _table_coordinates(base, stalks, rest.values(), X.index, X.zero) != coords:
+        raise AssertionError("built product sections, yet their atom coordinates fail")
     return X, set_of, parts
 
 
@@ -1021,7 +1063,8 @@ def generate_boolean_set(atom_stalk_sizes, seed=None):
     The stalk over a subset is the product of the chosen atom stalks below
     it (singleton over bottom), restrictions are projections.  The seed only
     permutes stalk-element labels; the structure is unchanged.  The output is
-    validated, not assumed valid.
+    built from its atom coordinates and accepted by their certificate
+    (_product_sections), not assumed valid.
     """
     sizes = tuple(atom_stalk_sizes)
     if not sizes:

@@ -171,16 +171,20 @@ def dual_bset(sp):
 
     All subsets of a finite discrete space are compact-open, so this is the
     product section set of ``bset._product_sections`` over the base points
-    and their fibers; section ids list their members in ``sp.total`` order.
-    The returned Boolean set carries ``sections`` (element id -> member
+    and their fibers, built from its atom coordinates and accepted by their
+    certificate, with no cover walk: the dual is the product of the fibers
+    over the powerset of the base.  Section ids list their members in
+    ``sp.total`` order, each sorted by its rank there, so an id costs
+    O(|choice| log |choice|) and not a scan of the total space.  The
+    returned Boolean set carries ``sections`` (element id -> member
     frozenset), ``space`` and ``base_sets`` (base id -> subset) attributes
     for downstream use.  Cached per space so repeated dualizations share one
     object.
     """
-    render = balg.render_braces(sp.total)
+    rank = {e: k for k, e in enumerate(sp.total)}
     X, set_of, parts = bset._product_sections(
         sp.base, sp.fibers, balg.render_braces(sp.base),
-        lambda choice: render(frozenset(choice)))
+        lambda choice: "{" + ",".join(sorted(choice, key=rank.__getitem__)) + "}")
     X.sections = {sid: frozenset(pts.values()) for sid, pts in parts.items()}
     X.space = sp
     X.base_sets = set_of

@@ -17,8 +17,13 @@ validated as a Boolean algebra, the class presheaf through the cover walk
 of ``bset.validate_presheaf`` (``bset._class_presheaf``), and the certified
 codes permuted to the presheaf's element order.  It is the differential
 reference of ``tests/test_certified_build.py``.
+
+``old_product_sections`` is ``bset._product_sections`` as it was before
+products were built from their atom coordinates, the differential reference
+of ``tests/test_product_build.py``.
 """
 
+from itertools import product
 from math import prod
 from operator import eq
 
@@ -194,3 +199,29 @@ def presheaf_build(elements, circ, z, coords):
     index = {x: i for i, x in enumerate(elements)}
     return bset._coded_boolean_set(
         P.base, P.stalks, P._rest, ([code[index[x]] for x in P.elements], sup, fields))
+
+
+def old_product_sections(points, fibers, subset_id, elem_id):
+    """``bset._product_sections`` as it was before the set was built from
+    its atom coordinates: an id rendered for every (element, cover) pair,
+    those cover maps through the walk of ``bset.validate_presheaf``, then
+    ``bset.validate_boolean_set``."""
+    base, _, set_of = balg.powerset_balg(points, subset_id)
+    stalks, parts = {}, {}
+    for eid, A in set_of.items():
+        present = [x for x in points if x in A]
+        ids = []
+        for choice in product(*(fibers[x] for x in present)):
+            xid = elem_id(choice)
+            parts[xid] = dict(zip(present, choice))
+            ids.append(xid)
+        stalks[eid] = tuple(ids)
+    restrictions = {}
+    for upper, lower in base.cover_pairs:
+        B = set_of[lower]
+        restrictions[(upper, lower)] = {
+            x: elem_id(tuple(c for pt, c in parts[x].items() if pt in B))
+            for x in stalks[upper]
+        }
+    X = bset.validate_boolean_set(bset.validate_presheaf(base, stalks, restrictions))
+    return X, set_of, parts

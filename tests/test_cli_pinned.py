@@ -4,8 +4,9 @@
 ``commands()``: ``to-bset``, ``export``, ``check-morphism`` and ``props`` on
 every stanza of ``docs/*.txt``, ``to-bset``/``export`` on generated
 Boolean-set, skew, band and etale documents (seeded band mutants included),
-``gen`` for three shapes, the duality commands on the generated Boolean set
-and on an etale space whose total order interleaves its fibers, ``props``
+``gen`` for four shapes, the duality commands on the generated Boolean set
+and on an etale space whose total order interleaves its fibers,
+``dualize`` and ``roundtrip`` on a five-point etale space, ``props``
 on the generated skew algebra, ``check-morphism`` on two skew
 morphisms (the identity of the generated skew algebra, and the skew
 counterpart of ``docs/showcase.txt``'s ``collapse``), and ``props`` on the
@@ -43,7 +44,8 @@ DOCS = HERE.parent / "docs"
 SHOWCASE = DOCS / "showcase.txt"
 RECORDED = HERE / "cli_pinned.json"
 BAND_MUTANTS = 6
-GEN_SHAPES = [("2", "3,1", None), ("4", "1,1,3,3", "4"), ("3", "2,1,2", "0")]
+GEN_SHAPES = [("2", "3,1", None), ("4", "1,1,3,3", "4"), ("3", "2,1,2", "0"),
+              ("5", "1,2,1,2,1", "3")]
 
 
 def run(argv):
@@ -135,6 +137,8 @@ def write_documents(root):
             docs[f"{tag}_m{m}.txt"] = ["S"]
     (root / "etale.txt").write_text(etale_text((2, 1, 3), 2, "E"))
     docs["etale.txt"] = ["E"]
+    # dualize and roundtrip only (see commands)
+    (root / "etale5.txt").write_text(etale_text((2, 1, 3, 1, 2), 9, "P"))
     (root / "skewmor.txt").write_text(skew_morphisms_text(skew_doc))
     # props only (see commands)
     _, gen256 = run(["gen", "--atoms", "4", "--stalks", "3,3,3,3"])
@@ -200,6 +204,7 @@ def commands(root):
     for fname, name, cmds in [
         ("gen.txt", "G", ("dualize", "ultrafilters", "roundtrip", "props")),
         ("etale.txt", "E", ("dualize", "roundtrip", "sections")),
+        ("etale5.txt", "P", ("dualize", "roundtrip")),
         ("skew.txt", "G_skew", ("props",)),
         ("skewmor.txt", "ident", ("check-morphism",)),
         ("skewmor.txt", "collapse", ("check-morphism",)),

@@ -307,10 +307,10 @@ def outcome(fn, *args):
         return type(e).__name__, e.law, e.witness, e.detail
 
 
-def seeded_space(rng):
-    """An etale space over 1-4 base points with fibers of 1-3 points and a
-    shuffled total order."""
-    base = [f"u{i}" for i in range(rng.randint(1, 4))]
+def seeded_space(rng, points=4):
+    """An etale space over 1 to ``points`` base points with fibers of 1-3
+    points and a shuffled total order."""
+    base = [f"u{i}" for i in range(rng.randint(1, points))]
     proj = {f"e{i}{k}": u for i, u in enumerate(base) for k in range(rng.randint(1, 3))}
     total = list(proj)
     rng.shuffle(total)

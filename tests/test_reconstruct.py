@@ -363,6 +363,10 @@ def valid_boolean_set():
     return lambda: bset.validate_boolean_set(P)
 
 
+def valid_product():
+    return lambda: bset.generate_boolean_set((2, 1))
+
+
 def valid_skew():
     raw = generated_raw((2, 1))
     return lambda: skew.validate_skew(raw["elements"], raw["circ"], raw["bullet"], raw["zero"])
@@ -378,6 +382,7 @@ def valid_band():
     pytest.param({(balg, "_preserved_by_atoms"): False}, valid_bahom, id="validate_bahom"),
     pytest.param({(bset, "_local_restrictions"): None}, valid_presheaf, id="validate_presheaf"),
     pytest.param({(bset, "_coordinates"): None}, valid_boolean_set, id="validate_boolean_set"),
+    pytest.param({(bset, "_coordinates"): None}, valid_product, id="_product_sections"),
     pytest.param({(bset, "_reconstruct"): (None, False)}, valid_skew, id="validate_skew"),
     pytest.param({(skew, "_light_associative"): False}, valid_band, id="validate_band"),
 ])
