@@ -274,6 +274,16 @@ class FinBooleanAlgebra(FinMeetSemilattice):
         code, index = self._code, self.index
         return self.elements[self._pos[code[index[e]] & ~code[index[f]]]]
 
+    @property
+    @memo("_covers")
+    def cover_pairs(self):
+        """Hasse covers as (upper, lower) pairs, in element order, read off
+        the Stone code: the lower covers of x are the elements whose code is
+        x's less one atom bit, in element order.  O(n·k) for k atoms."""
+        els, pos = self.elements, self._pos
+        return tuple((e, els[j]) for e, c in zip(els, self._code)
+                     for j in sorted(pos[c ^ 1 << k] for k in _bits(c)))
+
     # -- filters and ideals ------------------------------------------------
 
     def principal_filter(self, x):

@@ -57,9 +57,10 @@ set is built once, by ``validate_skew``'s certificate route
 class f, which the certificate has shown to be the element coded
 code(x) & sup(f), so the whole restriction table is read off the certified
 ∘ rows and no cover walk runs.  The set keeps the certified coordinates,
-and it is both that presheaf and what ``from_skew`` returns;
-``to_skew(X)`` keeps X itself when the certified tables are over X's
-elements with X's coordinates.
+and it is both that presheaf and what ``from_skew`` returns.
+``to_skew(X)`` runs only the certificate's coordinate half on its own
+tables, which are X's coordinates run forward: the coordinates read back
+off their ∘ rows must be X's (``_read_back``), and the algebra keeps X.
 """
 
 import random
@@ -563,11 +564,11 @@ def _meet_table(X):
 @memo("_skew")
 def to_skew(X):
     """The skew algebra whose Cayley tables are X's ∘/• rows (_skew_rows).
-    The tables pass validate_skew's index-level check, its atom-coordinate
-    certificate (_reconstruct), a second computation of them from the
-    tables alone; when the tables' classes and atom rows are X's, the
-    algebra keeps X itself as its Boolean set, so from_skew(to_skew(X)) is
-    X."""
+    Both tables are X's coordinates run forward (_coded_rows), so the
+    certificate's table half could not fail on them; validate_skew's
+    index-level core runs only its coordinate half, whose read-back must
+    give X's elements, zero and coordinates (_read_back).  The algebra
+    keeps X itself as its Boolean set, so from_skew(to_skew(X)) is X."""
     circ, bullet = _skew_rows(X)
     return skew._validate_index(X.elements, X.index, circ, bullet, X.index[X.zero], X)
 
@@ -576,7 +577,8 @@ def from_skew(S):
     """Boolean set on the gamma quotient (skew.gamma_classes): stalks are
     R classes, restriction is left multiplication by any member of the
     target class (see _reconstruct).  It is the set that validate_skew
-    built after its certificate, or the X of to_skew(X), kept on S."""
+    built after its certificate, or the X of to_skew(X) (_read_back), kept
+    on S."""
     return S._bset
 
 
@@ -638,19 +640,48 @@ def _band_quotient(elements, table):
     return cls_idx, names, pairs, bottoms
 
 
+def _skew_coordinates(circ, z, cls_idx, reps):
+    """The coordinate half of the certificate (_skew_certificate): the
+    packed atom coordinates (_coordinates) read off the ∘ index rows of
+    the atom classes, or None.
+
+    The atom classes are the classes other than the zero's whose first
+    member r has a ∘ row inside the zero's class and its own; r∘x stands
+    for x|a.
+    """
+    zc = cls_idx[z]
+    atoms = [(c, circ[r]) for c, r in enumerate(reps)
+             if c != zc and all(cls_idx[v] in (zc, c) for v in set(circ[r]))]
+    return _coordinates(atoms, cls_idx, z, len(reps))
+
+
+def _coded_tables_match(circ, bullet, coords, cls_idx, reps):
+    """The table half of the certificate (_skew_certificate): whether the
+    ∘ rows, and whether both tables, are the ones the coordinates give
+    (_coded_rows), entry by entry; • is compared only when ∘ matches.  The
+    ∘ check runs once per class, whose members share one row."""
+    code, sup, _ = coords
+    members = [[] for _ in reps]
+    for i, c in enumerate(cls_idx):
+        members[c].append(i)
+    circ_rows, bullet_rows = _coded_rows(code, sup, members)
+    if any(map(ne, circ_rows, map(circ.__getitem__, reps))):
+        return False, False
+    given = map(bullet.__getitem__, chain.from_iterable(members))
+    return True, not any(map(ne, bullet_rows, given))
+
+
 def _skew_certificate(circ, bullet, z, cls_idx, reps):
     """The atom-coordinate certificate of skew index tables: (their packed
     atom coordinates, True) when they pass, else (None, whether the ∘
     checks passed).
 
-    The atom classes are the classes other than the zero's whose first
-    member r has a ∘ row inside the zero's class and its own; r∘x stands
-    for x|a, and the coordinates are read off those rows (_coordinates).
-    The tables pass when the coordinates exist and both tables are the ones
-    they give (_coded_rows): entrywise, x∘y has code code(y) & sup(x) and
-    x•y has code code(x) | code(y) & ~sup(x).  The ∘ check runs once per
-    class, whose members share one row.  Distinct classes then have
-    distinct supports, as two classes of one support would have one ∘ row.
+    The tables pass when the coordinates read off the ∘ rows of their atom
+    classes exist (_skew_coordinates) and both tables are the ones they
+    give (_coded_tables_match): entrywise, x∘y has code code(y) & sup(x)
+    and x•y has code code(x) | code(y) & ~sup(x).  Distinct classes then
+    have distinct supports, as two classes of one support would have one ∘
+    row.
 
     Exact both ways, by the finite form of the paper's theorem: tables that
     pass are, coordinate by coordinate, the product of the primitive
@@ -660,27 +691,38 @@ def _skew_certificate(circ, bullet, z, cls_idx, reps):
     Boolean set pass, each x∘y being y|(p(x) ∧ p(y)) and x•y being
     x ∨ (y|(p(y) \\ p(x))) in its atom coordinates.
     """
-    zc = cls_idx[z]
-    atoms = [(c, circ[r]) for c, r in enumerate(reps)
-             if c != zc and all(cls_idx[v] in (zc, c) for v in set(circ[r]))]
-    coords = _coordinates(atoms, cls_idx, z, len(reps))
+    coords = _skew_coordinates(circ, z, cls_idx, reps)
     if coords is None:
         return None, False
-    code, sup, _ = coords
-    members = [[] for _ in reps]
-    for i, c in enumerate(cls_idx):
-        members[c].append(i)
-    circ_rows, bullet_rows = _coded_rows(code, sup, members)
-    if any(map(ne, circ_rows, map(circ.__getitem__, reps))):
-        return None, False
-    if any(map(ne, bullet_rows, map(bullet.__getitem__, chain.from_iterable(members)))):
-        return None, True
-    return coords, True
+    circ_ok, ok = _coded_tables_match(circ, bullet, coords, cls_idx, reps)
+    return coords if ok else None, circ_ok
 
 
-def _reconstruct(elements, circ, bullet, z, X=None):
+def _read_back(X, elements, circ, z, classes):
+    """Check that X is the Boolean set of the skew index tables that
+    to_skew(X) built from X's coordinates: ``circ`` is their ∘ table, z
+    the zero's index and ``classes`` the classes of equal ∘ rows
+    (_row_classes).
+
+    Those tables are X's coordinates run forward (_coded_rows), so only
+    the coordinate half of the certificate runs (_skew_coordinates): the
+    coordinates it reads back off the ∘ rows, the elements and the zero
+    must be X's, or the tables are not X's (AssertionError, also under
+    ``python -O``).  The coordinates fix the classes, by their supports,
+    and every restriction, so X is then the set of the tables, its base
+    names aside.
+    """
+    cls_idx, reps, _ = classes
+    if (elements, z, _skew_coordinates(circ, z, cls_idx, reps)) != (
+            X.elements, X.index[X.zero], X._coords):
+        raise AssertionError("to_skew's tables do not read back the coordinates they came from")
+
+
+def _reconstruct(elements, circ, bullet, z, classes):
     """Whether the skew index tables are to_skew(X) of a Boolean set X:
     (X, True) if so, else (None, whether ∘ passed the certificate).
+    ``classes`` is (cls_idx, reps, names), the classes of equal ∘ rows
+    (_row_classes), which the caller has computed.
 
     By the paper's theorem the right-hand skew Boolean algebras are exactly
     these, and they are decided by their atom coordinates
@@ -697,22 +739,16 @@ def _reconstruct(elements, circ, bullet, z, X=None):
     restrictions are path independent and no cover walk runs.  The set
     keeps the certified coordinates, the codes in its own element order,
     which are the ones its restrictions give: each digit is the same
-    position in the same stalk.  A Boolean set ``X`` passed in is returned
-    itself when the tables are over its elements, in its order, with its
-    coordinates: the coordinates fix the classes (by their supports) and
-    every restriction, so X is then the set of the tables, its base names
-    aside.  That holds for to_skew's own output; else the set is built.  A
-    certificate refusal raises nothing, so the caller's scans report it;
-    the class order refused as a Boolean algebra after a certificate
-    accepted is an internal error (AssertionError, also under
-    ``python -O``).
+    position in the same stalk.  A certificate refusal raises nothing, so
+    the caller's scans report it; the class order refused as a Boolean
+    algebra after a certificate accepted is an internal error
+    (AssertionError, also under ``python -O``).  The tables of to_skew(X)
+    do not come here: they are read back (_read_back).
     """
-    cls_idx, reps, names = _row_classes(elements, circ)
+    cls_idx, reps, names = classes
     coords, circ_ok = _skew_certificate(circ, bullet, z, cls_idx, reps)
     if coords is None:
         return None, circ_ok
-    if X is not None and X.elements == elements and X._coords == coords:
-        return X, True
     code, sup, fields = coords
     class_of = {m: c for c, m in enumerate(sup)}
     pairs = [(names[c], names[class_of[m | f]]) for c, m in enumerate(sup)

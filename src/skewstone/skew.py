@@ -275,18 +275,27 @@ def validate_skew(elements, circ_table, bullet_table, zero):
 
 def _validate_index(elements, index, circ, bullet, z, X=None):
     """validate_skew on index tables, the zero at index ``z``.  The one
-    place a SkewAlgebra is built, so every algebra holds its Boolean set:
-    ``X`` when the tables are its own (to_skew's), else the one rebuilt
-    from them.  The algebra keeps one ∘ row object per class of equal rows
-    (bset._row_classes), however the caller shared them.  A refusal that
-    no axiom explains raises AssertionError, also under ``python -O``."""
-    cls, reps, _ = bset._row_classes(elements, circ)
+    place a SkewAlgebra is built, so every algebra holds its Boolean set.
+    The classes of equal ∘ rows (bset._row_classes) are found once here,
+    and the algebra keeps one ∘ row object per class, however the caller
+    shared them.  ``X`` is passed only by to_skew(X), with the tables it
+    built from X's coordinates: they are read back (bset._read_back), the
+    certificate's coordinate half alone, and the algebra keeps X.  Any
+    other tables go through the whole certificate (bset._reconstruct), and
+    the algebra keeps the set it builds.  A read-back that does not give X
+    back, and a refusal that no axiom explains, raise AssertionError, also
+    under ``python -O``."""
+    classes = bset._row_classes(elements, circ)
+    cls, reps, _ = classes
     circ = list(map([circ[r] for r in reps].__getitem__, cls))
     S = SkewAlgebra(elements, index, circ, bullet, z)
-    X, circ_ok = bset._reconstruct(elements, circ, bullet, z, X)
-    if X is None:
-        _axiom_scan(S, circ_ok)
-        raise AssertionError("certificate failed, yet every axiom holds")
+    if X is not None:
+        bset._read_back(X, elements, circ, z, classes)
+    else:
+        X, circ_ok = bset._reconstruct(elements, circ, bullet, z, classes)
+        if X is None:
+            _axiom_scan(S, circ_ok)
+            raise AssertionError("certificate failed, yet every axiom holds")
     S._bset = S._presheaf = X
     return S
 

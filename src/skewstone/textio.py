@@ -598,9 +598,11 @@ def print_stanza(s):
         elif key in _PLAIN:
             lines.append(f"  {key}: {_PLAIN[key][1](d[key])}")
         else:  # circ, bullet: a header row, then one row per element
-            lines.append(f"  {key}:")
-            lines += ["    " + " ".join(row)
-                      for row in (d["elements"], *_id_rows(d["elements"], d[key], key))]
+            rows = _id_rows(d["elements"], d[key], key)
+            # one line per distinct row object: _id_rows shares them per R class
+            text = {k: "    " + " ".join(row) for k, row in {id(r): r for r in rows}.items()}
+            lines += [f"  {key}:", "    " + " ".join(d["elements"]),
+                      *map(text.__getitem__, map(id, rows))]
     lines.append("}")
     return "\n".join(lines)
 

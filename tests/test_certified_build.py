@@ -40,7 +40,7 @@ def assert_same_build(S):
     reference build field by field, and the reference's view.  The
     reference keeps the coordinates its own presheaf gives."""
     elements, circ, bullet, z = tables(S)
-    X, circ_ok = bset._reconstruct(elements, circ, bullet, z)
+    X, circ_ok = bset._reconstruct(elements, circ, bullet, z, bset._row_classes(elements, circ))
     assert circ_ok and X is not None
     cls_idx, reps, _ = bset._row_classes(elements, circ)
     Y = ref.presheaf_build(elements, circ, z,

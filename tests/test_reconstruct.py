@@ -377,6 +377,29 @@ def valid_band():
     return lambda: bset.validate_band(raw["elements"], raw["circ"])
 
 
+def valid_to_skew():
+    sets = [bset.generate_boolean_set((2, 1)) for _ in range(2)]  # to_skew keeps its result on X
+    return lambda: bset.to_skew(sets.pop())
+
+
+class Tamper:
+    """A stand-in made from the function it replaces: ``wrap(real)``."""
+
+    def __init__(self, wrap):
+        self.wrap = wrap
+
+
+def passing(change):
+    """A stand-in for skew._validate_index that passes its arguments, X
+    included, through ``change`` (elements, z, n) -> (elements, z)."""
+    def wrap(real):
+        def call(elements, index, circ, bullet, z, X=None):
+            elements, z = change(elements, z, len(elements))
+            return real(elements, index, circ, bullet, z, X)
+        return call
+    return Tamper(wrap)
+
+
 @pytest.mark.parametrize("stand_ins, make", [
     pytest.param({(balg, "_stone_code"): None}, valid_balg, id="validate_balg"),
     pytest.param({(balg, "_preserved_by_atoms"): False}, valid_bahom, id="validate_bahom"),
@@ -385,6 +408,13 @@ def valid_band():
     pytest.param({(bset, "_coordinates"): None}, valid_product, id="_product_sections"),
     pytest.param({(bset, "_reconstruct"): (None, False)}, valid_skew, id="validate_skew"),
     pytest.param({(skew, "_light_associative"): False}, valid_band, id="validate_band"),
+    # to_skew's read-back gives back X's coordinates, zero and elements, or
+    # the tables are not X's
+    pytest.param({(bset, "_coordinates"): None}, valid_to_skew, id="to_skew-coordinates"),
+    pytest.param({(skew, "_validate_index"): passing(lambda els, z, n: (els, (z + 1) % n))},
+                 valid_to_skew, id="to_skew-zero"),
+    pytest.param({(skew, "_validate_index"): passing(lambda els, z, n: (els[::-1], z))},
+                 valid_to_skew, id="to_skew-element-order"),
 ])
 def test_a_refusal_that_no_scan_explains_is_an_internal_error(monkeypatch, stand_ins, make):
     # each certificate alone accepts, and the scans after a refusal only
@@ -393,14 +423,16 @@ def test_a_refusal_that_no_scan_explains_is_an_internal_error(monkeypatch, stand
     validate = make()  # the input is built before the certificate is patched
     validate()
     for (module, name), value in stand_ins.items():
-        monkeypatch.setattr(module, name, lambda *args, value=value: value)
+        monkeypatch.setattr(module, name, value.wrap(getattr(module, name))
+                            if isinstance(value, Tamper) else lambda *args, value=value: value)
     with pytest.raises(AssertionError):
         validate()
 
 
-def calls_by_function(tree, name):
-    """The enclosing function of every call of ``name`` (a bare name or an
-    attribute) in ``tree``; None at module level."""
+def call_nodes(tree, name):
+    """(enclosing function, call node) for every call of ``name`` (a bare
+    name or an attribute) in ``tree``; the function is None at module
+    level."""
     out = []
 
     def visit(node, fn):
@@ -409,12 +441,18 @@ def calls_by_function(tree, name):
         if isinstance(node, ast.Call):
             f = node.func
             if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
-                out.append(fn)
+                out.append((fn, node))
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
 
     visit(tree, None)
     return out
+
+
+def calls_by_function(tree, name):
+    """The enclosing function of every call of ``name`` in ``tree``
+    (call_nodes); None at module level."""
+    return [fn for fn, _ in call_nodes(tree, name)]
 
 
 def test_skew_algebras_are_built_only_by_validate_skew():
@@ -434,6 +472,18 @@ def test_skew_algebras_are_built_only_by_validate_skew():
     assert callers("SkewAlgebra") == {"skew.py": ["_validate_index"]}
     assert callers("_validate_index") == {"bset.py": ["to_skew"], "skew.py": ["validate_skew"],
                                           "textio.py": ["_build_stanza"]}
+    # only to_skew hands _validate_index a Boolean set X, whose tables are
+    # then read back and not certified, and it hands over the very rows
+    # _skew_rows(X) built from X's coordinates
+    with_set = [(f, fn) for f, tree in trees.items()
+                for fn, node in call_nodes(tree, "_validate_index")
+                if len(node.args) > 5 or node.keywords]
+    assert with_set == [("bset.py", "to_skew")]
+    to_skew = next(node for node in ast.walk(trees["bset.py"])
+                   if isinstance(node, ast.FunctionDef) and node.name == "to_skew")
+    assert [ast.dump(stmt) for stmt in to_skew.body[1:]] == [ast.dump(stmt) for stmt in ast.parse(
+        "circ, bullet = _skew_rows(X)\n"
+        "return skew._validate_index(X.elements, X.index, circ, bullet, X.index[X.zero], X)").body]
     assert callers("FinBooleanAlgebra") == {"balg.py": ["validate_balg"]}
     assert callers("FinMeetSemilattice") == {"balg.py": ["validate_meet_semilattice"]}
     assert callers("Presheaf") == {"bset.py": ["validate_presheaf"]}

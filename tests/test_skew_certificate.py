@@ -44,7 +44,7 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 def reconstructs_as_reference(elements, index, circ, bullet, z):
     """Asserts that _reconstruct returns what the reference returns on the
     index tables; returns (accepted, circ_ok)."""
-    X, circ_ok = bset._reconstruct(elements, circ, bullet, z)
+    X, circ_ok = bset._reconstruct(elements, circ, bullet, z, bset._row_classes(elements, circ))
     old, _, old_ok = ref.reconstruct(elements, index, circ, bullet, z)
     assert (X is None, circ_ok) == (old is None, old_ok)
     if X is not None:
@@ -253,24 +253,54 @@ def test_to_skew_keeps_the_set_it_was_built_from():
     pytest.param((2,), [("0", "a2")], id="zero with the same atom row"),
 ])
 def test_tables_keep_only_their_own_set(sizes, swap):
-    # the tables of X, validated with a set on the same ids whose stalks,
-    # atom stalk order, restrictions or zero differ: the set is rebuilt
-    # from the tables, not taken from the caller
+    # the tables of X read back X itself; validated with a set on the same
+    # ids whose stalks, atom stalk order, restrictions or zero differ, they
+    # do not read it back, which is an internal error; validated with no
+    # set, they rebuild their own, not the caller's
     X = bset.generate_boolean_set(sizes)
     Y = relabeled(X, swap)
     S = bset.to_skew(X)
     els, index, circ, bullet, z = skew_view(S)
-    assert bset._reconstruct(els, circ, bullet, z, X)[0] is X
-    T = skew._validate_index(els, index, circ, bullet, z, Y)
-    assert T._bset is not Y
+    assert bset.from_skew(S) is X
+    classes = bset._row_classes(els, circ)
+    bset._read_back(X, els, circ, z, classes)
+    with pytest.raises(AssertionError):
+        bset._read_back(Y, els, circ, z, classes)
+    with pytest.raises(AssertionError):
+        skew._validate_index(els, index, circ, bullet, z, Y)
+    T = skew._validate_index(els, index, circ, bullet, z)
+    assert T._bset is not Y and T._bset is not X
     assert bset_view(T._bset) == bset_view(ref.reconstruct(els, index, circ, bullet, z)[0])
+
+
+def test_tables_do_not_read_back_a_set_whose_codes_are_permuted():
+    # X and Y share elements, stalks, zero, supports and fields; only the
+    # restrictions of the top stalk to the 2-element atom are exchanged, so
+    # Y's codes are X's permuted, and X's tables do not read Y back
+    X = bset.generate_boolean_set((2, 1))
+    maps = cover_maps(X)
+    (t1, t2), atom = X.stalks[X.base.top], X.base.atoms[0]
+    assert len(X.stalks[atom]) == 2
+    m = maps[(X.base.top, atom)]
+    m[t1], m[t2] = m[t2], m[t1]
+    Y = bset.validate_boolean_set(bset.validate_presheaf(X.base, X.stalks, maps))
+    assert (Y.elements, Y.zero, Y._coords[1:]) == (X.elements, X.zero, X._coords[1:])
+    assert sorted(Y._coords[0]) == sorted(X._coords[0]) and Y._coords[0] != X._coords[0]
+    els, index, circ, bullet, z = skew_view(bset.to_skew(X))
+    classes = bset._row_classes(els, circ)
+    bset._read_back(X, els, circ, z, classes)
+    with pytest.raises(AssertionError):
+        bset._read_back(Y, els, circ, z, classes)
+    with pytest.raises(AssertionError):
+        skew._validate_index(els, index, circ, bullet, z, Y)
 
 
 def test_tables_with_the_codes_of_another_set_rebuild_their_own():
     # the product tables of two 1-element atoms, and a set with one
     # 3-element atom on the same ids in the same order: both code the
-    # elements 0..3, but the supports and fields differ, so the set is
-    # rebuilt from the tables
+    # elements 0..3, but the supports and fields differ, so the tables do
+    # not read that set back, and validated without it they rebuild their
+    # own
     raw = product_raw((1, 1))
     els = raw["elements"]
     b2 = balg.validate_balg(["0", "a"], [("0", "a")], "0")
@@ -279,12 +309,19 @@ def test_tables_with_the_codes_of_another_set_rebuild_their_own():
     X = bset.validate_boolean_set(P)
     tables = index_tables(els, raw["circ"], raw["bullet"], raw["zero"])
     elements, index, circ, bullet, z = tables
-    cls_idx, reps, _ = bset._row_classes(elements, circ)
+    classes = bset._row_classes(elements, circ)
+    cls_idx, reps, _ = classes
     coords = bset._skew_certificate(circ, bullet, z, cls_idx, reps)[0]
     assert X.elements == elements and coords[0] == X._coords[0] == [0, 1, 2, 3]
-    Y = bset._reconstruct(elements, circ, bullet, z, X)[0]
+    assert X.index[X.zero] == z
+    with pytest.raises(AssertionError):
+        bset._read_back(X, elements, circ, z, classes)
+    with pytest.raises(AssertionError):
+        skew._validate_index(elements, index, circ, bullet, z, X)
+    Y = bset._reconstruct(elements, circ, bullet, z, classes)[0]
     assert Y is not X
     assert bset_view(Y) == bset_view(ref.reconstruct(*tables)[0])
+    assert bset_view(skew._validate_index(elements, index, circ, bullet, z)._bset) == bset_view(Y)
 
 
 # ------------------------------------------------------ one coordinate system

@@ -8,8 +8,11 @@ atoms, its elements in binary counting order (where each element's index
 is its code) and reversed, on the bases of the Boolean band quotients, on the algebras that
 every relation on up to 4 elements and seeded order mutants give, and on
 seeded maps and homomorphism edits through ``validate_bahom`` (verdict,
-law and witness).  After a run of every read, the algebra holds no table
-of rows and no dict larger than its element count.
+law and witness).  Its Hasse covers, read off the code, are the ones the
+walk over its order rows finds (``order_reference.cover_pairs``) on all of
+these and on the class orders of certified skew tables.  After a run of
+every read, the algebra holds no table of rows and no dict larger than its
+element count.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from skewstone.errors import StructureError
 
 import balg_tables_reference as ref
 import mutation_engine as me
+import order_reference as order_ref
 from test_duality_layer import right_normal_bands
 from test_morphism_atoms import bases, edits, outcome
 from test_quotients import all_bands
@@ -36,10 +40,13 @@ def powerset(k, reverse=False):
 
 
 def assert_reads_match(B, pairs=True):
-    """Every read of B equals the table-based one; ``pairs`` also compares
-    meet, join and relative complement at every pair of elements."""
+    """Every read of B equals the table-based one, and its covers, read
+    off the Stone code, are the ones the walk over the order rows finds;
+    ``pairs`` also compares meet, join and relative complement at every
+    pair of elements."""
     T = ref.Tables(B)
     els = B.elements
+    assert B.cover_pairs == order_ref.cover_pairs(B)
     assert (B.top, B.atoms) == (T.top, T.atoms)
     if pairs:
         for x, y in itertools.product(els, repeat=2):
@@ -109,6 +116,7 @@ def test_every_small_relation_and_order_mutants_read_as_the_tables_did():
 
 def test_validate_bahom_matches_the_tables_on_seeded_maps():
     algebras = bases() + [powerset(4), powerset(2, True), powerset(3, True)]
+    assert all(A.cover_pairs == order_ref.cover_pairs(A) for A in algebras)
     tables = {id(A): ref.Tables(A) for A in algebras}
     rng, seen = random.Random(34), set()
     for A in algebras:
@@ -134,9 +142,17 @@ def class_order(sizes):
     """The base that bset._reconstruct builds from the skew tables of the
     generated Boolean set of ``sizes``: the order of its ∘ row classes."""
     S = bset.to_skew(bset.generate_boolean_set(sizes))
-    X, circ_ok = bset._reconstruct(S.elements, S.circ_t, S.bullet_t, S._zero_i)
+    X, circ_ok = bset._reconstruct(S.elements, S.circ_t, S.bullet_t, S._zero_i,
+                                    bset._row_classes(S.elements, S.circ_t))
     assert circ_ok and X is not None
     return X.base
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2, 1), (1,) * 5, (3, 3, 3, 3), (1,) * 7])
+def test_class_order_covers_are_the_walk(sizes):
+    B = class_order(sizes)
+    assert not hasattr(B, "_covers")
+    assert B.cover_pairs == order_ref.cover_pairs(B)
 
 
 @pytest.mark.parametrize("make", [lambda: powerset(8), lambda: class_order((1,) * 7)],
